@@ -9,8 +9,10 @@ Three subcommands:
 * ``verify``    run the structural check suites (exhaustive at small
   rank, sampled otherwise).
 
-Exit codes: 0 success, 1 diff/check failure, 2 word not reduced,
-3 v not below w, 4 a structural guarantee failed mid-run.
+Exit codes: 0 success, 1 diff/check failure, 2 invalid input (type
+unknown or above the size limit, word not reduced, malformed letters),
+3 v not below w, 4 a structural guarantee failed mid-run, 5 output
+could not be written (quietly when the reader closed stdout early).
 """
 
 from __future__ import annotations
@@ -22,16 +24,8 @@ import random
 import sys
 
 from . import golden
-from .deltavec import delta_via_xi, initial_delta_tilde
-from .errors import (
-    AmbiguousBranch,
-    IllegalType,
-    InvariantViolation,
-    NegativeCoordinate,
-    NoValidBranch,
-    NotLessOrEqual,
-    NotReduced,
-)
+from .deltavec import delta_tilde_from_combo, delta_via_xi, left_part_rhos
+from .errors import NotLessOrEqual, StructuralFailure
 from .mutalg import FinalSeed, green_report, run, verify_equivalence
 from .quiver import build_gamma, classify_sawteeth, quiver_has_sawteeth, to_dot
 from .rootsys import CartanData, element_of_word, number_of_positive_roots, parse_type
@@ -89,10 +83,6 @@ def seed_document(seed: FinalSeed, with_trace: bool = False) -> dict:
     if with_trace:
         doc["trace"] = [rec.to_json() for rec in seed.trace]
     return doc
-
-
-def document_roundtrip(doc: dict) -> dict:
-    return json.loads(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +288,12 @@ def check_equivalence(c: CartanData, samples: int, max_len: int, rng) -> tuple[b
     n = 0
     if r <= 6:
         for el in all_elements(c):
-            if el.length == 0:
+            if el.is_identity():
                 continue
             for rw in reduced_words(el):
                 word = Word(c, rw)
                 for v_el in all_elements(c):
-                    if v_el.length == 0 or not bruhat_le(v_el, word):
+                    if v_el.is_identity() or not bruhat_le(v_el, word):
                         continue
                     ok, rep = verify_equivalence(word, rightmost_subword(v_el, word))
                     if not ok:
@@ -312,7 +302,7 @@ def check_equivalence(c: CartanData, samples: int, max_len: int, rng) -> tuple[b
         return True, f"{n} pairs (exhaustive)"
     for word, v_letters in _sample_pairs(c, samples, max_len, rng):
         v_el = element_of_word(c, v_letters)
-        if v_el.length == 0:
+        if v_el.is_identity():
             continue
         ok, rep = verify_equivalence(word, rightmost_subword(v_el, word))
         if not ok:
@@ -327,7 +317,7 @@ def check_induction(c: CartanData, samples: int, max_len: int, rng) -> tuple[boo
         v_el = element_of_word(c, v_letters)
         try:
             run(c, word, v_el, check=True)
-        except (InvariantViolation, AmbiguousBranch, NoValidBranch) as exc:
+        except StructuralFailure as exc:
             return False, f"word {tuple(word.display)}, v {tuple(reversed(v_letters))}: {exc}"
         n += 1
     return True, f"{n} checked runs"
@@ -340,9 +330,10 @@ def check_delta_oracle(c: CartanData, samples: int, max_len: int, rng) -> tuple[
         emb = rightmost_subword(v_el, word)
         vdot = left_complete(emb.subword())
         wdot = left_complete(word)
-        for k in range(1, len(word) + 1):
-            direct = initial_delta_tilde(word, emb, k)
-            via_xi = delta_via_xi(wdot, k, vdot).truncated(len(emb))
+        combo = combo_numbers(word, emb)
+        for k, start in zip(range(1, len(word) + 1), left_part_rhos(wdot)):
+            direct = delta_tilde_from_combo(combo, k)
+            via_xi = delta_via_xi(wdot, k, vdot, start).truncated(len(emb))
             if direct != via_xi:
                 return False, f"word {tuple(word.display)}, k={k}: {direct} != {via_xi}"
         n += 1
@@ -436,17 +427,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except NotReduced as exc:
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): stop without a message,
+        # and point stdout at /dev/null so that the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 5
+    except OSError as exc:  # --out or --dot not writable
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 5
     except NotLessOrEqual as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvariantViolation, AmbiguousBranch, NoValidBranch, NegativeCoordinate) as exc:
+    except StructuralFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (IllegalType, ValueError) as exc:
+    except ValueError as exc:  # IllegalType, NotReduced, malformed letters
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

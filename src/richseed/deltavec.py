@@ -11,15 +11,19 @@ by division.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .errors import NegativeCoordinate
 from .rootsys import (
+    Vec,
     fundamental_weight,
+    longest_element,
     number_of_positive_roots,
     root_pairing,
     root_to_weight,
 )
-from .words import ComboNumbers, SubwordEmbedding, Word, leftmost_subword
+from .words import ComboNumbers, SubwordEmbedding, Word, leftmost_subword_of_rho
 
 
 @dataclass(frozen=True)
@@ -89,14 +93,32 @@ def initial_delta_same(word: Word, k: int) -> DeltaVector:
     return basis_delta(word, [j for j in range(1, k + 1) if word.color(j) == ik])
 
 
-def delta_via_xi(module_word: Word, k: int, target: Word) -> DeltaVector:
+def left_part_rhos(module_word: Word) -> Iterator[Vec]:
+    """u_k(rho) in weight coordinates for k = 1, 2, ..., len(module_word).
+
+    u_k = w0 (s_{i_k} ... s_{i_1})^{-1} is the left part of the module
+    word (a reduced word of w0) beyond index k.  Since u_k = u_{k-1} s_{i_k},
+    u_k(rho) = u_{k-1}(rho) - u_{k-1}(alpha_{i_k}), and u_{k-1}(alpha_{i_k})
+    is w0(beta_k) for the module word's root sequence; u_0 = w0 sends rho
+    to -rho.
+    """
+    c = module_word.cartan
+    w0 = longest_element(c)
+    y = (-1,) * c.rank
+    for beta in module_word.betas:
+        y = tuple(a - b for a, b in zip(y, root_to_weight(c, w0.apply(beta))))
+        yield y
+
+
+def delta_via_xi(module_word: Word, k: int, target: Word, start: Vec | None = None) -> DeltaVector:
     """Vector of the k-th summand of one completed word relative to another.
 
-    Both words must be reduced words of w0.  The left part of the module
-    word beyond index k is located as the leftmost subword of the
+    Both words must be reduced words of w0.  The left part u_k of the
+    module word beyond index k is located as the leftmost subword of the
     target; at every other position the running weight (started at the
     fundamental weight of color i_k) is reflected in the target's root
     sequence, and the reflection coefficients are the coordinates.
+    ``start`` is u_k(rho), for callers that walk k with ``left_part_rhos``.
     """
     c = module_word.cartan
     r = number_of_positive_roots(c)
@@ -107,25 +129,24 @@ def delta_via_xi(module_word: Word, k: int, target: Word) -> DeltaVector:
     if module_word.cartan != target.cartan:
         raise ValueError("words of different types")
 
-    # u_k = w0 * (s_{i_k}...s_{i_1})^{-1}, the left part of the module word
-    u_k = module_word.element * module_word.prefix_element(k).inverse()
-    q_positions = set(leftmost_subword(u_k, target))
+    if start is None:
+        start = next(islice(left_part_rhos(module_word), k - 1, None))
+    q_positions = set(leftmost_subword_of_rho(start, target))
 
     xi = fundamental_weight(c, module_word.color(k))
     coords = []
-    for i in range(1, r + 1):
+    for i, beta in enumerate(target.betas, start=1):
         if i in q_positions:
             coords.append(0)
             continue
-        beta = target.betas[i - 1]
         n = root_pairing(c, xi, beta)
         if n < 0:
             raise NegativeCoordinate(
                 f"coefficient {n} at position {i} (module index {k}); "
                 "the reference data is inconsistent"
             )
-        beta_w = root_to_weight(c, beta)
-        xi = tuple(x - n * b for x, b in zip(xi, beta_w))
+        if n:
+            xi = tuple(x - n * b for x, b in zip(xi, root_to_weight(c, beta)))
         coords.append(n)
     return DeltaVector(target, tuple(coords))
 

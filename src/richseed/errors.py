@@ -6,7 +6,8 @@ class RichseedError(Exception):
 
 
 class IllegalType(RichseedError, ValueError):
-    """Requested Dynkin type does not exist (e.g. D3, E9, rank 0)."""
+    """Requested Dynkin type does not exist (e.g. D3, E9, rank 0) or is
+    above the size limit ``rootsys.MAX_POSITIVE_ROOTS``."""
 
 
 class NotReduced(RichseedError, ValueError):
@@ -25,25 +26,32 @@ class NotLessOrEqual(RichseedError, ValueError):
     """v is not below w in the Bruhat order."""
 
 
-class NegativeCoordinate(RichseedError, ValueError):
+class StructuralFailure(RichseedError, RuntimeError):
+    """A property that the algorithm guarantees failed during a run.
+
+    The input was accepted; the run, not the input, is at fault.
+    """
+
+
+class NegativeCoordinate(StructuralFailure):
     """A coefficient that must be a nonnegative integer came out negative."""
 
 
-class FrozenVertex(RichseedError, ValueError):
+class FrozenVertex(StructuralFailure):
     """Attempted mutation at a frozen vertex."""
 
 
-class AmbiguousBranch(RichseedError, RuntimeError):
+class AmbiguousBranch(StructuralFailure):
     """Both exchange computations gave nonnegative, distinct vectors."""
 
 
-class NoValidBranch(RichseedError, RuntimeError):
+class NoValidBranch(StructuralFailure):
     """Neither exchange computation gave a nonnegative vector."""
 
 
-class InvariantViolation(RichseedError, RuntimeError):
+class InvariantViolation(StructuralFailure):
     """A structural property that the algorithm guarantees failed to hold."""
 
 
-class Unclassifiable(RichseedError, ValueError):
+class Unclassifiable(StructuralFailure):
     """Local arrow pattern matches none of the known configurations."""

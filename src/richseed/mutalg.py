@@ -22,6 +22,7 @@ from .deltavec import (
     DeltaVector,
     delta_tilde_from_combo,
     delta_via_xi,
+    left_part_rhos,
     zero_delta,
 )
 from .errors import AmbiguousBranch, InvariantViolation, NoValidBranch
@@ -170,8 +171,6 @@ class FinalSeed:
     deleted: set[int]
     frozen: set[int]
     quiver: Quiver  # survivors, frozen marked, frozen-frozen arrows dropped
-    pre_deletion_quiver: Quiver
-    pre_deletion_deltas: dict[int, DeltaVector]
     schedule: list[list[int]]
     trace: list[MutationRecord]
     stats: dict = field(default_factory=dict)
@@ -185,18 +184,12 @@ class FinalSeed:
 # elementary moves
 
 
-def deletion_bound(state: AlgState, k: int, m: Optional[int] = None) -> int:
-    if m is None:
-        m = state.step
-    return state.combo.deletion_bound(k, m)
-
-
 def cut_view(state: AlgState, step: Optional[int] = None) -> CutSeedView:
     """Members, evicted (vanishing truncation), deleted (index bound)."""
     m = state.step if step is None else step
     evicted, deleted, members = set(), set(), set()
     for k in range(1, state.lw + 1):
-        if k > deletion_bound(state, k, m):
+        if k > state.combo.deletion_bound(k, m):
             deleted.add(k)
         elif not any(state.delta_tilde(k)):
             evicted.add(k)
@@ -543,8 +536,10 @@ def initial_state(
         reference = completion
         _validate_completion(reference, vbar)
     module_word = left_complete(word)
+    starts = left_part_rhos(module_word)
     deltas = {
-        k: delta_via_xi(module_word, k, reference) for k in range(1, len(word) + 1)
+        k: delta_via_xi(module_word, k, reference, start)
+        for k, start in zip(range(1, len(word) + 1), starts)
     }
     gamma = build_gamma(word)
     state = AlgState(
@@ -607,7 +602,6 @@ def run(
                 f"surviving summand {k} keeps nonzero leading coordinates"
             )
 
-    pre_deletion = state.quiver.copy()
     trimmed = state.quiver.without_vertices(deleted)
     frozen = frozen_vertices_from(state, deleted, trimmed)
     final_quiver = trimmed.with_frozen(frozen)
@@ -621,8 +615,6 @@ def run(
         deleted=deleted,
         frozen=frozen,
         quiver=final_quiver,
-        pre_deletion_quiver=pre_deletion,
-        pre_deletion_deltas=dict(state.deltas),
         schedule=[list(b) for b in state.batches],
         trace=state.trace,
         stats=dict(state.stats),
@@ -646,10 +638,6 @@ def frozen_vertices_from(state: AlgState, deleted: set[int], trimmed: Quiver) ->
         elif k == word.k_max(word.color(k)):
             frozen.add(k)
     return frozen
-
-
-def frozen_vertices(final: FinalSeed) -> set[int]:
-    return set(final.frozen)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,18 @@ relied on silently below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import IllegalType
 
 Vec = tuple[int, ...]
+
+# Types with more positive roots than E8 are refused before anything is
+# built: a run completes words to w0, whose length is this number, so
+# its cost grows with it (A400 would need words of 80 200 letters).  It
+# also bounds the per-type caches below.
+MAX_POSITIVE_ROOTS = 120
 
 
 @dataclass(frozen=True)
@@ -34,6 +39,13 @@ class CartanData:
     rank: int
     matrix: tuple[tuple[int, ...], ...]
     adjacency: frozenset[tuple[int, int]]
+    # neighbors of vertex i at [i-1], derived from adjacency
+    nbrs: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        vertices = range(1, self.rank + 1)
+        nbrs = tuple(tuple(j for j in vertices if j != i and self.adjacent(i, j)) for i in vertices)
+        object.__setattr__(self, "nbrs", nbrs)
 
     def a(self, i: int, j: int) -> int:
         """Cartan entry a_{ij} for colors 1..rank."""
@@ -43,40 +55,55 @@ class CartanData:
         return (min(i, j), max(i, j)) in self.adjacency
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(j for j in range(1, self.rank + 1) if j != i and self.adjacent(i, j)))
+        return self.nbrs[i - 1]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CartanData({self.family}{self.rank})"
 
 
-def _edges(family: str, rank: int) -> list[tuple[int, int]]:
+def _positive_root_count(family: str, rank: int) -> int:
+    """Number of positive roots of a type, which must exist."""
     if family == "A":
         if rank < 1:
             raise IllegalType(f"A{rank} does not exist")
-        return [(i, i + 1) for i in range(1, rank)]
+        return rank * (rank + 1) // 2
     if family == "D":
         if rank < 4:
             raise IllegalType(f"D{rank} does not exist (rank >= 4 required)")
-        chain = [(i, i + 1) for i in range(1, rank - 2)]
-        return chain + [(rank - 2, rank - 1), (rank - 2, rank)]
+        return rank * (rank - 1)
     if family == "E":
         if rank not in (6, 7, 8):
             raise IllegalType(f"E{rank} does not exist")
-        chain = [(1, 3), (3, 4), (4, 5), (5, 6)]
-        chain += [(i, i + 1) for i in range(6, rank)]
-        return chain + [(2, 4)]
+        return {6: 36, 7: 63, 8: 120}[rank]
     raise IllegalType(f"unknown family {family!r}")
+
+
+def _edges(family: str, rank: int) -> list[tuple[int, int]]:
+    if family == "A":
+        return [(i, i + 1) for i in range(1, rank)]
+    if family == "D":
+        chain = [(i, i + 1) for i in range(1, rank - 2)]
+        return chain + [(rank - 2, rank - 1), (rank - 2, rank)]
+    chain = [(1, 3), (3, 4), (4, 5), (5, 6)]
+    chain += [(i, i + 1) for i in range(6, rank)]
+    return chain + [(2, 4)]
 
 
 def cartan(family: str, rank: int) -> CartanData:
     """Cartan data for type ``family``+``rank``, vertices numbered 1..rank.
 
     A_n is the chain 1--2--...--n, D_n branches at n-2, and in E_n the
-    vertex 2 hangs off vertex 4 of the chain 1--3--4--5--...--n.
+    vertex 2 hangs off vertex 4 of the chain 1--3--4--5--...--n.  Types
+    with more than MAX_POSITIVE_ROOTS positive roots raise IllegalType.
     """
     family = family.upper()
-    edges = _edges(family, rank)
-    adj = frozenset((min(i, j), max(i, j)) for i, j in edges)
+    count = _positive_root_count(family, rank)
+    if count > MAX_POSITIVE_ROOTS:
+        raise IllegalType(
+            f"{family}{rank} has {count} positive roots, above the limit of "
+            f"{MAX_POSITIVE_ROOTS} (the number of E8)"
+        )
+    adj = frozenset((min(i, j), max(i, j)) for i, j in _edges(family, rank))
     rows = []
     for i in range(1, rank + 1):
         row = []
@@ -134,9 +161,16 @@ def reflect_root(c: CartanData, i: int, v: Vec) -> Vec:
 
 
 def reflect_weight_simple(c: CartanData, i: int, lam: Vec) -> Vec:
-    """s_i acting on weight coordinates."""
+    """s_i acting on weight coordinates: subtract n = lam_i times alpha_i,
+    whose weight coordinates are 2 at i and -1 at each neighbor."""
     n = lam[i - 1]
-    return tuple(lam[j] - n * c.matrix[j][i - 1] for j in range(c.rank))
+    if not n:
+        return lam
+    out = list(lam)
+    out[i - 1] = -n
+    for j in c.neighbors(i):
+        out[j - 1] += n
+    return tuple(out)
 
 
 def reflect_weight(c: CartanData, lam: Vec, beta: Vec) -> Vec:
@@ -172,7 +206,13 @@ def positive_roots(c: CartanData) -> tuple[Vec, ...]:
 
 
 def number_of_positive_roots(c: CartanData) -> int:
-    return len(positive_roots(c))
+    return _positive_root_count(c.family, c.rank)
+
+
+@lru_cache(maxsize=None)
+def _two_rho(c: CartanData) -> Vec:
+    """2 rho in root coordinates: the sum of the positive roots."""
+    return tuple(map(sum, zip(*positive_roots(c))))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +225,13 @@ class WeylElement:
 
     Column j of the matrix holds the root coordinates of the image of
     the j-th simple root.  Equality of elements is equality of matrices.
+
+    Products with a simple reflection touch one row (``lmul``) or the
+    columns of one vertex and its neighbors (``rmul``).  Length, left
+    descents and the inverse are read off the weight w(rho): for every
+    element, <w(rho), alpha_i^vee> = ht(w^{-1}(alpha_i)), so s_i is a
+    left descent of w exactly when coordinate i of w(rho) is negative,
+    and w is the identity exactly when w(rho) = rho.
     """
 
     cartan: CartanData
@@ -193,6 +240,10 @@ class WeylElement:
     def apply(self, v: Vec) -> Vec:
         n = self.cartan.rank
         return tuple(sum(self.matrix[i][j] * v[j] for j in range(n)) for i in range(n))
+
+    def image_of_simple(self, i: int) -> Vec:
+        """w(alpha_i), i.e. column i."""
+        return tuple(row[i - 1] for row in self.matrix)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.cartan != other.cartan:
@@ -204,54 +255,68 @@ class WeylElement:
         )
         return WeylElement(self.cartan, prod)
 
+    def lmul(self, i: int) -> "WeylElement":
+        """s_i * w: row i becomes minus itself plus the rows of the neighbors of i."""
+        m = self.matrix
+        row = [-x for x in m[i - 1]]
+        for j in self.cartan.neighbors(i):
+            row = [x + y for x, y in zip(row, m[j - 1])]
+        return WeylElement(self.cartan, m[: i - 1] + (tuple(row),) + m[i:])
+
+    def rmul(self, i: int) -> "WeylElement":
+        """w * s_i: column i is negated and added to the column of each neighbor."""
+        nbrs = self.cartan.neighbors(i)
+        rows = []
+        for row in self.matrix:
+            x = row[i - 1]
+            if x:
+                out = list(row)
+                out[i - 1] = -x
+                for j in nbrs:
+                    out[j - 1] += x
+                row = tuple(out)
+            rows.append(row)
+        return WeylElement(self.cartan, tuple(rows))
+
+    def rho_image(self) -> Vec:
+        """Weight coordinates of w(rho)."""
+        c = self.cartan
+        return tuple(x // 2 for x in root_to_weight(c, self.apply(_two_rho(c))))
+
+    def _peel_left(self) -> list[int]:
+        """Letters j_1, ..., j_l with w = s_{j_1} ... s_{j_l}, peeling the
+        smallest left descent each time."""
+        c = self.cartan
+        y = self.rho_image()
+        letters = []
+        while True:
+            i = next((j for j, x in enumerate(y, start=1) if x < 0), 0)
+            if not i:
+                return letters
+            letters.append(i)
+            y = reflect_weight_simple(c, i, y)
+
     def inverse(self) -> "WeylElement":
-        return WeylElement(self.cartan, _invert_unimodular(self.matrix))
+        # w = s_{j_1} ... s_{j_l}, so w^{-1} = s_{j_l} ... s_{j_1}: the word
+        # (j_1, ..., j_l) in application order
+        return element_of_word(self.cartan, self._peel_left())
 
     def is_identity(self) -> bool:
         return self == identity_element(self.cartan)
 
     @property
     def length(self) -> int:
-        return _length(self)
+        return len(self._peel_left())
 
     def right_descents(self) -> tuple[int, ...]:
         """Colors i with l(w s_i) < l(w), i.e. w(alpha_i) negative."""
-        out = []
-        for i in range(1, self.cartan.rank + 1):
-            col = tuple(row[i - 1] for row in self.matrix)
-            if is_negative(col):
-                out.append(i)
-        return tuple(out)
+        return tuple(i for i in range(1, self.cartan.rank + 1) if self.is_right_descent(i))
 
     def is_right_descent(self, i: int) -> bool:
-        col = tuple(row[i - 1] for row in self.matrix)
-        return is_negative(col)
+        return is_negative(self.image_of_simple(i))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WeylElement({self.cartan.family}{self.cartan.rank}, len={self.length})"
-
-
-def _invert_unimodular(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    inv = tuple(tuple(int(aug[i][n + j]) for j in range(n)) for i in range(n))
-    check = [[Fraction(aug[i][n + j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if check[i][j].denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return inv
 
 
 @lru_cache(maxsize=None)
@@ -262,9 +327,7 @@ def identity_element(c: CartanData) -> WeylElement:
 
 @lru_cache(maxsize=None)
 def simple_reflection(c: CartanData, i: int) -> WeylElement:
-    cols = [reflect_root(c, i, simple_root(c, j)) for j in range(1, c.rank + 1)]
-    m = tuple(tuple(cols[j][r] for j in range(c.rank)) for r in range(c.rank))
-    return WeylElement(c, m)
+    return identity_element(c).lmul(i)
 
 
 def element_of_word(c: CartanData, letters) -> WeylElement:
@@ -276,13 +339,8 @@ def element_of_word(c: CartanData, letters) -> WeylElement:
     for i in letters:
         if not 1 <= i <= c.rank:
             raise ValueError(f"letter {i} out of range 1..{c.rank}")
-        w = simple_reflection(c, i) * w
+        w = w.lmul(i)
     return w
-
-
-@lru_cache(maxsize=None)
-def _length(w: WeylElement) -> int:
-    return sum(1 for beta in positive_roots(w.cartan) if is_negative(w.apply(beta)))
 
 
 @lru_cache(maxsize=None)
@@ -300,16 +358,14 @@ def longest_element_word(c: CartanData) -> tuple[int, ...]:
 
 def _build_w0(c: CartanData) -> tuple[WeylElement, tuple[int, ...]]:
     # Greedy ascent from the identity: keep right-multiplying by the
-    # smallest generator that still increases length.
+    # smallest generator that is not a right descent, once per positive
+    # root, which is the length of w0.
     w = identity_element(c)
     picked: list[int] = []
-    r = number_of_positive_roots(c)
-    while w.length < r:
-        for i in range(1, c.rank + 1):
-            if not w.is_right_descent(i):
-                w = w * simple_reflection(c, i)
-                picked.append(i)
-                break
+    for _ in range(number_of_positive_roots(c)):
+        i = next(i for i in range(1, c.rank + 1) if not w.is_right_descent(i))
+        w = w.rmul(i)
+        picked.append(i)
     # w0 = s_{d_1} s_{d_2} ... s_{d_r}, so in application order the word
     # reads (d_r, ..., d_1).
     return w, tuple(reversed(picked))

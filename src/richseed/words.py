@@ -21,9 +21,7 @@ from .rootsys import (
     is_negative,
     longest_element,
     number_of_positive_roots,
-    reflect_root,
-    simple_reflection,
-    simple_root,
+    reflect_weight_simple,
 )
 
 
@@ -52,11 +50,11 @@ class Word:
         betas = []
         x = identity_element(cartan)  # s_{i_1} ... s_{i_{k-1}} accumulated
         for k, i in enumerate(letters, start=1):
-            beta = x.apply(simple_root(cartan, i))
+            beta = x.image_of_simple(i)
             if is_negative(beta):
                 raise NotReduced(k)
             betas.append(beta)
-            x = x * simple_reflection(cartan, i)
+            x = x.rmul(i)
         self.betas = tuple(betas)
         # x = s_{i_1} ... s_{i_L}; the represented element is the reverse
         # product s_{i_L} ... s_{i_1}.
@@ -164,20 +162,6 @@ def make_word(cartan: CartanData, letters, order: str = "paper") -> Word:
     return Word(cartan, letters)
 
 
-def successor_structure(word: Word) -> dict[int, tuple[int, int, int, int]]:
-    """Map k -> (k+, k-, k_min, k_max) with sentinels L+1 and 0."""
-    out = {}
-    for k in range(1, len(word) + 1):
-        i = word.color(k)
-        out[k] = (word.succ(k), word.pred(k), word.k_min(i), word.k_max(i))
-    return out
-
-
-def beta_sequence(word: Word) -> tuple[Vec, ...]:
-    """Roots beta_k = s_{i_1}...s_{i_{k-1}}(alpha_{i_k}), pairwise distinct."""
-    return word.betas
-
-
 # ---------------------------------------------------------------------------
 # completions and subword representatives
 
@@ -190,12 +174,13 @@ def left_complete(word: Word) -> Word:
     property.  Completions are not unique; this one is deterministic.
     """
     c = word.cartan
-    u = longest_element(c) * word.element.inverse()
+    u = longest_element(c)
+    for i in word.letters:  # w^{-1} = s_{i_1} ... s_{i_L}
+        u = u.rmul(i)
     extra: list[int] = []
-    while not u.is_identity():
-        d = u.right_descents()[0]
-        extra.append(d)
-        u = u * simple_reflection(c, d)
+    while descents := u.right_descents():
+        extra.append(descents[0])
+        u = u.rmul(descents[0])
     return Word(c, word.letters + tuple(extra))
 
 
@@ -228,7 +213,6 @@ def rightmost_subword(v: WeylElement, word: Word) -> SubwordEmbedding:
     is a right descent of the remaining element; this succeeds iff
     v <= w in the Bruhat order.
     """
-    c = word.cartan
     y = v
     positions = []
     for t in range(1, len(word) + 1):
@@ -237,7 +221,7 @@ def rightmost_subword(v: WeylElement, word: Word) -> SubwordEmbedding:
         i = word.color(t)
         if y.is_right_descent(i):
             positions.append(t)
-            y = y * simple_reflection(c, i)
+            y = y.rmul(i)
     if not y.is_identity():
         raise NotLessOrEqual("element is not below the word in the Bruhat order")
     return SubwordEmbedding(word, tuple(positions))
@@ -258,18 +242,28 @@ def leftmost_subword(u: WeylElement, word: Word) -> tuple[int, ...]:
     is a left descent of the remaining element.  Returns the positions
     in increasing order.
     """
+    return leftmost_subword_of_rho(u.rho_image(), word)
+
+
+def leftmost_subword_of_rho(u_rho: Vec, word: Word) -> tuple[int, ...]:
+    """``leftmost_subword`` of the element u given by the weight u(rho).
+
+    s_i is a left descent of y exactly when coordinate i of y(rho) is
+    negative, and (s_i y)(rho) is that weight reflected by s_i, so the
+    scan carries one weight vector; y is the identity when y(rho) = rho.
+    """
     c = word.cartan
-    y = u
+    rho = (1,) * c.rank
+    y = u_rho
     positions = []
     for t in range(len(word), 0, -1):
-        if y.is_identity():
+        if y == rho:
             break
-        i = word.color(t)
-        si = simple_reflection(c, i)
-        if (si * y).length < y.length:
+        i = word.letters[t - 1]
+        if y[i - 1] < 0:
             positions.append(t)
-            y = si * y
-    if not y.is_identity():
+            y = reflect_weight_simple(c, i, y)
+    if y != rho:
         raise NotLessOrEqual("element is not below the word in the Bruhat order")
     return tuple(reversed(positions))
 
@@ -417,8 +411,10 @@ def all_elements(c: CartanData) -> tuple[WeylElement, ...]:
         nxt = []
         for w in frontier:
             for i in range(1, c.rank + 1):
-                ws = w * simple_reflection(c, i)
-                if ws not in seen and ws.length > w.length:
+                if w.is_right_descent(i):
+                    continue
+                ws = w.rmul(i)
+                if ws not in seen:
                     seen.add(ws)
                     nxt.append(ws)
                     order.append(ws)
@@ -428,12 +424,11 @@ def all_elements(c: CartanData) -> tuple[WeylElement, ...]:
 
 def reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
     """All reduced words of w, letters in application order."""
-    c = w.cartan
     if w.is_identity():
         return [()]
     out = []
     for i in w.right_descents():
-        for rest in reduced_words(w * simple_reflection(c, i)):
+        for rest in reduced_words(w.rmul(i)):
             out.append((i,) + rest)
     return out
 
@@ -450,6 +445,6 @@ def random_reduced_word(c: CartanData, length: int, rng) -> tuple[int, ...]:
         i = rng.choice(choices)
         # each right multiplication pushes the new letter to index 1,
         # so the picks read off the word from the left
-        w = w * simple_reflection(c, i)
+        w = w.rmul(i)
         letters.append(i)
     return tuple(reversed(letters))

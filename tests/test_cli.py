@@ -6,7 +6,6 @@ import pytest
 
 from richseed.cli import (
     EXAMPLES,
-    document_roundtrip,
     main,
     seed_document,
 )
@@ -80,7 +79,7 @@ def test_json_roundtrip():
     v = element_of_word(c, [1, 2])
     seed = run(c, w, v)
     doc = seed_document(seed, with_trace=True)
-    assert document_roundtrip(doc) == doc
+    assert json.loads(json.dumps(doc)) == doc
     ids = [vert["id"] for vert in doc["vertices"]]
     assert len(ids) == len(set(ids))
 
@@ -112,3 +111,87 @@ def test_examples_subcommand():
     proc = _cli("examples", "a5-run")
     assert proc.returncode == 0
     assert "a5-run: ok" in proc.stdout
+
+
+A5_ARGS = ["compute", "--type", "A5", "--w", "1,3,2,4,3,2,4,5,4,3,2,1,2", "--v", "2,4,5,3,1,2"]
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    return raiser
+
+
+def test_unclassifiable_mid_run_exits_4(monkeypatch, capsys):
+    import richseed.mutalg
+    from richseed.errors import Unclassifiable
+
+    monkeypatch.setattr(richseed.mutalg, "classify_config", _raise(Unclassifiable("no pattern")))
+    assert main(A5_ARGS) == 4
+    assert capsys.readouterr().err == "error: no pattern\n"
+
+
+def test_frozen_vertex_mid_run_exits_4(monkeypatch, capsys):
+    from richseed.errors import FrozenVertex
+    from richseed.quiver import Quiver
+
+    monkeypatch.setattr(Quiver, "mutate", _raise(FrozenVertex("vertex 3 is frozen")))
+    assert main(A5_ARGS + ["--no-check"]) == 4
+    assert capsys.readouterr().err == "error: vertex 3 is frozen\n"
+
+
+@pytest.mark.parametrize("target,exc_name", [
+    ("classify_config", "Unclassifiable"),
+    ("delta_via_xi", "NegativeCoordinate"),
+])
+def test_verify_induction_reports_run_failures(monkeypatch, target, exc_name):
+    import random
+
+    import richseed.errors
+    import richseed.mutalg
+    from richseed.cli import check_induction
+
+    exc = getattr(richseed.errors, exc_name)("broken on purpose")
+    monkeypatch.setattr(richseed.mutalg, target, _raise(exc))
+    ok, info = check_induction(cartan("A", 3), 3, 6, random.Random(1))
+    assert not ok
+    assert info.endswith("broken on purpose")
+
+
+def test_out_into_missing_directory_exits_5(tmp_path):
+    proc = _cli(*A5_ARGS, "--out", str(tmp_path / "missing" / "seed.json"))
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    proc = _cli(*A5_ARGS, "--dot", str(tmp_path / "missing" / "seed.dot"))
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the seed is written, as with `| head`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "richseed.cli", *A5_ARGS],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 5
+    assert err == b""
+
+
+def test_type_above_size_limit_is_rejected_at_once():
+    import time
+
+    # in a child process, so that a regression fails on the timeout
+    # instead of hanging the suite
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "richseed.cli", "compute", "--type", "A400", "--w", "1,2", "--v", "1"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: A400 has 80200 positive roots")
+    assert proc.stderr.count("\n") == 1

@@ -9,9 +9,17 @@ from richseed.deltavec import (
     in_Cw,
     initial_delta_same,
     initial_delta_tilde,
+    left_part_rhos,
     zero_delta,
 )
-from richseed.rootsys import cartan, element_of_word, number_of_positive_roots
+from richseed.rootsys import (
+    cartan,
+    element_of_word,
+    longest_element,
+    longest_element_word,
+    number_of_positive_roots,
+    parse_type,
+)
 from richseed.words import (
     Word,
     left_complete,
@@ -172,3 +180,31 @@ def test_delta_vector_arithmetic_guards():
         _ = a + b
     assert (a - a).is_zero()
     assert a.scaled(2).coords == tuple(2 * x for x in a.coords)
+
+
+def test_incremental_left_parts_match_dense_products():
+    # u_k = w0 (s_{i_k} ... s_{i_1})^{-1} for every k of full-length words;
+    # the weight u_k(rho) determines u_k
+    rng = random.Random(5)
+    for spec in ("D5", "E6", "E8"):
+        c = parse_type(spec)
+        w0 = longest_element(c)
+        words = [Word(c, longest_element_word(c)),
+                 Word(c, random_reduced_word(c, number_of_positive_roots(c), rng))]
+        for wdot in words:
+            starts = list(left_part_rhos(wdot))
+            assert len(starts) == len(wdot)
+            for k, start in enumerate(starts, start=1):
+                u_k = w0 * wdot.prefix_element(k).inverse()
+                assert start == u_k.rho_image()
+            assert starts[-1] == (1,) * c.rank  # u_r is the identity
+
+
+def test_delta_via_xi_start_weight_is_optional():
+    rng = random.Random(9)
+    c = cartan("D", 5)
+    r = number_of_positive_roots(c)
+    wdot = Word(c, random_reduced_word(c, r, rng))
+    vdot = left_complete(Word(c, random_reduced_word(c, 7, rng)))
+    for k, start in enumerate(left_part_rhos(wdot), start=1):
+        assert delta_via_xi(wdot, k, vdot, start) == delta_via_xi(wdot, k, vdot)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from richseed import golden
-from richseed.deltavec import DeltaVector
+from richseed.deltavec import DeltaVector, delta_tilde_from_combo, delta_via_xi, left_part_rhos
 from richseed.errors import InvariantViolation
 from richseed.mutalg import (
     cut_view,
@@ -19,11 +19,19 @@ from richseed.mutalg import (
     verify_equivalence,
 )
 from richseed.quiver import build_gamma
-from richseed.rootsys import cartan, element_of_word, identity_element
+from richseed.rootsys import (
+    cartan,
+    element_of_word,
+    identity_element,
+    number_of_positive_roots,
+    parse_type,
+)
 from richseed.words import (
+    ComboNumbers,
     Word,
     all_elements,
     bruhat_le,
+    left_complete,
     make_word,
     random_reduced_word,
     reduced_words,
@@ -389,3 +397,37 @@ def test_teeth_shift_checker_exercised():
         fired += seed.stats.get("teeth_shift_checks", 0)
         done += 1
     assert fired > 0
+
+
+def _full_length_pairs(spec, count, seed):
+    """Full-length reduced words w and v spelled by a random subset of
+    w's letters, as `richseed verify` samples v."""
+    c = parse_type(spec)
+    r = number_of_positive_roots(c)
+    rng = random.Random(seed)
+    for _ in range(count):
+        w = Word(c, random_reduced_word(c, r, rng))
+        pos = sorted(rng.sample(range(1, r + 1), rng.randint(10, 40)))
+        yield c, w, element_of_word(c, [w.color(p) for p in pos])
+
+
+@pytest.mark.parametrize("spec", ["E7", "E8"])
+def test_checked_runs_full_length_e7_e8(spec):
+    for c, w, v in _full_length_pairs(spec, 3, 7):
+        seed = run(c, w, v, check=True)
+        assert seed.size == len(w) - v.length
+        assert all(rec.green for rec in seed.trace)
+
+
+@pytest.mark.parametrize("spec", ["E7", "E8"])
+def test_delta_oracle_full_length_e7_e8(spec):
+    # closed combinatorial form of the leading coordinates against the
+    # weight walk, for every summand
+    for c, w, v in _full_length_pairs(spec, 3, 11):
+        emb = rightmost_subword(v, w)
+        wdot, vdot = left_complete(w), left_complete(emb.subword())
+        combo = ComboNumbers(w, emb)
+        starts = left_part_rhos(wdot)
+        for k, start in zip(range(1, len(w) + 1), starts):
+            via_xi = delta_via_xi(wdot, k, vdot, start).truncated(len(emb))
+            assert via_xi == delta_tilde_from_combo(combo, k)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from richseed.errors import IllegalType
 from richseed.rootsys import (
+    MAX_POSITIVE_ROOTS,
     cartan,
     element_of_word,
     fundamental_weight,
@@ -182,3 +183,76 @@ def test_simple_reflection_involution():
     for i in range(1, 7):
         s = simple_reflection(c, i)
         assert (s * s).is_identity()
+
+
+# ---------------------------------------------------------------------------
+# the O(rank) primitives against the dense arithmetic they replace
+
+
+def _inversions(w):
+    """Length as the number of positive roots sent to negative ones."""
+    return sum(1 for b in positive_roots(w.cartan) if is_negative(w.apply(b)))
+
+
+def _elements_under_test():
+    """All of A3 and D4, and a seeded sample of E8."""
+    out = list(all_elements(cartan("A", 3))) + list(all_elements(cartan("D", 4)))
+    e8 = cartan("E", 8)
+    rng = random.Random(8)
+    for _ in range(40):
+        out.append(element_of_word(e8, random_reduced_word(e8, rng.randint(0, 120), rng)))
+    return out
+
+
+ELEMENTS = _elements_under_test()
+
+
+def test_rho_descent_test_matches_inversion_count():
+    for y in ELEMENTS:
+        c = y.cartan
+        rho_y = y.rho_image()
+        assert y.length == _inversions(y)
+        assert (rho_y == (1,) * c.rank) == y.is_identity()
+        for i in range(1, c.rank + 1):
+            shorter = _inversions(simple_reflection(c, i) * y) < _inversions(y)
+            assert (rho_y[i - 1] < 0) == shorter
+
+
+def test_simple_products_match_dense_products():
+    for y in ELEMENTS:
+        c = y.cartan
+        for i in range(1, c.rank + 1):
+            assert y.lmul(i) == simple_reflection(c, i) * y
+            assert y.rmul(i) == y * simple_reflection(c, i)
+
+
+def test_word_inverse_is_two_sided():
+    for y in ELEMENTS:
+        inv = y.inverse()
+        assert (y * inv).is_identity()
+        assert (inv * y).is_identity()
+        assert inv.length == y.length
+
+
+def test_longest_element_word_is_reduced_of_full_length():
+    for spec in ("A5", "D6", "E8"):
+        c = parse_type(spec)
+        word = longest_element_word(c)
+        assert len(word) == number_of_positive_roots(c)
+        assert Word(c, word).element == longest_element(c)
+        assert longest_element(c).right_descents() == tuple(range(1, c.rank + 1))
+
+
+def test_positive_root_count_closed_form():
+    for spec in ("A1", "A7", "A15", "D4", "D7", "D11", "E6", "E7", "E8"):
+        c = parse_type(spec)
+        assert number_of_positive_roots(c) == len(positive_roots(c))
+
+
+def test_size_limit_admits_e8_and_rejects_larger_types():
+    assert MAX_POSITIVE_ROOTS == 120
+    for spec in ("A15", "D11", "E8"):
+        parse_type(spec)
+    for spec in ("A16", "D12", "A400", "D100000000"):
+        with pytest.raises(IllegalType, match="above the limit"):
+            parse_type(spec)

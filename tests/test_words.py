@@ -16,7 +16,6 @@ from richseed.words import (
     random_reduced_word,
     reduced_words,
     rightmost_subword,
-    successor_structure,
 )
 
 A5 = cartan("A", 5)
@@ -50,13 +49,14 @@ def test_successor_structure_examples():
     assert SUC_WORD.succ(8) == 12 and SUC_WORD.pred(8) == 1
     assert SUC_WORD.succ(6) == 14 and SUC_WORD.pred(6) == 0
     one = make_word(cartan("A", 1), [1])
-    assert successor_structure(one)[1] == (2, 0, 1, 1)
+    assert (one.succ(1), one.pred(1), one.k_min(1), one.k_max(1)) == (2, 0, 1, 1)
 
 
 def test_successor_structure_is_total_with_sentinels():
-    table = successor_structure(SUC_WORD)
-    for k, (kp, km, kmin, kmax) in table.items():
-        assert 1 <= k <= 13
+    for k in range(1, 14):
+        i = SUC_WORD.color(k)
+        kp, km = SUC_WORD.succ(k), SUC_WORD.pred(k)
+        kmin, kmax = SUC_WORD.k_min(i), SUC_WORD.k_max(i)
         assert kp == 14 or SUC_WORD.color(kp) == SUC_WORD.color(k)
         assert km == 0 or SUC_WORD.color(km) == SUC_WORD.color(k)
         assert kmin <= k <= kmax
