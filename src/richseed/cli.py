@@ -252,10 +252,7 @@ def _sample_pairs(c: CartanData, samples: int, max_len: int, rng) -> list[tuple[
     cap = min(max_len, number_of_positive_roots(c))
     while len(out) < samples:
         length = rng.randint(2, cap)
-        letters = random_reduced_word(c, length, rng)
-        if len(letters) < 2:
-            continue
-        word = Word(c, letters)
+        word = Word(c, random_reduced_word(c, length, rng))
         count = rng.randint(1, len(word))
         pos = sorted(rng.sample(range(1, len(word) + 1), count))
         v_letters = [word.color(p) for p in pos]
@@ -369,6 +366,11 @@ CHECKS = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     c = parse_type(args.type)
+    # the suites sample words of length 2 up to min(--max-len, roots)
+    if args.max_len < 2:
+        raise ValueError(f"--max-len must be at least 2, got {args.max_len}")
+    if number_of_positive_roots(c) < 2:
+        raise ValueError(f"verify needs at least 2 positive roots; {c.family}{c.rank} has 1")
     seed_env = os.environ.get("RSEED_SEED", "20260810")
     rng = random.Random(int(seed_env))
     names = list(CHECKS) if args.checks == "all" else args.checks.split(",")

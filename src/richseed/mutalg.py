@@ -15,7 +15,7 @@ shifts, configuration transitions); violations raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .deltavec import (
@@ -116,8 +116,7 @@ class AlgState:
     reference: Word  # completion of the rightmost subword
     module_word: Word  # completion of the input word
     deltas: dict[int, DeltaVector]
-    quiver: Quiver
-    framed: Quiver  # companion framed quiver (frames have negative ids)
+    framed: Quiver  # the quiver with one frozen frame -k per vertex k
     step: int = 0
     trace: list[MutationRecord] = field(default_factory=list)
     batches: list[list[int]] = field(default_factory=list)
@@ -132,23 +131,22 @@ class AlgState:
     def lw(self) -> int:
         return len(self.word)
 
+    @property
+    def quiver(self) -> Quiver:
+        """The quiver without its frames (a copy; the run loop never needs it)."""
+        return self.framed.restricted(self.deltas.keys())
+
     def delta_tilde(self, k: int) -> tuple[int, ...]:
         return self.deltas[k].truncated(self.lv)
 
     def clone(self) -> "AlgState":
-        return AlgState(
-            word=self.word,
-            embedding=self.embedding,
-            combo=self.combo,
-            reference=self.reference,
-            module_word=self.module_word,
+        """An independent copy: ``step_hat`` changes the state it is given."""
+        return replace(
+            self,
             deltas=dict(self.deltas),
-            quiver=self.quiver.copy(),
             framed=self.framed.copy(),
-            step=self.step,
             trace=list(self.trace),
             batches=[list(b) for b in self.batches],
-            check=self.check,
             stats=dict(self.stats),
         )
 
@@ -187,16 +185,10 @@ class FinalSeed:
 def cut_view(state: AlgState, step: Optional[int] = None) -> CutSeedView:
     """Members, evicted (vanishing truncation), deleted (index bound)."""
     m = state.step if step is None else step
-    evicted, deleted, members = set(), set(), set()
-    for k in range(1, state.lw + 1):
-        if k > state.combo.deletion_bound(k, m):
-            deleted.add(k)
-        elif not any(state.delta_tilde(k)):
-            evicted.add(k)
-        else:
-            members.add(k)
-    sub = state.quiver.restricted(members)
-    return CutSeedView(members, evicted, deleted, sub)
+    deleted = state.combo.deleted(m)
+    members = {k for k in state.deltas if k not in deleted and any(state.delta_tilde(k))}
+    evicted = state.deltas.keys() - deleted - members
+    return CutSeedView(members, evicted, deleted, state.framed.restricted(members))
 
 
 def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, DeltaVector, DeltaVector, str]:
@@ -206,15 +198,15 @@ def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, DeltaVector, Del
     in-candidate replaces the vector by the sum over arrows into k minus
     itself, the out-candidate uses the arrows out of k.
     """
-    if k not in state.quiver.vertices:
+    if k not in state.deltas:
         raise KeyError(f"no vertex {k}")
     old = state.deltas[k]
     cand_in = zero_delta(state.reference) - old
-    for s, m in state.quiver.arrows_into(k):
+    for s, m in state.framed.arrows_into(k):
         if s > 0:
             cand_in = cand_in + state.deltas[s].scaled(m)
     cand_out = zero_delta(state.reference) - old
-    for t, m in state.quiver.arrows_out_of(k):
+    for t, m in state.framed.arrows_out_of(k):
         if t > 0:
             cand_out = cand_out + state.deltas[t].scaled(m)
     ok_in, ok_out = cand_in.is_nonnegative(), cand_out.is_nonnegative()
@@ -241,12 +233,11 @@ def index_set_A(state: AlgState, m: int) -> list[int]:
 
 
 def framed_quiver(q: Quiver) -> Quiver:
-    """Companion with one frozen frame -k per vertex k and arrows -k -> k."""
+    """One frozen frame -k per vertex k, with an arrow -k -> k; the frame
+    arrows of a mutable vertex are its c-vector (Fomin-Zelevinsky, IV)."""
     verts = list(q.vertices.values())
     frames = [Vertex(-v.id, v.color, v.column, frozen=True) for v in verts]
-    fq = Quiver(verts + frames)
-    for (s, t), m in q.arrows.items():
-        fq._add(s, t, m)
+    fq = Quiver(verts + frames, q.arrows)
     for v in verts:
         fq._add(-v.id, v.id, 1)
     return fq
@@ -258,39 +249,37 @@ def is_green(framed: Quiver, k: int) -> bool:
 
 
 def step_hat(state: AlgState) -> AlgState:
-    """Apply one batch of the vector-driven schedule and advance the step."""
+    """Apply one batch of the vector-driven schedule to the state, in
+    place, advance the step and return the state."""
     if state.step >= state.lv:
         raise InvariantViolation("all batches have already been applied")
-    st = state.clone()
-    m = st.step + 1
-    batch = index_set_A(st, m)
-    st.batches.append(list(batch))
+    m = state.step + 1
+    batch = index_set_A(state, m)
+    state.batches.append(batch)
 
-    pm = st.embedding.positions[m - 1]
-    line_color = st.word.color(pm)
-    before_cut = cut_view(st, st.step) if st.check else None
+    pm = state.embedding.positions[m - 1]
+    line_color = state.word.color(pm)
+    # during the batch only the mutated vertex can enter or leave the cut
+    before_cut = cut_view(state, state.step) if state.check else None
+    members = set(before_cut.members) if state.check else set()
     evicted_during = False
     prev_labels: dict[int, ConfigLabel] = {}
     prev_evicted = False
 
     for k in batch:
-        if st.check and st.word.color(k) != line_color:
+        if state.check and state.word.color(k) != line_color:
             raise InvariantViolation(
-                f"batch {m} touches vertex {k} of color {st.word.color(k)}, "
+                f"batch {m} touches vertex {k} of color {state.word.color(k)}, "
                 f"expected color {line_color}"
             )
-        configs: dict[int, str] = {}
-        if st.check:
-            cut_now = cut_view(st, st.step)
-            labels = {}
-            for oc in st.word.cartan.neighbors(line_color):
-                if not any(
-                    cut_now.quiver.vertices[v].color == oc for v in cut_now.quiver.vertices
-                ):
-                    continue
-                label = classify_config(cut_now.quiver, k, oc)
-                labels[oc] = label
-                configs[oc] = label.value
+        labels: dict[int, ConfigLabel] = {}
+        if state.check:
+            cut_quiver = state.framed.restricted(members)
+            labels = {
+                oc: classify_config(cut_quiver, k, oc)
+                for oc in state.word.cartan.neighbors(line_color)
+                if any(state.word.color(v) == oc for v in members)
+            }
             for oc, label in labels.items():
                 if oc in prev_labels:
                     allowed = CONFIG_TRANSITIONS.get((prev_labels[oc], prev_evicted))
@@ -307,21 +296,22 @@ def step_hat(state: AlgState) -> AlgState:
                     )
             prev_labels = labels
 
-        chosen, cand_in, cand_out, branch = mutate_delta(st, k)
-        if st.check:
-            _check_branch_formula(st, k, chosen)
-        old = st.deltas[k]
-        green = is_green(st.framed, k)
-        new_quiver = st.quiver.mutate(k)
-        added = sorted(set(new_quiver.arrows) - set(st.quiver.arrows))
-        removed = sorted(set(st.quiver.arrows) - set(new_quiver.arrows))
-        st.quiver = new_quiver
-        st.framed = st.framed.mutate(k)
-        st.deltas[k] = chosen
-        evicted = not any(chosen.truncated(st.lv))
+        chosen, cand_in, cand_out, branch = mutate_delta(state, k)
+        if state.check:
+            _check_branch_formula(state, k, chosen)
+        old = state.deltas[k]
+        green = is_green(state.framed, k)
+        added, removed = state.framed.mutate_in_place(k)
+        state.deltas[k] = chosen
+        evicted = not any(chosen.truncated(state.lv))
         evicted_during = evicted_during or evicted
         prev_evicted = evicted
-        st.trace.append(
+        if state.check and k not in before_cut.deleted:
+            if evicted:
+                members.discard(k)
+            else:
+                members.add(k)
+        state.trace.append(
             MutationRecord(
                 step=m,
                 vertex=k,
@@ -332,19 +322,19 @@ def step_hat(state: AlgState) -> AlgState:
                 after=chosen.coords,
                 evicted=evicted,
                 green=green,
-                configs=configs,
-                arrows_added=added,
-                arrows_removed=removed,
+                configs={oc: label.value for oc, label in labels.items()},
+                arrows_added=[a for a in added if a[0] > 0 and a[1] > 0],
+                arrows_removed=[a for a in removed if a[0] > 0 and a[1] > 0],
             )
         )
 
-    st.step = m
-    if st.check:
-        check_induction(st)
+    state.step = m
+    if state.check:
+        check_induction(state)
         if batch and not evicted_during:
-            _check_teeth_shift(before_cut, cut_view(st), st, line_color, batch)
-            st.stats["teeth_shift_checks"] = st.stats.get("teeth_shift_checks", 0) + 1
-    return st
+            _check_teeth_shift(before_cut, cut_view(state), state, line_color, batch)
+            state.stats["teeth_shift_checks"] = state.stats.get("teeth_shift_checks", 0) + 1
+    return state
 
 
 def _check_branch_formula(state: AlgState, k: int, chosen: DeltaVector) -> None:
@@ -504,16 +494,15 @@ def _expected_support(state: AlgState, k: int, m: int) -> set[int]:
     [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)]."""
     combo = state.combo
     word = state.word
-    lv = state.lv
     ik = word.color(k)
     a = combo.alpha(k, m)
     lo = combo.m_oplus_iter(combo.f_min(k), a)
     hi = combo.f(word.succ_iter(k, a))
-    out = set()
-    for j in range(1, lv + 1):
-        if lo <= j <= hi and word.color(combo.positions[j - 1]) == ik:
-            out.add(j)
-    return out
+    return {
+        j
+        for j in range(max(lo, 1), min(hi, state.lv) + 1)
+        if word.color(combo.positions[j - 1]) == ik
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +530,6 @@ def initial_state(
         k: delta_via_xi(module_word, k, reference, start)
         for k, start in zip(range(1, len(word) + 1), starts)
     }
-    gamma = build_gamma(word)
     state = AlgState(
         word=word,
         embedding=emb,
@@ -549,8 +537,7 @@ def initial_state(
         reference=reference,
         module_word=module_word,
         deltas=deltas,
-        quiver=gamma,
-        framed=framed_quiver(gamma),
+        framed=framed_quiver(build_gamma(word)),
         check=check,
     )
     if check:
@@ -588,9 +575,7 @@ def run(
         state = step_hat(state)
 
     lw, lv = state.lw, state.lv
-    deleted = {
-        k for k in range(1, lw + 1) if k > state.combo.deletion_bound(k, lv)
-    }
+    deleted = state.combo.deleted(lv)
     survivors = [k for k in range(1, lw + 1) if k not in deleted]
     if len(survivors) != lw - lv:
         raise InvariantViolation(
@@ -602,7 +587,7 @@ def run(
                 f"surviving summand {k} keeps nonzero leading coordinates"
             )
 
-    trimmed = state.quiver.without_vertices(deleted)
+    trimmed = state.framed.restricted(set(survivors))
     frozen = frozen_vertices_from(state, deleted, trimmed)
     final_quiver = trimmed.with_frozen(frozen)
 
@@ -615,9 +600,9 @@ def run(
         deleted=deleted,
         frozen=frozen,
         quiver=final_quiver,
-        schedule=[list(b) for b in state.batches],
+        schedule=state.batches,
         trace=state.trace,
-        stats=dict(state.stats),
+        stats=state.stats,
     )
 
 
@@ -625,13 +610,13 @@ def frozen_vertices_from(state: AlgState, deleted: set[int], trimmed: Quiver) ->
     """Non-mutable survivors.
 
     Three sources: neighbors of a deleted vertex (in the pre-deletion
-    quiver), survivors isolated after deletion, and the surviving line
+    quiver, whose frames are never deleted), survivors isolated after deletion, and the surviving line
     tails (the original coefficients of untouched colors).
     """
     word = state.word
     frozen = set()
     for k in trimmed.vertices:
-        if any(n in deleted for n in state.quiver.neighbors(k)):
+        if any(n in deleted for n in state.framed.neighbors(k)):
             frozen.add(k)
         elif not trimmed.neighbors(k):
             frozen.add(k)
@@ -671,5 +656,5 @@ def green_report(word: Word, mutations: list[int]) -> list[dict]:
     for n, k in enumerate(mutations, start=1):
         green = is_green(fq, k)
         out.append({"n": n, "vertex": k, "green": green})
-        fq = fq.mutate(k)
+        fq.mutate_in_place(k)
     return out

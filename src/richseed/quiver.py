@@ -1,8 +1,10 @@
 """Seed quivers and their combinatorics.
 
-Quivers are value types: every operation returns a new quiver.  Arrows
-carry integer multiplicities.  Arrows joining two frozen vertices are
-never stored, since seeds are only defined up to such arrows.
+Arrows carry integer multiplicities, and each vertex keeps maps of its
+incoming and outgoing arrows.  ``mutate_in_place`` changes a quiver in
+O(deg_in * deg_out); every other operation, ``mutate`` included, returns
+a new quiver.  Arrows joining two frozen vertices are never stored,
+since seeds are only defined up to such arrows.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ class Vertex:
 class Quiver:
     """A finite quiver without loops or 2-cycles between mutable vertices.
 
+    ``arrows`` maps (source, target) to the multiplicity; ``_in[k]`` and
+    ``_out[k]`` map the other end of each arrow at k to the same number.
     ``line_color``/``summit_color`` are set on bicolor subquivers so the
     saw-teeth classifier knows which color plays which role.
     """
 
-    __slots__ = ("vertices", "arrows", "line_color", "summit_color")
+    __slots__ = ("vertices", "arrows", "_in", "_out", "line_color", "summit_color")
 
     def __init__(
         self,
@@ -41,6 +45,8 @@ class Quiver:
     ):
         self.vertices: dict[int, Vertex] = {v.id: v for v in vertices}
         self.arrows: dict[tuple[int, int], int] = {}
+        self._in: dict[int, dict[int, int]] = {k: {} for k in self.vertices}
+        self._out: dict[int, dict[int, int]] = {k: {} for k in self.vertices}
         self.line_color = line_color
         self.summit_color = summit_color
         if arrows:
@@ -58,14 +64,20 @@ class Quiver:
             raise KeyError(f"arrow {s}->{t} uses an unknown vertex")
         if self.vertices[s].frozen and self.vertices[t].frozen:
             return
-        self.arrows[(s, t)] = self.arrows.get((s, t), 0) + mult
+        self._put(s, t, self.arrows.get((s, t), 0) + mult)
+
+    def _put(self, s: int, t: int, mult: int, log: Optional[dict] = None) -> None:
+        """Set the multiplicity of s -> t (0 removes the arrow); ``log``
+        remembers whether each touched arrow existed before."""
+        if log is not None and (s, t) not in log:
+            log[(s, t)] = (s, t) in self.arrows
+        if mult:
+            self.arrows[(s, t)] = self._out[s][t] = self._in[t][s] = mult
+        elif (s, t) in self.arrows:
+            del self.arrows[(s, t)], self._out[s][t], self._in[t][s]
 
     def copy(self) -> "Quiver":
-        q = Quiver(self.vertices.values())
-        q.arrows = dict(self.arrows)
-        q.line_color = self.line_color
-        q.summit_color = self.summit_color
-        return q
+        return self.restricted(self.vertices)
 
     # -- queries ------------------------------------------------------------
 
@@ -76,27 +88,22 @@ class Quiver:
             and self.arrows == other.arrows
         )
 
-    def __hash__(self):
-        return hash((frozenset(self.vertices.items()), frozenset(self.arrows.items())))
-
     def mult(self, s: int, t: int) -> int:
         return self.arrows.get((s, t), 0)
 
     def has_arrow(self, s: int, t: int) -> bool:
-        return (s, t) in self.arrows
+        return t in self._out.get(s, ())
 
     def arrows_into(self, k: int) -> list[tuple[int, int]]:
         """(source, multiplicity) pairs of arrows ending at k."""
-        return [(s, m) for (s, t), m in self.arrows.items() if t == k]
+        return list(self._in[k].items())
 
     def arrows_out_of(self, k: int) -> list[tuple[int, int]]:
         """(target, multiplicity) pairs of arrows starting at k."""
-        return [(t, m) for (s, t), m in self.arrows.items() if s == k]
+        return list(self._out[k].items())
 
     def neighbors(self, k: int) -> set[int]:
-        out = {t for (s, t) in self.arrows if s == k}
-        out |= {s for (s, t) in self.arrows if t == k}
-        return out
+        return self._in[k].keys() | self._out[k].keys()
 
     def ids_of_color(self, color: int) -> list[int]:
         return sorted(v.id for v in self.vertices.values() if v.color == color)
@@ -119,58 +126,59 @@ class Quiver:
 
     def restricted(self, keep: set[int]) -> "Quiver":
         """Subquiver on a vertex subset, keeping arrows inside it."""
-        q = Quiver(v for v in self.vertices.values() if v.id in keep)
-        for (s, t), m in self.arrows.items():
-            if s in keep and t in keep:
-                q._add(s, t, m)
-        q.line_color = self.line_color
-        q.summit_color = self.summit_color
+        verts = [v for v in self.vertices.values() if v.id in keep]
+        q = Quiver(verts, None, self.line_color, self.summit_color)
+        ids = q.vertices
+        q._in = {t: {s: m for s, m in self._in[t].items() if s in ids} for t in ids}
+        q._out = {s: {t: m for t, m in self._out[s].items() if t in ids} for s in ids}
+        q.arrows = {(s, t): m for s, out in q._out.items() for t, m in out.items()}
         return q
-
-    def without_vertices(self, drop: set[int]) -> "Quiver":
-        return self.restricted(set(self.vertices) - set(drop))
 
     def with_frozen(self, frozen_ids: set[int]) -> "Quiver":
         """Mark vertices frozen; arrows between two frozen vertices drop."""
         verts = [replace(v, frozen=(v.id in frozen_ids)) for v in self.vertices.values()]
-        q = Quiver(verts)
-        for (s, t), m in self.arrows.items():
-            q._add(s, t, m)
-        return q
+        return Quiver(verts, self.arrows)
 
     def mutate(self, k: int) -> "Quiver":
-        """Fomin-Zelevinsky mutation at a mutable vertex."""
+        """Fomin-Zelevinsky mutation at a mutable vertex, as a new quiver."""
+        q = self.copy()
+        q.mutate_in_place(k)
+        return q
+
+    def mutate_in_place(self, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Fomin-Zelevinsky mutation at a mutable vertex, in place.
+
+        Returns the sorted arrow keys that appeared and disappeared; an
+        arrow whose multiplicity only changed is in neither list.
+        """
         if k not in self.vertices:
             raise KeyError(f"no vertex {k}")
         if self.vertices[k].frozen:
             raise FrozenVertex(f"vertex {k} is frozen")
         ins = self.arrows_into(k)
         outs = self.arrows_out_of(k)
-        new: dict[tuple[int, int], int] = {}
-        for (s, t), m in self.arrows.items():
-            if s == k or t == k:
-                continue
-            new[(s, t)] = new.get((s, t), 0) + m
-        # compose paths through k
+        log: dict[tuple[int, int], bool] = {}
+        # compose paths through k, cancelling against reverse arrows
         for s, m1 in ins:
             for t, m2 in outs:
                 if s != t:
-                    new[(s, t)] = new.get((s, t), 0) + m1 * m2
-        # reverse arrows at k
+                    self._bump(s, t, m1 * m2, log)
+        # reverse the arrows at k: 2m arrows against m leave m reversed
         for s, m in ins:
-            new[(k, s)] = new.get((k, s), 0) + m
+            self._bump(k, s, 2 * m, log)
         for t, m in outs:
-            new[(t, k)] = new.get((t, k), 0) + m
-        # cancel two-cycles
-        for (s, t) in list(new):
-            if s < t and (t, s) in new:
-                m = min(new[(s, t)], new[(t, s)])
-                new[(s, t)] -= m
-                new[(t, s)] -= m
-        q = Quiver(self.vertices.values())
-        for (s, t), m in new.items():
-            q._add(s, t, m)
-        return q
+            self._bump(t, k, 2 * m, log)
+        added = sorted(a for a, had in log.items() if not had and a in self.arrows)
+        removed = sorted(a for a, had in log.items() if had and a not in self.arrows)
+        return added, removed
+
+    def _bump(self, s: int, t: int, mult: int, log: dict) -> None:
+        """Add mult arrows s -> t, cancelling 2-cycles with t -> s."""
+        if self.vertices[s].frozen and self.vertices[t].frozen:
+            return
+        net = self.arrows.get((s, t), 0) - self.arrows.get((t, s), 0) + mult
+        self._put(s, t, max(net, 0), log)
+        self._put(t, s, max(-net, 0), log)
 
     def bicolor(self, c1: int, c2: int) -> "Quiver":
         """The (c1, c2)-bicolor subquiver; not symmetric in its arguments.
@@ -179,17 +187,11 @@ class Quiver:
         c1-vertices and the arrows joining the two colors in either
         direction, but not the arrows between two c2-vertices.
         """
-        keep = {v.id for v in self.vertices.values() if v.color in (c1, c2)}
-        q = Quiver(v for v in self.vertices.values() if v.id in keep)
-        for (s, t), m in self.arrows.items():
-            if s not in keep or t not in keep:
-                continue
-            cs, ct = self.vertices[s].color, self.vertices[t].color
-            if cs == c2 and ct == c2:
-                continue
-            q._add(s, t, m)
-        q.line_color = c1
-        q.summit_color = c2
+        q = self.restricted({v.id for v in self.vertices.values() if v.color in (c1, c2)})
+        for s, t in list(q.arrows):
+            if q.vertices[s].color == c2 and q.vertices[t].color == c2:
+                q._put(s, t, 0)
+        q.line_color, q.summit_color = c1, c2
         return q
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import NotLessOrEqual, NotReduced
 from .rootsys import (
@@ -309,6 +310,11 @@ class ComboNumbers:
             below = [m for m in same if p[m - 1] <= k]
             self._f[k] = below[-1] if below else 0
 
+        # _counts[i][m] = alpha(k, m) for every k of color i
+        self._counts = {
+            i: list(accumulate((c == i for c in pcolor), initial=0)) for i in word.colors_used()
+        }
+
         self._m_oplus = {}
         self._beta = {}
         self._gamma = {}
@@ -347,10 +353,7 @@ class ComboNumbers:
         return m
 
     def alpha(self, k: int, m: int) -> int:
-        ik = self.word.color(k)
-        return sum(
-            1 for j in range(1, m + 1) if self.word.color(self.emb.positions[j - 1]) == ik
-        )
+        return self._counts[self.word.color(k)][m]
 
     def gamma(self, m: int) -> int:
         return self._gamma[m]
@@ -374,8 +377,13 @@ class ComboNumbers:
 
     def deletion_bound(self, k: int, m: int) -> int:
         """(k_max)^{alpha(k,m)-}: summands of index beyond it are deleted."""
-        kmax = self.word.k_max(self.word.color(k))
-        return self.word.pred_iter(kmax, self.alpha(k, m))
+        line = self.word.positions_of_color(self.word.color(k))
+        a = self.alpha(k, m)
+        return line[-1 - a] if a < len(line) else 0
+
+    def deleted(self, m: int) -> set[int]:
+        """The indices k > deletion_bound(k, m)."""
+        return {k for k in range(1, len(self.word) + 1) if k > self.deletion_bound(k, m)}
 
     def table_row(self, k: int) -> dict:
         """One row of the notations table (None for the grayed cells)."""

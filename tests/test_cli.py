@@ -136,7 +136,7 @@ def test_frozen_vertex_mid_run_exits_4(monkeypatch, capsys):
     from richseed.errors import FrozenVertex
     from richseed.quiver import Quiver
 
-    monkeypatch.setattr(Quiver, "mutate", _raise(FrozenVertex("vertex 3 is frozen")))
+    monkeypatch.setattr(Quiver, "mutate_in_place", _raise(FrozenVertex("vertex 3 is frozen")))
     assert main(A5_ARGS + ["--no-check"]) == 4
     assert capsys.readouterr().err == "error: vertex 3 is frozen\n"
 
@@ -195,3 +195,42 @@ def test_type_above_size_limit_is_rejected_at_once():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: A400 has 80200 positive roots")
     assert proc.stderr.count("\n") == 1
+
+
+# sha256 of `richseed compute --trace` output, recorded before the run
+# loop moved to one framed quiver mutated in place; the trace carries
+# arrows_added, arrows_removed and green, which no other test pins
+TRACE_DIGESTS = [
+    (["--type", "A5", "--w", "1,3,2,4,3,2,4,5,4,3,2,1,2", "--v", "2,4,5,3,1,2",
+      "--vdot", "2,3,4,5,4,1,2,3,1,2,4,5,3,1,2"],
+     "8365db28f689ad57c669d507440b217c04bbe8cebeb8a35b836f069ff877f56e"),
+    (["--type", "D5", "--w", "1,2,4,5,1,3,4,5,3,2,3,5,4,1,2,3,5,2,4,3",
+      "--v", "5,1,4,3,2,5,3,5,4,3"],
+     "d0ef69c492ff4d8191085cf5d56557ca141a44d8308aa16fa4c43a0ca2e83ba4"),
+    (["--type", "E6", "--w",
+      "6,2,4,1,3,4,1,2,4,3,4,5,6,4,5,2,3,4,2,5,3,1,6,4,3,4,5,4,2,4,3,1,6,5,4,3",
+      "--v", "5,4,6,3,2,5,4,3,1,5,6,3,5,2,4,2,5,6"],
+     "92d80e06c9e8a1b335a9da737cb4b784f32ca4c0b522ba764f17376b77a4d7b1"),
+]
+
+
+@pytest.mark.parametrize("args,digest", TRACE_DIGESTS, ids=["A5", "D5", "E6"])
+def test_compute_trace_output_pinned(tmp_path, args, digest):
+    import hashlib
+
+    out = tmp_path / "seed.json"
+    assert main(["compute", *args, "--trace", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--type", "A1", "--checks", "induction"],
+     "error: verify needs at least 2 positive roots; A1 has 1\n"),
+    (["--type", "A3", "--max-len", "1", "--checks", "induction"],
+     "error: --max-len must be at least 2, got 1\n"),
+])
+def test_verify_rejects_arguments_without_words_to_sample(capsys, argv, message):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""

@@ -261,6 +261,17 @@ def test_corrupted_state_raises_invariant_violation():
         step_hat(state)
 
 
+def test_step_hat_changes_its_state_and_clone_keeps_a_copy():
+    state = initial_state(A5, WORD, V, completion=VDOT)
+    state = step_hat(state)
+    kept = state.clone()
+    framed, deltas, trace = kept.framed.copy(), dict(kept.deltas), list(kept.trace)
+    assert step_hat(state) is state and state.step == 2
+    assert (kept.step, kept.framed, kept.deltas, kept.trace) == (1, framed, deltas, trace)
+    # the copy runs on by itself to the same seed
+    assert step_hat(kept).framed == state.framed and kept.trace == state.trace
+
+
 def test_mid_run_member_coordinates_vanish(a5_seed):
     state = initial_state(A5, WORD, V, completion=VDOT)
     for m in range(1, 7):
@@ -431,3 +442,51 @@ def test_delta_oracle_full_length_e7_e8(spec):
         for k, start in zip(range(1, len(w) + 1), starts):
             via_xi = delta_via_xi(wdot, k, vdot, start).truncated(len(emb))
             assert via_xi == delta_tilde_from_combo(combo, k)
+
+
+def _w0_pairs(spec, seed):
+    """Full-length words w, which are w0, and random reduced v of a
+    quarter, a half and three quarters of that length."""
+    c = parse_type(spec)
+    r = number_of_positive_roots(c)
+    rng = random.Random(seed)
+    for lv in (r // 4, r // 2, 3 * r // 4):
+        w = Word(c, random_reduced_word(c, r, rng))
+        yield c, w, element_of_word(c, random_reduced_word(c, lv, rng))
+
+
+@pytest.mark.parametrize("spec", ["A4", "D5", "E6"])
+def test_reverse_replay_recovers_the_initial_seed(spec):
+    for c, w, v in _w0_pairs(spec, 17):
+        state = initial_state(c, w, v, check=True)
+        initial = {k: d.coords for k, d in state.deltas.items()}
+        # an unframed quiver mutated on its own, batch by batch, against
+        # state.quiver, the framed quiver restricted to ids > 0
+        plain = build_gamma(w)
+        for _ in range(state.lv):
+            done = len(state.trace)
+            state = step_hat(state)
+            for rec in state.trace[done:]:
+                new = plain.mutate(rec.vertex)
+                assert rec.arrows_added == sorted(set(new.arrows) - set(plain.arrows))
+                assert rec.arrows_removed == sorted(set(plain.arrows) - set(new.arrows))
+                plain = new
+            assert state.quiver == plain
+
+        # mutation is an involution: undo the trace from its end; the
+        # undone exchange takes the arrows on the side the run chose
+        fq = state.framed
+        coords = {k: d.coords for k, d in state.deltas.items()}
+        for rec in reversed(state.trace):
+            k = rec.vertex
+            assert coords[k] == rec.after
+            fq.mutate_in_place(k)
+            side = fq.arrows_into(k) if rec.chosen == "in" else fq.arrows_out_of(k)
+            total = [-a for a in coords[k]]
+            for s, m in side:
+                if s > 0:
+                    total = [a + m * b for a, b in zip(total, coords[s])]
+            coords[k] = tuple(total)
+            assert coords[k] == rec.before
+        assert fq == framed_quiver(build_gamma(w))
+        assert coords == initial

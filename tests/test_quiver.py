@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from richseed import golden
 from richseed.errors import FrozenVertex, Unclassifiable
+from richseed.mutalg import framed_quiver
 from richseed.quiver import (
     ConfigLabel,
     Quiver,
@@ -88,6 +89,73 @@ def test_mutation_preserves_skew_symmetry(data):
     # no 2-cycles survive cancellation
     for (i, j) in q.arrows:
         assert (j, i) not in q.arrows
+
+
+def _skew_rule(b, ids, k):
+    """b'_ij = -b_ij if k in {i, j}, else b_ij + sgn(b_ik) [b_ik b_kj]_+."""
+    out = {}
+    for i in ids:
+        for j in ids:
+            if i == j:
+                continue
+            bij, bik, bkj = b.get((i, j), 0), b.get((i, k), 0), b.get((k, j), 0)
+            if k in (i, j):
+                out[(i, j)] = -bij
+            else:
+                sign = (bik > 0) - (bik < 0)
+                out[(i, j)] = bij + sign * max(bik * bkj, 0)
+    return out
+
+
+def _maps_from_scan(q):
+    ins = {k: {} for k in q.vertices}
+    outs = {k: {} for k in q.vertices}
+    for (s, t), m in q.arrows.items():
+        outs[s][t] = m
+        ins[t][s] = m
+    return ins, outs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutate_in_place_follows_the_skew_matrix_rule(data):
+    spec = data.draw(st.sampled_from([A4, cartan("D", 4)]))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    w = Word(spec, random_reduced_word(spec, rng.randint(2, 12), rng))
+    q = build_gamma(w)
+    if data.draw(st.booleans()):
+        q = framed_quiver(q)
+    ids = sorted(q.vertices)
+    mutable = [k for k in ids if not q.vertices[k].frozen]
+    for _ in range(data.draw(st.integers(1, 6))):
+        k = data.draw(st.sampled_from(mutable))
+        old = dict(q.arrows)
+        expected = _skew_rule(q.skew_matrix(), ids, k)
+        added, removed = q.mutate_in_place(k)
+        b = q.skew_matrix()
+        for (i, j), bij in expected.items():
+            if not (q.vertices[i].frozen and q.vertices[j].frozen):
+                assert b.get((i, j), 0) == bij, (k, i, j)
+        assert _maps_from_scan(q) == (q._in, q._out)
+        assert added == sorted(set(q.arrows) - set(old))
+        assert removed == sorted(set(old) - set(q.arrows))
+
+
+def test_mutate_in_place_lists_only_arrows_that_appear_or_vanish():
+    verts = [Vertex(k, k, k) for k in (1, 2, 3, 4)]
+    q = Quiver(verts, {(1, 2): 1, (2, 3): 1, (1, 3): 1, (4, 2): 1, (3, 4): 2})
+    added, removed = q.mutate_in_place(2)
+    # 1 -> 3 grows to 2 and 3 -> 4 shrinks to 1: changed, not added or removed
+    assert q.arrows == {(2, 1): 1, (3, 2): 1, (1, 3): 2, (2, 4): 1, (3, 4): 1}
+    assert (added, removed) == ([(2, 1), (2, 4), (3, 2)], [(1, 2), (2, 3), (4, 2)])
+
+
+def test_mutate_leaves_the_original_unchanged():
+    q = build_gamma(A4_WORD)
+    before = q.copy()
+    m = q.mutate(2)
+    assert q == before and m != q
+    assert m == before.mutate(2)
 
 
 def test_mutate_frozen_raises():
@@ -194,7 +262,7 @@ def test_sawteeth_survive_removal_of_first_line_vertex():
                     ids = bq.ids_of_color(col)
                     if not ids:
                         continue
-                    smaller = bq.without_vertices({ids[0]})
+                    smaller = bq.restricted(set(bq.vertices) - {ids[0]})
                     assert classify_sawteeth(smaller).valid
                     checked += 1
     assert checked > 0
