@@ -369,17 +369,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the suites sample words of length 2 up to min(--max-len, roots)
     if args.max_len < 2:
         raise ValueError(f"--max-len must be at least 2, got {args.max_len}")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if number_of_positive_roots(c) < 2:
         raise ValueError(f"verify needs at least 2 positive roots; {c.family}{c.rank} has 1")
+    names = list(CHECKS) if args.checks == "all" else [n.strip() for n in args.checks.split(",")]
+    unknown = [name for name in names if name not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown --checks name {unknown[0]!r}; valid: {', '.join(CHECKS)}")
     seed_env = os.environ.get("RSEED_SEED", "20260810")
     rng = random.Random(int(seed_env))
-    names = list(CHECKS) if args.checks == "all" else args.checks.split(",")
     failed = 0
     for name in names:
-        name = name.strip()
-        if name not in CHECKS:
-            print(f"unknown check {name!r}", file=sys.stderr)
-            return 1
         ok, info = CHECKS[name](c, args.samples, args.max_len, rng)
         print(f"{name}: {'pass' if ok else 'FAIL'} ({info})")
         if not ok:

@@ -46,7 +46,7 @@ class DeltaVector:
         return DeltaVector(self.reference, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def _same(self, other: "DeltaVector") -> None:
-        if self.reference != other.reference:
+        if self.reference is not other.reference and self.reference != other.reference:
             raise ValueError("mixed reference words")
 
     def scaled(self, n: int) -> "DeltaVector":

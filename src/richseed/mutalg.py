@@ -11,10 +11,13 @@ Every step can be instrumented with the structural checks that the
 method guarantees (cut-seed properties, branch consistency, tooth
 shifts, configuration transitions); violations raise
 :class:`InvariantViolation` since they falsify the run, not the input.
+The checks read the one framed quiver through the cut's member set and
+classify each ordered pair of adjacent colors once per batch.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -23,13 +26,13 @@ from .deltavec import (
     delta_tilde_from_combo,
     delta_via_xi,
     left_part_rhos,
-    zero_delta,
 )
 from .errors import AmbiguousBranch, InvariantViolation, NoValidBranch
 from .quiver import (
     CONFIG_TRANSITIONS,
     ConfigLabel,
     Quiver,
+    SawTeethReport,
     Vertex,
     build_gamma,
     classify_config,
@@ -122,6 +125,7 @@ class AlgState:
     batches: list[list[int]] = field(default_factory=list)
     check: bool = True
     stats: dict = field(default_factory=dict)
+    cut: Optional["CutSeedView"] = None  # the last checked view, with its reports
 
     @property
     def lv(self) -> int:
@@ -156,7 +160,7 @@ class CutSeedView:
     members: set[int]
     evicted: set[int]
     deleted: set[int]
-    quiver: Quiver
+    reports: dict[tuple[int, int], SawTeethReport] = field(default_factory=dict)  # of check_induction
 
 
 @dataclass
@@ -182,13 +186,12 @@ class FinalSeed:
 # elementary moves
 
 
-def cut_view(state: AlgState, step: Optional[int] = None) -> CutSeedView:
+def cut_view(state: AlgState) -> CutSeedView:
     """Members, evicted (vanishing truncation), deleted (index bound)."""
-    m = state.step if step is None else step
-    deleted = state.combo.deleted(m)
+    deleted = state.combo.deleted(state.step)
     members = {k for k in state.deltas if k not in deleted and any(state.delta_tilde(k))}
     evicted = state.deltas.keys() - deleted - members
-    return CutSeedView(members, evicted, deleted, state.framed.restricted(members))
+    return CutSeedView(members, evicted, deleted)
 
 
 def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, DeltaVector, DeltaVector, str]:
@@ -200,15 +203,8 @@ def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, DeltaVector, Del
     """
     if k not in state.deltas:
         raise KeyError(f"no vertex {k}")
-    old = state.deltas[k]
-    cand_in = zero_delta(state.reference) - old
-    for s, m in state.framed.arrows_into(k):
-        if s > 0:
-            cand_in = cand_in + state.deltas[s].scaled(m)
-    cand_out = zero_delta(state.reference) - old
-    for t, m in state.framed.arrows_out_of(k):
-        if t > 0:
-            cand_out = cand_out + state.deltas[t].scaled(m)
+    cand_in = _exchange(state, k, state.framed._in[k])
+    cand_out = _exchange(state, k, state.framed._out[k])
     ok_in, ok_out = cand_in.is_nonnegative(), cand_out.is_nonnegative()
     if ok_in and ok_out and cand_in != cand_out:
         raise AmbiguousBranch(f"both exchange vectors are valid at vertex {k}")
@@ -217,6 +213,15 @@ def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, DeltaVector, Del
     if ok_in:
         return cand_in, cand_in, cand_out, "in"
     return cand_out, cand_in, cand_out, "out"
+
+
+def _exchange(state: AlgState, k: int, side: dict[int, int]) -> DeltaVector:
+    """Minus the vector at k plus m times the vector at s per mutable end (s, m) of one side."""
+    acc = [-a for a in state.deltas[k].coords]
+    for s, m in side.items():
+        if s > 0:
+            acc = [a + m * b for a, b in zip(acc, state.deltas[s].coords)]
+    return DeltaVector(state.reference, tuple(acc))
 
 
 def index_set_A(state: AlgState, m: int) -> list[int]:
@@ -258,28 +263,27 @@ def step_hat(state: AlgState) -> AlgState:
     state.batches.append(batch)
 
     pm = state.embedding.positions[m - 1]
-    line_color = state.word.color(pm)
-    # during the batch only the mutated vertex can enter or leave the cut
-    before_cut = cut_view(state, state.step) if state.check else None
-    members = set(before_cut.members) if state.check else set()
+    word = state.word
+    line_color = word.color(pm)
+    if state.check:
+        # the cut before this batch is the last check's view; a mutation moves only its vertex
+        before_cut = state.cut
+        members = set(before_cut.members)
+        member_colors = {word.color(v) for v in members}
+        other_colors = [oc for oc in word.cartan.neighbors(line_color) if oc in member_colors]
     evicted_during = False
     prev_labels: dict[int, ConfigLabel] = {}
     prev_evicted = False
 
     for k in batch:
-        if state.check and state.word.color(k) != line_color:
+        if state.check and word.color(k) != line_color:
             raise InvariantViolation(
-                f"batch {m} touches vertex {k} of color {state.word.color(k)}, "
+                f"batch {m} touches vertex {k} of color {word.color(k)}, "
                 f"expected color {line_color}"
             )
         labels: dict[int, ConfigLabel] = {}
         if state.check:
-            cut_quiver = state.framed.restricted(members)
-            labels = {
-                oc: classify_config(cut_quiver, k, oc)
-                for oc in state.word.cartan.neighbors(line_color)
-                if any(state.word.color(v) == oc for v in members)
-            }
+            labels = {oc: classify_config(state.framed, k, oc, members) for oc in other_colors}
             for oc, label in labels.items():
                 if oc in prev_labels:
                     allowed = CONFIG_TRANSITIONS.get((prev_labels[oc], prev_evicted))
@@ -332,7 +336,7 @@ def step_hat(state: AlgState) -> AlgState:
     if state.check:
         check_induction(state)
         if batch and not evicted_during:
-            _check_teeth_shift(before_cut, cut_view(state), state, line_color, batch)
+            _check_teeth_shift(before_cut, state.cut, state, line_color, batch)
             state.stats["teeth_shift_checks"] = state.stats.get("teeth_shift_checks", 0) + 1
     return state
 
@@ -378,8 +382,10 @@ def _check_teeth_shift(
     newlast = batch[-1]
     first = members_before[0]
     for oc in word.cartan.neighbors(line_color):
-        rep_before = classify_sawteeth(before.quiver.bicolor(line_color, oc))
-        rep_after = classify_sawteeth(after.quiver.bicolor(line_color, oc))
+        rep_before = before.reports[(line_color, oc)]
+        rep_after = after.reports.get((line_color, oc)) or classify_sawteeth(
+            state.framed.bicolor(line_color, oc, after.members)
+        )
         if not rep_before.valid or not rep_before.pure:
             raise InvariantViolation(
                 f"line {line_color} was not pure before its pass (color {oc})"
@@ -415,9 +421,11 @@ def _check_teeth_shift(
 
 
 def check_induction(state: AlgState) -> None:
-    """The six structural checkpoints of the cut seed after each batch."""
+    """The six structural checkpoints of the cut seed after each batch; the
+    view goes to ``state.cut`` with its saw-teeth reports, the next line's
+    included, which the next batch's tooth shift reads as its "before"."""
     view = cut_view(state)
-    word = state.word
+    word, framed = state.word, state.framed
     m = state.step
     lv = state.lv
 
@@ -428,28 +436,29 @@ def check_induction(state: AlgState) -> None:
                 f"member {k} keeps a nonzero coordinate among the first {m}"
             )
         expected = _expected_support(state, k, m)
-        got = {j + 1 for j, a in enumerate(tilde) if a}
-        if got != expected or any(a not in (0, 1) for a in tilde):
+        if tilde != expected:
+            got, want = ([j for j, a in enumerate(t, start=1) if a] for t in (tilde, expected))
             raise InvariantViolation(
-                f"member {k} has truncated support {sorted(got)}, expected "
-                f"{sorted(expected)} at step {m}"
+                f"member {k} has truncated support {got}, expected {want} at step {m}"
             )
 
     for k in view.members:
         kp = word.succ(k)
-        if kp <= state.lw and kp in view.members:
-            if not view.quiver.has_arrow(k, kp):
-                raise InvariantViolation(f"missing line arrow {k}->{kp} at step {m}")
+        if kp <= state.lw and kp in view.members and not framed.has_arrow(k, kp):
+            raise InvariantViolation(f"missing line arrow {k}->{kp} at step {m}")
 
-    for (s, t), _ in view.quiver.arrows.items():
-        cs, ct = word.color(s), word.color(t)
-        if cs == ct:
-            if word.succ(s) != t:
-                raise InvariantViolation(f"stray same-color arrow {s}->{t} at step {m}")
-        elif not word.cartan.adjacent(cs, ct):
-            raise InvariantViolation(
-                f"arrow {s}->{t} joins non-adjacent colors {cs},{ct} at step {m}"
-            )
+    for s in sorted(view.members):
+        for t in framed._out[s]:
+            if t not in view.members:
+                continue
+            cs, ct = word.color(s), word.color(t)
+            if cs == ct:
+                if word.succ(s) != t:
+                    raise InvariantViolation(f"stray same-color arrow {s}->{t} at step {m}")
+            elif not word.cartan.adjacent(cs, ct):
+                raise InvariantViolation(
+                    f"arrow {s}->{t} joins non-adjacent colors {cs},{ct} at step {m}"
+                )
 
     # along every line, the evicted summands precede all members
     for color in word.colors_used():
@@ -463,12 +472,22 @@ def check_induction(state: AlgState) -> None:
                     f"at step {m}"
                 )
 
-    cols = view.quiver.colors()
+    by_color: dict[int, list[int]] = {}
+    for k in view.members:
+        by_color.setdefault(word.color(k), []).append(k)
+
+    def report(c1: int, c2: int) -> SawTeethReport:
+        if (c1, c2) not in view.reports:
+            within = by_color.get(c1, []) + by_color.get(c2, [])
+            view.reports[(c1, c2)] = classify_sawteeth(framed.bicolor(c1, c2, within))
+        return view.reports[(c1, c2)]
+
+    cols = sorted(by_color)
     for c1 in cols:
         for c2 in cols:
             if c1 == c2 or not word.cartan.adjacent(c1, c2):
                 continue
-            rep = classify_sawteeth(view.quiver.bicolor(c1, c2))
+            rep = report(c1, c2)
             if not rep.valid:
                 raise InvariantViolation(
                     f"bicolor ({c1},{c2}) broken at step {m}: {rep.violation}"
@@ -477,32 +496,29 @@ def check_induction(state: AlgState) -> None:
     if m < lv:
         next_color = word.color(state.embedding.positions[m])
         for oc in word.cartan.neighbors(next_color):
-            if oc not in cols:
-                continue
-            rep = classify_sawteeth(view.quiver.bicolor(next_color, oc))
-            if not rep.valid or not rep.pure:
+            rep = report(next_color, oc)
+            if oc in by_color and (not rep.valid or not rep.pure):
                 raise InvariantViolation(
                     f"next line {next_color} is not pure against {oc} at step {m}"
                 )
 
     if m == lv and view.members:
         raise InvariantViolation(f"cut seed still has members {sorted(view.members)}")
+    state.cut = view
 
 
-def _expected_support(state: AlgState, k: int, m: int) -> set[int]:
-    """Support predicted by the bookkeeping: the v-indices of color i_k in
+def _expected_support(state: AlgState, k: int, m: int) -> tuple[int, ...]:
+    """0/1 indicator of the predicted support: the v-indices of color i_k in
     [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)]."""
     combo = state.combo
-    word = state.word
-    ik = word.color(k)
     a = combo.alpha(k, m)
     lo = combo.m_oplus_iter(combo.f_min(k), a)
-    hi = combo.f(word.succ_iter(k, a))
-    return {
-        j
-        for j in range(max(lo, 1), min(hi, state.lv) + 1)
-        if word.color(combo.positions[j - 1]) == ik
-    }
+    hi = combo.f(state.word.succ_iter(k, a))
+    js = combo.v_indices[state.word.color(k)]
+    indicator = [0] * state.lv
+    for j in js[bisect_left(js, lo) : bisect_right(js, hi)]:
+        indicator[j - 1] = 1
+    return tuple(indicator)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .errors import FrozenVertex, Unclassifiable
 from .words import Word
@@ -180,18 +180,23 @@ class Quiver:
         self._put(s, t, max(net, 0), log)
         self._put(t, s, max(-net, 0), log)
 
-    def bicolor(self, c1: int, c2: int) -> "Quiver":
+    def bicolor(self, c1: int, c2: int, within: Optional[Iterable[int]] = None) -> "Quiver":
         """The (c1, c2)-bicolor subquiver; not symmetric in its arguments.
 
-        Keeps the vertices of both colors, the arrows between two
-        c1-vertices and the arrows joining the two colors in either
-        direction, but not the arrows between two c2-vertices.
+        Keeps the vertices of both colors (only those in ``within``, when
+        given), the arrows between two c1-vertices and the arrows joining
+        the two colors in either direction, but not the arrows between two
+        c2-vertices.  Costs the degrees of the kept vertices.
         """
-        q = self.restricted({v.id for v in self.vertices.values() if v.color in (c1, c2)})
-        for s, t in list(q.arrows):
-            if q.vertices[s].color == c2 and q.vertices[t].color == c2:
-                q._put(s, t, 0)
-        q.line_color, q.summit_color = c1, c2
+        vs = self.vertices
+        ids = [k for k in (vs if within is None else sorted(within)) if vs[k].color in (c1, c2)]
+        q = Quiver([vs[k] for k in ids], None, c1, c2)
+        keep, arrows, q_in, q_out = q.vertices, q.arrows, q._in, q._out
+        for s in ids:
+            line = vs[s].color == c1
+            for t, m in self._out[s].items():
+                if t in keep and (line or vs[t].color == c1):
+                    arrows[(s, t)] = q_out[s][t] = q_in[t][s] = m
         return q
 
 
@@ -410,20 +415,25 @@ CONFIG_TRANSITIONS: dict[tuple[ConfigLabel, bool], set[ConfigLabel]] = {
 }
 
 
-def classify_config(q: Quiver, k: int, other_color: int) -> ConfigLabel:
+def classify_config(
+    q: Quiver, k: int, other_color: int, within: Optional[Collection[int]] = None
+) -> ConfigLabel:
     """Label the arrow pattern around k relative to one adjacent color.
 
-    The quiver is expected to be a cut view in which the line of k obeys
-    the structure theory; anything else raises :class:`Unclassifiable`.
+    The quiver, restricted to ``within`` when given (a cut's members),
+    is expected to be a cut view in which the line of k obeys the
+    structure theory; anything else raises :class:`Unclassifiable`.
     """
-    if k not in q.vertices:
+    inside = q.vertices if within is None else within
+    if k not in q.vertices or k not in inside:
         raise KeyError(f"no vertex {k}")
-    ck = q.vertices[k].color
-    line = q.ids_of_color(ck)
+    vs = q.vertices
+    ck = vs[k].color
+    line = sorted(v for v in inside if vs[v].color == ck)
     idx = line.index(k)
 
-    ins = [s for s, _ in q.arrows_into(k) if q.vertices[s].color == other_color]
-    outs = [t for t, _ in q.arrows_out_of(k) if q.vertices[t].color == other_color]
+    ins = [s for s in q._in[k] if s in inside and vs[s].color == other_color]
+    outs = [t for t in q._out[k] if t in inside and vs[t].color == other_color]
     if outs:
         raise Unclassifiable(f"vertex {k} has an outgoing ordinary arrow toward {outs}")
     if len(ins) > 1:

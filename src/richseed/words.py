@@ -301,11 +301,13 @@ class ComboNumbers:
         pset = set(p)
         pcolor = [word.color(q) for q in p]  # color of v-index m at [m-1]
 
+        self.v_indices = {  # ascending, per color
+            i: [m for m, c in enumerate(pcolor, 1) if c == i] for i in word.colors_used()
+        }
         self._f_min = {}
         self._f = {}
         for k in range(1, L + 1):
-            ik = word.color(k)
-            same = [m for m in range(1, lv + 1) if pcolor[m - 1] == ik]
+            same = self.v_indices[word.color(k)]
             self._f_min[k] = same[0] if same else lv + 1
             below = [m for m in same if p[m - 1] <= k]
             self._f[k] = below[-1] if below else 0

@@ -234,3 +234,21 @@ def test_verify_rejects_arguments_without_words_to_sample(capsys, argv, message)
     captured = capsys.readouterr()
     assert captured.err == message
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_samples_below_one(capsys, samples):
+    assert main(["verify", "--type", "A3", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+    assert captured.out == ""
+
+
+def test_verify_rejects_an_unknown_check_before_running_any(capsys):
+    assert main(["verify", "--type", "A3", "--checks", "induction,nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: unknown --checks name 'nope'; valid: "
+        "sawteeth, induction, equivalence, delta-oracle, green\n"
+    )
+    assert captured.out == ""

@@ -18,7 +18,7 @@ from richseed.mutalg import (
     step_hat,
     verify_equivalence,
 )
-from richseed.quiver import build_gamma
+from richseed.quiver import build_gamma, classify_config, classify_sawteeth
 from richseed.rootsys import (
     cartan,
     element_of_word,
@@ -490,3 +490,93 @@ def test_reverse_replay_recovers_the_initial_seed(spec):
             assert coords[k] == rec.before
         assert fq == framed_quiver(build_gamma(w))
         assert coords == initial
+
+
+@pytest.mark.parametrize("spec", ["A4", "D5", "E6"])
+def test_checks_agree_with_restricted_copies(spec):
+    # the checks read the framed quiver through the cut's members; build
+    # the cut quiver as a copy, as the checks once did, and compare
+    for c, w, v in _w0_pairs(spec, 17):
+        state = initial_state(c, w, v, check=True)
+        for m in range(state.lv + 1):
+            view = state.cut
+            assert view.members == cut_view(state).members
+            cut = state.framed.restricted(view.members)
+            cols = cut.colors()
+            pairs = {(a, b) for a in cols for b in cols if a != b and c.adjacent(a, b)}
+            assert pairs <= view.reports.keys()
+            for (c1, c2), rep in view.reports.items():
+                assert rep == classify_sawteeth(cut.bicolor(c1, c2))
+            if m == state.lv:
+                break
+
+            # replay the batch on a copy: every recorded label is the one
+            # of the cut quiver just before its mutation
+            members, fq, done = set(view.members), state.framed.copy(), len(state.trace)
+            state = step_hat(state)
+            for rec in state.trace[done:]:
+                k = rec.vertex
+                cut = fq.restricted(members)
+                colors = [oc for oc in c.neighbors(w.color(k)) if oc in cut.colors()]
+                assert rec.configs == {oc: classify_config(cut, k, oc).value for oc in colors}
+                fq.mutate_in_place(k)
+                if k not in view.deleted:
+                    (members.discard if rec.evicted else members.add)(k)
+
+
+def _quiet_members(state):
+    """Members of the cut after the next batch that the batch leaves
+    alone: none is mutated or next to a vertex while that one mutates,
+    so an arrow between two of them reaches the end-of-batch checks as
+    it is."""
+    ahead = step_hat(state.clone())
+    fq, touched = state.framed.copy(), set()
+    for k in ahead.batches[-1]:
+        touched |= fq.neighbors(k) | {k}
+        fq.mutate_in_place(k)
+    return sorted(cut_view(ahead).members - touched)
+
+
+def _stray_arrow(state, quiet):
+    word = state.word
+    for s in quiet:
+        for t in quiet:
+            cs, ct = word.color(s), word.color(t)
+            if cs != ct and not word.cartan.adjacent(cs, ct):
+                return lambda fq: fq._add(s, t, 1)
+    return None
+
+
+def _deleted_line_arrow(state, quiet):
+    for k in quiet:
+        kp = state.word.succ(k)
+        if kp in quiet and state.framed.has_arrow(k, kp):
+            return lambda fq: fq._put(k, kp, 0)
+    return None
+
+
+def _double_cross_arrow(state, quiet):
+    word = state.word
+    for (s, t), mult in sorted(state.framed.arrows.items()):
+        if s in quiet and t in quiet and word.color(s) != word.color(t) and mult == 1:
+            return lambda fq: fq._put(s, t, 2)
+    return None
+
+
+def test_faults_injected_between_batches_are_caught():
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    state = initial_state(c, w, v, check=True)
+    caught = {_stray_arrow: 0, _deleted_line_arrow: 0, _double_cross_arrow: 0}
+    for _ in range(state.lv):
+        quiet = _quiet_members(state)
+        for fault in caught:
+            inject = fault(state, quiet)
+            if inject is None:
+                continue
+            broken = state.clone()
+            inject(broken.framed)
+            with pytest.raises(InvariantViolation):
+                step_hat(broken)
+            caught[fault] += 1
+        state = step_hat(state)
+    assert all(caught.values()), caught
