@@ -22,6 +22,7 @@ import json
 import os
 import random
 import sys
+from typing import Iterator
 
 from . import golden
 from .deltavec import delta_tilde_from_combo, delta_via_xi, left_part_rhos
@@ -42,6 +43,10 @@ from .words import (
 )
 
 SCHEMA_VERSION = 1
+
+# the most sampled pairs per verify check; `verify --type E8 --checks all`
+# takes about 50 s per 1000 at the default --max-len (2-vCPU Xeon)
+MAX_SAMPLES = 10000
 
 
 def _parse_letters(text: str) -> list[int]:
@@ -247,17 +252,27 @@ def cmd_examples(args: argparse.Namespace) -> int:
 # verify
 
 
-def _sample_pairs(c: CartanData, samples: int, max_len: int, rng) -> list[tuple[Word, list[int]]]:
-    out = []
+def _sample_pairs(c: CartanData, samples: int, max_len: int, rng) -> Iterator[tuple[Word, list[int]]]:
+    """``samples`` random (w, letters of v) pairs, drawn one at a time.
+
+    A check that stops early still advances ``rng`` past every draw, so
+    the next check sees the same pairs whatever this one did.
+    """
     cap = min(max_len, number_of_positive_roots(c))
-    while len(out) < samples:
-        length = rng.randint(2, cap)
-        word = Word(c, random_reduced_word(c, length, rng))
-        count = rng.randint(1, len(word))
-        pos = sorted(rng.sample(range(1, len(word) + 1), count))
-        v_letters = [word.color(p) for p in pos]
-        out.append((word, v_letters))
-    return out
+    left = samples
+    try:
+        while left:
+            left -= 1
+            yield _draw_pair(c, cap, rng)
+    finally:
+        for _ in range(left):
+            _draw_pair(c, cap, rng)
+
+
+def _draw_pair(c: CartanData, cap: int, rng) -> tuple[Word, list[int]]:
+    word = Word(c, random_reduced_word(c, rng.randint(2, cap), rng))
+    pos = sorted(rng.sample(range(1, len(word) + 1), rng.randint(1, len(word))))
+    return word, [word.color(p) for p in pos]
 
 
 def check_sawteeth(c: CartanData, samples: int, max_len: int, rng) -> tuple[bool, str]:
@@ -371,6 +386,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-len must be at least 2, got {args.max_len}")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     if number_of_positive_roots(c) < 2:
         raise ValueError(f"verify needs at least 2 positive roots; {c.family}{c.rank} has 1")
     names = list(CHECKS) if args.checks == "all" else [n.strip() for n in args.checks.split(",")]

@@ -146,7 +146,7 @@ def delta_via_xi(module_word: Word, k: int, target: Word, start: Vec | None = No
                 "the reference data is inconsistent"
             )
         if n:
-            xi = tuple(x - n * b for x, b in zip(xi, root_to_weight(c, beta)))
+            xi = tuple(x - n * b for x, b in zip(xi, target.beta_weight(i)))
         coords.append(n)
     return DeltaVector(target, tuple(coords))
 

@@ -11,14 +11,18 @@ Every step can be instrumented with the structural checks that the
 method guarantees (cut-seed properties, branch consistency, tooth
 shifts, configuration transitions); violations raise
 :class:`InvariantViolation` since they falsify the run, not the input.
-The checks read the one framed quiver through the cut's member set and
-classify each ordered pair of adjacent colors once per batch.
+The checks read the one framed quiver through the cut's member set.
+Per batch they re-examine only what it changed: the arrows in the
+quiver's journal (kept only in checked runs), the vertices that entered
+or left the cut, and the members of the batch's color or with a replaced
+vector; a saw-teeth report that none of these touched is reused.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from operator import add, sub
 from typing import Optional
 
 from .deltavec import (
@@ -160,7 +164,11 @@ class CutSeedView:
     members: set[int]
     evicted: set[int]
     deleted: set[int]
-    reports: dict[tuple[int, int], SawTeethReport] = field(default_factory=dict)  # of check_induction
+    step: int = 0
+    # filled by check_induction: the reports per ordered pair, and the
+    # vector of every member whose support it verified
+    reports: dict[tuple[int, int], SawTeethReport] = field(default_factory=dict)
+    verified: dict[int, DeltaVector] = field(default_factory=dict)
 
 
 @dataclass
@@ -188,10 +196,10 @@ class FinalSeed:
 
 def cut_view(state: AlgState) -> CutSeedView:
     """Members, evicted (vanishing truncation), deleted (index bound)."""
-    deleted = state.combo.deleted(state.step)
-    members = {k for k in state.deltas if k not in deleted and any(state.delta_tilde(k))}
+    deleted, lv = state.combo.deleted(state.step), state.lv
+    members = {k for k, d in state.deltas.items() if k not in deleted and any(d.coords[:lv])}
     evicted = state.deltas.keys() - deleted - members
-    return CutSeedView(members, evicted, deleted)
+    return CutSeedView(members, evicted, deleted, state.step)
 
 
 def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, DeltaVector, DeltaVector, str]:
@@ -220,7 +228,8 @@ def _exchange(state: AlgState, k: int, side: dict[int, int]) -> DeltaVector:
     acc = [-a for a in state.deltas[k].coords]
     for s, m in side.items():
         if s > 0:
-            acc = [a + m * b for a, b in zip(acc, state.deltas[s].coords)]
+            b = state.deltas[s].coords
+            acc = list(map(add, acc, b)) if m == 1 else [a + m * x for a, x in zip(acc, b)]
     return DeltaVector(state.reference, tuple(acc))
 
 
@@ -350,7 +359,7 @@ def _check_branch_formula(state: AlgState, k: int, chosen: DeltaVector) -> None:
     succ_part = state.deltas[kp].truncated(lv) if kp <= state.lw else (0,) * lv
     pred_part = state.deltas[km].truncated(lv) if km >= 1 else (0,) * lv
     old_part = state.deltas[k].truncated(lv)
-    expected = tuple(a + b - c for a, b, c in zip(succ_part, pred_part, old_part))
+    expected = tuple(map(sub, map(add, succ_part, pred_part), old_part))
     if chosen.truncated(lv) != expected:
         raise InvariantViolation(
             f"exchange at {k} does not match the line formula: "
@@ -423,18 +432,38 @@ def _check_teeth_shift(
 def check_induction(state: AlgState) -> None:
     """The six structural checkpoints of the cut seed after each batch; the
     view goes to ``state.cut`` with its saw-teeth reports, the next line's
-    included, which the next batch's tooth shift reads as its "before"."""
+    included, which the next batch's tooth shift reads as its "before".
+
+    Only what changed since the last view is examined again: the arrows in
+    the framed quiver's journal, the vertices whose status (member,
+    evicted, deleted) changed, and the members whose vector was replaced
+    or whose color is that of p_m.  The first check, or one without a
+    view of the previous step or without a journal, examines everything.
+    """
     view = cut_view(state)
     word, framed = state.word, state.framed
     m = state.step
     lv = state.lv
+    members = view.members
+    prev, journal = state.cut, framed.journal
+    if prev is None or prev.step != m - 1 or journal is None:
+        prev, journal = CutSeedView(set(), set(), set()), framed.arrows.keys()
+    changed = (members ^ prev.members) | (view.evicted ^ prev.evicted)
+    entered = members - prev.members
+    line_color = word.color(state.embedding.positions[m - 1]) if m else 0
 
-    for k in view.members:
-        tilde = state.delta_tilde(k)
-        if any(tilde[:m]):
+    for k in members:
+        d = view.verified[k] = state.deltas[k]
+        # alpha(k, m) moves only on the color of p_m: elsewhere a vector
+        # verified at step m - 1 keeps its support, and coordinate m is new
+        settled = d is prev.verified.get(k) and word.color(k) != line_color
+        if any(d.coords[m - 1 : m] if settled else d.coords[:m]):
             raise InvariantViolation(
                 f"member {k} keeps a nonzero coordinate among the first {m}"
             )
+        if settled:
+            continue
+        tilde = d.truncated(lv)
         expected = _expected_support(state, k, m)
         if tilde != expected:
             got, want = ([j for j, a in enumerate(t, start=1) if a] for t in (tilde, expected))
@@ -442,29 +471,34 @@ def check_induction(state: AlgState) -> None:
                 f"member {k} has truncated support {got}, expected {want} at step {m}"
             )
 
-    for k in view.members:
+    # arrows between two members that were written since the last view
+    moved = [(s, t) for s, t in journal if s in members and t in members]
+    line_ends = {word.pred(x) for x in entered} | entered
+    line_ends.update(s for s, t in moved if word.succ(s) == t)
+    for k in sorted(line_ends):
         kp = word.succ(k)
-        if kp <= state.lw and kp in view.members and not framed.has_arrow(k, kp):
+        if k in members and kp in members and not framed.has_arrow(k, kp):
             raise InvariantViolation(f"missing line arrow {k}->{kp} at step {m}")
 
-    for s in sorted(view.members):
-        for t in framed._out[s]:
-            if t not in view.members:
-                continue
-            cs, ct = word.color(s), word.color(t)
-            if cs == ct:
-                if word.succ(s) != t:
-                    raise InvariantViolation(f"stray same-color arrow {s}->{t} at step {m}")
-            elif not word.cartan.adjacent(cs, ct):
-                raise InvariantViolation(
-                    f"arrow {s}->{t} joins non-adjacent colors {cs},{ct} at step {m}"
-                )
+    scan = {a for a in moved if a in framed.arrows}
+    for x in entered:
+        scan.update((x, t) for t in framed._out[x] if t in members)
+        scan.update((s, x) for s in framed._in[x] if s in members)
+    for s, t in sorted(scan):
+        cs, ct = word.color(s), word.color(t)
+        if cs == ct:
+            if word.succ(s) != t:
+                raise InvariantViolation(f"stray same-color arrow {s}->{t} at step {m}")
+        elif not word.cartan.adjacent(cs, ct):
+            raise InvariantViolation(
+                f"arrow {s}->{t} joins non-adjacent colors {cs},{ct} at step {m}"
+            )
 
     # along every line, the evicted summands precede all members
-    for color in word.colors_used():
+    for color in sorted({word.color(k) for k in changed}):
         seen_member = False
         for k in word.positions_of_color(color):
-            if k in view.members:
+            if k in members:
                 seen_member = True
             elif k in view.evicted and seen_member:
                 raise InvariantViolation(
@@ -472,14 +506,24 @@ def check_induction(state: AlgState) -> None:
                     f"at step {m}"
                 )
 
+    # a (c1, c2) report reads the members of both colors, the c1-c1 arrows
+    # and the arrows joining c1 and c2; a report none of these moved is reused
+    dirty = {word.color(k) for k in changed}
+    touched = set()  # color pairs of the moved arrows, both ways
+    for s, t in moved:
+        cs, ct = word.color(s), word.color(t)
+        touched.update(((cs, ct), (ct, cs)))
     by_color: dict[int, list[int]] = {}
-    for k in view.members:
+    for k in members:
         by_color.setdefault(word.color(k), []).append(k)
 
     def report(c1: int, c2: int) -> SawTeethReport:
         if (c1, c2) not in view.reports:
-            within = by_color.get(c1, []) + by_color.get(c2, [])
-            view.reports[(c1, c2)] = classify_sawteeth(framed.bicolor(c1, c2, within))
+            old = prev.reports.get((c1, c2))
+            if old is None or {c1, c2} & dirty or {(c1, c1), (c1, c2)} & touched:
+                within = by_color.get(c1, []) + by_color.get(c2, [])
+                old = classify_sawteeth(framed.bicolor(c1, c2, within))
+            view.reports[(c1, c2)] = old
         return view.reports[(c1, c2)]
 
     cols = sorted(by_color)
@@ -502,8 +546,12 @@ def check_induction(state: AlgState) -> None:
                     f"next line {next_color} is not pure against {oc} at step {m}"
                 )
 
-    if m == lv and view.members:
-        raise InvariantViolation(f"cut seed still has members {sorted(view.members)}")
+    if m == lv and members:
+        raise InvariantViolation(f"cut seed still has members {sorted(members)}")
+    reused = sum(prev.reports.get(pair) is rep for pair, rep in view.reports.items())
+    for key, n in (("reports_classified", len(view.reports) - reused), ("reports_reused", reused)):
+        state.stats[key] = state.stats.get(key, 0) + n
+    framed.journal = set()
     state.cut = view
 
 

@@ -31,10 +31,12 @@ class Quiver:
     ``arrows`` maps (source, target) to the multiplicity; ``_in[k]`` and
     ``_out[k]`` map the other end of each arrow at k to the same number.
     ``line_color``/``summit_color`` are set on bicolor subquivers so the
-    saw-teeth classifier knows which color plays which role.
+    saw-teeth classifier knows which color plays which role.  ``journal``,
+    when it is a set, collects the key of every arrow written; checked
+    runs turn it on and drain it after each batch.
     """
 
-    __slots__ = ("vertices", "arrows", "_in", "_out", "line_color", "summit_color")
+    __slots__ = ("vertices", "arrows", "_in", "_out", "line_color", "summit_color", "journal")
 
     def __init__(
         self,
@@ -49,6 +51,7 @@ class Quiver:
         self._out: dict[int, dict[int, int]] = {k: {} for k in self.vertices}
         self.line_color = line_color
         self.summit_color = summit_color
+        self.journal: Optional[set[tuple[int, int]]] = None
         if arrows:
             for (s, t), m in arrows.items():
                 self._add(s, t, m)
@@ -69,15 +72,22 @@ class Quiver:
     def _put(self, s: int, t: int, mult: int, log: Optional[dict] = None) -> None:
         """Set the multiplicity of s -> t (0 removes the arrow); ``log``
         remembers whether each touched arrow existed before."""
-        if log is not None and (s, t) not in log:
-            log[(s, t)] = (s, t) in self.arrows
+        key = (s, t)
+        if log is not None and key not in log:
+            log[key] = key in self.arrows
+        if self.journal is not None:
+            self.journal.add(key)
         if mult:
-            self.arrows[(s, t)] = self._out[s][t] = self._in[t][s] = mult
-        elif (s, t) in self.arrows:
-            del self.arrows[(s, t)], self._out[s][t], self._in[t][s]
+            self.arrows[key] = self._out[s][t] = self._in[t][s] = mult
+        elif key in self.arrows:
+            del self.arrows[key], self._out[s][t], self._in[t][s]
 
     def copy(self) -> "Quiver":
-        return self.restricted(self.vertices)
+        """An independent copy; a journal is copied too."""
+        q = self.restricted(self.vertices)
+        if self.journal is not None:
+            q.journal = set(self.journal)
+        return q
 
     # -- queries ------------------------------------------------------------
 
@@ -176,9 +186,11 @@ class Quiver:
         """Add mult arrows s -> t, cancelling 2-cycles with t -> s."""
         if self.vertices[s].frozen and self.vertices[t].frozen:
             return
-        net = self.arrows.get((s, t), 0) - self.arrows.get((t, s), 0) + mult
+        back = self.arrows.get((t, s), 0)
+        net = self.arrows.get((s, t), 0) - back + mult
         self._put(s, t, max(net, 0), log)
-        self._put(t, s, max(-net, 0), log)
+        if back:
+            self._put(t, s, max(-net, 0), log)
 
     def bicolor(self, c1: int, c2: int, within: Optional[Iterable[int]] = None) -> "Quiver":
         """The (c1, c2)-bicolor subquiver; not symmetric in its arguments.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 from .errors import IllegalType
 
@@ -144,12 +145,12 @@ def fundamental_weight(c: CartanData, i: int) -> Vec:
 
 def root_pairing(c: CartanData, lam: Vec, beta: Vec) -> int:
     """Pairing <lam, beta^vee> of a weight with the coroot of a root."""
-    return sum(l * b for l, b in zip(lam, beta))
+    return sum(map(mul, lam, beta))
 
 
 def root_to_weight(c: CartanData, beta: Vec) -> Vec:
     """Weight coordinates of a root vector (multiply by the Cartan matrix)."""
-    return tuple(sum(c.matrix[i][j] * beta[j] for j in range(c.rank)) for i in range(c.rank))
+    return tuple(sum(map(mul, row, beta)) for row in c.matrix)
 
 
 def reflect_root(c: CartanData, i: int, v: Vec) -> Vec:

@@ -23,6 +23,7 @@ from .rootsys import (
     longest_element,
     number_of_positive_roots,
     reflect_weight_simple,
+    root_to_weight,
 )
 
 
@@ -38,7 +39,9 @@ class Word:
     prefix length otherwise.
     """
 
-    __slots__ = ("cartan", "letters", "element", "betas", "_succ", "_pred", "_by_color")
+    __slots__ = (
+        "cartan", "letters", "element", "betas", "_beta_weights", "_succ", "_pred", "_by_color"
+    )
 
     def __init__(self, cartan: CartanData, letters):
         letters = tuple(letters)
@@ -57,6 +60,7 @@ class Word:
             betas.append(beta)
             x = x.rmul(i)
         self.betas = tuple(betas)
+        self._beta_weights: list[Vec | None] = [None] * len(letters)
         # x = s_{i_1} ... s_{i_L}; the represented element is the reverse
         # product s_{i_L} ... s_{i_1}.
         self.element = element_of_word(cartan, letters)
@@ -100,6 +104,13 @@ class Word:
     def display(self) -> tuple[int, ...]:
         """Letters in display order [i_L, ..., i_1]."""
         return tuple(reversed(self.letters))
+
+    def beta_weight(self, k: int) -> Vec:
+        """beta_k in weight coordinates, computed on first use."""
+        weight = self._beta_weights[k - 1]
+        if weight is None:
+            weight = self._beta_weights[k - 1] = root_to_weight(self.cartan, self.betas[k - 1])
+        return weight
 
     def color(self, k: int) -> int:
         return self.letters[k - 1]
@@ -377,15 +388,14 @@ class ComboNumbers:
         except ValueError:
             return None
 
-    def deletion_bound(self, k: int, m: int) -> int:
-        """(k_max)^{alpha(k,m)-}: summands of index beyond it are deleted."""
-        line = self.word.positions_of_color(self.word.color(k))
-        a = self.alpha(k, m)
-        return line[-1 - a] if a < len(line) else 0
-
     def deleted(self, m: int) -> set[int]:
-        """The indices k > deletion_bound(k, m)."""
-        return {k for k in range(1, len(self.word) + 1) if k > self.deletion_bound(k, m)}
+        """The indices k beyond (k_max)^{alpha(k,m)-}: the last alpha(., m)
+        indices of every color line."""
+        out: set[int] = set()
+        for i, counts in self._counts.items():
+            if counts[m]:
+                out.update(self.word.positions_of_color(i)[-counts[m] :])
+        return out
 
     def table_row(self, k: int) -> dict:
         """One row of the notations table (None for the grayed cells)."""

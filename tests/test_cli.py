@@ -1,8 +1,11 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richseed.cli import (
     EXAMPLES,
@@ -10,8 +13,8 @@ from richseed.cli import (
     seed_document,
 )
 from richseed.mutalg import run
-from richseed.rootsys import cartan, element_of_word
-from richseed.words import make_word
+from richseed.rootsys import cartan, element_of_word, parse_type
+from richseed.words import make_word, random_reduced_word
 
 
 def _cli(*argv):
@@ -252,3 +255,78 @@ def test_verify_rejects_an_unknown_check_before_running_any(capsys):
         "sawteeth, induction, equivalence, delta-oracle, green\n"
     )
     assert captured.out == ""
+
+
+def test_verify_rejects_samples_above_the_limit_at_once():
+    import time
+
+    # in a child process, so that a regression fails on the timeout
+    # instead of drawing a billion pairs in the suite
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "richseed.cli", "verify", "--type", "A3",
+         "--samples", "1000000000", "--checks", "induction"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --samples must be at most 10000, got 1000000000\n"
+    assert proc.stdout == ""
+
+
+# CLI fuzz: small types and short words only, so that every example is quick
+_SMALL = ("A1", "A2", "A3", "A4", "A5", "D4")
+_TYPES = st.sampled_from(_SMALL + ("A0", "D3", "E9", "A16", "x", ""))
+_LETTER = st.one_of(st.integers(-1, 7).map(str), st.sampled_from(["", "x", "1.5", " ", "+2"]))
+_LETTERS = st.lists(_LETTER, max_size=8).map(",".join)
+_COUNT = st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["x", ""]))
+_SAMPLES = st.one_of(_COUNT, st.just("1000000000"))
+_CHECKS = st.lists(
+    st.sampled_from(["sawteeth", "induction", "equivalence", "delta-oracle", "green", "nope", ""]),
+    min_size=1, max_size=3,
+).map(",".join)
+
+
+@st.composite
+def _argv(draw):
+    if draw(st.booleans()):
+        spec, w, v = draw(_TYPES), draw(_LETTERS), draw(_LETTERS)
+        if spec in _SMALL and draw(st.booleans()):  # a reduced w, maybe v below it
+            rng = random.Random(draw(st.integers(0, 10**6)))
+            letters = random_reduced_word(parse_type(spec), rng.randint(1, 8), rng)
+            w = ",".join(map(str, letters))
+            if draw(st.booleans()):
+                v = ",".join(str(i) for i in letters if rng.random() < 0.5)
+        argv = ["compute", "--type", spec, "--w", w, "--v", v]
+        if draw(st.booleans()):
+            argv += ["--order", draw(st.sampled_from(["paper", "indexed", "x"]))]
+        if draw(st.booleans()):
+            argv += ["--vdot", draw(_LETTERS)]
+        argv += draw(st.lists(st.sampled_from(["--trace", "--no-check"]), max_size=2))
+    else:
+        argv = ["verify", "--type", draw(_TYPES), "--samples", draw(_SAMPLES),
+                "--max-len", draw(_COUNT), "--checks", draw(_CHECKS)]
+    if draw(st.booleans()):  # a token lost or repeated
+        i = draw(st.integers(0, len(argv) - 1))
+        argv = argv[:i] + argv[i + 1 :] if draw(st.booleans()) else argv[: i + 1] + argv[i:]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            assert exc.code == 2, (argv, err.getvalue())
+            return
+    assert rc in (0, 1, 2, 3, 4), (argv, rc, err.getvalue())
+    if rc >= 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    else:
+        assert err.getvalue() == "", argv

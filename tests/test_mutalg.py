@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richseed import golden
 from richseed.deltavec import DeltaVector, delta_tilde_from_combo, delta_via_xi, left_part_rhos
 from richseed.errors import InvariantViolation
 from richseed.mutalg import (
+    check_induction,
     cut_view,
     framed_quiver,
     green_report,
@@ -580,3 +583,144 @@ def test_faults_injected_between_batches_are_caught():
             caught[fault] += 1
         state = step_hat(state)
     assert all(caught.values()), caught
+
+
+def test_replaced_vectors_of_quiet_members_are_rechecked():
+    # the support check skips a member whose vector it verified at the last
+    # step, unless the member is on the batch's line; a replaced vector of
+    # a member off that line must still be checked in full
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    state = initial_state(c, w, v, check=True)
+    caught = {"coordinate m+1": 0, "support": 0}
+    for _ in range(state.lv):
+        m = state.step + 1  # the next batch
+        line = w.color(state.embedding.positions[m - 1])
+        for k in _quiet_members(state):
+            if w.color(k) == line:
+                continue
+            coords = state.deltas[k].coords
+            # a coordinate that must vanish after the batch, and one that may not
+            for fault, j in (("coordinate m+1", m), ("support", state.lv)):
+                broken = state.clone()
+                bad = list(coords)
+                bad[j - 1] += 1
+                broken.deltas[k] = DeltaVector(state.reference, tuple(bad))
+                if index_set_A(broken, m) != index_set_A(state, m):
+                    continue  # the batch itself would change
+                with pytest.raises(InvariantViolation, match=f"member {k} "):
+                    step_hat(broken)
+                caught[fault] += 1
+        state = step_hat(state)
+    assert all(caught.values()), caught
+
+
+def test_a_fault_is_journalled_across_a_clone():
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    state = step_hat(initial_state(c, w, v, check=True))
+    inject = _double_cross_arrow(state, _quiet_members(state))
+    assert state.framed.journal == set()  # drained by the last check
+    # into the clone's quiver, and into the original before it is cloned
+    broken = state.clone()
+    inject(broken.framed)
+    assert broken.framed.journal and not state.framed.journal
+    with pytest.raises(InvariantViolation, match="bicolor"):
+        step_hat(broken)
+    inject(state.framed)
+    broken = state.clone()
+    assert broken.framed.journal == state.framed.journal
+    with pytest.raises(InvariantViolation, match="bicolor"):
+        step_hat(broken)
+
+
+def test_a_doubled_line_arrow_is_caught_between_batches():
+    # only the saw-teeth reports (line color, adjacent color) see the
+    # multiplicity of a line arrow, so none of these may be reused; a line
+    # without members of an adjacent color has no such report
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    state = initial_state(c, w, v, check=True)
+    caught = 0
+    for _ in range(state.lv):
+        quiet = _quiet_members(state)
+        colors = {w.color(k) for k in cut_view(step_hat(state.clone())).members}
+        for k in quiet:
+            kp = w.succ(k)
+            if not colors & set(c.neighbors(w.color(k))):
+                continue
+            if kp in quiet and state.framed.mult(k, kp) == 1:
+                broken = state.clone()
+                broken.framed._put(k, kp, 2)
+                with pytest.raises(InvariantViolation, match="multiplicity 2"):
+                    step_hat(broken)
+                caught += 1
+        state = step_hat(state)
+    assert caught
+
+
+@pytest.mark.parametrize("spec", ["A4", "D5", "E6"])
+def test_incremental_checks_agree_with_a_check_from_scratch(spec):
+    for c, w, v in _w0_pairs(spec, 17):
+        state = initial_state(c, w, v, check=True)
+        while True:
+            fresh = state.clone()
+            fresh.cut = None  # no view, so no reports or vectors to reuse
+            check_induction(fresh)
+            assert fresh.cut.members == state.cut.members
+            assert fresh.cut.reports == state.cut.reports
+            assert fresh.cut.verified == state.cut.verified
+            if state.step == state.lv:
+                break
+            state = step_hat(state)
+
+
+def test_report_counts_sum_to_the_pairs_examined():
+    for c, w, v in _w0_pairs("E6", 17):
+        state = initial_state(c, w, v, check=True)
+        examined = len(state.cut.reports)
+        for _ in range(state.lv):
+            state = step_hat(state)
+            examined += len(state.cut.reports)
+        counts = [state.stats["reports_classified"], state.stats["reports_reused"]]
+        assert sum(counts) == examined and all(counts)
+        seed = run(c, w, v)
+        assert [seed.stats["reports_classified"], seed.stats["reports_reused"]] == counts
+
+
+def _outcome(state):
+    try:
+        step_hat(state)
+    except Exception as exc:  # a fault can break the batch itself, not only a check
+        return type(exc).__name__
+    return state.cut.members, state.cut.reports
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_incremental_and_full_checks_agree_on_random_faults(data):
+    # one fault between two batches, then the next batch checked twice:
+    # as the run does, and with no journal, which examines everything
+    spec = data.draw(st.sampled_from(["A4", "D4", "D5"]))
+    c = parse_type(spec)
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    w = Word(c, random_reduced_word(c, rng.randint(4, number_of_positive_roots(c)), rng))
+    v = element_of_word(c, [i for i in w.letters if rng.random() < 0.5])
+    state = initial_state(c, w, v)
+    for _ in range(state.lv):
+        s, t = rng.sample(range(1, len(w) + 1), 2)
+        mult = rng.choice([0, 1, 2])
+        fault = data.draw(st.sampled_from(["put", "mutate", "delta"]))
+        runs = []
+        for journal in (True, False):
+            broken = state.clone()
+            if not journal:
+                broken.framed.journal = None
+            if fault == "put":
+                broken.framed._put(s, t, mult)
+            elif fault == "mutate":
+                broken.framed.mutate_in_place(s)
+            else:
+                coords = list(broken.deltas[s].coords)
+                coords[t % state.lv] += 1  # among the leading coordinates
+                broken.deltas[s] = DeltaVector(state.reference, tuple(coords))
+            runs.append(_outcome(broken))
+        assert runs[0] == runs[1]
+        state = step_hat(state)

@@ -282,3 +282,18 @@ def test_relation_between_representative_indices():
             if q1 <= lv:
                 t = lv - q1
                 assert q[: t + 1] == tuple(range(lv - t, lv + 1))
+
+
+def test_deleted_indices_lie_beyond_the_pulled_back_line_maximum():
+    # k is deleted after batch m when k > (k_max)^{alpha(k,m)-}
+    rng = random.Random(83)
+    for c in (cartan("A", 4), cartan("D", 5)):
+        for _ in range(10):
+            w = Word(c, random_reduced_word(c, rng.randint(2, 14), rng))
+            pos = sorted(rng.sample(range(1, len(w) + 1), rng.randint(1, len(w))))
+            combo = combo_numbers(w, rightmost_subword(element_of_word(c, [w.color(p) for p in pos]), w))
+            for m in range(len(combo.positions) + 1):
+                bounds = {
+                    k: w.pred_iter(w.k_max(w.color(k)), combo.alpha(k, m)) for k in range(1, len(w) + 1)
+                }
+                assert combo.deleted(m) == {k for k, b in bounds.items() if k > b}
