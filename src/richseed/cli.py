@@ -22,6 +22,7 @@ import json
 import os
 import random
 import sys
+from functools import lru_cache
 from typing import Iterator
 
 from . import golden
@@ -408,7 +409,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so repeated ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="richseed",
         description="Initial seeds for cluster structures on open Richardson varieties.",

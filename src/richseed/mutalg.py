@@ -477,8 +477,13 @@ def check_induction(state: AlgState) -> None:
     line_ends.update(s for s, t in moved if word.succ(s) == t)
     for k in sorted(line_ends):
         kp = word.succ(k)
-        if k in members and kp in members and not framed.has_arrow(k, kp):
+        if k not in members or kp not in members:
+            continue
+        n = framed.mult(k, kp)
+        if not n:
             raise InvariantViolation(f"missing line arrow {k}->{kp} at step {m}")
+        if n != 1:
+            raise InvariantViolation(f"line arrow {k}->{kp} has multiplicity {n} at step {m}")
 
     scan = {a for a in moved if a in framed.arrows}
     for x in entered:

@@ -284,30 +284,17 @@ class WeylElement:
         c = self.cartan
         return tuple(x // 2 for x in root_to_weight(c, self.apply(_two_rho(c))))
 
-    def _peel_left(self) -> list[int]:
-        """Letters j_1, ..., j_l with w = s_{j_1} ... s_{j_l}, peeling the
-        smallest left descent each time."""
-        c = self.cartan
-        y = self.rho_image()
-        letters = []
-        while True:
-            i = next((j for j, x in enumerate(y, start=1) if x < 0), 0)
-            if not i:
-                return letters
-            letters.append(i)
-            y = reflect_weight_simple(c, i, y)
-
     def inverse(self) -> "WeylElement":
         # w = s_{j_1} ... s_{j_l}, so w^{-1} = s_{j_l} ... s_{j_1}: the word
         # (j_1, ..., j_l) in application order
-        return element_of_word(self.cartan, self._peel_left())
+        return element_of_word(self.cartan, peel_left(self.cartan, self.rho_image()))
 
     def is_identity(self) -> bool:
         return self == identity_element(self.cartan)
 
     @property
     def length(self) -> int:
-        return len(self._peel_left())
+        return len(peel_left(self.cartan, self.rho_image()))
 
     def right_descents(self) -> tuple[int, ...]:
         """Colors i with l(w s_i) < l(w), i.e. w(alpha_i) negative."""
@@ -318,6 +305,17 @@ class WeylElement:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WeylElement({self.cartan.family}{self.cartan.rank}, len={self.length})"
+
+
+def peel_left(c: CartanData, y: Vec) -> list[int]:
+    """Letters j_1, ..., j_l with w = s_{j_1} ... s_{j_l} for the element w
+    given by the weight y = w(rho), peeling the smallest left descent
+    (the smallest negative coordinate) each time."""
+    letters = []
+    while i := next((j for j, x in enumerate(y, start=1) if x < 0), 0):
+        letters.append(i)
+        y = reflect_weight_simple(c, i, y)
+    return letters
 
 
 @lru_cache(maxsize=None)

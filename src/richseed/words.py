@@ -19,9 +19,8 @@ from .rootsys import (
     WeylElement,
     element_of_word,
     identity_element,
-    is_negative,
-    longest_element,
     number_of_positive_roots,
+    peel_left,
     reflect_weight_simple,
     root_to_weight,
 )
@@ -31,16 +30,25 @@ class Word:
     """A reduced word with successor/predecessor bookkeeping.
 
     ``letters[k-1]`` is the color i_k.  Construction verifies
-    reducedness by checking that the root sequence
+    reducedness on one weight vector: with x = s_{i_{k-1}} ... s_{i_1},
+    the letter i_k is an ascent of x exactly when coordinate i_k of
+    x(rho) is positive (it is the height of the root beta_k below, so
+    never zero), and (s_{i_k} x)(rho) is x(rho) reflected by s_{i_k}.
+    The first letter that is not an ascent raises :class:`NotReduced`
+    with its prefix length k.  The final weight w(rho) is kept
+    (``rho_image``).
+
+    The root sequence
 
         beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k})
 
-    stays positive, and raises :class:`NotReduced` with the offending
-    prefix length otherwise.
+    (``betas``) and the represented element (``element``) are built on
+    first read and then kept.
     """
 
     __slots__ = (
-        "cartan", "letters", "element", "betas", "_beta_weights", "_succ", "_pred", "_by_color"
+        "cartan", "letters", "_rho", "_betas", "_element", "_beta_weights",
+        "_succ", "_pred", "_by_color",
     )
 
     def __init__(self, cartan: CartanData, letters):
@@ -51,19 +59,15 @@ class Word:
         self.cartan = cartan
         self.letters = letters
 
-        betas = []
-        x = identity_element(cartan)  # s_{i_1} ... s_{i_{k-1}} accumulated
+        y = (1,) * cartan.rank  # x(rho) for the prefix x read so far
         for k, i in enumerate(letters, start=1):
-            beta = x.image_of_simple(i)
-            if is_negative(beta):
+            if y[i - 1] < 0:
                 raise NotReduced(k)
-            betas.append(beta)
-            x = x.rmul(i)
-        self.betas = tuple(betas)
+            y = reflect_weight_simple(cartan, i, y)
+        self._rho = y
+        self._betas: tuple[Vec, ...] | None = None
+        self._element: WeylElement | None = None
         self._beta_weights: list[Vec | None] = [None] * len(letters)
-        # x = s_{i_1} ... s_{i_L}; the represented element is the reverse
-        # product s_{i_L} ... s_{i_1}.
-        self.element = element_of_word(cartan, letters)
 
         by_color: dict[int, list[int]] = {}
         for k, i in enumerate(letters, start=1):
@@ -81,6 +85,29 @@ class Word:
             last[i] = k
         self._succ = tuple(succ)
         self._pred = tuple(pred)
+
+    @property
+    def betas(self) -> tuple[Vec, ...]:
+        """The root sequence beta_1, ..., beta_L in root coordinates."""
+        if self._betas is None:
+            betas = []
+            x = identity_element(self.cartan)  # s_{i_1} ... s_{i_{k-1}} accumulated
+            for i in self.letters:
+                betas.append(x.image_of_simple(i))
+                x = x.rmul(i)
+            self._betas = tuple(betas)
+        return self._betas
+
+    @property
+    def element(self) -> WeylElement:
+        """The represented element s_{i_L} ... s_{i_1}."""
+        if self._element is None:
+            self._element = element_of_word(self.cartan, self.letters)
+        return self._element
+
+    def rho_image(self) -> Vec:
+        """Weight coordinates of w(rho) for the represented element w."""
+        return self._rho
 
     # -- basic queries ----------------------------------------------------
 
@@ -183,17 +210,14 @@ def left_complete(word: Word) -> Word:
 
     The missing left factor u = w0 w^{-1} is spelled out by repeatedly
     peeling its smallest right descent, which also proves the factor
-    property.  Completions are not unique; this one is deterministic.
+    property.  The right descents of u are the left descents of
+    u^{-1} = w w0, whose rho-image is -w(rho): the smallest i with a
+    negative coordinate is the next letter, and the weight is reflected
+    by s_i, so each letter costs O(rank).  Completions are not unique;
+    this one is deterministic.
     """
-    c = word.cartan
-    u = longest_element(c)
-    for i in word.letters:  # w^{-1} = s_{i_1} ... s_{i_L}
-        u = u.rmul(i)
-    extra: list[int] = []
-    while descents := u.right_descents():
-        extra.append(descents[0])
-        u = u.rmul(descents[0])
-    return Word(c, word.letters + tuple(extra))
+    extra = peel_left(word.cartan, tuple(-x for x in word.rho_image()))
+    return Word(word.cartan, word.letters + tuple(extra))
 
 
 @dataclass(frozen=True)

@@ -633,19 +633,16 @@ def test_a_fault_is_journalled_across_a_clone():
 
 
 def test_a_doubled_line_arrow_is_caught_between_batches():
-    # only the saw-teeth reports (line color, adjacent color) see the
-    # multiplicity of a line arrow, so none of these may be reused; a line
-    # without members of an adjacent color has no such report
+    # the line-arrow check reads the multiplicity of every line arrow
+    # written since the last view, also on a line with no member of an
+    # adjacent color, where no saw-teeth report sees it
     c, w, v = list(_w0_pairs("D5", 17))[1]
     state = initial_state(c, w, v, check=True)
     caught = 0
     for _ in range(state.lv):
         quiet = _quiet_members(state)
-        colors = {w.color(k) for k in cut_view(step_hat(state.clone())).members}
         for k in quiet:
             kp = w.succ(k)
-            if not colors & set(c.neighbors(w.color(k))):
-                continue
             if kp in quiet and state.framed.mult(k, kp) == 1:
                 broken = state.clone()
                 broken.framed._put(k, kp, 2)

@@ -4,7 +4,14 @@ import random
 import pytest
 
 from richseed.errors import NotLessOrEqual, NotReduced
-from richseed.rootsys import cartan, element_of_word, identity_element, longest_element, number_of_positive_roots
+from richseed.rootsys import (
+    cartan,
+    element_of_word,
+    identity_element,
+    is_negative,
+    longest_element,
+    number_of_positive_roots,
+)
 from richseed.words import (
     Word,
     all_elements,
@@ -84,6 +91,98 @@ def test_left_complete_random_words():
         dot = left_complete(w)
         assert len(dot) == r
         assert dot.letters[: len(w)] == w.letters
+
+
+# -- the matrix path, kept as the oracle of the weight-vector path -----------
+
+
+def _matrix_left_complete(word):
+    """Completion by peeling the smallest right descent of w0 w^{-1} off a
+    matrix, listing every right descent at each letter."""
+    u = longest_element(word.cartan)
+    for i in word.letters:
+        u = u.rmul(i)
+    extra = []
+    while descents := u.right_descents():
+        extra.append(descents[0])
+        u = u.rmul(descents[0])
+    return word.letters + tuple(extra)
+
+
+def _matrix_betas(c, letters):
+    """The root sequence with a matrix product per letter, and the prefix
+    length of the first negative root (None for a reduced word)."""
+    betas = []
+    x = identity_element(c)
+    for k, i in enumerate(letters, start=1):
+        beta = x.image_of_simple(i)
+        if is_negative(beta):
+            return tuple(betas), k
+        betas.append(beta)
+        x = x.rmul(i)
+    return tuple(betas), None
+
+
+@pytest.mark.parametrize("spec", ["A3", "A4", "D4"])
+def test_left_complete_matches_the_matrix_path_on_every_reduced_word(spec):
+    c = cartan(spec[0], int(spec[1:]))
+    n = 0
+    for el in all_elements(c):
+        for rw in reduced_words(el):
+            word = Word(c, rw)
+            assert left_complete(word).letters == _matrix_left_complete(word), rw
+            n += 1
+    assert n > len(all_elements(c))
+
+
+def test_left_complete_matches_the_matrix_path_on_sampled_words():
+    rng = random.Random(11)
+    n = full = 0
+    for spec in ("D5", "E6", "E7", "E8"):
+        c = cartan(spec[0], int(spec[1:]))
+        r = number_of_positive_roots(c)
+        for t in range(160):
+            length = r if t % 8 == 0 else rng.randint(0, r)
+            word = Word(c, random_reduced_word(c, length, rng))
+            assert left_complete(word).letters == _matrix_left_complete(word), word.letters
+            n += 1
+            full += len(word) == r
+    assert n >= 600 and full >= 80
+
+
+@pytest.mark.parametrize("spec", ["A4", "D5", "E6"])
+def test_not_reduced_prefix_matches_the_matrix_check(spec):
+    c = cartan(spec[0], int(spec[1:]))
+    rng = random.Random(13)
+    reduced = rejected = 0
+    for _ in range(400):
+        letters = [rng.randint(1, c.rank) for _ in range(rng.randint(1, 12))]
+        _, expected = _matrix_betas(c, letters)
+        try:
+            Word(c, letters)
+            got = None
+        except NotReduced as exc:
+            got = exc.prefix_len
+        assert got == expected, letters
+        reduced += got is None
+        rejected += got is not None
+    assert reduced and rejected
+
+
+def test_lazy_betas_and_element_equal_the_eager_values():
+    rng = random.Random(17)
+    for spec in ("A4", "D5", "E6", "E8"):
+        c = cartan(spec[0], int(spec[1:]))
+        r = number_of_positive_roots(c)
+        for _ in range(25):
+            letters = random_reduced_word(c, rng.randint(0, r), rng)
+            word = Word(c, letters)
+            assert word._betas is None and word._element is None
+            element = element_of_word(c, letters)
+            assert word.rho_image() == element.rho_image()
+            assert word.betas == _matrix_betas(c, letters)[0]
+            assert word.element == element
+            assert word.betas is word.betas and word.element is word.element
 
 
 def test_rightmost_subword_appendix():
