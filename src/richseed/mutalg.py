@@ -12,10 +12,11 @@ method guarantees (cut-seed properties, branch consistency, tooth
 shifts, configuration transitions); violations raise
 :class:`InvariantViolation` since they falsify the run, not the input.
 The checks read the one framed quiver through the cut's member set.
-Per batch they re-examine only what it changed: the arrows in the
-quiver's journal (kept only in checked runs), the vertices that entered
-or left the cut, and the members of the batch's color or with a replaced
-vector; a saw-teeth report that none of these touched is reused.
+Per batch they re-examine only what it changed: the exchange-matrix
+entries in the quiver's journal (kept only in checked runs), the
+vertices that entered or left the cut, and the members of the batch's
+color or with a replaced vector; a saw-teeth report that none of these
+touched is reused.
 """
 
 from __future__ import annotations
@@ -211,8 +212,8 @@ def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, DeltaVector, Del
     """
     if k not in state.deltas:
         raise KeyError(f"no vertex {k}")
-    cand_in = _exchange(state, k, state.framed._in[k])
-    cand_out = _exchange(state, k, state.framed._out[k])
+    cand_in = _exchange(state, k, -1)
+    cand_out = _exchange(state, k, 1)
     ok_in, ok_out = cand_in.is_nonnegative(), cand_out.is_nonnegative()
     if ok_in and ok_out and cand_in != cand_out:
         raise AmbiguousBranch(f"both exchange vectors are valid at vertex {k}")
@@ -223,11 +224,13 @@ def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, DeltaVector, Del
     return cand_out, cand_in, cand_out, "out"
 
 
-def _exchange(state: AlgState, k: int, side: dict[int, int]) -> DeltaVector:
-    """Minus the vector at k plus m times the vector at s per mutable end (s, m) of one side."""
+def _exchange(state: AlgState, k: int, sign: int) -> DeltaVector:
+    """Minus the vector at k plus m times the vector at s per mutable end s
+    of the m arrows on one side of k: out of k for sign 1, into k for -1."""
     acc = [-a for a in state.deltas[k].coords]
-    for s, m in side.items():
-        if s > 0:
+    for s, e in state.framed.b[k].items():
+        m = sign * e
+        if m > 0 and s > 0:
             b = state.deltas[s].coords
             acc = list(map(add, acc, b)) if m == 1 else [a + m * x for a, x in zip(acc, b)]
     return DeltaVector(state.reference, tuple(acc))
@@ -251,15 +254,16 @@ def framed_quiver(q: Quiver) -> Quiver:
     arrows of a mutable vertex are its c-vector (Fomin-Zelevinsky, IV)."""
     verts = list(q.vertices.values())
     frames = [Vertex(-v.id, v.color, v.column, frozen=True) for v in verts]
-    fq = Quiver(verts + frames, q.arrows)
+    fq = Quiver(verts + frames)
     for v in verts:
+        fq.b[v.id] = dict(q.b[v.id])
         fq._add(-v.id, v.id, 1)
     return fq
 
 
 def is_green(framed: Quiver, k: int) -> bool:
     """No arrow from k into any frame vertex."""
-    return all(t > 0 for t, _ in framed.arrows_out_of(k))
+    return all(t > 0 for t, x in framed.b[k].items() if x > 0)
 
 
 def step_hat(state: AlgState) -> AlgState:
@@ -434,10 +438,10 @@ def check_induction(state: AlgState) -> None:
     view goes to ``state.cut`` with its saw-teeth reports, the next line's
     included, which the next batch's tooth shift reads as its "before".
 
-    Only what changed since the last view is examined again: the arrows in
-    the framed quiver's journal, the vertices whose status (member,
-    evicted, deleted) changed, and the members whose vector was replaced
-    or whose color is that of p_m.  The first check, or one without a
+    Only what changed since the last view is examined again: the matrix
+    entries in the framed quiver's journal, the vertices whose status
+    (member, evicted, deleted) changed, and the members whose vector was
+    replaced or whose color is that of p_m.  The first check, or one without a
     view of the previous step or without a journal, examines everything.
     """
     view = cut_view(state)
@@ -447,7 +451,8 @@ def check_induction(state: AlgState) -> None:
     members = view.members
     prev, journal = state.cut, framed.journal
     if prev is None or prev.step != m - 1 or journal is None:
-        prev, journal = CutSeedView(set(), set(), set()), framed.arrows.keys()
+        prev = CutSeedView(set(), set(), set())
+        journal = [(s, t) for s, row in framed.b.items() for t in row]
     changed = (members ^ prev.members) | (view.evicted ^ prev.evicted)
     entered = members - prev.members
     line_color = word.color(state.embedding.positions[m - 1]) if m else 0
@@ -471,7 +476,7 @@ def check_induction(state: AlgState) -> None:
                 f"member {k} has truncated support {got}, expected {want} at step {m}"
             )
 
-    # arrows between two members that were written since the last view
+    # entries between two members that were written since the last view
     moved = [(s, t) for s, t in journal if s in members and t in members]
     line_ends = {word.pred(x) for x in entered} | entered
     line_ends.update(s for s, t in moved if word.succ(s) == t)
@@ -485,10 +490,9 @@ def check_induction(state: AlgState) -> None:
         if n != 1:
             raise InvariantViolation(f"line arrow {k}->{kp} has multiplicity {n} at step {m}")
 
-    scan = {a for a in moved if a in framed.arrows}
+    scan = {(s, t) for s, t in moved if framed.has_arrow(s, t)}
     for x in entered:
-        scan.update((x, t) for t in framed._out[x] if t in members)
-        scan.update((s, x) for s in framed._in[x] if s in members)
+        scan.update((x, t) if e > 0 else (t, x) for t, e in framed.b[x].items() if t in members)
     for s, t in sorted(scan):
         cs, ct = word.color(s), word.color(t)
         if cs == ct:
@@ -514,10 +518,8 @@ def check_induction(state: AlgState) -> None:
     # a (c1, c2) report reads the members of both colors, the c1-c1 arrows
     # and the arrows joining c1 and c2; a report none of these moved is reused
     dirty = {word.color(k) for k in changed}
-    touched = set()  # color pairs of the moved arrows, both ways
-    for s, t in moved:
-        cs, ct = word.color(s), word.color(t)
-        touched.update(((cs, ct), (ct, cs)))
+    # the journal holds both orientations of an entry, so these color pairs do too
+    touched = {(word.color(s), word.color(t)) for s, t in moved}
     by_color: dict[int, list[int]] = {}
     for k in members:
         by_color.setdefault(word.color(k), []).append(k)

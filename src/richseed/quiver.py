@@ -1,17 +1,19 @@
 """Seed quivers and their combinatorics.
 
-Arrows carry integer multiplicities, and each vertex keeps maps of its
-incoming and outgoing arrows.  ``mutate_in_place`` changes a quiver in
-O(deg_in * deg_out); every other operation, ``mutate`` included, returns
-a new quiver.  Arrows joining two frozen vertices are never stored,
-since seeds are only defined up to such arrows.
+A quiver is stored as its skew-symmetric exchange matrix: ``b[i][j]``
+is #(i->j) - #(j->i), so ``b[j][i] == -b[i][j]``, a zero entry is
+absent, and a 2-cycle cannot be represented.  An entry joining two
+frozen vertices is never stored, since seeds are only defined up to
+such arrows.  ``mutate_in_place`` applies the Fomin-Zelevinsky matrix
+rule in O(deg_in * deg_out); every other operation, ``mutate``
+included, returns a new quiver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable, KeysView, Optional
 
 from .errors import FrozenVertex, Unclassifiable
 from .words import Word
@@ -26,17 +28,21 @@ class Vertex:
 
 
 class Quiver:
-    """A finite quiver without loops or 2-cycles between mutable vertices.
+    """A finite quiver without loops or 2-cycles, as one signed row per vertex.
 
-    ``arrows`` maps (source, target) to the multiplicity; ``_in[k]`` and
-    ``_out[k]`` map the other end of each arrow at k to the same number.
+    ``b[i]`` maps each vertex joined to i to #(i->j) - #(j->i): the
+    positive entries of a row are the arrows out of i, the negative ones
+    the arrows into i.  Every row is the negated column of its vertex,
+    and no entry joins two frozen vertices.  ``arrows`` is the view
+    (source, target) -> multiplicity of the positive entries.
     ``line_color``/``summit_color`` are set on bicolor subquivers so the
-    saw-teeth classifier knows which color plays which role.  ``journal``,
-    when it is a set, collects the key of every arrow written; checked
-    runs turn it on and drain it after each batch.
+    saw-teeth classifier knows which color plays which role.
+    ``journal``, when it is a set, collects both orientations of every
+    matrix entry written; checked runs turn it on and drain it after
+    each batch.
     """
 
-    __slots__ = ("vertices", "arrows", "_in", "_out", "line_color", "summit_color", "journal")
+    __slots__ = ("vertices", "b", "line_color", "summit_color", "journal")
 
     def __init__(
         self,
@@ -46,9 +52,7 @@ class Quiver:
         summit_color: Optional[int] = None,
     ):
         self.vertices: dict[int, Vertex] = {v.id: v for v in vertices}
-        self.arrows: dict[tuple[int, int], int] = {}
-        self._in: dict[int, dict[int, int]] = {k: {} for k in self.vertices}
-        self._out: dict[int, dict[int, int]] = {k: {} for k in self.vertices}
+        self.b: dict[int, dict[int, int]] = {k: {} for k in self.vertices}
         self.line_color = line_color
         self.summit_color = summit_color
         self.journal: Optional[set[tuple[int, int]]] = None
@@ -59,6 +63,7 @@ class Quiver:
     # -- construction helpers ---------------------------------------------
 
     def _add(self, s: int, t: int, mult: int = 1) -> None:
+        """Add mult arrows s -> t; opposite arrows cancel."""
         if mult == 0:
             return
         if s == t:
@@ -67,20 +72,17 @@ class Quiver:
             raise KeyError(f"arrow {s}->{t} uses an unknown vertex")
         if self.vertices[s].frozen and self.vertices[t].frozen:
             return
-        self._put(s, t, self.arrows.get((s, t), 0) + mult)
+        self._set(s, t, self.b[s].get(t, 0) + mult)
 
-    def _put(self, s: int, t: int, mult: int, log: Optional[dict] = None) -> None:
-        """Set the multiplicity of s -> t (0 removes the arrow); ``log``
-        remembers whether each touched arrow existed before."""
-        key = (s, t)
-        if log is not None and key not in log:
-            log[key] = key in self.arrows
+    def _set(self, s: int, t: int, x: int) -> None:
+        """Set b[s][t] = x and b[t][s] = -x; x = 0 removes both entries."""
         if self.journal is not None:
-            self.journal.add(key)
-        if mult:
-            self.arrows[key] = self._out[s][t] = self._in[t][s] = mult
-        elif key in self.arrows:
-            del self.arrows[key], self._out[s][t], self._in[t][s]
+            self.journal.update(((s, t), (t, s)))
+        if x:
+            self.b[s][t] = x
+            self.b[t][s] = -x
+        elif t in self.b[s]:
+            del self.b[s][t], self.b[t][s]
 
     def copy(self) -> "Quiver":
         """An independent copy; a journal is copied too."""
@@ -92,42 +94,29 @@ class Quiver:
     # -- queries ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Quiver)
-            and self.vertices == other.vertices
-            and self.arrows == other.arrows
-        )
+        return isinstance(other, Quiver) and self.vertices == other.vertices and self.b == other.b
+
+    @property
+    def arrows(self) -> dict[tuple[int, int], int]:
+        """(source, target) -> multiplicity, read off the positive entries."""
+        return {(s, t): x for s, row in self.b.items() for t, x in row.items() if x > 0}
 
     def mult(self, s: int, t: int) -> int:
-        return self.arrows.get((s, t), 0)
+        """The number of arrows s -> t (0 for an unknown vertex)."""
+        return max(self.b.get(s, {}).get(t, 0), 0)
 
     def has_arrow(self, s: int, t: int) -> bool:
-        return t in self._out.get(s, ())
+        return self.b.get(s, {}).get(t, 0) > 0
 
-    def arrows_into(self, k: int) -> list[tuple[int, int]]:
-        """(source, multiplicity) pairs of arrows ending at k."""
-        return list(self._in[k].items())
-
-    def arrows_out_of(self, k: int) -> list[tuple[int, int]]:
-        """(target, multiplicity) pairs of arrows starting at k."""
-        return list(self._out[k].items())
-
-    def neighbors(self, k: int) -> set[int]:
-        return self._in[k].keys() | self._out[k].keys()
+    def neighbors(self, k: int) -> KeysView[int]:
+        """The vertices joined to k, as a view of its row."""
+        return self.b[k].keys()
 
     def ids_of_color(self, color: int) -> list[int]:
         return sorted(v.id for v in self.vertices.values() if v.color == color)
 
     def colors(self) -> list[int]:
         return sorted({v.color for v in self.vertices.values()})
-
-    def skew_matrix(self) -> dict[tuple[int, int], int]:
-        """Signed arrow-count matrix b[(i,j)] = #(i->j) - #(j->i)."""
-        out: dict[tuple[int, int], int] = {}
-        for (s, t), m in self.arrows.items():
-            out[(s, t)] = out.get((s, t), 0) + m
-            out[(t, s)] = out.get((t, s), 0) - m
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Quiver({len(self.vertices)} vertices, {sum(self.arrows.values())} arrows)"
@@ -139,9 +128,7 @@ class Quiver:
         verts = [v for v in self.vertices.values() if v.id in keep]
         q = Quiver(verts, None, self.line_color, self.summit_color)
         ids = q.vertices
-        q._in = {t: {s: m for s, m in self._in[t].items() if s in ids} for t in ids}
-        q._out = {s: {t: m for t, m in self._out[s].items() if t in ids} for s in ids}
-        q.arrows = {(s, t): m for s, out in q._out.items() for t, m in out.items()}
+        q.b = {i: {j: x for j, x in self.b[i].items() if j in ids} for i in ids}
         return q
 
     def with_frozen(self, frozen_ids: set[int]) -> "Quiver":
@@ -158,6 +145,8 @@ class Quiver:
     def mutate_in_place(self, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Fomin-Zelevinsky mutation at a mutable vertex, in place.
 
+        Every path s -> k -> t adds b[s][k] * b[k][t] arrows s -> t
+        (none between two frozen vertices), then row k is negated.
         Returns the sorted arrow keys that appeared and disappeared; an
         arrow whose multiplicity only changed is in neither list.
         """
@@ -165,32 +154,30 @@ class Quiver:
             raise KeyError(f"no vertex {k}")
         if self.vertices[k].frozen:
             raise FrozenVertex(f"vertex {k} is frozen")
-        ins = self.arrows_into(k)
-        outs = self.arrows_out_of(k)
-        log: dict[tuple[int, int], bool] = {}
-        # compose paths through k, cancelling against reverse arrows
-        for s, m1 in ins:
+        vs, b, row = self.vertices, self.b, self.b[k]
+        outs = [(t, m) for t, m in row.items() if m > 0]
+        added, removed = [], []
+        for s, m1 in row.items():
+            if m1 > 0:
+                continue
+            frozen = vs[s].frozen
             for t, m2 in outs:
-                if s != t:
-                    self._bump(s, t, m1 * m2, log)
-        # reverse the arrows at k: 2m arrows against m leave m reversed
-        for s, m in ins:
-            self._bump(k, s, 2 * m, log)
-        for t, m in outs:
-            self._bump(t, k, 2 * m, log)
-        added = sorted(a for a, had in log.items() if not had and a in self.arrows)
-        removed = sorted(a for a, had in log.items() if had and a not in self.arrows)
+                if frozen and vs[t].frozen:
+                    continue
+                old = b[s].get(t, 0)
+                new = old - m1 * m2
+                self._set(s, t, new)
+                if old <= 0 < new:
+                    added.append((s, t))
+                if old < 0 <= new:
+                    removed.append((t, s))
+        for j, m in list(row.items()):
+            self._set(k, j, -m)
+            added.append((j, k) if m > 0 else (k, j))
+            removed.append((k, j) if m > 0 else (j, k))
+        added.sort()
+        removed.sort()
         return added, removed
-
-    def _bump(self, s: int, t: int, mult: int, log: dict) -> None:
-        """Add mult arrows s -> t, cancelling 2-cycles with t -> s."""
-        if self.vertices[s].frozen and self.vertices[t].frozen:
-            return
-        back = self.arrows.get((t, s), 0)
-        net = self.arrows.get((s, t), 0) - back + mult
-        self._put(s, t, max(net, 0), log)
-        if back:
-            self._put(t, s, max(-net, 0), log)
 
     def bicolor(self, c1: int, c2: int, within: Optional[Iterable[int]] = None) -> "Quiver":
         """The (c1, c2)-bicolor subquiver; not symmetric in its arguments.
@@ -203,12 +190,12 @@ class Quiver:
         vs = self.vertices
         ids = [k for k in (vs if within is None else sorted(within)) if vs[k].color in (c1, c2)]
         q = Quiver([vs[k] for k in ids], None, c1, c2)
-        keep, arrows, q_in, q_out = q.vertices, q.arrows, q._in, q._out
+        keep = q.vertices
         for s in ids:
             line = vs[s].color == c1
-            for t, m in self._out[s].items():
-                if t in keep and (line or vs[t].color == c1):
-                    arrows[(s, t)] = q_out[s][t] = q_in[t][s] = m
+            q.b[s] = {
+                t: x for t, x in self.b[s].items() if t in keep and (line or vs[t].color == c1)
+            }
         return q
 
 
@@ -293,7 +280,8 @@ def classify_sawteeth(bq: Quiver) -> SawTeethReport:
     in_at: dict[int, int] = {}  # line vertex -> summit source
     in_j: dict[int, int] = {}  # summit -> line source of its incoming arrow
     out_j: dict[int, int] = {}  # summit -> line target of its outgoing arrow
-    for (s, t), m in bq.arrows.items():
+    arrows = ((s, t, m) for s, row in bq.b.items() for t, m in row.items() if m > 0)
+    for s, t, m in arrows:
         if m != 1:
             return fail(f"arrow {s}->{t} has multiplicity {m}")
         cs, ct = bq.vertices[s].color, bq.vertices[t].color
@@ -444,8 +432,9 @@ def classify_config(
     line = sorted(v for v in inside if vs[v].color == ck)
     idx = line.index(k)
 
-    ins = [s for s in q._in[k] if s in inside and vs[s].color == other_color]
-    outs = [t for t in q._out[k] if t in inside and vs[t].color == other_color]
+    near = [(j, x) for j, x in q.b[k].items() if j in inside and vs[j].color == other_color]
+    ins = [j for j, x in near if x < 0]
+    outs = [j for j, x in near if x > 0]
     if outs:
         raise Unclassifiable(f"vertex {k} has an outgoing ordinary arrow toward {outs}")
     if len(ins) > 1:

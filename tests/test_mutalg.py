@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -484,15 +485,80 @@ def test_reverse_replay_recovers_the_initial_seed(spec):
             k = rec.vertex
             assert coords[k] == rec.after
             fq.mutate_in_place(k)
-            side = fq.arrows_into(k) if rec.chosen == "in" else fq.arrows_out_of(k)
+            sign = -1 if rec.chosen == "in" else 1  # the side's sign in row k
             total = [-a for a in coords[k]]
-            for s, m in side:
-                if s > 0:
+            for s, x in fq.b[k].items():
+                m = sign * x
+                if m > 0 and s > 0:
                     total = [a + m * b for a, b in zip(total, coords[s])]
             coords[k] = tuple(total)
             assert coords[k] == rec.before
         assert fq == framed_quiver(build_gamma(w))
         assert coords == initial
+
+
+def _rank(rows):
+    """Rank over Q of a list of integer rows, by Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / top[col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _extended_exchange_matrix(seed):
+    """B~ of a final seed: one row per survivor, one column per mutable survivor."""
+    q = seed.quiver
+    ids = sorted(q.vertices)
+    cols = [j for j in ids if not q.vertices[j].frozen]
+    return [[q.mult(i, j) - q.mult(j, i) for j in cols] for i in ids]
+
+
+def _sampled_runs(specs, draws, seed):
+    """Checked-off runs on w of length 2..12 and v spelled by a random
+    subset of w's letters, as `richseed verify` samples them."""
+    rng = random.Random(seed)
+    for spec in specs:
+        c = parse_type(spec)
+        for _ in range(draws):
+            n = rng.randint(2, min(12, number_of_positive_roots(c)))
+            w = Word(c, random_reduced_word(c, n, rng))
+            pos = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            yield run(c, w, element_of_word(c, [w.color(p) for p in pos]), check=False)
+
+
+def test_final_exchange_matrix_has_full_column_rank(a5_seed):
+    # mutation preserves the rank of B~ (Berenstein-Fomin-Zelevinsky,
+    # Cluster algebras III, Lemma 3.2), and the initial seed's B~ has full
+    # rank, so every final B~ must too; a run whose mutable columns
+    # became dependent would fail here, as the planted copy shows
+    seeds = [a5_seed]
+    for spec in ("A4", "D5", "E6"):
+        seeds += [run(c, w, v, check=False) for c, w, v in _w0_pairs(spec, 17)]
+    sampled = ("A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8")
+    seeds += list(_sampled_runs(sampled, 40, 2024))
+    checked = planted = 0
+    for seed in seeds:
+        b = _extended_exchange_matrix(seed)
+        n = len(b[0]) if b else 0
+        if not n:
+            continue
+        assert _rank(b) == n, (seed.word.display, seed.embedding.positions)
+        checked += 1
+        if n >= 2:
+            copied = [row[:1] + row[:1] + row[2:] for row in b]
+            assert _rank(copied) == n - 1
+            planted += 1
+    assert checked >= 100 and planted
 
 
 @pytest.mark.parametrize("spec", ["A4", "D5", "E6"])
@@ -554,7 +620,7 @@ def _deleted_line_arrow(state, quiet):
     for k in quiet:
         kp = state.word.succ(k)
         if kp in quiet and state.framed.has_arrow(k, kp):
-            return lambda fq: fq._put(k, kp, 0)
+            return lambda fq: fq._set(k, kp, 0)
     return None
 
 
@@ -562,7 +628,7 @@ def _double_cross_arrow(state, quiet):
     word = state.word
     for (s, t), mult in sorted(state.framed.arrows.items()):
         if s in quiet and t in quiet and word.color(s) != word.color(t) and mult == 1:
-            return lambda fq: fq._put(s, t, 2)
+            return lambda fq: fq._set(s, t, 2)
     return None
 
 
@@ -645,7 +711,7 @@ def test_a_doubled_line_arrow_is_caught_between_batches():
             kp = w.succ(k)
             if kp in quiet and state.framed.mult(k, kp) == 1:
                 broken = state.clone()
-                broken.framed._put(k, kp, 2)
+                broken.framed._set(k, kp, 2)
                 with pytest.raises(InvariantViolation, match="multiplicity 2"):
                     step_hat(broken)
                 caught += 1
@@ -704,14 +770,14 @@ def test_incremental_and_full_checks_agree_on_random_faults(data):
     for _ in range(state.lv):
         s, t = rng.sample(range(1, len(w) + 1), 2)
         mult = rng.choice([0, 1, 2])
-        fault = data.draw(st.sampled_from(["put", "mutate", "delta"]))
+        fault = data.draw(st.sampled_from(["set", "mutate", "delta"]))
         runs = []
         for journal in (True, False):
             broken = state.clone()
             if not journal:
                 broken.framed.journal = None
-            if fault == "put":
-                broken.framed._put(s, t, mult)
+            if fault == "set":
+                broken.framed._set(s, t, mult)
             elif fault == "mutate":
                 broken.framed.mutate_in_place(s)
             else:

@@ -64,6 +64,16 @@ def test_mutation_involution_small():
     assert m.mutate(1) == q
 
 
+def test_opposite_arrows_given_to_the_constructor_cancel():
+    # a 2-cycle is not representable in the exchange matrix
+    verts = [Vertex(1, 1, 1), Vertex(2, 2, 2)]
+    q = Quiver(verts, {(1, 2): 3, (2, 1): 1})
+    assert q.arrows == {(1, 2): 2} and q.b == {1: {2: 2}, 2: {1: -2}}
+    q = Quiver(verts, {(1, 2): 1, (2, 1): 1})
+    assert q.arrows == {} and q.b == {1: {}, 2: {}}
+    assert q == Quiver(verts)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_mutation_involution_on_word_quivers(data):
@@ -83,12 +93,26 @@ def test_mutation_preserves_skew_symmetry(data):
     for _ in range(3):
         k = data.draw(st.sampled_from(sorted(q.vertices)))
         q = q.mutate(k)
-    b = q.skew_matrix()
-    for (i, j), m in b.items():
-        assert b[(j, i)] == -m
-    # no 2-cycles survive cancellation
-    for (i, j) in q.arrows:
-        assert (j, i) not in q.arrows
+    _assert_rows_are_skew(q)
+
+
+def _assert_rows_are_skew(q):
+    """Every stored entry is nonzero, has its negation in the row of the
+    other end, and does not join two frozen vertices."""
+    assert q.b.keys() == q.vertices.keys()
+    for i, row in q.b.items():
+        for j, bij in row.items():
+            assert bij != 0 and q.b[j][i] == -bij, (i, j)
+            assert not (q.vertices[i].frozen and q.vertices[j].frozen), (i, j)
+
+
+def _skew_matrix(q):
+    """Signed arrow counts b[(i, j)] = #(i->j) - #(j->i), from the arrow view."""
+    out = {}
+    for (s, t), m in q.arrows.items():
+        out[(s, t)] = out.get((s, t), 0) + m
+        out[(t, s)] = out.get((t, s), 0) - m
+    return out
 
 
 def _skew_rule(b, ids, k):
@@ -107,15 +131,6 @@ def _skew_rule(b, ids, k):
     return out
 
 
-def _maps_from_scan(q):
-    ins = {k: {} for k in q.vertices}
-    outs = {k: {} for k in q.vertices}
-    for (s, t), m in q.arrows.items():
-        outs[s][t] = m
-        ins[t][s] = m
-    return ins, outs
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_mutate_in_place_follows_the_skew_matrix_rule(data):
@@ -130,15 +145,17 @@ def test_mutate_in_place_follows_the_skew_matrix_rule(data):
     for _ in range(data.draw(st.integers(1, 6))):
         k = data.draw(st.sampled_from(mutable))
         old = dict(q.arrows)
-        expected = _skew_rule(q.skew_matrix(), ids, k)
+        expected = _skew_rule(_skew_matrix(q), ids, k)
         added, removed = q.mutate_in_place(k)
-        b = q.skew_matrix()
+        b = _skew_matrix(q)
         for (i, j), bij in expected.items():
             if not (q.vertices[i].frozen and q.vertices[j].frozen):
                 assert b.get((i, j), 0) == bij, (k, i, j)
-        assert _maps_from_scan(q) == (q._in, q._out)
+        _assert_rows_are_skew(q)
         assert added == sorted(set(q.arrows) - set(old))
         assert removed == sorted(set(old) - set(q.arrows))
+        # the arrow view rebuilds the quiver
+        assert Quiver(q.vertices.values(), q.arrows) == q
 
 
 def test_mutate_in_place_lists_only_arrows_that_appear_or_vanish():
