@@ -26,9 +26,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import golden
-from .deltavec import delta_tilde_from_combo, delta_via_xi, left_part_rhos
+from .deltavec import delta_tilde_from_combo, delta_via_xi, initial_delta_same, left_part_rhos
 from .errors import NotLessOrEqual, StructuralFailure
-from .mutalg import FinalSeed, green_report, run, verify_equivalence
+from .mutalg import FinalSeed, green_report, initial_state, run, step_hat, verify_equivalence
 from .quiver import build_gamma, classify_sawteeth, quiver_has_sawteeth, to_dot
 from .rootsys import CartanData, element_of_word, number_of_positive_roots, parse_type
 from .words import (
@@ -87,7 +87,8 @@ def seed_document(seed: FinalSeed, with_trace: bool = False) -> dict:
         ],
     }
     if with_trace:
-        doc["trace"] = [rec.to_json() for rec in seed.trace]
+        labels = green_report(seed.word, [rec.vertex for rec in seed.trace])
+        doc["trace"] = [rec.to_json(lab["green"]) for rec, lab in zip(seed.trace, labels)]
     return doc
 
 
@@ -133,8 +134,6 @@ def example_a3_tables() -> list[str]:
     c = parse_type("A3")
     wdot = make_word(c, golden.A3_WDOT)
     w0dot = make_word(c, golden.A3_W0DOT)
-    from .deltavec import initial_delta_same
-
     for k in range(1, 7):
         own_w, own_w0, cross_w, cross_w0 = golden.A3_TABLE[k]
         _diff(f"own wdot k={k}", initial_delta_same(wdot, k).support(), own_w, failures)
@@ -164,8 +163,6 @@ def example_a5_run() -> list[str]:
     _diff("final arrows", set(seed.quiver.arrows), golden.A5_FINAL_ARROWS, failures)
 
     # replay the per-batch tables
-    from .mutalg import initial_state, step_hat
-
     state = initial_state(c, word, v, completion=vdot)
     for k, want in golden.A5_DELTAS[0].items():
         _diff(f"initial delta k={k}", state.deltas[k].support(), want, failures)
@@ -182,8 +179,8 @@ def example_a5_run() -> list[str]:
             _diff(f"branch at {rec.vertex}", rec.chosen, branch, failures)
             got = tuple(i + 1 for i, a in enumerate(rec.after) if a)
             _diff(f"exchange value at {rec.vertex}", got, support, failures)
-    greens = [rec.green for rec in seed.trace]
-    _diff("greenness", all(greens), True, failures)
+    labels = green_report(word, [rec.vertex for rec in seed.trace])
+    _diff("greenness", all(lab["green"] for lab in labels), True, failures)
     return failures
 
 

@@ -7,16 +7,16 @@ the tail summand of every line that was touched.  What survives is the
 seed of the smaller category: l(w) - l(v) summands whose leading l(v)
 coordinates all vanish, with frozen vertices marked.
 
-Every step can be instrumented with the structural checks that the
-method guarantees (cut-seed properties, branch consistency, tooth
-shifts, configuration transitions); violations raise
+A batch changes only the vectors and the run's one quiver.  The
+structural checks that the method guarantees (cut-seed properties,
+branch consistency, tooth shifts, configuration transitions) observe it
+through a :class:`BatchChecker`; violations raise
 :class:`InvariantViolation` since they falsify the run, not the input.
-The checks read the one framed quiver through the cut's member set.
-Per batch they re-examine only what it changed: the exchange-matrix
-entries in the quiver's journal (kept only in checked runs), the
-vertices that entered or left the cut, and the members of the batch's
-color or with a replaced vector; a saw-teeth report that none of these
-touched is reused.
+They read the quiver through the cut's member set and re-examine only
+what a batch changed: the matrix entries in the quiver's journal (kept
+only in checked runs), the vertices that entered or left the cut, and
+the members of the batch's color or with a replaced vector; a saw-teeth
+report none of these touched is reused.  Green labels: :func:`green_report`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .quiver import (
     classify_config,
     classify_sawteeth,
 )
-from .rootsys import CartanData, WeylElement
+from .rootsys import CartanData, WeylElement, number_of_positive_roots
 from .words import (
     ComboNumbers,
     SubwordEmbedding,
@@ -72,9 +72,6 @@ def schedule_tilde(word: Word, emb: SubwordEmbedding) -> list[list[int]]:
         color = word.color(pm)
         lo = word.succ_iter(word.k_min(color), combo.beta(m))
         hi = word.pred_iter(word.k_max(color), combo.gamma(m))
-        if hi < lo or lo > len(word) or hi <= 0:
-            batches.append([])
-            continue
         line = word.positions_of_color(color)
         batches.append([k for k in line if lo <= k <= hi])
     return batches
@@ -94,12 +91,12 @@ class MutationRecord:
     before: tuple[int, ...]
     after: tuple[int, ...]
     evicted: bool
-    green: Optional[bool] = None
     configs: dict[int, str] = field(default_factory=dict)
     arrows_added: list[tuple[int, int]] = field(default_factory=list)
     arrows_removed: list[tuple[int, int]] = field(default_factory=list)
 
-    def to_json(self) -> dict:
+    def to_json(self, green: Optional[bool] = None) -> dict:
+        """The record as JSON, with ``green`` the label of :func:`green_report`."""
         return {
             "step": self.step,
             "vertex": self.vertex,
@@ -109,7 +106,7 @@ class MutationRecord:
             "before": list(self.before),
             "after": list(self.after),
             "evicted": self.evicted,
-            "green": self.green,
+            "green": green,
             "configs": {str(color): label for color, label in self.configs.items()},
             "arrows_added": [list(a) for a in self.arrows_added],
             "arrows_removed": [list(a) for a in self.arrows_removed],
@@ -122,13 +119,12 @@ class AlgState:
     embedding: SubwordEmbedding
     combo: ComboNumbers
     reference: Word  # completion of the rightmost subword
-    module_word: Word  # completion of the input word
     deltas: dict[int, DeltaVector]
-    framed: Quiver  # the quiver with one frozen frame -k per vertex k
+    quiver: Quiver  # the run's one quiver, mutated in place
+    checker: type  # BatchChecker or NoChecks, made once per batch
     step: int = 0
     trace: list[MutationRecord] = field(default_factory=list)
     batches: list[list[int]] = field(default_factory=list)
-    check: bool = True
     stats: dict = field(default_factory=dict)
     cut: Optional["CutSeedView"] = None  # the last checked view, with its reports
 
@@ -140,11 +136,6 @@ class AlgState:
     def lw(self) -> int:
         return len(self.word)
 
-    @property
-    def quiver(self) -> Quiver:
-        """The quiver without its frames (a copy; the run loop never needs it)."""
-        return self.framed.restricted(self.deltas.keys())
-
     def delta_tilde(self, k: int) -> tuple[int, ...]:
         return self.deltas[k].truncated(self.lv)
 
@@ -153,7 +144,7 @@ class AlgState:
         return replace(
             self,
             deltas=dict(self.deltas),
-            framed=self.framed.copy(),
+            quiver=self.quiver.copy(),
             trace=list(self.trace),
             batches=[list(b) for b in self.batches],
             stats=dict(self.stats),
@@ -225,12 +216,12 @@ def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, DeltaVector, Del
 
 
 def _exchange(state: AlgState, k: int, sign: int) -> DeltaVector:
-    """Minus the vector at k plus m times the vector at s per mutable end s
+    """Minus the vector at k plus m times the vector at s per other end s
     of the m arrows on one side of k: out of k for sign 1, into k for -1."""
     acc = [-a for a in state.deltas[k].coords]
-    for s, e in state.framed.b[k].items():
+    for s, e in state.quiver.b[k].items():
         m = sign * e
-        if m > 0 and s > 0:
+        if m > 0:
             b = state.deltas[s].coords
             acc = list(map(add, acc, b)) if m == 1 else [a + m * x for a, x in zip(acc, b)]
     return DeltaVector(state.reference, tuple(acc))
@@ -249,23 +240,6 @@ def index_set_A(state: AlgState, m: int) -> list[int]:
     ]
 
 
-def framed_quiver(q: Quiver) -> Quiver:
-    """One frozen frame -k per vertex k, with an arrow -k -> k; the frame
-    arrows of a mutable vertex are its c-vector (Fomin-Zelevinsky, IV)."""
-    verts = list(q.vertices.values())
-    frames = [Vertex(-v.id, v.color, v.column, frozen=True) for v in verts]
-    fq = Quiver(verts + frames)
-    for v in verts:
-        fq.b[v.id] = dict(q.b[v.id])
-        fq._add(-v.id, v.id, 1)
-    return fq
-
-
-def is_green(framed: Quiver, k: int) -> bool:
-    """No arrow from k into any frame vertex."""
-    return all(t > 0 for t, x in framed.b[k].items() if x > 0)
-
-
 def step_hat(state: AlgState) -> AlgState:
     """Apply one batch of the vector-driven schedule to the state, in
     place, advance the step and return the state."""
@@ -274,60 +248,15 @@ def step_hat(state: AlgState) -> AlgState:
     m = state.step + 1
     batch = index_set_A(state, m)
     state.batches.append(batch)
-
-    pm = state.embedding.positions[m - 1]
-    word = state.word
-    line_color = word.color(pm)
-    if state.check:
-        # the cut before this batch is the last check's view; a mutation moves only its vertex
-        before_cut = state.cut
-        members = set(before_cut.members)
-        member_colors = {word.color(v) for v in members}
-        other_colors = [oc for oc in word.cartan.neighbors(line_color) if oc in member_colors]
-    evicted_during = False
-    prev_labels: dict[int, ConfigLabel] = {}
-    prev_evicted = False
-
+    checker = state.checker(state)
     for k in batch:
-        if state.check and word.color(k) != line_color:
-            raise InvariantViolation(
-                f"batch {m} touches vertex {k} of color {word.color(k)}, "
-                f"expected color {line_color}"
-            )
-        labels: dict[int, ConfigLabel] = {}
-        if state.check:
-            labels = {oc: classify_config(state.framed, k, oc, members) for oc in other_colors}
-            for oc, label in labels.items():
-                if oc in prev_labels:
-                    allowed = CONFIG_TRANSITIONS.get((prev_labels[oc], prev_evicted))
-                    if allowed is not None and label not in allowed:
-                        raise InvariantViolation(
-                            f"configuration {prev_labels[oc].value} may not be followed "
-                            f"by {label.value} (vertex {k}, color {oc}, "
-                            f"eviction={prev_evicted})"
-                        )
-                elif not label.is_initial:
-                    raise InvariantViolation(
-                        f"first mutated vertex {k} is not in an initial configuration "
-                        f"for color {oc} (got {label.value})"
-                    )
-            prev_labels = labels
-
+        configs = checker.before(k)
         chosen, cand_in, cand_out, branch = mutate_delta(state, k)
-        if state.check:
-            _check_branch_formula(state, k, chosen)
         old = state.deltas[k]
-        green = is_green(state.framed, k)
-        added, removed = state.framed.mutate_in_place(k)
+        added, removed = state.quiver.mutate_in_place(k)
         state.deltas[k] = chosen
         evicted = not any(chosen.truncated(state.lv))
-        evicted_during = evicted_during or evicted
-        prev_evicted = evicted
-        if state.check and k not in before_cut.deleted:
-            if evicted:
-                members.discard(k)
-            else:
-                members.add(k)
+        checker.after(k, old, chosen, evicted)
         state.trace.append(
             MutationRecord(
                 step=m,
@@ -338,23 +267,106 @@ def step_hat(state: AlgState) -> AlgState:
                 before=old.coords,
                 after=chosen.coords,
                 evicted=evicted,
-                green=green,
-                configs={oc: label.value for oc, label in labels.items()},
-                arrows_added=[a for a in added if a[0] > 0 and a[1] > 0],
-                arrows_removed=[a for a in removed if a[0] > 0 and a[1] > 0],
+                configs=configs,
+                arrows_added=added,
+                arrows_removed=removed,
             )
         )
-
     state.step = m
-    if state.check:
-        check_induction(state)
-        if batch and not evicted_during:
-            _check_teeth_shift(before_cut, state.cut, state, line_color, batch)
-            state.stats["teeth_shift_checks"] = state.stats.get("teeth_shift_checks", 0) + 1
+    checker.finish(batch)
     return state
 
 
-def _check_branch_formula(state: AlgState, k: int, chosen: DeltaVector) -> None:
+class BatchChecker:
+    """The structural checks of one batch: ``before(k)`` and ``after``
+    see the mutation at k, ``finish`` the cut seed the batch leaves.  It
+    holds the cut before the batch, its members as the batch moves them,
+    the adjacent colors with a member and the previous mutation's labels."""
+
+    def __init__(self, state: AlgState):
+        word, self.state = state.word, state
+        self.line_color = line = word.color(state.embedding.positions[state.step])
+        # the cut before this batch is the last check's view; a mutation moves only its vertex
+        self.cut = state.cut
+        self.members = set(self.cut.members)
+        colors = {word.color(v) for v in self.members}
+        self.other_colors = [oc for oc in word.cartan.neighbors(line) if oc in colors]
+        self.labels: dict[int, ConfigLabel] = {}
+        # whether the last mutated vertex, and whether any, left the cut
+        self.evicted = self.evicted_during = False
+
+    @staticmethod
+    def initial(state: AlgState) -> None:
+        """The checks of the initial seed."""
+        for k in range(1, state.lw + 1):
+            expected = delta_tilde_from_combo(state.combo, k)
+            if state.delta_tilde(k) != expected:
+                raise InvariantViolation(
+                    f"initial truncation of summand {k} disagrees with the "
+                    f"combinatorial form: {state.delta_tilde(k)} != {expected}"
+                )
+        check_induction(state)
+
+    def before(self, k: int) -> dict[int, str]:
+        """Check k's color and configurations; return its labels."""
+        color, prev = self.state.word.color(k), self.labels
+        if color != self.line_color:
+            raise InvariantViolation(
+                f"batch {self.state.step + 1} touches vertex {k} of color {color}, "
+                f"expected color {self.line_color}"
+            )
+        q = self.state.quiver
+        self.labels = {oc: classify_config(q, k, oc, self.members) for oc in self.other_colors}
+        for oc, label in self.labels.items():
+            if oc in prev:
+                allowed = CONFIG_TRANSITIONS.get((prev[oc], self.evicted))
+                if allowed is not None and label not in allowed:
+                    raise InvariantViolation(
+                        f"configuration {prev[oc].value} may not be followed by {label.value} "
+                        f"(vertex {k}, color {oc}, eviction={self.evicted})"
+                    )
+            elif not label.is_initial:
+                raise InvariantViolation(
+                    f"first mutated vertex {k} is not in an initial configuration "
+                    f"for color {oc} (got {label.value})"
+                )
+        return {oc: label.value for oc, label in self.labels.items()}
+
+    def after(self, k: int, old: DeltaVector, chosen: DeltaVector, evicted: bool) -> None:
+        _check_branch_formula(self.state, k, old, chosen)
+        self.evicted, self.evicted_during = evicted, self.evicted_during or evicted
+        if k not in self.cut.deleted:
+            (self.members.discard if evicted else self.members.add)(k)
+
+    def finish(self, batch: list[int]) -> None:
+        state = self.state
+        check_induction(state)
+        if batch and not self.evicted_during:
+            _check_teeth_shift(self.cut, state, self.line_color, batch)
+            state.stats["teeth_shift_checks"] = state.stats.get("teeth_shift_checks", 0) + 1
+
+
+class NoChecks:
+    """The checker of an unchecked run: its calls do nothing."""
+
+    def __init__(self, state: AlgState):
+        pass
+
+    @staticmethod
+    def initial(state: AlgState) -> None:
+        pass
+
+    def before(self, k: int) -> dict[int, str]:
+        return {}
+
+    def after(self, k: int, old: DeltaVector, chosen: DeltaVector, evicted: bool) -> None:
+        pass
+
+    def finish(self, batch: list[int]) -> None:
+        pass
+
+
+def _check_branch_formula(state: AlgState, k: int, old: DeltaVector, chosen: DeltaVector) -> None:
     """Inside the cut view, the chosen vector's truncation must equal
     (successor) + (predecessor, zero when absent) - (old)."""
     lv = state.lv
@@ -362,7 +374,7 @@ def _check_branch_formula(state: AlgState, k: int, chosen: DeltaVector) -> None:
     km = state.word.pred(k)
     succ_part = state.deltas[kp].truncated(lv) if kp <= state.lw else (0,) * lv
     pred_part = state.deltas[km].truncated(lv) if km >= 1 else (0,) * lv
-    old_part = state.deltas[k].truncated(lv)
+    old_part = old.truncated(lv)
     expected = tuple(map(sub, map(add, succ_part, pred_part), old_part))
     if chosen.truncated(lv) != expected:
         raise InvariantViolation(
@@ -372,32 +384,23 @@ def _check_branch_formula(state: AlgState, k: int, chosen: DeltaVector) -> None:
 
 
 def _check_teeth_shift(
-    before: CutSeedView,
-    after: CutSeedView,
-    state: AlgState,
-    line_color: int,
-    batch: list[int],
+    before: CutSeedView, state: AlgState, line_color: int, batch: list[int]
 ) -> None:
     """After an eviction-free pass over a pure line, each tooth must move
-    one notch toward the start, with the two boundary exceptions."""
-    word = state.word
+    one notch from the cut ``before`` toward the start, in the cut
+    ``state.cut``, with the two boundary exceptions."""
+    word, after = state.word, state.cut
     members_before = [k for k in sorted(before.members) if word.color(k) == line_color]
     if not members_before or not batch:
         return
-    pos = {k: i for i, k in enumerate(members_before)}
-
-    def prev(k: int) -> Optional[int]:
-        i = pos.get(k)
-        if i is None or i == 0:
-            return None
-        return members_before[i - 1]
-
+    # the member before k on the line; None for the first one or a non-member
+    prev = dict(zip(members_before[1:], members_before)).get
     newlast = batch[-1]
     first = members_before[0]
     for oc in word.cartan.neighbors(line_color):
         rep_before = before.reports[(line_color, oc)]
         rep_after = after.reports.get((line_color, oc)) or classify_sawteeth(
-            state.framed.bicolor(line_color, oc, after.members)
+            state.quiver.bicolor(line_color, oc, after.members)
         )
         if not rep_before.valid or not rep_before.pure:
             raise InvariantViolation(
@@ -439,20 +442,20 @@ def check_induction(state: AlgState) -> None:
     included, which the next batch's tooth shift reads as its "before".
 
     Only what changed since the last view is examined again: the matrix
-    entries in the framed quiver's journal, the vertices whose status
+    entries in the quiver's journal, the vertices whose status
     (member, evicted, deleted) changed, and the members whose vector was
     replaced or whose color is that of p_m.  The first check, or one without a
     view of the previous step or without a journal, examines everything.
     """
     view = cut_view(state)
-    word, framed = state.word, state.framed
+    word, q = state.word, state.quiver
     m = state.step
     lv = state.lv
     members = view.members
-    prev, journal = state.cut, framed.journal
+    prev, journal = state.cut, q.journal
     if prev is None or prev.step != m - 1 or journal is None:
         prev = CutSeedView(set(), set(), set())
-        journal = [(s, t) for s, row in framed.b.items() for t in row]
+        journal = [(s, t) for s, row in q.b.items() for t in row if s < t]
     changed = (members ^ prev.members) | (view.evicted ^ prev.evicted)
     entered = members - prev.members
     line_color = word.color(state.embedding.positions[m - 1]) if m else 0
@@ -476,7 +479,8 @@ def check_induction(state: AlgState) -> None:
                 f"member {k} has truncated support {got}, expected {want} at step {m}"
             )
 
-    # entries between two members that were written since the last view
+    # entries (s < t) between two members that were written since the last
+    # view; a line arrow k -> k+ has k < k+
     moved = [(s, t) for s, t in journal if s in members and t in members]
     line_ends = {word.pred(x) for x in entered} | entered
     line_ends.update(s for s, t in moved if word.succ(s) == t)
@@ -484,15 +488,15 @@ def check_induction(state: AlgState) -> None:
         kp = word.succ(k)
         if k not in members or kp not in members:
             continue
-        n = framed.mult(k, kp)
+        n = q.mult(k, kp)
         if not n:
             raise InvariantViolation(f"missing line arrow {k}->{kp} at step {m}")
         if n != 1:
             raise InvariantViolation(f"line arrow {k}->{kp} has multiplicity {n} at step {m}")
 
-    scan = {(s, t) for s, t in moved if framed.has_arrow(s, t)}
+    scan = {(s, t) if e > 0 else (t, s) for s, t in moved if (e := q.b[s].get(t))}
     for x in entered:
-        scan.update((x, t) if e > 0 else (t, x) for t, e in framed.b[x].items() if t in members)
+        scan.update((x, t) if e > 0 else (t, x) for t, e in q.b[x].items() if t in members)
     for s, t in sorted(scan):
         cs, ct = word.color(s), word.color(t)
         if cs == ct:
@@ -518,7 +522,6 @@ def check_induction(state: AlgState) -> None:
     # a (c1, c2) report reads the members of both colors, the c1-c1 arrows
     # and the arrows joining c1 and c2; a report none of these moved is reused
     dirty = {word.color(k) for k in changed}
-    # the journal holds both orientations of an entry, so these color pairs do too
     touched = {(word.color(s), word.color(t)) for s, t in moved}
     by_color: dict[int, list[int]] = {}
     for k in members:
@@ -527,9 +530,9 @@ def check_induction(state: AlgState) -> None:
     def report(c1: int, c2: int) -> SawTeethReport:
         if (c1, c2) not in view.reports:
             old = prev.reports.get((c1, c2))
-            if old is None or {c1, c2} & dirty or {(c1, c1), (c1, c2)} & touched:
+            if old is None or {c1, c2} & dirty or {(c1, c1), (c1, c2), (c2, c1)} & touched:
                 within = by_color.get(c1, []) + by_color.get(c2, [])
-                old = classify_sawteeth(framed.bicolor(c1, c2, within))
+                old = classify_sawteeth(q.bicolor(c1, c2, within))
             view.reports[(c1, c2)] = old
         return view.reports[(c1, c2)]
 
@@ -558,7 +561,7 @@ def check_induction(state: AlgState) -> None:
     reused = sum(prev.reports.get(pair) is rep for pair, rep in view.reports.items())
     for key, n in (("reports_classified", len(view.reports) - reused), ("reports_reused", reused)):
         state.stats[key] = state.stats.get(key, 0) + n
-    framed.journal = set()
+    q.journal = set()
     state.cut = view
 
 
@@ -606,26 +609,15 @@ def initial_state(
         embedding=emb,
         combo=combo,
         reference=reference,
-        module_word=module_word,
         deltas=deltas,
-        framed=framed_quiver(build_gamma(word)),
-        check=check,
+        quiver=build_gamma(word),
+        checker=BatchChecker if check else NoChecks,
     )
-    if check:
-        for k in range(1, len(word) + 1):
-            expected = delta_tilde_from_combo(combo, k)
-            if state.delta_tilde(k) != expected:
-                raise InvariantViolation(
-                    f"initial truncation of summand {k} disagrees with the "
-                    f"combinatorial form: {state.delta_tilde(k)} != {expected}"
-                )
-        check_induction(state)
+    state.checker.initial(state)
     return state
 
 
 def _validate_completion(reference: Word, vbar: Word) -> None:
-    from .rootsys import number_of_positive_roots
-
     r = number_of_positive_roots(vbar.cartan)
     if len(reference) != r:
         raise ValueError("completion must be a reduced word of w0")
@@ -658,7 +650,7 @@ def run(
                 f"surviving summand {k} keeps nonzero leading coordinates"
             )
 
-    trimmed = state.framed.restricted(set(survivors))
+    trimmed = state.quiver.restricted(set(survivors))
     frozen = frozen_vertices_from(state, deleted, trimmed)
     final_quiver = trimmed.with_frozen(frozen)
 
@@ -681,13 +673,13 @@ def frozen_vertices_from(state: AlgState, deleted: set[int], trimmed: Quiver) ->
     """Non-mutable survivors.
 
     Three sources: neighbors of a deleted vertex (in the pre-deletion
-    quiver, whose frames are never deleted), survivors isolated after deletion, and the surviving line
+    quiver), survivors isolated after deletion, and the surviving line
     tails (the original coefficients of untouched colors).
     """
     word = state.word
     frozen = set()
     for k in trimmed.vertices:
-        if any(n in deleted for n in state.framed.neighbors(k)):
+        if any(n in deleted for n in state.quiver.neighbors(k)):
             frozen.add(k)
         elif not trimmed.neighbors(k):
             frozen.add(k)
@@ -705,27 +697,37 @@ def verify_equivalence(word: Word, emb: SubwordEmbedding) -> tuple[bool, list[di
     tilde = schedule_tilde(word, emb)
     state = initial_state(word.cartan, word, emb.element(), check=False)
     report = []
-    ok = True
     for m in range(1, len(emb) + 1):
         state = step_hat(state)
         hat = state.batches[m - 1]
-        agree = hat == tilde[m - 1]
-        ok = ok and agree
-        if not agree:
+        if hat != tilde[m - 1]:
             report.append({"m": m, "tilde": tilde[m - 1], "hat": hat})
-    return ok, report
+    return not report, report
+
+
+def framed_quiver(q: Quiver) -> Quiver:
+    """One frozen frame -k per vertex k, with an arrow -k -> k; the frame
+    arrows of a mutable vertex are its c-vector (Fomin-Zelevinsky, IV)."""
+    verts = list(q.vertices.values())
+    frames = [Vertex(-v.id, v.color, v.column, frozen=True) for v in verts]
+    fq = Quiver(verts + frames)
+    for v in verts:
+        fq.b[v.id] = dict(q.b[v.id])
+        fq._add(-v.id, v.id, 1)
+    return fq
 
 
 def green_report(word: Word, mutations: list[int]) -> list[dict]:
     """Replay a mutation sequence on the framed initial quiver.
 
-    Returns one record per mutation with its green/red label; a red
-    mutation is data for the caller, not an error.
+    Returns one record per mutation with its green/red label: green when
+    no arrow leads from the vertex into a frame.  A red mutation is data
+    for the caller, not an error.
     """
     fq = framed_quiver(build_gamma(word))
     out = []
     for n, k in enumerate(mutations, start=1):
-        green = is_green(fq, k)
+        green = all(t > 0 for t, x in fq.b[k].items() if x > 0)
         out.append({"n": n, "vertex": k, "green": green})
         fq.mutate_in_place(k)
     return out

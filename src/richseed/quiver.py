@@ -37,9 +37,9 @@ class Quiver:
     (source, target) -> multiplicity of the positive entries.
     ``line_color``/``summit_color`` are set on bicolor subquivers so the
     saw-teeth classifier knows which color plays which role.
-    ``journal``, when it is a set, collects both orientations of every
-    matrix entry written; checked runs turn it on and drain it after
-    each batch.
+    ``journal``, when it is a set, collects every matrix entry written,
+    once, as (smaller id, larger id); checked runs turn it on and drain
+    it after each batch.
     """
 
     __slots__ = ("vertices", "b", "line_color", "summit_color", "journal")
@@ -77,7 +77,7 @@ class Quiver:
     def _set(self, s: int, t: int, x: int) -> None:
         """Set b[s][t] = x and b[t][s] = -x; x = 0 removes both entries."""
         if self.journal is not None:
-            self.journal.update(((s, t), (t, s)))
+            self.journal.add((s, t) if s < t else (t, s))
         if x:
             self.b[s][t] = x
             self.b[t][s] = -x

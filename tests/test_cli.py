@@ -201,7 +201,8 @@ def test_type_above_size_limit_is_rejected_at_once():
 
 
 # sha256 of `richseed compute --trace` output, recorded before the run
-# loop moved to one framed quiver mutated in place; the trace carries
+# loop moved to one quiver mutated in place and before the green labels
+# moved from the run to the replay of green_report; the trace carries
 # arrows_added, arrows_removed and green, which no other test pins
 TRACE_DIGESTS = [
     (["--type", "A5", "--w", "1,3,2,4,3,2,4,5,4,3,2,1,2", "--v", "2,4,5,3,1,2",

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from richseed.mutalg import (
     green_report,
     index_set_A,
     initial_state,
-    is_green,
     mutate_delta,
     run,
     schedule_tilde,
@@ -248,11 +248,10 @@ def test_verify_equivalence_identity():
 
 
 def test_green_report_trivial_and_a5(a5_seed):
-    fq = framed_quiver(build_gamma(WORD))
-    assert all(is_green(fq, k) for k in range(1, 14))
+    # every vertex of the framed initial quiver is green
+    assert all(green_report(WORD, [k])[0]["green"] for k in range(1, 14))
     labels = green_report(WORD, [r.vertex for r in a5_seed.trace])
-    assert all(l["green"] for l in labels)
-    assert [r.green for r in a5_seed.trace] == [True] * len(a5_seed.trace)
+    assert [l["green"] for l in labels] == [True] * len(a5_seed.trace)
 
 
 def test_corrupted_state_raises_invariant_violation():
@@ -269,11 +268,11 @@ def test_step_hat_changes_its_state_and_clone_keeps_a_copy():
     state = initial_state(A5, WORD, V, completion=VDOT)
     state = step_hat(state)
     kept = state.clone()
-    framed, deltas, trace = kept.framed.copy(), dict(kept.deltas), list(kept.trace)
+    quiver, deltas, trace = kept.quiver.copy(), dict(kept.deltas), list(kept.trace)
     assert step_hat(state) is state and state.step == 2
-    assert (kept.step, kept.framed, kept.deltas, kept.trace) == (1, framed, deltas, trace)
+    assert (kept.step, kept.quiver, kept.deltas, kept.trace) == (1, quiver, deltas, trace)
     # the copy runs on by itself to the same seed
-    assert step_hat(kept).framed == state.framed and kept.trace == state.trace
+    assert step_hat(kept).quiver == state.quiver and kept.trace == state.trace
 
 
 def test_mid_run_member_coordinates_vanish(a5_seed):
@@ -380,7 +379,7 @@ def test_run_on_long_d6_word():
     v = element_of_word(c, list(reversed([4, 1, 2, 3, 2, 4, 3, 6, 4, 5, 4, 3])))
     seed = run(c, w, v, check=True)
     assert seed.size == 22 - 12
-    assert all(rec.green for rec in seed.trace)
+    assert all(l["green"] for l in green_report(w, [rec.vertex for rec in seed.trace]))
 
 
 def test_run_e6_smoke():
@@ -431,7 +430,7 @@ def test_checked_runs_full_length_e7_e8(spec):
     for c, w, v in _full_length_pairs(spec, 3, 7):
         seed = run(c, w, v, check=True)
         assert seed.size == len(w) - v.length
-        assert all(rec.green for rec in seed.trace)
+        assert all(l["green"] for l in green_report(w, [rec.vertex for rec in seed.trace]))
 
 
 @pytest.mark.parametrize("spec", ["E7", "E8"])
@@ -464,9 +463,9 @@ def test_reverse_replay_recovers_the_initial_seed(spec):
     for c, w, v in _w0_pairs(spec, 17):
         state = initial_state(c, w, v, check=True)
         initial = {k: d.coords for k, d in state.deltas.items()}
-        # an unframed quiver mutated on its own, batch by batch, against
-        # state.quiver, the framed quiver restricted to ids > 0
-        plain = build_gamma(w)
+        # a copy of the initial quiver mutated on its own, batch by batch,
+        # against the run's quiver; and a framed one, which the undo reads
+        plain, fq = build_gamma(w), framed_quiver(build_gamma(w))
         for _ in range(state.lv):
             done = len(state.trace)
             state = step_hat(state)
@@ -475,11 +474,13 @@ def test_reverse_replay_recovers_the_initial_seed(spec):
                 assert rec.arrows_added == sorted(set(new.arrows) - set(plain.arrows))
                 assert rec.arrows_removed == sorted(set(plain.arrows) - set(new.arrows))
                 plain = new
+                fq.mutate_in_place(rec.vertex)
             assert state.quiver == plain
+        assert fq.restricted(state.deltas.keys()) == state.quiver
 
-        # mutation is an involution: undo the trace from its end; the
+        # mutation is an involution: undo the trace from its end, on the
+        # framed quiver, whose frames must come back to the identity; the
         # undone exchange takes the arrows on the side the run chose
-        fq = state.framed
         coords = {k: d.coords for k, d in state.deltas.items()}
         for rec in reversed(state.trace):
             k = rec.vertex
@@ -523,9 +524,9 @@ def _extended_exchange_matrix(seed):
     return [[q.mult(i, j) - q.mult(j, i) for j in cols] for i in ids]
 
 
-def _sampled_runs(specs, draws, seed):
-    """Checked-off runs on w of length 2..12 and v spelled by a random
-    subset of w's letters, as `richseed verify` samples them."""
+def _sampled_pairs(specs, draws, seed):
+    """w of length 2..12 and v spelled by a random subset of w's letters,
+    as `richseed verify` samples them."""
     rng = random.Random(seed)
     for spec in specs:
         c = parse_type(spec)
@@ -533,7 +534,7 @@ def _sampled_runs(specs, draws, seed):
             n = rng.randint(2, min(12, number_of_positive_roots(c)))
             w = Word(c, random_reduced_word(c, n, rng))
             pos = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
-            yield run(c, w, element_of_word(c, [w.color(p) for p in pos]), check=False)
+            yield c, w, element_of_word(c, [w.color(p) for p in pos])
 
 
 def test_final_exchange_matrix_has_full_column_rank(a5_seed):
@@ -545,7 +546,7 @@ def test_final_exchange_matrix_has_full_column_rank(a5_seed):
     for spec in ("A4", "D5", "E6"):
         seeds += [run(c, w, v, check=False) for c, w, v in _w0_pairs(spec, 17)]
     sampled = ("A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8")
-    seeds += list(_sampled_runs(sampled, 40, 2024))
+    seeds += [run(c, w, v, check=False) for c, w, v in _sampled_pairs(sampled, 40, 2024)]
     checked = planted = 0
     for seed in seeds:
         b = _extended_exchange_matrix(seed)
@@ -561,16 +562,35 @@ def test_final_exchange_matrix_has_full_column_rank(a5_seed):
     assert checked >= 100 and planted
 
 
+def test_checks_only_observe_the_run():
+    # a checked and an unchecked run reach the same seed by the same
+    # mutations; only the checked records carry configuration labels
+    cases = [(A5, WORD, V, VDOT)]
+    for spec in ("A4", "D5", "E6"):
+        cases += [(c, w, v, None) for c, w, v in _w0_pairs(spec, 17)]
+    sampled = ("A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8")
+    cases += [(c, w, v, None) for c, w, v in _sampled_pairs(sampled, 8, 31)]
+    labelled = 0
+    for c, w, v, vdot in cases:
+        checked, plain = (run(c, w, v, completion=vdot, check=ch) for ch in (True, False))
+        for name in ("summands", "quiver", "frozen", "deleted", "schedule"):
+            assert getattr(checked, name) == getattr(plain, name), name
+        assert [replace(rec, configs={}) for rec in checked.trace] == plain.trace
+        assert not any(rec.configs for rec in plain.trace)
+        labelled += sum(bool(rec.configs) for rec in checked.trace)
+    assert labelled
+
+
 @pytest.mark.parametrize("spec", ["A4", "D5", "E6"])
 def test_checks_agree_with_restricted_copies(spec):
-    # the checks read the framed quiver through the cut's members; build
+    # the checks read the quiver through the cut's members; build
     # the cut quiver as a copy, as the checks once did, and compare
     for c, w, v in _w0_pairs(spec, 17):
         state = initial_state(c, w, v, check=True)
         for m in range(state.lv + 1):
             view = state.cut
             assert view.members == cut_view(state).members
-            cut = state.framed.restricted(view.members)
+            cut = state.quiver.restricted(view.members)
             cols = cut.colors()
             pairs = {(a, b) for a in cols for b in cols if a != b and c.adjacent(a, b)}
             assert pairs <= view.reports.keys()
@@ -581,7 +601,7 @@ def test_checks_agree_with_restricted_copies(spec):
 
             # replay the batch on a copy: every recorded label is the one
             # of the cut quiver just before its mutation
-            members, fq, done = set(view.members), state.framed.copy(), len(state.trace)
+            members, fq, done = set(view.members), state.quiver.copy(), len(state.trace)
             state = step_hat(state)
             for rec in state.trace[done:]:
                 k = rec.vertex
@@ -599,34 +619,46 @@ def _quiet_members(state):
     so an arrow between two of them reaches the end-of-batch checks as
     it is."""
     ahead = step_hat(state.clone())
-    fq, touched = state.framed.copy(), set()
+    fq, touched = state.quiver.copy(), set()
     for k in ahead.batches[-1]:
         touched |= fq.neighbors(k) | {k}
         fq.mutate_in_place(k)
     return sorted(cut_view(ahead).members - touched)
 
 
-def _stray_arrow(state, quiet):
+def _stray_pair(state, quiet):
     word = state.word
     for s in quiet:
         for t in quiet:
             cs, ct = word.color(s), word.color(t)
             if cs != ct and not word.cartan.adjacent(cs, ct):
-                return lambda fq: fq._add(s, t, 1)
+                return s, t
     return None
+
+
+def _stray_arrow(state, quiet):
+    pair = _stray_pair(state, quiet)
+    return pair and (lambda fq: fq._add(pair[0], pair[1], 1))
+
+
+def _reversed_stray_arrow(state, quiet):
+    # the journal keeps an entry once, as (smaller id, larger id): one of
+    # the two stray arrows is journalled as a negative entry
+    pair = _stray_pair(state, quiet)
+    return pair and (lambda fq: fq._add(pair[1], pair[0], 1))
 
 
 def _deleted_line_arrow(state, quiet):
     for k in quiet:
         kp = state.word.succ(k)
-        if kp in quiet and state.framed.has_arrow(k, kp):
+        if kp in quiet and state.quiver.has_arrow(k, kp):
             return lambda fq: fq._set(k, kp, 0)
     return None
 
 
 def _double_cross_arrow(state, quiet):
     word = state.word
-    for (s, t), mult in sorted(state.framed.arrows.items()):
+    for (s, t), mult in sorted(state.quiver.arrows.items()):
         if s in quiet and t in quiet and word.color(s) != word.color(t) and mult == 1:
             return lambda fq: fq._set(s, t, 2)
     return None
@@ -635,7 +667,9 @@ def _double_cross_arrow(state, quiet):
 def test_faults_injected_between_batches_are_caught():
     c, w, v = list(_w0_pairs("D5", 17))[1]
     state = initial_state(c, w, v, check=True)
-    caught = {_stray_arrow: 0, _deleted_line_arrow: 0, _double_cross_arrow: 0}
+    caught = dict.fromkeys(
+        (_stray_arrow, _reversed_stray_arrow, _deleted_line_arrow, _double_cross_arrow), 0
+    )
     for _ in range(state.lv):
         quiet = _quiet_members(state)
         for fault in caught:
@@ -643,7 +677,7 @@ def test_faults_injected_between_batches_are_caught():
             if inject is None:
                 continue
             broken = state.clone()
-            inject(broken.framed)
+            inject(broken.quiver)
             with pytest.raises(InvariantViolation):
                 step_hat(broken)
             caught[fault] += 1
@@ -684,16 +718,16 @@ def test_a_fault_is_journalled_across_a_clone():
     c, w, v = list(_w0_pairs("D5", 17))[1]
     state = step_hat(initial_state(c, w, v, check=True))
     inject = _double_cross_arrow(state, _quiet_members(state))
-    assert state.framed.journal == set()  # drained by the last check
+    assert state.quiver.journal == set()  # drained by the last check
     # into the clone's quiver, and into the original before it is cloned
     broken = state.clone()
-    inject(broken.framed)
-    assert broken.framed.journal and not state.framed.journal
+    inject(broken.quiver)
+    assert broken.quiver.journal and not state.quiver.journal
     with pytest.raises(InvariantViolation, match="bicolor"):
         step_hat(broken)
-    inject(state.framed)
+    inject(state.quiver)
     broken = state.clone()
-    assert broken.framed.journal == state.framed.journal
+    assert broken.quiver.journal == state.quiver.journal
     with pytest.raises(InvariantViolation, match="bicolor"):
         step_hat(broken)
 
@@ -709,9 +743,9 @@ def test_a_doubled_line_arrow_is_caught_between_batches():
         quiet = _quiet_members(state)
         for k in quiet:
             kp = w.succ(k)
-            if kp in quiet and state.framed.mult(k, kp) == 1:
+            if kp in quiet and state.quiver.mult(k, kp) == 1:
                 broken = state.clone()
-                broken.framed._set(k, kp, 2)
+                broken.quiver._set(k, kp, 2)
                 with pytest.raises(InvariantViolation, match="multiplicity 2"):
                     step_hat(broken)
                 caught += 1
@@ -775,11 +809,11 @@ def test_incremental_and_full_checks_agree_on_random_faults(data):
         for journal in (True, False):
             broken = state.clone()
             if not journal:
-                broken.framed.journal = None
+                broken.quiver.journal = None
             if fault == "set":
-                broken.framed._set(s, t, mult)
+                broken.quiver._set(s, t, mult)
             elif fault == "mutate":
-                broken.framed.mutate_in_place(s)
+                broken.quiver.mutate_in_place(s)
             else:
                 coords = list(broken.deltas[s].coords)
                 coords[t % state.lv] += 1  # among the leading coordinates
