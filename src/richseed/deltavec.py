@@ -21,7 +21,6 @@ from .rootsys import (
     longest_element,
     number_of_positive_roots,
     root_pairing,
-    root_to_weight,
 )
 from .words import ComboNumbers, SubwordEmbedding, Word, leftmost_subword_of_rho
 
@@ -100,13 +99,17 @@ def left_part_rhos(module_word: Word) -> Iterator[Vec]:
     word (a reduced word of w0) beyond index k.  Since u_k = u_{k-1} s_{i_k},
     u_k(rho) = u_{k-1}(rho) - u_{k-1}(alpha_{i_k}), and u_{k-1}(alpha_{i_k})
     is w0(beta_k) for the module word's root sequence; u_0 = w0 sends rho
-    to -rho.
+    to -rho.  With w0(alpha_i) = -alpha_sigma(i), also w0(varpi_i) =
+    -varpi_sigma(i): coordinate j of w0(beta_k) is minus coordinate
+    sigma(j) of beta_k, both in weight coordinates.
     """
     c = module_word.cartan
     w0 = longest_element(c)
+    sigma = [w0.image_of_simple(i).index(-1) for i in range(1, c.rank + 1)]
     y = (-1,) * c.rank
-    for beta in module_word.betas:
-        y = tuple(a - b for a, b in zip(y, root_to_weight(c, w0.apply(beta))))
+    for k in range(1, len(module_word) + 1):
+        beta = module_word.beta_weight(k)
+        y = tuple(a + beta[j] for a, j in zip(y, sigma))
         yield y
 
 

@@ -12,16 +12,18 @@ structural checks that the method guarantees (cut-seed properties,
 branch consistency, tooth shifts, configuration transitions) observe it
 through a :class:`BatchChecker`; violations raise
 :class:`InvariantViolation` since they falsify the run, not the input.
-They read the quiver through the cut's member set and re-examine only
-what a batch changed: the matrix entries in the quiver's journal (kept
-only in checked runs), the vertices that entered or left the cut, and
-the members of the batch's color or with a replaced vector; a saw-teeth
-report none of these touched is reused.  Green labels: :func:`green_report`.
+They re-examine only what a batch changed: the matrix entries in the
+quiver's journal (kept only in checked runs), the vertices whose vector
+it replaced, which are the only ones that can enter or leave the cut, and
+the members of the batch's color.  Each color's members are kept as one
+ascending line; a saw-teeth report reads the quiver's rows over two such
+lines, and one that nothing it reads moved is reused.  Green labels:
+:func:`green_report`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
 from operator import add, sub
 from typing import Optional
@@ -157,8 +159,10 @@ class CutSeedView:
     evicted: set[int]
     deleted: set[int]
     step: int = 0
-    # filled by check_induction: the reports per ordered pair, and the
-    # vector of every member whose support it verified
+    # filled by check_induction: the members of each color in ascending
+    # order (colors with members only), the reports per ordered pair, and
+    # every vertex's vector as the check saw it
+    lines: dict[int, list[int]] = field(default_factory=dict)
     reports: dict[tuple[int, int], SawTeethReport] = field(default_factory=dict)
     verified: dict[int, DeltaVector] = field(default_factory=dict)
 
@@ -280,17 +284,17 @@ def step_hat(state: AlgState) -> AlgState:
 class BatchChecker:
     """The structural checks of one batch: ``before(k)`` and ``after``
     see the mutation at k, ``finish`` the cut seed the batch leaves.  It
-    holds the cut before the batch, its members as the batch moves them,
-    the adjacent colors with a member and the previous mutation's labels."""
+    holds the cut before the batch, the batch's line of members as it
+    moves (no other color moves, and k only after ``before(k)``), the
+    adjacent colors with a member and the previous mutation's labels."""
 
     def __init__(self, state: AlgState):
         word, self.state = state.word, state
         self.line_color = line = word.color(state.embedding.positions[state.step])
         # the cut before this batch is the last check's view; a mutation moves only its vertex
         self.cut = state.cut
-        self.members = set(self.cut.members)
-        colors = {word.color(v) for v in self.members}
-        self.other_colors = [oc for oc in word.cartan.neighbors(line) if oc in colors]
+        self.line = list(self.cut.lines.get(line, ()))
+        self.other_colors = [oc for oc in word.cartan.neighbors(line) if oc in self.cut.lines]
         self.labels: dict[int, ConfigLabel] = {}
         # whether the last mutated vertex, and whether any, left the cut
         self.evicted = self.evicted_during = False
@@ -316,7 +320,9 @@ class BatchChecker:
                 f"expected color {self.line_color}"
             )
         q = self.state.quiver
-        self.labels = {oc: classify_config(q, k, oc, self.members) for oc in self.other_colors}
+        self.labels = {
+            oc: classify_config(q, k, oc, self.cut.members, self.line) for oc in self.other_colors
+        }
         for oc, label in self.labels.items():
             if oc in prev:
                 allowed = CONFIG_TRANSITIONS.get((prev[oc], self.evicted))
@@ -335,8 +341,12 @@ class BatchChecker:
     def after(self, k: int, old: DeltaVector, chosen: DeltaVector, evicted: bool) -> None:
         _check_branch_formula(self.state, k, old, chosen)
         self.evicted, self.evicted_during = evicted, self.evicted_during or evicted
-        if k not in self.cut.deleted:
-            (self.members.discard if evicted else self.members.add)(k)
+        if k in self.cut.deleted or (k in self.line) != evicted:
+            return
+        if evicted:
+            self.line.remove(k)
+        else:
+            insort(self.line, k)
 
     def finish(self, batch: list[int]) -> None:
         state = self.state
@@ -390,7 +400,7 @@ def _check_teeth_shift(
     one notch from the cut ``before`` toward the start, in the cut
     ``state.cut``, with the two boundary exceptions."""
     word, after = state.word, state.cut
-    members_before = [k for k in sorted(before.members) if word.color(k) == line_color]
+    members_before = before.lines.get(line_color, [])
     if not members_before or not batch:
         return
     # the member before k on the line; None for the first one or a non-member
@@ -442,35 +452,45 @@ def check_induction(state: AlgState) -> None:
     included, which the next batch's tooth shift reads as its "before".
 
     Only what changed since the last view is examined again: the matrix
-    entries in the quiver's journal, the vertices whose status
-    (member, evicted, deleted) changed, and the members whose vector was
-    replaced or whose color is that of p_m.  The first check, or one without a
-    view of the previous step or without a journal, examines everything.
+    entries in the quiver's journal, the vertices whose vector was replaced
+    (the only ones that can enter or leave the cut, besides the newly
+    deleted), the members of p_m's color, and the color lines and saw-teeth
+    reports that these touch; a report reads the quiver's rows over two
+    member lines.  The first check, or one without a view of the previous
+    step or without a journal, examines everything.
     """
-    view = cut_view(state)
     word, q = state.word, state.quiver
     m = state.step
     lv = state.lv
-    members = view.members
     prev, journal = state.cut, q.journal
     if prev is None or prev.step != m - 1 or journal is None:
-        prev = CutSeedView(set(), set(), set())
+        view, prev = cut_view(state), CutSeedView(set(), set(), set())
         journal = [(s, t) for s, row in q.b.items() for t in row if s < t]
+        replaced = list(state.deltas)
+    else:
+        # only a replaced vector can move its vertex into or out of the cut
+        replaced = [k for k, d in state.deltas.items() if d is not prev.verified.get(k)]
+        deleted = state.combo.deleted(m)
+        members = prev.members - deleted
+        for k in set(replaced) - deleted:
+            (members.add if any(state.deltas[k].coords[:lv]) else members.discard)(k)
+        view = CutSeedView(members, state.deltas.keys() - deleted - members, deleted, m)
+    members = view.members
+    view.verified = dict(state.deltas)
     changed = (members ^ prev.members) | (view.evicted ^ prev.evicted)
     entered = members - prev.members
-    line_color = word.color(state.embedding.positions[m - 1]) if m else 0
 
-    for k in members:
-        d = view.verified[k] = state.deltas[k]
-        # alpha(k, m) moves only on the color of p_m: elsewhere a vector
-        # verified at step m - 1 keeps its support, and coordinate m is new
-        settled = d is prev.verified.get(k) and word.color(k) != line_color
-        if any(d.coords[m - 1 : m] if settled else d.coords[:m]):
+    # a member keeps the support it was last verified with unless its
+    # vector was replaced or alpha(k, m) moved, which happens on the color
+    # of p_m only; coordinate m, a v-index of that color, was 0 in it
+    line_color = word.color(state.embedding.positions[m - 1]) if m else 0
+    recheck = members & {*replaced, *word.positions_of_color(line_color)}
+    for k in sorted(recheck):
+        d = state.deltas[k]
+        if any(d.coords[:m]):
             raise InvariantViolation(
                 f"member {k} keeps a nonzero coordinate among the first {m}"
             )
-        if settled:
-            continue
         tilde = d.truncated(lv)
         expected = _expected_support(state, k, m)
         if tilde != expected:
@@ -507,42 +527,40 @@ def check_induction(state: AlgState) -> None:
                 f"arrow {s}->{t} joins non-adjacent colors {cs},{ct} at step {m}"
             )
 
-    # along every line, the evicted summands precede all members
-    for color in sorted({word.color(k) for k in changed}):
-        seen_member = False
+    # along every line, the evicted summands precede all members; the
+    # member lines of the colors whose cut changed are read again
+    dirty = {word.color(k) for k in changed}
+    lines = view.lines = dict(prev.lines)
+    for color in sorted(dirty):
+        line = []
         for k in word.positions_of_color(color):
             if k in members:
-                seen_member = True
-            elif k in view.evicted and seen_member:
+                line.append(k)
+            elif k in view.evicted and line:
                 raise InvariantViolation(
                     f"evicted summand {k} sits above a member on line {color} "
                     f"at step {m}"
                 )
+        if line:
+            lines[color] = line
+        else:
+            lines.pop(color, None)
 
     # a (c1, c2) report reads the members of both colors, the c1-c1 arrows
     # and the arrows joining c1 and c2; a report none of these moved is reused
-    dirty = {word.color(k) for k in changed}
     touched = {(word.color(s), word.color(t)) for s, t in moved}
-    by_color: dict[int, list[int]] = {}
-    for k in members:
-        by_color.setdefault(word.color(k), []).append(k)
 
     def report(c1: int, c2: int) -> SawTeethReport:
         if (c1, c2) not in view.reports:
             old = prev.reports.get((c1, c2))
             if old is None or {c1, c2} & dirty or {(c1, c1), (c1, c2), (c2, c1)} & touched:
-                within = by_color.get(c1, []) + by_color.get(c2, [])
-                old = classify_sawteeth(q.bicolor(c1, c2, within))
+                old = classify_sawteeth(q, c1, c2, lines)
             view.reports[(c1, c2)] = old
         return view.reports[(c1, c2)]
 
-    cols = sorted(by_color)
-    for c1 in cols:
-        for c2 in cols:
-            if c1 == c2 or not word.cartan.adjacent(c1, c2):
-                continue
-            rep = report(c1, c2)
-            if not rep.valid:
+    for c1 in sorted(lines):
+        for c2 in word.cartan.neighbors(c1):
+            if c2 in lines and not (rep := report(c1, c2)).valid:
                 raise InvariantViolation(
                     f"bicolor ({c1},{c2}) broken at step {m}: {rep.violation}"
                 )
@@ -551,7 +569,7 @@ def check_induction(state: AlgState) -> None:
         next_color = word.color(state.embedding.positions[m])
         for oc in word.cartan.neighbors(next_color):
             rep = report(next_color, oc)
-            if oc in by_color and (not rep.valid or not rep.pure):
+            if oc in lines and (not rep.valid or not rep.pure):
                 raise InvariantViolation(
                     f"next line {next_color} is not pure against {oc} at step {m}"
                 )

@@ -256,49 +256,60 @@ class SawTeethReport:
         return self.initial_barb is None
 
 
-def classify_sawteeth(bq: Quiver) -> SawTeethReport:
+def classify_sawteeth(
+    q: Quiver,
+    c1: Optional[int] = None,
+    c2: Optional[int] = None,
+    lines: Optional[dict[int, list[int]]] = None,
+) -> SawTeethReport:
     """Decompose a bicolor subquiver, or report the first violation.
 
-    Violations are data, not errors: the report comes back with
-    ``valid=False`` and a description.
+    ``q`` is a subquiver made by :meth:`Quiver.bicolor`, or, given the
+    ascending vertex lists of each color (``lines``, e.g. a cut's
+    members), any quiver whose (c1, c2)-bicolor subquiver on those lists
+    is read off its rows without a copy.  Violations are data, not
+    errors: the report comes back with ``valid=False`` and a description.
     """
-    c1, c2 = bq.line_color, bq.summit_color
-    if c1 is None or c2 is None:
-        raise ValueError("quiver was not produced by bicolor()")
+    if lines is None:
+        c1, c2 = q.line_color, q.summit_color
+        if c1 is None or c2 is None:
+            raise ValueError("quiver was not produced by bicolor()")
+        line, jline = q.ids_of_color(c1), q.ids_of_color(c2)
+    else:
+        line, jline = lines.get(c1, []), lines.get(c2, [])
     rep = SawTeethReport(c1, c2, valid=True)
-    line = bq.ids_of_color(c1)
-    jline = bq.ids_of_color(c2)
 
     def fail(msg: str) -> SawTeethReport:
         rep.valid = False
         rep.violation = msg
         return rep
 
-    # inventory the arrows
+    # inventory the line's arrows and those joining the colors, by source id
+    on_line, summits = set(line), set(jline)
     horizontals: set[tuple[int, int]] = set()
     out_at: dict[int, int] = {}  # line vertex -> summit target
     in_at: dict[int, int] = {}  # line vertex -> summit source
     in_j: dict[int, int] = {}  # summit -> line source of its incoming arrow
     out_j: dict[int, int] = {}  # summit -> line target of its outgoing arrow
-    arrows = ((s, t, m) for s, row in bq.b.items() for t, m in row.items() if m > 0)
-    for s, t, m in arrows:
-        if m != 1:
-            return fail(f"arrow {s}->{t} has multiplicity {m}")
-        cs, ct = bq.vertices[s].color, bq.vertices[t].color
-        if cs == c1 and ct == c1:
-            horizontals.add((s, t))
-        elif cs == c1 and ct == c2:
-            if s in out_at or t in in_j:
-                return fail(f"vertex with two outgoing ordinary arrows near {s}->{t}")
-            out_at[s] = t
-            in_j[t] = s
-        elif cs == c2 and ct == c1:
-            if t in in_at or s in out_j:
-                return fail(f"vertex with two incoming ordinary arrows near {s}->{t}")
-            in_at[t] = s
-            out_j[s] = t
-        else:  # pragma: no cover
-            return fail(f"arrow {s}->{t} escapes the bicolor pair")
+    for s in sorted(line + jline):
+        from_line = s in on_line
+        for t, m in q.b[s].items():
+            if m <= 0 or not (t in on_line or from_line and t in summits):
+                continue
+            if m != 1:
+                return fail(f"arrow {s}->{t} has multiplicity {m}")
+            if from_line and t in on_line:
+                horizontals.add((s, t))
+            elif from_line:
+                if s in out_at or t in in_j:
+                    return fail(f"vertex with two outgoing ordinary arrows near {s}->{t}")
+                out_at[s] = t
+                in_j[t] = s
+            else:
+                if t in in_at or s in out_j:
+                    return fail(f"vertex with two incoming ordinary arrows near {s}->{t}")
+                in_at[t] = s
+                out_j[s] = t
 
     expected = {(a, b) for a, b in zip(line, line[1:])}
     if horizontals != expected:
@@ -416,20 +427,25 @@ CONFIG_TRANSITIONS: dict[tuple[ConfigLabel, bool], set[ConfigLabel]] = {
 
 
 def classify_config(
-    q: Quiver, k: int, other_color: int, within: Optional[Collection[int]] = None
+    q: Quiver,
+    k: int,
+    other_color: int,
+    within: Optional[Collection[int]] = None,
+    line: Optional[list[int]] = None,
 ) -> ConfigLabel:
     """Label the arrow pattern around k relative to one adjacent color.
 
     The quiver, restricted to ``within`` when given (a cut's members),
     is expected to be a cut view in which the line of k obeys the
     structure theory; anything else raises :class:`Unclassifiable`.
+    ``line``, when the caller keeps it, is k's line within ``within``, ascending.
     """
     inside = q.vertices if within is None else within
     if k not in q.vertices or k not in inside:
         raise KeyError(f"no vertex {k}")
     vs = q.vertices
-    ck = vs[k].color
-    line = sorted(v for v in inside if vs[v].color == ck)
+    if line is None:
+        line = sorted(v for v in inside if vs[v].color == vs[k].color)
     idx = line.index(k)
 
     near = [(j, x) for j, x in q.b[k].items() if j in inside and vs[j].color == other_color]

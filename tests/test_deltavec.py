@@ -19,6 +19,7 @@ from richseed.rootsys import (
     longest_element_word,
     number_of_positive_roots,
     parse_type,
+    root_to_weight,
 )
 from richseed.words import (
     Word,
@@ -199,6 +200,28 @@ def test_incremental_left_parts_match_dense_products():
                 assert start == u_k.rho_image()
             assert starts[-1] == (1,) * c.rank  # u_r is the identity
 
+
+
+def _matrix_left_part_rhos(wdot):
+    """u_k(rho), with w0(beta_k) taken through the w0 matrix and the Cartan matrix."""
+    c = wdot.cartan
+    w0, y = longest_element(c), (-1,) * c.rank
+    for beta in wdot.betas:
+        y = tuple(a - b for a, b in zip(y, root_to_weight(c, w0.apply(beta))))
+        yield y
+
+
+def test_left_parts_match_the_w0_matrix_path_on_every_type():
+    # the walk permutes beta_k's weight coordinates by the diagram
+    # automorphism of -w0 (a reversal in A, a swap of the two short arms
+    # in odd D, 1 <-> 6 and 3 <-> 5 in E6, the identity elsewhere)
+    specs = [f"A{n}" for n in range(1, 16)] + [f"D{n}" for n in range(4, 12)]
+    rng = random.Random(41)
+    for spec in specs + ["E6", "E7", "E8"]:
+        c = parse_type(spec)
+        r = number_of_positive_roots(c)
+        wdot = left_complete(Word(c, random_reduced_word(c, rng.randint(1, r), rng)))
+        assert list(left_part_rhos(wdot)) == list(_matrix_left_part_rhos(wdot)), spec
 
 def test_delta_via_xi_start_weight_is_optional():
     rng = random.Random(9)

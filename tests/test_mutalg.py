@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from richseed import golden
 from richseed.deltavec import DeltaVector, delta_tilde_from_combo, delta_via_xi, left_part_rhos
-from richseed.errors import InvariantViolation
+from richseed.errors import InvariantViolation, StructuralFailure
 from richseed.mutalg import (
     check_induction,
     cut_view,
@@ -684,6 +684,102 @@ def test_faults_injected_between_batches_are_caught():
         state = step_hat(state)
     assert all(caught.values()), caught
 
+
+
+def _pairs_agree(state):
+    """Classify every ordered pair of adjacent colors off the quiver's
+    rows over the cut's member lines and on a bicolor copy over its
+    members; return the reports, which must be equal."""
+    c, q, cut = state.word.cartan, state.quiver, state.cut
+    reports = []
+    for c1 in range(1, c.rank + 1):
+        for c2 in c.neighbors(c1):
+            rows = classify_sawteeth(q, c1, c2, cut.lines)
+            assert rows == classify_sawteeth(q.bicolor(c1, c2, cut.members)), (c1, c2)
+            reports.append(rows)
+    return reports
+
+
+@pytest.mark.parametrize("spec", ["A4", "D5", "E6"])
+def test_reports_read_off_the_rows_agree_with_bicolor_copies(spec):
+    # after every batch, and on the quiver of each planted fault, so that
+    # violations and their texts are compared too
+    faults = (_stray_arrow, _reversed_stray_arrow, _deleted_line_arrow, _double_cross_arrow)
+    violations = 0
+    for c, w, v in _w0_pairs(spec, 17):
+        state = initial_state(c, w, v, check=True)
+        for _ in range(state.lv):
+            assert all(rep.valid for rep in _pairs_agree(state))
+            quiet = _quiet_members(state)
+            for inject in filter(None, (fault(state, quiet) for fault in faults)):
+                broken = state.clone()
+                inject(broken.quiver)
+                violations += sum(not rep.valid for rep in _pairs_agree(broken))
+            state = step_hat(state)
+        _pairs_agree(state)
+    assert violations
+
+
+def _step_outcome(state):
+    try:
+        step_hat(state)
+    except StructuralFailure as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("spec", ["A4", "D5", "E6"])
+def test_the_cut_from_replaced_vectors_agrees_with_a_cut_from_scratch(spec):
+    # between two batches one vector is replaced: an evicted vertex gets a
+    # nonzero leading coordinate, a member loses all of them, a deleted
+    # vertex changes; the next batch must leave the cut that cut_view
+    # finds, or fail as the same batch does with no journal, which reads
+    # the cut from scratch
+    tried = dict.fromkeys(("evicted", "member", "deleted"), 0)
+    for c, w, v in _w0_pairs(spec, 17):
+        state = initial_state(c, w, v, check=True)
+        lv = state.lv
+        for _ in range(lv):
+            cut = state.cut
+            targets = {
+                "evicted": sorted(cut.evicted),
+                "member": sorted(cut.members),
+                "deleted": sorted(state.combo.deleted(state.step + 1)),
+            }
+            for kind, ks in targets.items():
+                for k in {*ks[:1], *ks[-1:]}:
+                    coords = list(state.deltas[k].coords)
+                    if kind == "evicted":
+                        coords[lv - 1] = 1
+                    elif kind == "member":
+                        coords[:lv] = [0] * lv
+                    else:
+                        coords[0] += 1
+                    outcomes = []
+                    for journal in (True, False):
+                        broken = state.clone()
+                        if not journal:
+                            broken.quiver.journal = None
+                        broken.deltas[k] = DeltaVector(state.reference, tuple(coords))
+                        outcomes.append(_step_outcome(broken))
+                        if journal and outcomes[0] is None:
+                            scratch = cut_view(broken)
+                            assert broken.cut.members == scratch.members
+                            assert broken.cut.evicted == scratch.evicted
+                    assert outcomes[0] == outcomes[1], (kind, k)
+                    tried[kind] += 1
+            state = step_hat(state)
+    assert all(tried.values()), tried
+
+
+def test_report_and_shift_counts_are_pinned():
+    # the counts of the A5 golden run and of the E6 runs above as they were
+    # when every check rescanned the cut: reading it from the replaced
+    # vectors, and the reports from the rows, leaves them unchanged
+    keys = ("reports_classified", "reports_reused", "teeth_shift_checks")
+    seeds = [run(A5, WORD, V, completion=VDOT)] + [run(c, w, v) for c, w, v in _w0_pairs("E6", 17)]
+    counts = [[seed.stats.get(key, 0) for key in keys] for seed in seeds]
+    assert counts == [[16, 12, 0], [30, 24, 3], [58, 76, 12], [97, 148, 16]]
 
 def test_replaced_vectors_of_quiet_members_are_rechecked():
     # the support check skips a member whose vector it verified at the last
