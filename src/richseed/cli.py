@@ -88,7 +88,7 @@ def seed_document(seed: FinalSeed, with_trace: bool = False) -> dict:
     }
     if with_trace:
         labels = green_report(seed.word, [rec.vertex for rec in seed.trace])
-        doc["trace"] = [rec.to_json(lab["green"]) for rec, lab in zip(seed.trace, labels)]
+        doc["trace"] = [rec.to_json(lab) for rec, lab in zip(seed.trace, labels)]
     return doc
 
 
@@ -393,7 +393,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if unknown:
         raise ValueError(f"unknown --checks name {unknown[0]!r}; valid: {', '.join(CHECKS)}")
     seed_env = os.environ.get("RSEED_SEED", "20260810")
-    rng = random.Random(int(seed_env))
+    try:
+        rng = random.Random(int(seed_env))
+    except ValueError:
+        raise ValueError(f"RSEED_SEED must be an integer, got {seed_env!r}") from None
     failed = 0
     for name in names:
         ok, info = CHECKS[name](c, args.samples, args.max_len, rng)

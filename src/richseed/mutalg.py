@@ -17,8 +17,9 @@ quiver's journal (kept only in checked runs), the vertices whose vector
 it replaced, which are the only ones that can enter or leave the cut, and
 the members of the batch's color.  Each color's members are kept as one
 ascending line; a saw-teeth report reads the quiver's rows over two such
-lines, and one that nothing it reads moved is reused.  Green labels:
-:func:`green_report`.
+lines, and one that nothing it reads moved is reused.  Green labels
+and the arrows each mutation makes appear and vanish come from one
+replay of the run's mutations: :func:`green_report`.
 """
 
 from __future__ import annotations
@@ -94,11 +95,14 @@ class MutationRecord:
     after: tuple[int, ...]
     evicted: bool
     configs: dict[int, str] = field(default_factory=dict)
-    arrows_added: list[tuple[int, int]] = field(default_factory=list)
-    arrows_removed: list[tuple[int, int]] = field(default_factory=list)
 
-    def to_json(self, green: Optional[bool] = None) -> dict:
-        """The record as JSON, with ``green`` the label of :func:`green_report`."""
+    def to_json(self, replay: Optional[dict] = None) -> dict:
+        """The record as JSON; ``green`` and the arrow changes are read off
+        this mutation's dict of :func:`green_report`, null without one."""
+
+        def pairs(key: str) -> Optional[list[list[int]]]:
+            return None if replay is None else [list(a) for a in replay[key]]
+
         return {
             "step": self.step,
             "vertex": self.vertex,
@@ -108,10 +112,10 @@ class MutationRecord:
             "before": list(self.before),
             "after": list(self.after),
             "evicted": self.evicted,
-            "green": green,
+            "green": None if replay is None else replay["green"],
             "configs": {str(color): label for color, label in self.configs.items()},
-            "arrows_added": [list(a) for a in self.arrows_added],
-            "arrows_removed": [list(a) for a in self.arrows_removed],
+            "arrows_added": pairs("arrows_added"),
+            "arrows_removed": pairs("arrows_removed"),
         }
 
 
@@ -191,7 +195,8 @@ class FinalSeed:
 
 
 def cut_view(state: AlgState) -> CutSeedView:
-    """Members, evicted (vanishing truncation), deleted (index bound)."""
+    """Members, evicted (vanishing truncation), deleted (index bound),
+    read off every vector; the checks follow the replaced vectors instead."""
     deleted, lv = state.combo.deleted(state.step), state.lv
     members = {k for k, d in state.deltas.items() if k not in deleted and any(d.coords[:lv])}
     evicted = state.deltas.keys() - deleted - members
@@ -257,7 +262,7 @@ def step_hat(state: AlgState) -> AlgState:
         configs = checker.before(k)
         chosen, cand_in, cand_out, branch = mutate_delta(state, k)
         old = state.deltas[k]
-        added, removed = state.quiver.mutate_in_place(k)
+        state.quiver.mutate_in_place(k)
         state.deltas[k] = chosen
         evicted = not any(chosen.truncated(state.lv))
         checker.after(k, old, chosen, evicted)
@@ -272,8 +277,6 @@ def step_hat(state: AlgState) -> AlgState:
                 after=chosen.coords,
                 evicted=evicted,
                 configs=configs,
-                arrows_added=added,
-                arrows_removed=removed,
             )
         )
     state.step = m
@@ -410,7 +413,7 @@ def _check_teeth_shift(
     for oc in word.cartan.neighbors(line_color):
         rep_before = before.reports[(line_color, oc)]
         rep_after = after.reports.get((line_color, oc)) or classify_sawteeth(
-            state.quiver.bicolor(line_color, oc, after.members)
+            state.quiver, line_color, oc, after.lines
         )
         if not rep_before.valid or not rep_before.pure:
             raise InvariantViolation(
@@ -457,25 +460,23 @@ def check_induction(state: AlgState) -> None:
     deleted), the members of p_m's color, and the color lines and saw-teeth
     reports that these touch; a report reads the quiver's rows over two
     member lines.  The first check, or one without a view of the previous
-    step or without a journal, examines everything.
+    step or without a journal, starts from an empty view, so that every
+    vector counts as replaced and every matrix entry as written.
     """
     word, q = state.word, state.quiver
     m = state.step
     lv = state.lv
     prev, journal = state.cut, q.journal
     if prev is None or prev.step != m - 1 or journal is None:
-        view, prev = cut_view(state), CutSeedView(set(), set(), set())
+        prev = CutSeedView(set(), set(), set())
         journal = [(s, t) for s, row in q.b.items() for t in row if s < t]
-        replaced = list(state.deltas)
-    else:
-        # only a replaced vector can move its vertex into or out of the cut
-        replaced = [k for k, d in state.deltas.items() if d is not prev.verified.get(k)]
-        deleted = state.combo.deleted(m)
-        members = prev.members - deleted
-        for k in set(replaced) - deleted:
-            (members.add if any(state.deltas[k].coords[:lv]) else members.discard)(k)
-        view = CutSeedView(members, state.deltas.keys() - deleted - members, deleted, m)
-    members = view.members
+    # only a replaced vector can move its vertex into or out of the cut
+    replaced = [k for k, d in state.deltas.items() if d is not prev.verified.get(k)]
+    deleted = state.combo.deleted(m)
+    members = prev.members - deleted
+    for k in set(replaced) - deleted:
+        (members.add if any(state.deltas[k].coords[:lv]) else members.discard)(k)
+    view = CutSeedView(members, state.deltas.keys() - deleted - members, deleted, m)
     view.verified = dict(state.deltas)
     changed = (members ^ prev.members) | (view.evicted ^ prev.evicted)
     entered = members - prev.members
@@ -738,14 +739,24 @@ def framed_quiver(q: Quiver) -> Quiver:
 def green_report(word: Word, mutations: list[int]) -> list[dict]:
     """Replay a mutation sequence on the framed initial quiver.
 
-    Returns one record per mutation with its green/red label: green when
-    no arrow leads from the vertex into a frame.  A red mutation is data
-    for the caller, not an error.
+    Returns one record per mutation: its green/red label, green when no
+    arrow leads from the vertex into a frame, and the sorted arrows
+    between unframed vertices that appear (``arrows_added``) and vanish
+    (``arrows_removed``).  A mutation at k writes only entries among k and
+    its neighbours, which stay its neighbours, so only those are compared.
+    A red mutation is data for the caller, not an error.
     """
-    fq = framed_quiver(build_gamma(word))
-    out = []
+    fq, out = framed_quiver(build_gamma(word)), []
+
+    def arrows_among(near: set[int]) -> set[tuple[int, int]]:
+        return {(s, t) for s in near for t, x in fq.b[s].items() if x > 0 and t in near}
+
     for n, k in enumerate(mutations, start=1):
+        near = {j for j in fq.b[k] if j > 0} | {k}
         green = all(t > 0 for t, x in fq.b[k].items() if x > 0)
-        out.append({"n": n, "vertex": k, "green": green})
+        old = arrows_among(near)
         fq.mutate_in_place(k)
+        new = arrows_among(near)
+        out.append({"n": n, "vertex": k, "green": green,
+                    "arrows_added": sorted(new - old), "arrows_removed": sorted(old - new)})
     return out

@@ -5,8 +5,10 @@ is #(i->j) - #(j->i), so ``b[j][i] == -b[i][j]``, a zero entry is
 absent, and a 2-cycle cannot be represented.  An entry joining two
 frozen vertices is never stored, since seeds are only defined up to
 such arrows.  ``mutate_in_place`` applies the Fomin-Zelevinsky matrix
-rule in O(deg_in * deg_out); every other operation, ``mutate``
-included, returns a new quiver.
+rule in O(deg_in * deg_out) and returns nothing: the arrows a mutation
+makes appear or vanish are read off by ``mutalg.green_report``, the one
+replay that needs them.  Every other operation, ``mutate`` included,
+returns a new quiver.
 """
 
 from __future__ import annotations
@@ -142,53 +144,35 @@ class Quiver:
         q.mutate_in_place(k)
         return q
 
-    def mutate_in_place(self, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Fomin-Zelevinsky mutation at a mutable vertex, in place.
-
-        Every path s -> k -> t adds b[s][k] * b[k][t] arrows s -> t
-        (none between two frozen vertices), then row k is negated.
-        Returns the sorted arrow keys that appeared and disappeared; an
-        arrow whose multiplicity only changed is in neither list.
-        """
+    def mutate_in_place(self, k: int) -> None:
+        """Fomin-Zelevinsky mutation at a mutable vertex, in place: every
+        path s -> k -> t adds b[s][k] * b[k][t] arrows s -> t (none
+        between two frozen vertices), then row k is negated."""
         if k not in self.vertices:
             raise KeyError(f"no vertex {k}")
         if self.vertices[k].frozen:
             raise FrozenVertex(f"vertex {k} is frozen")
         vs, b, row = self.vertices, self.b, self.b[k]
         outs = [(t, m) for t, m in row.items() if m > 0]
-        added, removed = [], []
         for s, m1 in row.items():
             if m1 > 0:
                 continue
             frozen = vs[s].frozen
             for t, m2 in outs:
-                if frozen and vs[t].frozen:
-                    continue
-                old = b[s].get(t, 0)
-                new = old - m1 * m2
-                self._set(s, t, new)
-                if old <= 0 < new:
-                    added.append((s, t))
-                if old < 0 <= new:
-                    removed.append((t, s))
+                if not (frozen and vs[t].frozen):
+                    self._set(s, t, b[s].get(t, 0) - m1 * m2)
         for j, m in list(row.items()):
             self._set(k, j, -m)
-            added.append((j, k) if m > 0 else (k, j))
-            removed.append((k, j) if m > 0 else (j, k))
-        added.sort()
-        removed.sort()
-        return added, removed
 
-    def bicolor(self, c1: int, c2: int, within: Optional[Iterable[int]] = None) -> "Quiver":
+    def bicolor(self, c1: int, c2: int) -> "Quiver":
         """The (c1, c2)-bicolor subquiver; not symmetric in its arguments.
 
-        Keeps the vertices of both colors (only those in ``within``, when
-        given), the arrows between two c1-vertices and the arrows joining
-        the two colors in either direction, but not the arrows between two
-        c2-vertices.  Costs the degrees of the kept vertices.
+        Keeps the vertices of both colors, the arrows between two
+        c1-vertices and the arrows joining the two colors in either
+        direction, but not the arrows between two c2-vertices.
         """
         vs = self.vertices
-        ids = [k for k in (vs if within is None else sorted(within)) if vs[k].color in (c1, c2)]
+        ids = [k for k in vs if vs[k].color in (c1, c2)]
         q = Quiver([vs[k] for k in ids], None, c1, c2)
         keep = q.vertices
         for s in ids:

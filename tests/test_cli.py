@@ -202,8 +202,9 @@ def test_type_above_size_limit_is_rejected_at_once():
 
 # sha256 of `richseed compute --trace` output, recorded before the run
 # loop moved to one quiver mutated in place and before the green labels
-# moved from the run to the replay of green_report; the trace carries
-# arrows_added, arrows_removed and green, which no other test pins
+# and then the arrow changes moved from the run to the replay of
+# green_report; the trace carries arrows_added, arrows_removed and green,
+# which no other test pins
 TRACE_DIGESTS = [
     (["--type", "A5", "--w", "1,3,2,4,3,2,4,5,4,3,2,1,2", "--v", "2,4,5,3,1,2",
       "--vdot", "2,3,4,5,4,1,2,3,1,2,4,5,3,1,2"],
@@ -245,6 +246,14 @@ def test_verify_rejects_samples_below_one(capsys, samples):
     assert main(["verify", "--type", "A3", "--samples", samples]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+    assert captured.out == ""
+
+
+def test_verify_rejects_a_seed_that_is_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("RSEED_SEED", "abc")
+    assert main(["verify", "--type", "A3", "--checks", "induction"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: RSEED_SEED must be an integer, got 'abc'\n"
     assert captured.out == ""
 
 

@@ -254,6 +254,43 @@ def test_green_report_trivial_and_a5(a5_seed):
     assert [l["green"] for l in labels] == [True] * len(a5_seed.trace)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_green_report_lists_the_arrows_that_appear_and_vanish(data):
+    # against the set difference of the arrow views of the unframed
+    # initial quiver stepped by Quiver.mutate
+    c = parse_type(data.draw(st.sampled_from(["A4", "D4", "D5", "E6"])))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    w = Word(c, random_reduced_word(c, rng.randint(2, number_of_positive_roots(c)), rng))
+    ks = [rng.randint(1, len(w)) for _ in range(data.draw(st.integers(1, 12)))]
+    q = build_gamma(w)
+    for k, rec in zip(ks, green_report(w, ks), strict=True):
+        new = q.mutate(k)
+        assert rec["arrows_added"] == sorted(set(new.arrows) - set(q.arrows))
+        assert rec["arrows_removed"] == sorted(set(q.arrows) - set(new.arrows))
+        q = new
+
+
+def test_green_report_pins_a_replay_whose_multiplicity_grows_and_shrinks():
+    w = Word(cartan("D", 4), (2, 4, 3, 1, 2))
+    # mutation 3 takes 5 -> 1 from 1 to 2 arrows and mutation 4 back to 1:
+    # changed, so in neither list; mutation 4 is red
+    assert green_report(w, [4, 2, 3, 2]) == [
+        {"n": 1, "vertex": 4, "green": True,
+         "arrows_added": [(1, 4), (4, 5)], "arrows_removed": [(1, 5), (4, 1), (5, 4)]},
+        {"n": 2, "vertex": 2, "green": True,
+         "arrows_added": [(1, 2), (2, 5), (5, 1)], "arrows_removed": [(2, 1), (5, 2)]},
+        {"n": 3, "vertex": 3, "green": True,
+         "arrows_added": [(1, 3), (3, 5)], "arrows_removed": [(3, 1), (5, 3)]},
+        {"n": 4, "vertex": 2, "green": False,
+         "arrows_added": [(2, 1), (5, 2)], "arrows_removed": [(1, 2), (2, 5)]},
+    ]
+    q = build_gamma(w)
+    for k in (4, 2, 3):
+        q = q.mutate(k)
+    assert q.arrows[(5, 1)] == 2 and q.mutate(2).arrows[(5, 1)] == 1
+
+
 def test_corrupted_state_raises_invariant_violation():
     state = initial_state(A5, WORD, V, completion=VDOT)
     # sabotage one vector: the next batch must notice a broken exchange
@@ -465,18 +502,20 @@ def test_reverse_replay_recovers_the_initial_seed(spec):
         initial = {k: d.coords for k, d in state.deltas.items()}
         # a copy of the initial quiver mutated on its own, batch by batch,
         # against the run's quiver; and a framed one, which the undo reads
-        plain, fq = build_gamma(w), framed_quiver(build_gamma(w))
+        plain, fq, diffs = build_gamma(w), framed_quiver(build_gamma(w)), []
         for _ in range(state.lv):
             done = len(state.trace)
             state = step_hat(state)
             for rec in state.trace[done:]:
                 new = plain.mutate(rec.vertex)
-                assert rec.arrows_added == sorted(set(new.arrows) - set(plain.arrows))
-                assert rec.arrows_removed == sorted(set(plain.arrows) - set(new.arrows))
+                diffs.append((sorted(set(new.arrows) - set(plain.arrows)),
+                              sorted(set(plain.arrows) - set(new.arrows))))
                 plain = new
                 fq.mutate_in_place(rec.vertex)
             assert state.quiver == plain
         assert fq.restricted(state.deltas.keys()) == state.quiver
+        replay = green_report(w, [rec.vertex for rec in state.trace])
+        assert [(r["arrows_added"], r["arrows_removed"]) for r in replay] == diffs
 
         # mutation is an involution: undo the trace from its end, on the
         # framed quiver, whose frames must come back to the identity; the
@@ -695,7 +734,8 @@ def _pairs_agree(state):
     for c1 in range(1, c.rank + 1):
         for c2 in c.neighbors(c1):
             rows = classify_sawteeth(q, c1, c2, cut.lines)
-            assert rows == classify_sawteeth(q.bicolor(c1, c2, cut.members)), (c1, c2)
+            copy = q.restricted(cut.members).bicolor(c1, c2)
+            assert rows == classify_sawteeth(copy), (c1, c2)
             reports.append(rows)
     return reports
 

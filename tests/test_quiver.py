@@ -144,27 +144,23 @@ def test_mutate_in_place_follows_the_skew_matrix_rule(data):
     mutable = [k for k in ids if not q.vertices[k].frozen]
     for _ in range(data.draw(st.integers(1, 6))):
         k = data.draw(st.sampled_from(mutable))
-        old = dict(q.arrows)
         expected = _skew_rule(_skew_matrix(q), ids, k)
-        added, removed = q.mutate_in_place(k)
+        assert q.mutate_in_place(k) is None
         b = _skew_matrix(q)
         for (i, j), bij in expected.items():
             if not (q.vertices[i].frozen and q.vertices[j].frozen):
                 assert b.get((i, j), 0) == bij, (k, i, j)
         _assert_rows_are_skew(q)
-        assert added == sorted(set(q.arrows) - set(old))
-        assert removed == sorted(set(old) - set(q.arrows))
         # the arrow view rebuilds the quiver
         assert Quiver(q.vertices.values(), q.arrows) == q
 
 
-def test_mutate_in_place_lists_only_arrows_that_appear_or_vanish():
+def test_mutate_in_place_grows_and_shrinks_multiplicities():
     verts = [Vertex(k, k, k) for k in (1, 2, 3, 4)]
     q = Quiver(verts, {(1, 2): 1, (2, 3): 1, (1, 3): 1, (4, 2): 1, (3, 4): 2})
-    added, removed = q.mutate_in_place(2)
-    # 1 -> 3 grows to 2 and 3 -> 4 shrinks to 1: changed, not added or removed
+    q.mutate_in_place(2)
+    # 1 -> 3 grows to 2 and 3 -> 4 shrinks to 1; the arrows at 2 reverse
     assert q.arrows == {(2, 1): 1, (3, 2): 1, (1, 3): 2, (2, 4): 1, (3, 4): 1}
-    assert (added, removed) == ([(2, 1), (2, 4), (3, 2)], [(1, 2), (2, 3), (4, 2)])
 
 
 def test_mutate_leaves_the_original_unchanged():
