@@ -6,15 +6,43 @@ The engine below computes these vectors for the initial summands of any
 word relative to any reference, walking a weight sequence down the
 reference's root sequence; coefficients are read off as pairings, never
 by division.
+
+A vector is stored packed, as one Python int with W = 16 bits per
+coordinate, coordinate 1 in the lowest field (the SWAR layout of Lamport,
+*Multiple byte processing with full-word instructions*, CACM 1975, and
+Warren, *Hacker's Delight*, ch. 2).  Sums and differences of vectors are
+then big-integer adds, and reads of a coordinate or of a run of leading
+coordinates are masks and shifts.  Let G(n) hold 2^(W-1) in each of n
+fields.  Two bounds keep every field inside its W bits:
+
+- every stored coordinate lies in [0, STORED_BOUND) = [0, 2^8);
+- the arrow multiplicities on one side of a mutated vertex sum to less
+  than SIDE_BOUND = 2^7.
+
+An exchange candidate G - d_k + sum of m * d_s over one side of k then
+has, in every field, 2^15 - a_k + sum of m * a_s, which lies in
+[2^15 - 255, 2^15 + 127 * 255] and so in [0, 2^16).  Python ints are
+exact, so the int computed is the one whose base-2^16 digits are these
+field values: no carry or borrow crosses a field.  A field's coefficient
+is nonnegative exactly when its bit W-1 is set (a nonnegative one is at
+most 127 * 255 < 2^15), so the candidate is nonnegative exactly when
+``acc & G == G``, and the vector it stands for is ``acc - G``.  That
+vector is stored only if each field is below 2^8, one mask test;
+otherwise, as when a side is past its bound, the run raises
+:class:`InvariantViolation` rather than wrap.  A vector built from a
+tuple with a coordinate outside [0, 2^8) raises ``ValueError``.
+``coords`` decodes the fields into a tuple once, on first read, for
+output, error messages and tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
-from .errors import NegativeCoordinate
+from .errors import InvariantViolation, NegativeCoordinate
 from .rootsys import (
     Vec,
     fundamental_weight,
@@ -24,17 +52,99 @@ from .rootsys import (
 )
 from .words import ComboNumbers, SubwordEmbedding, Word, leftmost_subword_of_rho
 
+W = 16  # bits per coordinate field: two bytes, little-endian
+STORED_BOUND = 1 << 8
+SIDE_BOUND = 1 << 7
 
-@dataclass(frozen=True)
+
+@lru_cache(maxsize=128)
+def offset(n: int) -> int:
+    """G(n): 2^(W-1) in each of n fields."""
+    return int.from_bytes(b"\x00\x80" * n, "little")
+
+
+@lru_cache(maxsize=128)
+def _stored_mask(n: int) -> int:
+    """The bits a stored vector of n coordinates may set."""
+    return int.from_bytes(b"\xff\x00" * n, "little")
+
+
+def prefix_mask(n: int) -> int:
+    """The fields of coordinates 1..n."""
+    return (1 << (W * n)) - 1
+
+
+def coordinate_mask(j: int) -> int:
+    """The field of coordinate j."""
+    return ((1 << W) - 1) << (W * (j - 1))
+
+
+def decode(bits: int, n: int) -> tuple[int, ...]:
+    """The n coordinates of a stored vector: the low byte of each field,
+    since every stored coordinate is below 2^8."""
+    return tuple(bits.to_bytes(2 * n, "little")[::2])
+
+
+def decode_offset(acc: int, n: int) -> tuple[int, ...]:
+    """The n coordinates of a vector stored as ``acc`` = G(n) + vector.
+
+    A field holds 2^(W-1) + c with c in [-2^(W-1), 2^(W-1)); flipping
+    bit W-1 leaves c in two's complement."""
+    return struct.unpack(f"<{n}h", (acc ^ offset(n)).to_bytes(2 * n, "little"))
+
+
 class DeltaVector:
-    """Multiplicity vector of a summand relative to a reference word."""
+    """Multiplicity vector of a summand relative to a reference word.
 
-    reference: Word
-    coords: tuple[int, ...]
+    ``bits`` holds the coordinates packed as the module docstring lays
+    out, each in [0, STORED_BOUND); ``coords`` is the decoded tuple, built
+    on first read.  ``DeltaVector(reference, coords)`` packs a tuple and
+    raises ``ValueError`` on a coordinate out of range;
+    ``DeltaVector.packed`` takes an int and raises
+    :class:`InvariantViolation` on a field past the bound.
+    """
 
-    def __post_init__(self):
-        if len(self.coords) != len(self.reference):
+    __slots__ = ("reference", "bits", "_coords")
+
+    def __init__(self, reference: Word, coords: tuple[int, ...]):
+        n = len(reference)
+        if len(coords) != n:
             raise ValueError("coordinate length does not match the reference word")
+        fields = bytearray(2 * n)
+        try:
+            fields[::2] = bytes(coords)  # refuses any value outside range(2^8)
+        except ValueError:
+            raise ValueError(
+                f"coordinates must lie in [0, {STORED_BOUND}): {tuple(coords)}"
+            ) from None
+        self.reference, self.bits, self._coords = reference, int.from_bytes(fields, "little"), None
+
+    @classmethod
+    def packed(cls, reference: Word, bits: int) -> "DeltaVector":
+        if bits & ~_stored_mask(len(reference)):
+            raise InvariantViolation(
+                f"a coordinate leaves [0, {STORED_BOUND}): "
+                f"{[bits >> (W * i) & ((1 << W) - 1) for i in range(len(reference))]}"
+            )
+        d = cls.__new__(cls)
+        d.reference, d.bits, d._coords = reference, bits, None
+        return d
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        if self._coords is None:
+            self._coords = decode(self.bits, len(self.reference))
+        return self._coords
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeltaVector):
+            return NotImplemented
+        return self.bits == other.bits and (
+            self.reference is other.reference or self.reference == other.reference
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.bits)
 
     def __add__(self, other: "DeltaVector") -> "DeltaVector":
         self._same(other)
@@ -51,15 +161,12 @@ class DeltaVector:
     def scaled(self, n: int) -> "DeltaVector":
         return DeltaVector(self.reference, tuple(n * a for a in self.coords))
 
-    def is_nonnegative(self) -> bool:
-        return all(a >= 0 for a in self.coords)
-
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.bits
 
     def truncated(self, n: int) -> tuple[int, ...]:
         """The first n coordinates."""
-        return self.coords[:n]
+        return decode(self.bits & prefix_mask(n), n)
 
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, a in enumerate(self.coords, start=1) if a)
@@ -67,6 +174,22 @@ class DeltaVector:
     def __repr__(self) -> str:  # pragma: no cover
         terms = [f"f{k}" if a == 1 else f"{a}*f{k}" for k, a in enumerate(self.coords, 1) if a]
         return "Delta(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+class Candidate:
+    """One exchange candidate, kept as ``acc`` = G(n) + its vector, whose
+    coordinates may be negative; ``coords`` decodes it on first read."""
+
+    __slots__ = ("reference", "acc", "_coords")
+
+    def __init__(self, reference: Word, acc: int):
+        self.reference, self.acc, self._coords = reference, acc, None
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        if self._coords is None:
+            self._coords = decode_offset(self.acc, len(self.reference))
+        return self._coords
 
 
 def zero_delta(reference: Word) -> DeltaVector:
@@ -176,9 +299,9 @@ def delta_tilde_from_combo(combo: ComboNumbers, k: int) -> tuple[int, ...]:
 
 def in_Cv(d: DeltaVector, lv: int) -> bool:
     """Membership by vanishing of the first l(v) coordinates."""
-    return not any(d.coords[:lv])
+    return not d.bits & prefix_mask(lv)
 
 
 def in_Cw(d: DeltaVector, lw: int) -> bool:
     """Membership by vanishing of the coordinates beyond l(w)."""
-    return not any(d.coords[lw:])
+    return not d.bits >> (W * lw)

@@ -20,20 +20,35 @@ ascending line; a saw-teeth report reads the quiver's rows over two such
 lines, and one that nothing it reads moved is reused.  Green labels
 and the arrows each mutation makes appear and vanish come from one
 replay of the run's mutations: :func:`green_report`.
+
+The vectors are packed integers (see :mod:`richseed.deltavec`): the
+exchange is a few big-integer adds and its sign one mask, and every read
+of a vector in the run loop and the checks is a mask or a shift.  A
+:class:`MutationRecord` keeps its mutation's packed ints (the rejected
+candidate, the vectors before and after) and decodes its coordinate
+tuples only when they are first read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
-from operator import add, sub
+from functools import cached_property
 from typing import Optional
 
 from .deltavec import (
+    SIDE_BOUND,
+    W,
+    Candidate,
     DeltaVector,
+    coordinate_mask,
+    decode,
+    decode_offset,
     delta_tilde_from_combo,
     delta_via_xi,
     left_part_rhos,
+    offset,
+    prefix_mask,
 )
 from .errors import AmbiguousBranch, InvariantViolation, NoValidBranch
 from .quiver import (
@@ -86,15 +101,35 @@ def schedule_tilde(word: Word, emb: SubwordEmbedding) -> list[list[int]]:
 
 @dataclass
 class MutationRecord:
+    """One mutation.  ``packed`` holds the rejected candidate as G + vector
+    (see :mod:`richseed.deltavec`) and the vectors before and after, each
+    over ``length`` coordinates; the chosen candidate is the vector after.
+    ``candidate_in``, ``candidate_out``, ``before`` and ``after`` decode
+    them on first read."""
+
     step: int
     vertex: int
-    candidate_in: tuple[int, ...]
-    candidate_out: tuple[int, ...]
     chosen: str  # "in" or "out"
-    before: tuple[int, ...]
-    after: tuple[int, ...]
     evicted: bool
+    packed: tuple[int, int, int]
+    length: int
     configs: dict[int, str] = field(default_factory=dict)
+
+    @cached_property
+    def candidate_in(self) -> tuple[int, ...]:
+        return self.after if self.chosen == "in" else decode_offset(self.packed[0], self.length)
+
+    @cached_property
+    def candidate_out(self) -> tuple[int, ...]:
+        return self.after if self.chosen == "out" else decode_offset(self.packed[0], self.length)
+
+    @cached_property
+    def before(self) -> tuple[int, ...]:
+        return decode(self.packed[1], self.length)
+
+    @cached_property
+    def after(self) -> tuple[int, ...]:
+        return decode(self.packed[2], self.length)
 
     def to_json(self, replay: Optional[dict] = None) -> dict:
         """The record as JSON; ``green`` and the arrow changes are read off
@@ -197,13 +232,13 @@ class FinalSeed:
 def cut_view(state: AlgState) -> CutSeedView:
     """Members, evicted (vanishing truncation), deleted (index bound),
     read off every vector; the checks follow the replaced vectors instead."""
-    deleted, lv = state.combo.deleted(state.step), state.lv
-    members = {k for k, d in state.deltas.items() if k not in deleted and any(d.coords[:lv])}
+    deleted, lead = state.combo.deleted(state.step), prefix_mask(state.lv)
+    members = {k for k, d in state.deltas.items() if k not in deleted and d.bits & lead}
     evicted = state.deltas.keys() - deleted - members
     return CutSeedView(members, evicted, deleted, state.step)
 
 
-def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, DeltaVector, DeltaVector, str]:
+def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, Candidate, Candidate, str]:
     """The two exchange computations at k; exactly one must be valid.
 
     Returns (chosen, in-candidate, out-candidate, branch name).  The
@@ -212,28 +247,39 @@ def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, DeltaVector, Del
     """
     if k not in state.deltas:
         raise KeyError(f"no vertex {k}")
-    cand_in = _exchange(state, k, -1)
-    cand_out = _exchange(state, k, 1)
-    ok_in, ok_out = cand_in.is_nonnegative(), cand_out.is_nonnegative()
-    if ok_in and ok_out and cand_in != cand_out:
+    g = offset(len(state.reference))
+    acc_in, acc_out = _exchange(state, k, g)
+    ok_in, ok_out = acc_in & g == g, acc_out & g == g
+    if ok_in and ok_out and acc_in != acc_out:
         raise AmbiguousBranch(f"both exchange vectors are valid at vertex {k}")
     if not ok_in and not ok_out:
         raise NoValidBranch(f"no nonnegative exchange vector at vertex {k}")
-    if ok_in:
-        return cand_in, cand_in, cand_out, "in"
-    return cand_out, cand_in, cand_out, "out"
+    ref = state.reference
+    chosen = DeltaVector.packed(ref, (acc_in if ok_in else acc_out) - g)
+    return chosen, Candidate(ref, acc_in), Candidate(ref, acc_out), "in" if ok_in else "out"
 
 
-def _exchange(state: AlgState, k: int, sign: int) -> DeltaVector:
-    """Minus the vector at k plus m times the vector at s per other end s
-    of the m arrows on one side of k: out of k for sign 1, into k for -1."""
-    acc = [-a for a in state.deltas[k].coords]
+def _exchange(state: AlgState, k: int, g: int) -> tuple[int, int]:
+    """G - d_k + the sum of m * d_s over the arrows into k (m arrows
+    s -> k), and the same over the arrows out of k, in one walk of row k.
+    Each side's multiplicities must sum below SIDE_BOUND, so that no field
+    carries (see :mod:`richseed.deltavec`)."""
+    deltas = state.deltas
+    acc_in = acc_out = g - deltas[k].bits
+    n_in = n_out = 0
     for s, e in state.quiver.b[k].items():
-        m = sign * e
-        if m > 0:
-            b = state.deltas[s].coords
-            acc = list(map(add, acc, b)) if m == 1 else [a + m * x for a, x in zip(acc, b)]
-    return DeltaVector(state.reference, tuple(acc))
+        if e > 0:
+            acc_out += e * deltas[s].bits
+            n_out += e
+        else:
+            acc_in -= e * deltas[s].bits
+            n_in -= e
+    if n_in >= SIDE_BOUND or n_out >= SIDE_BOUND:
+        raise InvariantViolation(
+            f"{max(n_in, n_out)} arrows on one side of vertex {k}, "
+            f"at most {SIDE_BOUND - 1} fit the packed exchange"
+        )
+    return acc_in, acc_out
 
 
 def index_set_A(state: AlgState, m: int) -> list[int]:
@@ -242,11 +288,8 @@ def index_set_A(state: AlgState, m: int) -> list[int]:
     pm = state.embedding.positions[m - 1]
     color = state.word.color(pm)
     b_m = state.word.pred_iter(state.word.k_max(color), state.combo.gamma(m))
-    return [
-        i
-        for i in range(1, min(b_m, state.lw) + 1)
-        if state.deltas[i].coords[m - 1] != 0
-    ]
+    field_m, deltas = coordinate_mask(m), state.deltas
+    return [i for i in range(1, min(b_m, state.lw) + 1) if deltas[i].bits & field_m]
 
 
 def step_hat(state: AlgState) -> AlgState:
@@ -258,27 +301,18 @@ def step_hat(state: AlgState) -> AlgState:
     batch = index_set_A(state, m)
     state.batches.append(batch)
     checker = state.checker(state)
+    lead, n = prefix_mask(state.lv), len(state.reference)
     for k in batch:
         configs = checker.before(k)
         chosen, cand_in, cand_out, branch = mutate_delta(state, k)
         old = state.deltas[k]
         state.quiver.mutate_in_place(k)
         state.deltas[k] = chosen
-        evicted = not any(chosen.truncated(state.lv))
+        evicted = not chosen.bits & lead
         checker.after(k, old, chosen, evicted)
-        state.trace.append(
-            MutationRecord(
-                step=m,
-                vertex=k,
-                candidate_in=cand_in.coords,
-                candidate_out=cand_out.coords,
-                chosen=branch,
-                before=old.coords,
-                after=chosen.coords,
-                evicted=evicted,
-                configs=configs,
-            )
-        )
+        rejected = cand_out if branch == "in" else cand_in
+        packed = (rejected.acc, old.bits, chosen.bits)
+        state.trace.append(MutationRecord(m, k, branch, evicted, packed, n, configs))
     state.step = m
     checker.finish(batch)
     return state
@@ -381,18 +415,23 @@ class NoChecks:
 
 def _check_branch_formula(state: AlgState, k: int, old: DeltaVector, chosen: DeltaVector) -> None:
     """Inside the cut view, the chosen vector's truncation must equal
-    (successor) + (predecessor, zero when absent) - (old)."""
+    (successor) + (predecessor, zero when absent) - (old).
+
+    Compared packed over the first l(v) fields: G + succ + pred - old -
+    chosen must read G there.  Every stored field is below 2^8, so each
+    field of the sum lies within 2^15 +- 510 and none borrows from the
+    next; borrows run only upward, so the fields past l(v) do not matter."""
     lv = state.lv
     kp = state.word.succ(k)
     km = state.word.pred(k)
-    succ_part = state.deltas[kp].truncated(lv) if kp <= state.lw else (0,) * lv
-    pred_part = state.deltas[km].truncated(lv) if km >= 1 else (0,) * lv
-    old_part = old.truncated(lv)
-    expected = tuple(map(sub, map(add, succ_part, pred_part), old_part))
-    if chosen.truncated(lv) != expected:
+    succ = state.deltas[kp].bits if kp <= state.lw else 0
+    pred = state.deltas[km].bits if km >= 1 else 0
+    g, lead = offset(lv), prefix_mask(lv)
+    expected = g + succ + pred - old.bits
+    if (expected - chosen.bits) & lead != g:
         raise InvariantViolation(
             f"exchange at {k} does not match the line formula: "
-            f"{chosen.truncated(lv)} != {expected}"
+            f"{chosen.truncated(lv)} != {decode_offset(expected & lead, lv)}"
         )
 
 
@@ -474,8 +513,9 @@ def check_induction(state: AlgState) -> None:
     replaced = [k for k, d in state.deltas.items() if d is not prev.verified.get(k)]
     deleted = state.combo.deleted(m)
     members = prev.members - deleted
+    lead = prefix_mask(lv)
     for k in set(replaced) - deleted:
-        (members.add if any(state.deltas[k].coords[:lv]) else members.discard)(k)
+        (members.add if state.deltas[k].bits & lead else members.discard)(k)
     view = CutSeedView(members, state.deltas.keys() - deleted - members, deleted, m)
     view.verified = dict(state.deltas)
     changed = (members ^ prev.members) | (view.evicted ^ prev.evicted)
@@ -486,16 +526,19 @@ def check_induction(state: AlgState) -> None:
     # of p_m only; coordinate m, a v-index of that color, was 0 in it
     line_color = word.color(state.embedding.positions[m - 1]) if m else 0
     recheck = members & {*replaced, *word.positions_of_color(line_color)}
+    cleared = prefix_mask(m)
     for k in sorted(recheck):
         d = state.deltas[k]
-        if any(d.coords[:m]):
+        if d.bits & cleared:
             raise InvariantViolation(
                 f"member {k} keeps a nonzero coordinate among the first {m}"
             )
-        tilde = d.truncated(lv)
         expected = _expected_support(state, k, m)
-        if tilde != expected:
-            got, want = ([j for j, a in enumerate(t, start=1) if a] for t in (tilde, expected))
+        if d.bits & lead != expected:
+            got, want = (
+                [j for j, a in enumerate(decode(t, lv), start=1) if a]
+                for t in (d.bits & lead, expected)
+            )
             raise InvariantViolation(
                 f"member {k} has truncated support {got}, expected {want} at step {m}"
             )
@@ -584,18 +627,15 @@ def check_induction(state: AlgState) -> None:
     state.cut = view
 
 
-def _expected_support(state: AlgState, k: int, m: int) -> tuple[int, ...]:
-    """0/1 indicator of the predicted support: the v-indices of color i_k in
-    [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)]."""
+def _expected_support(state: AlgState, k: int, m: int) -> int:
+    """Packed 0/1 indicator of the predicted support: the v-indices of color
+    i_k in [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)]."""
     combo = state.combo
     a = combo.alpha(k, m)
     lo = combo.m_oplus_iter(combo.f_min(k), a)
     hi = combo.f(state.word.succ_iter(k, a))
     js = combo.v_indices[state.word.color(k)]
-    indicator = [0] * state.lv
-    for j in js[bisect_left(js, lo) : bisect_right(js, hi)]:
-        indicator[j - 1] = 1
-    return tuple(indicator)
+    return sum(1 << (W * (j - 1)) for j in js[bisect_left(js, lo) : bisect_right(js, hi)])
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +703,9 @@ def run(
         raise InvariantViolation(
             f"{len(survivors)} summands survive, expected {lw - lv}"
         )
+    lead = prefix_mask(lv)
     for k in survivors:
-        if any(state.delta_tilde(k)):
+        if state.deltas[k].bits & lead:
             raise InvariantViolation(
                 f"surviving summand {k} keeps nonzero leading coordinates"
             )
@@ -752,6 +793,8 @@ def green_report(word: Word, mutations: list[int]) -> list[dict]:
         return {(s, t) for s in near for t, x in fq.b[s].items() if x > 0 and t in near}
 
     for n, k in enumerate(mutations, start=1):
+        if k not in fq.vertices:
+            raise KeyError(f"no vertex {k}")
         near = {j for j in fq.b[k] if j > 0} | {k}
         green = all(t > 0 for t, x in fq.b[k].items() if x > 0)
         old = arrows_among(near)

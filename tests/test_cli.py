@@ -216,10 +216,20 @@ TRACE_DIGESTS = [
       "6,2,4,1,3,4,1,2,4,3,4,5,6,4,5,2,3,4,2,5,3,1,6,4,3,4,5,4,2,4,3,1,6,5,4,3",
       "--v", "5,4,6,3,2,5,4,3,1,5,6,3,5,2,4,2,5,6"],
      "92d80e06c9e8a1b335a9da737cb4b784f32ca4c0b522ba764f17376b77a4d7b1"),
+    # a full-length E8 w with l(v) = 40, recorded before the vectors were
+    # packed into one integer: 475 mutations whose rejected candidates hold
+    # negative coordinates, all decoded from the packed form
+    (["--type", "E8", "--w",
+      "3,5,1,8,3,2,7,8,4,5,2,3,4,2,6,7,5,1,4,6,5,8,2,3,4,7,2,5,4,3,4,8,1,3,4,"
+      "2,6,7,8,5,6,7,8,4,3,2,5,1,6,7,4,5,6,2,7,8,4,5,3,1,4,3,2,4,5,6,4,5,2,7,"
+      "8,6,7,4,3,1,4,3,5,6,7,4,5,3,2,4,5,6,3,4,7,5,6,1,3,8,2,4,3,5,4,2,7,4,1,"
+      "3,1,6,5,4,7,8,6,2,5,3,4,5,7,6",
+      "--v", "8,1,6,3,2,4,7,1,8,2,6,7,5,6,7,4,8,5,3,6,1,7,4,5,6,7,8,2,3,4,2,3,5,1,4,2,3,1,6,7"],
+     "fca5efa1261baa474c1e33488c819a429c0eed1d1f07d9f52740f8a983f49809"),
 ]
 
 
-@pytest.mark.parametrize("args,digest", TRACE_DIGESTS, ids=["A5", "D5", "E6"])
+@pytest.mark.parametrize("args,digest", TRACE_DIGESTS, ids=["A5", "D5", "E6", "E8"])
 def test_compute_trace_output_pinned(tmp_path, args, digest):
     import hashlib
 

@@ -183,6 +183,18 @@ def test_delta_vector_arithmetic_guards():
     assert a.scaled(2).coords == tuple(2 * x for x in a.coords)
 
 
+def test_delta_vector_packs_coordinate_1_into_the_lowest_field():
+    d = DeltaVector(WDOT, (255, 0, 3, 0, 0, 1))
+    assert d.bits == 255 + (3 << 32) + (1 << 80)
+    assert d == DeltaVector.packed(WDOT, d.bits) and DeltaVector.packed(WDOT, d.bits).coords == d.coords
+
+
+@pytest.mark.parametrize("bad", [-1, 256])
+def test_delta_vector_refuses_coordinates_outside_the_packed_field(bad):
+    with pytest.raises(ValueError, match=r"coordinates must lie in \[0, 256\)"):
+        DeltaVector(WDOT, (0, 1, 0, bad, 0, 1))
+
+
 def test_incremental_left_parts_match_dense_products():
     # u_k = w0 (s_{i_k} ... s_{i_1})^{-1} for every k of full-length words;
     # the weight u_k(rho) determines u_k

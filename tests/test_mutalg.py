@@ -10,6 +10,7 @@ from richseed import golden
 from richseed.deltavec import DeltaVector, delta_tilde_from_combo, delta_via_xi, left_part_rhos
 from richseed.errors import InvariantViolation, StructuralFailure
 from richseed.mutalg import (
+    MutationRecord,
     check_induction,
     cut_view,
     framed_quiver,
@@ -291,6 +292,13 @@ def test_green_report_pins_a_replay_whose_multiplicity_grows_and_shrinks():
     assert q.arrows[(5, 1)] == 2 and q.mutate(2).arrows[(5, 1)] == 1
 
 
+@pytest.mark.parametrize("k", [0, 9])
+def test_green_report_refuses_an_unknown_vertex_as_the_rule_does(k):
+    w = Word(cartan("A", 3), (1, 2, 1))
+    with pytest.raises(KeyError, match=f"no vertex {k}"):
+        green_report(w, [k])
+
+
 def test_corrupted_state_raises_invariant_violation():
     state = initial_state(A5, WORD, V, completion=VDOT)
     # sabotage one vector: the next batch must notice a broken exchange
@@ -535,6 +543,109 @@ def test_reverse_replay_recovers_the_initial_seed(spec):
             assert coords[k] == rec.before
         assert fq == framed_quiver(build_gamma(w))
         assert coords == initial
+
+
+def _tuple_exchange(coords, row, k):
+    """The exchange at k on coordinate tuples, as it was computed before the
+    vectors were packed: minus the vector at k plus m times the vector at s
+    per other end s of the m arrows into k ("in") or out of k ("out")."""
+    sides = {}
+    for name, sign in (("in", -1), ("out", 1)):
+        acc = [-a for a in coords[k]]
+        for s, e in row.items():
+            if sign * e > 0:
+                acc = [a + sign * e * x for a, x in zip(acc, coords[s])]
+        sides[name] = tuple(acc)
+    return sides
+
+
+def _oracle_pairs(spec):
+    if spec != "E8":
+        yield from _w0_pairs(spec, 17)
+        return
+    # one pair the size of the benchmark's long-v E8 runs
+    c, rng = parse_type("E8"), random.Random(23)
+    w = Word(c, random_reduced_word(c, 120, rng))
+    yield c, w, element_of_word(c, random_reduced_word(c, 95, rng))
+
+
+@pytest.mark.parametrize("spec", ["A4", "D5", "E6", "E8"])
+def test_packed_exchange_agrees_with_the_tuple_formula(spec):
+    # every checked mutation replayed on tuples and a copy of the quiver:
+    # both candidates, the branch (the one nonnegative candidate) and the
+    # decoded vectors before and after
+    negative = 0
+    for c, w, v in _oracle_pairs(spec):
+        state = initial_state(c, w, v, check=True)
+        coords = {k: d.coords for k, d in state.deltas.items()}
+        q = state.quiver.copy()
+        for _ in range(state.lv):
+            done = len(state.trace)
+            state = step_hat(state)
+            for rec in state.trace[done:]:
+                k = rec.vertex
+                cands = _tuple_exchange(coords, q.b[k], k)
+                assert (rec.candidate_in, rec.candidate_out) == (cands["in"], cands["out"])
+                valid = [name for name, t in cands.items() if all(a >= 0 for a in t)]
+                assert valid == [rec.chosen] or cands["in"] == cands["out"] == rec.after
+                negative += min(cands["in"] + cands["out"]) < 0
+                assert rec.before == coords[k]
+                coords[k] = cands[rec.chosen]
+                assert rec.after == coords[k]
+                q.mutate_in_place(k)
+            assert coords == {k: d.coords for k, d in state.deltas.items()}
+    assert negative > 0
+
+
+def _planted_exchange(mult, high, side="out"):
+    """The A5 golden initial state with every vector 0 except at a vertex k,
+    which holds e_1, and at a neighbour s, which holds e_1 + high * e_2
+    behind mult arrows k -> s (side "out") or s -> k (side "in").  The
+    candidate of that side, the valid one, is (mult - 1) e_1 + mult * high
+    * e_2; the other is -e_1."""
+    state = initial_state(A5, WORD, V, completion=VDOT, check=False)
+    k, s = next((k, s) for k, row in state.quiver.b.items() for s, e in row.items() if e > 0)
+
+    def vec(*lead):
+        return DeltaVector(state.reference, lead + (0,) * (len(state.reference) - len(lead)))
+
+    state.deltas = {j: vec() for j in state.deltas}
+    state.deltas[k], state.deltas[s] = vec(1), vec(1, high)
+    state.quiver._set(k, s, mult if side == "out" else -mult)
+    return state, k
+
+
+@pytest.mark.parametrize("side", ["in", "out"])
+def test_a_record_decodes_the_candidate_of_either_branch(side):
+    # the runs of the tests above choose "out" only; a record keeps the
+    # rejected candidate and reads the chosen one off the vector after
+    state, k = _planted_exchange(2, 3, side)
+    chosen, cand_in, cand_out, branch = mutate_delta(state, k)
+    rejected = cand_out if branch == "in" else cand_in
+    n = len(state.reference)
+    rec = MutationRecord(1, k, branch, False, (rejected.acc, state.deltas[k].bits, chosen.bits), n)
+    valid, invalid = (1, 6) + (0,) * (n - 2), (-1,) + (0,) * (n - 1)
+    assert branch == side and rec.after == chosen.coords == valid
+    assert (rec.candidate_in, rec.candidate_out) == (cand_in.coords, cand_out.coords)
+    assert {rec.candidate_in, rec.candidate_out} == {valid, invalid}
+
+
+def test_a_stored_coordinate_at_the_packed_bound_is_refused():
+    state, k = _planted_exchange(2, 127)
+    chosen, _, _, branch = mutate_delta(state, k)
+    assert branch == "out" and chosen.coords[:3] == (1, 254, 0)
+    state, k = _planted_exchange(2, 128)  # 256 in coordinate 2
+    with pytest.raises(InvariantViolation, match=r"leaves \[0, 256\)"):
+        mutate_delta(state, k)
+
+
+def test_a_side_past_the_multiplicity_bound_is_refused():
+    state, k = _planted_exchange(127, 0)
+    chosen, _, _, branch = mutate_delta(state, k)
+    assert branch == "out" and chosen.coords[:2] == (126, 0)
+    state, k = _planted_exchange(128, 0)  # 128 arrows out of k
+    with pytest.raises(InvariantViolation, match="128 arrows on one side"):
+        mutate_delta(state, k)
 
 
 def _rank(rows):
