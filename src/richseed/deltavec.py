@@ -3,9 +3,11 @@
 A rigid summand is identified with the integer vector of multiplicities
 of its strata relative to a fixed reduced word of w0 (the reference).
 The engine below computes these vectors for the initial summands of any
-word relative to any reference, walking a weight sequence down the
-reference's root sequence; coefficients are read off as pairings, never
-by division.
+word relative to any reference.  The walk of the paper reflects a weight
+in the reference's root sequence and reads each coefficient as a
+pairing; conjugated by the reference's prefixes it becomes a walk of one
+weight vector by simple reflections, whose coefficients are single
+coordinates, never quotients.  No root sequence is built.
 
 A vector is stored packed, as one Python int with W = 16 bits per
 coordinate, coordinate 1 in the lowest field (the SWAR layout of Lamport,
@@ -39,16 +41,14 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from itertools import islice
-from typing import Iterator
 
 from .errors import InvariantViolation, NegativeCoordinate
 from .rootsys import (
     Vec,
     fundamental_weight,
-    longest_element,
+    identity_element,
     number_of_positive_roots,
-    root_pairing,
+    reflect_weight_simple,
 )
 from .words import ComboNumbers, SubwordEmbedding, Word, leftmost_subword_of_rho
 
@@ -215,25 +215,23 @@ def initial_delta_same(word: Word, k: int) -> DeltaVector:
     return basis_delta(word, [j for j in range(1, k + 1) if word.color(j) == ik])
 
 
-def left_part_rhos(module_word: Word) -> Iterator[Vec]:
-    """u_k(rho) in weight coordinates for k = 1, 2, ..., len(module_word).
+def left_part_rhos(module_word: Word) -> list[Vec]:
+    """u_k(rho) in weight coordinates at index k - 1, for k = 1, ..., L.
 
-    u_k = w0 (s_{i_k} ... s_{i_1})^{-1} is the left part of the module
-    word (a reduced word of w0) beyond index k.  Since u_k = u_{k-1} s_{i_k},
-    u_k(rho) = u_{k-1}(rho) - u_{k-1}(alpha_{i_k}), and u_{k-1}(alpha_{i_k})
-    is w0(beta_k) for the module word's root sequence; u_0 = w0 sends rho
-    to -rho.  With w0(alpha_i) = -alpha_sigma(i), also w0(varpi_i) =
-    -varpi_sigma(i): coordinate j of w0(beta_k) is minus coordinate
-    sigma(j) of beta_k, both in weight coordinates.
+    u_k = s_{i_L} ... s_{i_{k+1}} is the left part of the module word (a
+    reduced word of w0, of length L) beyond index k.  Coordinate j of
+    u_k(rho) is <rho, u_k^{-1}(alpha_j)^vee>, the height of u_k^{-1}(alpha_j),
+    which is the sum of column j of u_k^{-1}'s matrix.  The walk runs k
+    down from L, where u_L^{-1} is the identity, and u_{k-1}^{-1} =
+    s_{i_k} u_k^{-1} is one ``lmul``.
     """
-    c = module_word.cartan
-    w0 = longest_element(c)
-    sigma = [w0.image_of_simple(i).index(-1) for i in range(1, c.rank + 1)]
-    y = (-1,) * c.rank
-    for k in range(1, len(module_word) + 1):
-        beta = module_word.beta_weight(k)
-        y = tuple(a + beta[j] for a, j in zip(y, sigma))
-        yield y
+    u_inv = identity_element(module_word.cartan)
+    rhos = []
+    for i in reversed(module_word.letters):
+        rhos.append(u_inv.inverse_rho_image())
+        u_inv = u_inv.lmul(i)
+    rhos.reverse()
+    return rhos
 
 
 def delta_via_xi(module_word: Word, k: int, target: Word, start: Vec | None = None) -> DeltaVector:
@@ -241,10 +239,18 @@ def delta_via_xi(module_word: Word, k: int, target: Word, start: Vec | None = No
 
     Both words must be reduced words of w0.  The left part u_k of the
     module word beyond index k is located as the leftmost subword of the
-    target; at every other position the running weight (started at the
-    fundamental weight of color i_k) is reflected in the target's root
-    sequence, and the reflection coefficients are the coordinates.
-    ``start`` is u_k(rho), for callers that walk k with ``left_part_rhos``.
+    target (positions Q).  The paper's walk starts xi at the fundamental
+    weight of color i_k and, at each target position i outside Q, records
+    n = <xi, beta_i^vee> and reflects xi in beta_i; positions in Q record 0.
+
+    Let x = s_{j_1} ... s_{j_{i-1}} be the target's prefix before position
+    i, so that beta_i = x(alpha_{j_i}), and carry eta = x^{-1}(xi) instead,
+    starting at the same fundamental weight.  Then n is coordinate j_i of
+    eta.  Reflecting xi in beta_i leaves eta unchanged, since
+    (x s_{j_i})^{-1} s_{beta_i} = x^{-1}; at a position in Q, xi stays and
+    eta becomes s_{j_i}(eta).  A negative n raises
+    :class:`NegativeCoordinate`.  ``start`` is u_k(rho), for callers that
+    walk k with ``left_part_rhos``.
     """
     c = module_word.cartan
     r = number_of_positive_roots(c)
@@ -256,23 +262,22 @@ def delta_via_xi(module_word: Word, k: int, target: Word, start: Vec | None = No
         raise ValueError("words of different types")
 
     if start is None:
-        start = next(islice(left_part_rhos(module_word), k - 1, None))
+        start = left_part_rhos(module_word)[k - 1]
     q_positions = set(leftmost_subword_of_rho(start, target))
 
-    xi = fundamental_weight(c, module_word.color(k))
+    eta = fundamental_weight(c, module_word.color(k))
     coords = []
-    for i, beta in enumerate(target.betas, start=1):
+    for i, j in enumerate(target.letters, start=1):
         if i in q_positions:
             coords.append(0)
+            eta = reflect_weight_simple(c, j, eta)
             continue
-        n = root_pairing(c, xi, beta)
+        n = eta[j - 1]
         if n < 0:
             raise NegativeCoordinate(
                 f"coefficient {n} at position {i} (module index {k}); "
                 "the reference data is inconsistent"
             )
-        if n:
-            xi = tuple(x - n * b for x, b in zip(xi, target.beta_weight(i)))
         coords.append(n)
     return DeltaVector(target, tuple(coords))
 

@@ -649,6 +649,8 @@ def initial_state(
     completion: Optional[Word] = None,
     check: bool = True,
 ) -> AlgState:
+    if cartan != word.cartan:
+        raise ValueError("cartan data and word of different types")
     emb = rightmost_subword(v, word)
     combo = combo_numbers(word, emb)
     vbar = emb.subword()

@@ -284,6 +284,11 @@ class WeylElement:
         c = self.cartan
         return tuple(x // 2 for x in root_to_weight(c, self.apply(_two_rho(c))))
 
+    def inverse_rho_image(self) -> Vec:
+        """Weight coordinates of w^{-1}(rho): coordinate j is
+        <rho, w(alpha_j)^vee> = ht(w(alpha_j)), the sum of column j."""
+        return tuple(map(sum, zip(*self.matrix)))
+
     def inverse(self) -> "WeylElement":
         # w = s_{j_1} ... s_{j_l}, so w^{-1} = s_{j_l} ... s_{j_1}: the word
         # (j_1, ..., j_l) in application order

@@ -22,7 +22,6 @@ from .rootsys import (
     number_of_positive_roots,
     peel_left,
     reflect_weight_simple,
-    root_to_weight,
 )
 
 
@@ -36,20 +35,15 @@ class Word:
     never zero), and (s_{i_k} x)(rho) is x(rho) reflected by s_{i_k}.
     The first letter that is not an ascent raises :class:`NotReduced`
     with its prefix length k.  The final weight w(rho) is kept
-    (``rho_image``).
+    (``rho_image``), and the represented element (``element``) is built
+    on first read and then kept.
 
-    The root sequence
-
-        beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k})
-
-    (``betas``) and the represented element (``element``) are built on
-    first read and then kept.
+    No root sequence is stored: a walk that would pair a weight xi with
+    beta_k = x(alpha_{i_k}), for x the prefix above, carries x^{-1}(xi)
+    instead and reads coordinate i_k of it (see ``delta_via_xi``).
     """
 
-    __slots__ = (
-        "cartan", "letters", "_rho", "_betas", "_element", "_beta_weights",
-        "_succ", "_pred", "_by_color",
-    )
+    __slots__ = ("cartan", "letters", "_rho", "_element", "_succ", "_pred", "_by_color")
 
     def __init__(self, cartan: CartanData, letters):
         letters = tuple(letters)
@@ -65,9 +59,7 @@ class Word:
                 raise NotReduced(k)
             y = reflect_weight_simple(cartan, i, y)
         self._rho = y
-        self._betas: tuple[Vec, ...] | None = None
         self._element: WeylElement | None = None
-        self._beta_weights: list[Vec | None] = [None] * len(letters)
 
         by_color: dict[int, list[int]] = {}
         for k, i in enumerate(letters, start=1):
@@ -85,18 +77,6 @@ class Word:
             last[i] = k
         self._succ = tuple(succ)
         self._pred = tuple(pred)
-
-    @property
-    def betas(self) -> tuple[Vec, ...]:
-        """The root sequence beta_1, ..., beta_L in root coordinates."""
-        if self._betas is None:
-            betas = []
-            x = identity_element(self.cartan)  # s_{i_1} ... s_{i_{k-1}} accumulated
-            for i in self.letters:
-                betas.append(x.image_of_simple(i))
-                x = x.rmul(i)
-            self._betas = tuple(betas)
-        return self._betas
 
     @property
     def element(self) -> WeylElement:
@@ -131,13 +111,6 @@ class Word:
     def display(self) -> tuple[int, ...]:
         """Letters in display order [i_L, ..., i_1]."""
         return tuple(reversed(self.letters))
-
-    def beta_weight(self, k: int) -> Vec:
-        """beta_k in weight coordinates, computed on first use."""
-        weight = self._beta_weights[k - 1]
-        if weight is None:
-            weight = self._beta_weights[k - 1] = root_to_weight(self.cartan, self.betas[k - 1])
-        return weight
 
     def color(self, k: int) -> int:
         return self.letters[k - 1]
@@ -242,24 +215,44 @@ class SubwordEmbedding:
         return element_of_word(self.parent.cartan, self.letters)
 
 
+def _descent_scan(y: Vec, word: Word, order: range) -> list[int]:
+    """The greedy scan behind both subword representatives.
+
+    Visits the positions t in ``order`` and takes t exactly when
+    coordinate i_t of the running weight y is negative, reflecting y by
+    s_{i_t}; the scan stops once y = rho and raises
+    :class:`NotLessOrEqual` if it never gets there.
+    """
+    c = word.cartan
+    rho = (1,) * c.rank
+    positions = []
+    for t in order:
+        if y == rho:
+            break
+        i = word.letters[t - 1]
+        if y[i - 1] < 0:
+            positions.append(t)
+            y = reflect_weight_simple(c, i, y)
+    if y != rho:
+        raise NotLessOrEqual("element is not below the word in the Bruhat order")
+    return positions
+
+
 def rightmost_subword(v: WeylElement, word: Word) -> SubwordEmbedding:
     """Rightmost representative of v inside the word (positions pushed right).
 
     Scans indices in increasing order and takes a letter exactly when it
-    is a right descent of the remaining element; this succeeds iff
-    v <= w in the Bruhat order.
+    is a right descent of the remaining element y, starting from y = v;
+    this succeeds iff v <= w in the Bruhat order.  s_i is a right descent
+    of y exactly when coordinate i of y^{-1}(rho) is negative, and
+    (y s_i)^{-1}(rho) is that weight reflected by s_i, so the scan is the
+    ascending twin of ``leftmost_subword_of_rho``.  It starts from
+    v^{-1}(rho), the column heights of v's matrix.  A v of another type
+    than the word raises ``ValueError``.
     """
-    y = v
-    positions = []
-    for t in range(1, len(word) + 1):
-        if y.is_identity():
-            break
-        i = word.color(t)
-        if y.is_right_descent(i):
-            positions.append(t)
-            y = y.rmul(i)
-    if not y.is_identity():
-        raise NotLessOrEqual("element is not below the word in the Bruhat order")
+    if v.cartan != word.cartan:
+        raise ValueError("element and word of different types")
+    positions = _descent_scan(v.inverse_rho_image(), word, range(1, len(word) + 1))
     return SubwordEmbedding(word, tuple(positions))
 
 
@@ -288,20 +281,7 @@ def leftmost_subword_of_rho(u_rho: Vec, word: Word) -> tuple[int, ...]:
     negative, and (s_i y)(rho) is that weight reflected by s_i, so the
     scan carries one weight vector; y is the identity when y(rho) = rho.
     """
-    c = word.cartan
-    rho = (1,) * c.rank
-    y = u_rho
-    positions = []
-    for t in range(len(word), 0, -1):
-        if y == rho:
-            break
-        i = word.letters[t - 1]
-        if y[i - 1] < 0:
-            positions.append(t)
-            y = reflect_weight_simple(c, i, y)
-    if y != rho:
-        raise NotLessOrEqual("element is not below the word in the Bruhat order")
-    return tuple(reversed(positions))
+    return tuple(reversed(_descent_scan(u_rho, word, range(len(word), 0, -1))))
 
 
 # ---------------------------------------------------------------------------

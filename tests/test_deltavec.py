@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import matrix_betas, root_sequence_delta_via_xi
 
 from richseed.deltavec import (
     DeltaVector,
@@ -218,7 +219,7 @@ def _matrix_left_part_rhos(wdot):
     """u_k(rho), with w0(beta_k) taken through the w0 matrix and the Cartan matrix."""
     c = wdot.cartan
     w0, y = longest_element(c), (-1,) * c.rank
-    for beta in wdot.betas:
+    for beta in matrix_betas(c, wdot.letters)[0]:
         y = tuple(a - b for a, b in zip(y, root_to_weight(c, w0.apply(beta))))
         yield y
 
@@ -234,6 +235,24 @@ def test_left_parts_match_the_w0_matrix_path_on_every_type():
         r = number_of_positive_roots(c)
         wdot = left_complete(Word(c, random_reduced_word(c, rng.randint(1, r), rng)))
         assert list(left_part_rhos(wdot)) == list(_matrix_left_part_rhos(wdot)), spec
+
+
+def test_delta_via_xi_matches_the_root_sequence_walk_on_every_type():
+    # the walk of x^{-1}(xi) by simple reflections against the walk of xi
+    # by reflections in the target's root sequence, for every summand of
+    # random pairs of completions
+    specs = [f"A{n}" for n in range(1, 16)] + [f"D{n}" for n in range(4, 12)]
+    rng = random.Random(43)
+    for spec in specs + ["E6", "E7", "E8"]:
+        c = parse_type(spec)
+        r = number_of_positive_roots(c)
+        wdot, vdot = (
+            left_complete(Word(c, random_reduced_word(c, rng.randint(1, r), rng))) for _ in range(2)
+        )
+        for k, start in enumerate(left_part_rhos(wdot), start=1):
+            want = root_sequence_delta_via_xi(wdot, k, vdot, start)
+            assert delta_via_xi(wdot, k, vdot, start) == want, (spec, k)
+
 
 def test_delta_via_xi_start_weight_is_optional():
     rng = random.Random(9)

@@ -208,6 +208,20 @@ def test_run_v_equals_w_a3():
     assert seed.size == 0 and len(seed.deleted) == 6
 
 
+def test_run_refuses_an_element_of_another_type():
+    a2, a3 = cartan("A", 2), cartan("A", 3)
+    with pytest.raises(ValueError, match="different types"):
+        run(a3, Word(a3, (1, 2, 3)), element_of_word(a2, [1]))
+
+
+def test_run_refuses_cartan_data_of_another_type_than_the_word():
+    a2, a3 = cartan("A", 2), cartan("A", 3)
+    word = Word(a3, (1, 2, 3))
+    for c in (a2, cartan("D", 4)):
+        with pytest.raises(ValueError, match="different types"):
+            run(c, word, element_of_word(a3, [2]))
+
+
 def test_cut_view_initial_eviction(a5_seed):
     state = initial_state(A5, WORD, V, completion=VDOT)
     view = cut_view(state)

@@ -2,13 +2,13 @@ import itertools
 import random
 
 import pytest
+from oracles import matrix_betas, matrix_rightmost_subword
 
 from richseed.errors import NotLessOrEqual, NotReduced
 from richseed.rootsys import (
     cartan,
     element_of_word,
     identity_element,
-    is_negative,
     longest_element,
     number_of_positive_roots,
 )
@@ -109,20 +109,6 @@ def _matrix_left_complete(word):
     return word.letters + tuple(extra)
 
 
-def _matrix_betas(c, letters):
-    """The root sequence with a matrix product per letter, and the prefix
-    length of the first negative root (None for a reduced word)."""
-    betas = []
-    x = identity_element(c)
-    for k, i in enumerate(letters, start=1):
-        beta = x.image_of_simple(i)
-        if is_negative(beta):
-            return tuple(betas), k
-        betas.append(beta)
-        x = x.rmul(i)
-    return tuple(betas), None
-
-
 @pytest.mark.parametrize("spec", ["A3", "A4", "D4"])
 def test_left_complete_matches_the_matrix_path_on_every_reduced_word(spec):
     c = cartan(spec[0], int(spec[1:]))
@@ -157,7 +143,7 @@ def test_not_reduced_prefix_matches_the_matrix_check(spec):
     reduced = rejected = 0
     for _ in range(400):
         letters = [rng.randint(1, c.rank) for _ in range(rng.randint(1, 12))]
-        _, expected = _matrix_betas(c, letters)
+        _, expected = matrix_betas(c, letters)
         try:
             Word(c, letters)
             got = None
@@ -169,7 +155,7 @@ def test_not_reduced_prefix_matches_the_matrix_check(spec):
     assert reduced and rejected
 
 
-def test_lazy_betas_and_element_equal_the_eager_values():
+def test_lazy_element_equals_the_eager_value():
     rng = random.Random(17)
     for spec in ("A4", "D5", "E6", "E8"):
         c = cartan(spec[0], int(spec[1:]))
@@ -177,12 +163,11 @@ def test_lazy_betas_and_element_equal_the_eager_values():
         for _ in range(25):
             letters = random_reduced_word(c, rng.randint(0, r), rng)
             word = Word(c, letters)
-            assert word._betas is None and word._element is None
+            assert word._element is None
             element = element_of_word(c, letters)
             assert word.rho_image() == element.rho_image()
-            assert word.betas == _matrix_betas(c, letters)[0]
             assert word.element == element
-            assert word.betas is word.betas and word.element is word.element
+            assert word.element is word.element
 
 
 def test_rightmost_subword_appendix():
@@ -244,6 +229,38 @@ def test_greedy_scans_match_brute_force():
                 continue
             assert rightmost_subword(v_el, word).positions == _brute_rightmost(v_el, word)
             assert leftmost_subword(v_el, word) == _brute_leftmost(v_el, word)
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A5", "D4", "D6", "E6", "E7", "E8"])
+def test_rightmost_subword_matches_the_matrix_descent_scan(spec):
+    # v is spelled by a random subset of a word's letters, so it is below
+    # that word and, often, not below an independent one
+    c = cartan(spec[0], int(spec[1:]))
+    r = number_of_positive_roots(c)
+    rng = random.Random(19)
+    below = above = 0
+    for _ in range(40):
+        word = Word(c, random_reduced_word(c, rng.randint(0, r), rng))
+        other = Word(c, random_reduced_word(c, rng.randint(0, r), rng))
+        v = element_of_word(c, [i for i in other.letters if rng.random() < 0.5])
+        for w in (word, other):
+            try:
+                want = matrix_rightmost_subword(v, w).positions
+            except NotLessOrEqual:
+                with pytest.raises(NotLessOrEqual):
+                    rightmost_subword(v, w)
+                above += 1
+                continue
+            assert rightmost_subword(v, w).positions == want, (w.letters, v)
+            below += 1
+    assert below and (above or r == 1)
+
+
+def test_rightmost_subword_refuses_an_element_of_another_type():
+    word = Word(cartan("A", 3), (1, 2, 3))
+    for v in (element_of_word(cartan("A", 2), [1]), element_of_word(cartan("D", 4), [])):
+        with pytest.raises(ValueError, match="different types"):
+            rightmost_subword(v, word)
 
 
 def test_left_right_duality_under_reversal():
