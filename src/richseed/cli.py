@@ -25,7 +25,6 @@ import sys
 from functools import lru_cache
 from typing import Iterator
 
-from . import golden
 from .deltavec import delta_tilde_from_combo, delta_via_xi, initial_delta_same, left_part_rhos
 from .errors import NotLessOrEqual, StructuralFailure
 from .mutalg import FinalSeed, green_report, initial_state, run, step_hat, verify_equivalence
@@ -130,6 +129,7 @@ def _diff(name: str, got, want, failures: list[str]) -> None:
 
 
 def example_a3_tables() -> list[str]:
+    from . import golden
     failures: list[str] = []
     c = parse_type("A3")
     wdot = make_word(c, golden.A3_WDOT)
@@ -144,6 +144,7 @@ def example_a3_tables() -> list[str]:
 
 
 def example_a5_run() -> list[str]:
+    from . import golden
     failures: list[str] = []
     c = parse_type("A5")
     word = make_word(c, golden.A5_WORD)
@@ -185,6 +186,7 @@ def example_a5_run() -> list[str]:
 
 
 def example_d5_quiver() -> list[str]:
+    from . import golden
     failures: list[str] = []
     c = parse_type("D5")
     word = make_word(c, golden.D5_WORD)
@@ -207,6 +209,7 @@ def example_d5_quiver() -> list[str]:
 
 
 def example_d5_notations() -> list[str]:
+    from . import golden
     failures: list[str] = []
     c = parse_type("D5")
     word = make_word(c, golden.D5_NOTATIONS_WORD)

@@ -32,7 +32,6 @@ tuples only when they are first read.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -99,21 +98,28 @@ def schedule_tilde(word: Word, emb: SubwordEmbedding) -> list[list[int]]:
 # run state
 
 
-@dataclass
 class MutationRecord:
     """One mutation.  ``packed`` holds the rejected candidate as G + vector
     (see :mod:`richseed.deltavec`) and the vectors before and after, each
     over ``length`` coordinates; the chosen candidate is the vector after.
-    ``candidate_in``, ``candidate_out``, ``before`` and ``after`` decode
-    them on first read."""
+    ``chosen`` is "in" or "out".  ``candidate_in``, ``candidate_out``,
+    ``before`` and ``after`` decode them on first read.  Two records are
+    equal when their seven fields are; records are unhashable."""
 
-    step: int
-    vertex: int
-    chosen: str  # "in" or "out"
-    evicted: bool
-    packed: tuple[int, int, int]
-    length: int
-    configs: dict[int, str] = field(default_factory=dict)
+    def __init__(self, step: int, vertex: int, chosen: str, evicted: bool,
+                 packed: tuple[int, int, int], length: int, configs: Optional[dict] = None):
+        self.step = step
+        self.vertex = vertex
+        self.chosen = chosen
+        self.evicted = evicted
+        self.packed = packed
+        self.length = length
+        self.configs = {} if configs is None else configs
+
+    def __eq__(self, other) -> bool:
+        fields = ("step", "vertex", "chosen", "evicted", "packed", "length", "configs")
+        return isinstance(other, MutationRecord) and all(
+            getattr(self, f) == getattr(other, f) for f in fields)
 
     @cached_property
     def candidate_in(self) -> tuple[int, ...]:
@@ -154,20 +160,25 @@ class MutationRecord:
         }
 
 
-@dataclass
 class AlgState:
-    word: Word
-    embedding: SubwordEmbedding
-    combo: ComboNumbers
-    reference: Word  # completion of the rightmost subword
-    deltas: dict[int, DeltaVector]
-    quiver: Quiver  # the run's one quiver, mutated in place
-    checker: type  # BatchChecker or NoChecks, made once per batch
-    step: int = 0
-    trace: list[MutationRecord] = field(default_factory=list)
-    batches: list[list[int]] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
-    cut: Optional["CutSeedView"] = None  # the last checked view, with its reports
+    """A run's state: ``reference`` completes the rightmost subword, ``quiver``
+    is mutated in place, ``checker`` (BatchChecker or NoChecks) is made once
+    per batch, ``cut`` is the last checked view.  Compared by identity."""
+
+    __slots__ = ("word", "embedding", "combo", "reference", "deltas", "quiver", "checker",
+                 "step", "trace", "batches", "stats", "cut")
+
+    def __init__(self, word: Word, embedding: SubwordEmbedding, combo: ComboNumbers,
+                 reference: Word, deltas: dict[int, DeltaVector], quiver: Quiver, checker: type,
+                 step: int = 0, trace: Optional[list[MutationRecord]] = None,
+                 batches: Optional[list[list[int]]] = None, stats: Optional[dict] = None,
+                 cut: Optional[CutSeedView] = None):
+        self.word, self.embedding, self.combo, self.reference = word, embedding, combo, reference
+        self.deltas, self.quiver, self.checker, self.step = deltas, quiver, checker, step
+        self.trace = [] if trace is None else trace
+        self.batches = [] if batches is None else batches
+        self.stats = {} if stats is None else stats
+        self.cut = cut
 
     @property
     def lv(self) -> int:
@@ -182,43 +193,45 @@ class AlgState:
 
     def clone(self) -> "AlgState":
         """An independent copy: ``step_hat`` changes the state it is given."""
-        return replace(
-            self,
-            deltas=dict(self.deltas),
-            quiver=self.quiver.copy(),
-            trace=list(self.trace),
-            batches=[list(b) for b in self.batches],
-            stats=dict(self.stats),
+        return AlgState(
+            self.word, self.embedding, self.combo, self.reference, dict(self.deltas),
+            self.quiver.copy(), self.checker, self.step, list(self.trace),
+            [list(b) for b in self.batches], dict(self.stats), self.cut,
         )
 
 
-@dataclass
 class CutSeedView:
-    members: set[int]
-    evicted: set[int]
-    deleted: set[int]
-    step: int = 0
-    # filled by check_induction: the members of each color in ascending
-    # order (colors with members only), the reports per ordered pair, and
-    # every vertex's vector as the check saw it
-    lines: dict[int, list[int]] = field(default_factory=dict)
-    reports: dict[tuple[int, int], SawTeethReport] = field(default_factory=dict)
-    verified: dict[int, DeltaVector] = field(default_factory=dict)
+    """The cut seed after a step.  ``check_induction`` fills in each color's
+    members in ascending order (colors with members only), the reports per
+    ordered pair and the vectors it saw.  Compared by identity."""
+
+    __slots__ = ("members", "evicted", "deleted", "step", "lines", "reports", "verified")
+
+    def __init__(self, members: set[int], evicted: set[int], deleted: set[int], step: int = 0,
+                 lines: Optional[dict[int, list[int]]] = None,
+                 reports: Optional[dict[tuple[int, int], SawTeethReport]] = None,
+                 verified: Optional[dict[int, DeltaVector]] = None):
+        self.members, self.evicted, self.deleted, self.step = members, evicted, deleted, step
+        self.lines = {} if lines is None else lines
+        self.reports = {} if reports is None else reports
+        self.verified = {} if verified is None else verified
 
 
-@dataclass
 class FinalSeed:
-    cartan: CartanData
-    word: Word
-    embedding: SubwordEmbedding
-    reference: Word
-    summands: dict[int, DeltaVector]  # survivors only
-    deleted: set[int]
-    frozen: set[int]
-    quiver: Quiver  # survivors, frozen marked, frozen-frozen arrows dropped
-    schedule: list[list[int]]
-    trace: list[MutationRecord]
-    stats: dict = field(default_factory=dict)
+    """The seed a run leaves: the survivors' vectors and quiver, frozen
+    vertices marked, arrows between two dropped.  Compared by identity."""
+
+    __slots__ = ("cartan", "word", "embedding", "reference", "summands", "deleted", "frozen",
+                 "quiver", "schedule", "trace", "stats")
+
+    def __init__(self, cartan: CartanData, word: Word, embedding: SubwordEmbedding,
+                 reference: Word, summands: dict[int, DeltaVector], deleted: set[int],
+                 frozen: set[int], quiver: Quiver, schedule: list[list[int]],
+                 trace: list[MutationRecord], stats: Optional[dict] = None):
+        self.cartan, self.word, self.embedding, self.reference = cartan, word, embedding, reference
+        self.summands, self.deleted, self.frozen, self.quiver = summands, deleted, frozen, quiver
+        self.schedule, self.trace = schedule, trace
+        self.stats = {} if stats is None else stats
 
     @property
     def size(self) -> int:

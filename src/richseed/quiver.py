@@ -13,16 +13,17 @@ returns a new quiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Collection, Iterable, KeysView, Optional
+from typing import Collection, Iterable, KeysView, NamedTuple, Optional
 
 from .errors import FrozenVertex, Unclassifiable
 from .words import Word
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
+    """A vertex on line ``color`` at ``column``: a named tuple, so
+    immutable, hashable and equal by value."""
+
     id: int
     color: int
     column: int
@@ -135,7 +136,7 @@ class Quiver:
 
     def with_frozen(self, frozen_ids: set[int]) -> "Quiver":
         """Mark vertices frozen; arrows between two frozen vertices drop."""
-        verts = [replace(v, frozen=(v.id in frozen_ids)) for v in self.vertices.values()]
+        verts = [v._replace(frozen=v.id in frozen_ids) for v in self.vertices.values()]
         return Quiver(verts, self.arrows)
 
     def mutate(self, k: int) -> "Quiver":
@@ -212,9 +213,9 @@ def build_gamma(word: Word) -> Quiver:
 # saw-teeth classification
 
 
-@dataclass(frozen=True)
-class Tooth:
-    """One tooth: the cycle left_end -> summit -> right_end -> ... -> left_end."""
+class Tooth(NamedTuple):
+    """One tooth: the cycle left_end -> summit -> right_end -> ... -> left_end.
+    A named tuple, so immutable, hashable and equal by value."""
 
     right_end: int
     summit: int
@@ -222,18 +223,30 @@ class Tooth:
     chain: tuple[int, ...]  # line vertices from right_end to left_end inclusive
 
 
-@dataclass
 class SawTeethReport:
-    line_color: int
-    summit_color: int
-    valid: bool
-    violation: Optional[str] = None
-    initial_run: list[int] = field(default_factory=list)
-    initial_barb: Optional[tuple[int, int]] = None  # (line source, summit target)
-    teeth: list[Tooth] = field(default_factory=list)
-    final_barb: Optional[tuple[int, int]] = None  # (summit source, line target)
-    final_run: list[int] = field(default_factory=list)
-    isolated: set[int] = field(default_factory=set)
+    """The decomposition of one bicolor subquiver, filled in by
+    :func:`classify_sawteeth`.  ``initial_barb`` is (line source, summit
+    target), ``final_barb`` (summit source, line target).  Mutable; two
+    reports are equal when every field is, and they are unhashable."""
+
+    __slots__ = ("line_color", "summit_color", "valid", "violation", "initial_run",
+                 "initial_barb", "teeth", "final_barb", "final_run", "isolated")
+
+    def __init__(self, line_color: int, summit_color: int, valid: bool,
+                 violation: Optional[str] = None, initial_run: Optional[list[int]] = None,
+                 initial_barb: Optional[tuple[int, int]] = None,
+                 teeth: Optional[list[Tooth]] = None, final_barb: Optional[tuple[int, int]] = None,
+                 final_run: Optional[list[int]] = None, isolated: Optional[set[int]] = None):
+        self.line_color, self.summit_color, self.valid = line_color, summit_color, valid
+        self.violation, self.initial_barb, self.final_barb = violation, initial_barb, final_barb
+        self.initial_run = [] if initial_run is None else initial_run
+        self.teeth = [] if teeth is None else teeth
+        self.final_run = [] if final_run is None else final_run
+        self.isolated = set() if isolated is None else isolated
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SawTeethReport) and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def pure(self) -> bool:

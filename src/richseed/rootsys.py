@@ -17,7 +17,6 @@ relied on silently below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
@@ -32,21 +31,48 @@ Vec = tuple[int, ...]
 MAX_POSITIVE_ROOTS = 120
 
 
-@dataclass(frozen=True)
-class CartanData:
-    """A simply-laced Dynkin type with its Cartan matrix and diagram."""
+_set = object.__setattr__
 
-    family: str
-    rank: int
-    matrix: tuple[tuple[int, ...], ...]
-    adjacency: frozenset[tuple[int, int]]
-    # neighbors of vertex i at [i-1], derived from adjacency
-    nbrs: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        vertices = range(1, self.rank + 1)
-        nbrs = tuple(tuple(j for j in vertices if j != i and self.adjacent(i, j)) for i in vertices)
-        object.__setattr__(self, "nbrs", nbrs)
+class _Frozen:
+    """A slotted base whose attributes are set once, with ``_set``, in
+    ``__init__``: assigning or deleting one raises ``AttributeError``.
+    Subclasses rebuild copies and pickles from their constructor
+    arguments (``__reduce__``)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class CartanData(_Frozen):
+    """A simply-laced Dynkin type with its Cartan matrix and diagram.
+    Immutable; equal when family, rank, matrix and adjacency are (``nbrs``,
+    vertex i's neighbors at [i-1], is derived).  It keys the per-type
+    caches, so its hash is computed once."""
+
+    __slots__ = ("family", "rank", "matrix", "adjacency", "nbrs", "_key", "_hash")
+
+    def __init__(self, family: str, rank: int, matrix: tuple[tuple[int, ...], ...],
+                 adjacency: frozenset[tuple[int, int]]):
+        vertices = range(1, rank + 1)
+        nbrs = tuple(tuple(j for j in vertices if j != i and (min(i, j), max(i, j)) in adjacency)
+                     for i in vertices)
+        key = (family, rank, matrix, adjacency)
+        for name, x in zip(self.__slots__, (*key, nbrs, key, hash(key))):
+            _set(self, name, x)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CartanData) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return CartanData, self._key
 
     def a(self, i: int, j: int) -> int:
         """Cartan entry a_{ij} for colors 1..rank."""
@@ -220,8 +246,7 @@ def _two_rho(c: CartanData) -> Vec:
 # Weyl group elements as integer matrices on the root lattice
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(_Frozen):
     """A Weyl group element as an integer matrix on the simple-root basis.
 
     Column j of the matrix holds the root coordinates of the image of
@@ -232,11 +257,25 @@ class WeylElement:
     descents and the inverse are read off the weight w(rho): for every
     element, <w(rho), alpha_i^vee> = ht(w^{-1}(alpha_i)), so s_i is a
     left descent of w exactly when coordinate i of w(rho) is negative,
-    and w is the identity exactly when w(rho) = rho.
+    and w is the identity exactly when w(rho) = rho.  Immutable and
+    hashable; equal when the Cartan data and the matrices are.
     """
 
-    cartan: CartanData
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("cartan", "matrix")
+
+    def __init__(self, cartan: CartanData, matrix: tuple[tuple[int, ...], ...]):
+        _set(self, "cartan", cartan)
+        _set(self, "matrix", matrix)
+
+    def __eq__(self, other) -> bool:
+        same_type = isinstance(other, WeylElement)
+        return same_type and (self.cartan, self.matrix) == (other.cartan, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.cartan, self.matrix))
+
+    def __reduce__(self):
+        return WeylElement, (self.cartan, self.matrix)
 
     def apply(self, v: Vec) -> Vec:
         n = self.cartan.rank

@@ -8,9 +8,9 @@ written first); internally everything is stored in application order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import NotLessOrEqual, NotReduced
 from .rootsys import (
@@ -193,9 +193,10 @@ def left_complete(word: Word) -> Word:
     return Word(word.cartan, word.letters + tuple(extra))
 
 
-@dataclass(frozen=True)
-class SubwordEmbedding:
-    """Positions p_1 < ... < p_{l(v)} of the rightmost subword for v."""
+class SubwordEmbedding(NamedTuple):
+    """Positions p_1 < ... < p_{l(v)} of the rightmost subword for v: a named
+    tuple (parent, positions), so immutable, hashable and equal by value,
+    whose ``len`` is l(v), the number of positions."""
 
     parent: Word
     positions: tuple[int, ...]

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -734,15 +733,32 @@ def test_checks_only_observe_the_run():
         cases += [(c, w, v, None) for c, w, v in _w0_pairs(spec, 17)]
     sampled = ("A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8")
     cases += [(c, w, v, None) for c, w, v in _sampled_pairs(sampled, 8, 31)]
+    fields = ("step", "vertex", "chosen", "evicted", "packed", "length")
+
+    def rows(trace):
+        return [tuple(getattr(rec, f) for f in fields) for rec in trace]
+
     labelled = 0
     for c, w, v, vdot in cases:
         checked, plain = (run(c, w, v, completion=vdot, check=ch) for ch in (True, False))
         for name in ("summands", "quiver", "frozen", "deleted", "schedule"):
             assert getattr(checked, name) == getattr(plain, name), name
-        assert [replace(rec, configs={}) for rec in checked.trace] == plain.trace
+        assert rows(checked.trace) == rows(plain.trace)
         assert not any(rec.configs for rec in plain.trace)
         labelled += sum(bool(rec.configs) for rec in checked.trace)
     assert labelled
+
+
+def test_records_are_equal_by_value():
+    first, again = (run(A5, WORD, V, completion=VDOT) for _ in range(2))
+    assert first.trace == again.trace and first.trace[0] is not again.trace[0]
+    rec = first.trace[0]
+    fields = (rec.step, rec.vertex, rec.chosen, rec.evicted, rec.packed, rec.length)
+    twin = MutationRecord(*fields, dict(rec.configs))
+    assert twin.after == rec.after and twin == rec
+    assert MutationRecord(*fields) == MutationRecord(*fields, {})
+    assert MutationRecord(*fields) != MutationRecord(*fields, {1: "initial"})
+    assert MutationRecord(rec.step + 1, *fields[1:]) != MutationRecord(*fields)
 
 
 @pytest.mark.parametrize("spec", ["A4", "D5", "E6"])

@@ -184,6 +184,31 @@ def test_frozen_frozen_arrows_not_stored():
     assert f.has_arrow(2, 3)
 
 
+def test_a_fresh_vertex_is_mutable():
+    assert Vertex(4, 2, 7).frozen is False
+    assert Vertex(4, 2, 7) == Vertex(4, 2, 7, frozen=False) != Vertex(4, 2, 7, frozen=True)
+
+
+def test_with_frozen_marks_exactly_the_given_ids_and_keeps_colors_and_columns():
+    q = build_gamma(A4_WORD)
+    f = q.with_frozen({2, 5, 9})
+    assert sorted(f.vertices) == sorted(q.vertices)
+    for k, v in f.vertices.items():
+        assert v.frozen == (k in {2, 5, 9})
+        assert (v.id, v.color, v.column) == (k, q.vertices[k].color, q.vertices[k].column)
+    assert not any(v.frozen for v in q.vertices.values())
+
+
+def test_vertices_and_teeth_are_immutable():
+    v = Vertex(1, 1, 1)
+    q = build_gamma(make_word(cartan("D", 5), list(golden.D5_WORD)))
+    tooth = classify_sawteeth(q.bicolor(3, 2)).teeth[0]
+    for obj, name in ((v, "frozen"), (v, "id"), (tooth, "summit"), (tooth, "chain")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert not v.frozen and tooth.chain == (3, 7, 9)
+
+
 def test_a5_first_mutation_matches_figure():
     c5 = cartan("A", 5)
     w = make_word(c5, list(golden.A5_WORD))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -49,6 +51,45 @@ def test_cartan_e_vertex_two_hangs_off_four():
 
 def test_cartan_a1():
     assert cartan("A", 1).matrix == ((2,),)
+
+
+def test_cartan_data_and_elements_are_immutable():
+    c = cartan("E", 8)
+    w = element_of_word(c, [1, 3, 4])
+    for obj, name in ((c, "rank"), (c, "nbrs"), (w, "matrix"), (w, "cartan")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        c.extra = 1
+    with pytest.raises(AttributeError):
+        del w.matrix
+    assert c.rank == 8 and w == element_of_word(c, [1, 3, 4])
+
+
+def test_separately_built_cartan_data_and_elements_are_equal_and_hash_alike():
+    c, d = cartan("D", 5), cartan("D", 5)
+    assert c is not d
+    assert c == d and hash(c) == hash(d)
+    assert c != cartan("D", 6) and c != cartan("A", 5)
+    x, y = element_of_word(c, [1, 3, 2, 5]), element_of_word(d, [1, 3, 2, 5])
+    assert x is not y
+    assert x == y and hash(x) == hash(y)
+    assert x != element_of_word(c, [1, 3, 2])
+    assert len({c, d}) == 1 and len({x, y}) == 1
+
+
+def test_cartan_data_and_elements_survive_copies_and_pickles():
+    c = cartan("E", 8)
+    w = element_of_word(c, [8, 7, 6, 5, 4, 2])
+    for obj in (c, w):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert twin == obj and hash(twin) == hash(obj)
+    assert copy.deepcopy(w).cartan.neighbors(4) == (2, 3, 5)
+
+
+def test_elements_of_the_same_letters_in_different_types_differ():
+    letters = [1, 2, 3, 1]
+    assert element_of_word(cartan("A", 3), letters) != element_of_word(cartan("A", 4), letters)
 
 
 @pytest.mark.parametrize("family,rank", [("D", 3), ("E", 9), ("E", 5), ("A", 0)])

@@ -177,6 +177,17 @@ def test_rightmost_subword_appendix():
     assert emb.element() == v
 
 
+def test_subword_embeddings_are_immutable_and_equal_by_value():
+    v = element_of_word(A5, [2, 4, 5, 3, 1, 2])
+    emb = rightmost_subword(v, APP_WORD)
+    for name in ("positions", "parent"):
+        with pytest.raises(AttributeError):
+            setattr(emb, name, ())
+    again = rightmost_subword(v, APP_WORD)
+    assert emb == again and hash(emb) == hash(again)
+    assert len(emb) == 6 and emb.positions == again.positions
+
+
 def test_rightmost_subword_identity_and_failure():
     assert rightmost_subword(identity_element(A5), APP_WORD).positions == ()
     c = cartan("A", 2)
