@@ -49,11 +49,15 @@ SCHEMA_VERSION = 1
 MAX_SAMPLES = 10000
 
 
-def _parse_letters(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+def _parse_letters(text: str, option: str) -> list[int]:
+    """Comma-separated letters; blanks around a letter and empty tokens
+    are ignored, and every other token must be ASCII digits, so that
+    "1 2" or "1_0" is refused rather than read as one letter."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    for tok in tokens:
+        if tok and not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"{option}: {tok!r} is not a letter; letters are comma-separated digits")
+    return [int(tok) for tok in tokens if tok]
 
 
 def seed_document(seed: FinalSeed, with_trace: bool = False) -> dict:
@@ -97,14 +101,14 @@ def seed_document(seed: FinalSeed, with_trace: bool = False) -> dict:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     c = parse_type(args.type)
-    word = make_word(c, _parse_letters(args.w), order=args.order)
-    v_letters = _parse_letters(args.v)
+    word = make_word(c, _parse_letters(args.w, "--w"), order=args.order)
+    v_letters = _parse_letters(args.v, "--v")
     if args.order == "paper":
         v_letters = list(reversed(v_letters))
     v = element_of_word(c, v_letters)
     completion = None
     if args.vdot:
-        completion = make_word(c, _parse_letters(args.vdot), order=args.order)
+        completion = make_word(c, _parse_letters(args.vdot, "--vdot"), order=args.order)
     seed = run(c, word, v, completion=completion, check=not args.no_check)
     doc = seed_document(seed, with_trace=args.trace)
     payload = json.dumps(doc, indent=2)

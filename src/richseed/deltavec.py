@@ -12,10 +12,13 @@ coordinates, never quotients.  No root sequence is built.
 A vector is stored packed, as one Python int with W = 16 bits per
 coordinate, coordinate 1 in the lowest field (the SWAR layout of Lamport,
 *Multiple byte processing with full-word instructions*, CACM 1975, and
-Warren, *Hacker's Delight*, ch. 2).  Sums and differences of vectors are
-then big-integer adds, and reads of a coordinate or of a run of leading
-coordinates are masks and shifts.  Let G(n) hold 2^(W-1) in each of n
-fields.  Two bounds keep every field inside its W bits:
+Warren, *Hacker's Delight*, ch. 2).  The run builds every vector
+packed: ``delta_via_xi`` and ``basis_delta`` write each coordinate
+straight into its field, the exchange's sums and differences of vectors
+are big-integer adds of ``bits``, and reads of a coordinate or of a run
+of leading coordinates are masks and shifts.  ``DeltaVector`` itself
+has no arithmetic.  Let G(n) hold 2^(W-1) in each of n fields.  Two
+bounds keep every field inside its W bits:
 
 - every stored coordinate lies in [0, STORED_BOUND) = [0, 2^8);
 - the arrow multiplicities on one side of a mutated vertex sum to less
@@ -31,8 +34,10 @@ most 127 * 255 < 2^15), so the candidate is nonnegative exactly when
 ``acc & G == G``, and the vector it stands for is ``acc - G``.  That
 vector is stored only if each field is below 2^8, one mask test;
 otherwise, as when a side is past its bound, the run raises
-:class:`InvariantViolation` rather than wrap.  A vector built from a
-tuple with a coordinate outside [0, 2^8) raises ``ValueError``.
+:class:`InvariantViolation` rather than wrap.  A coefficient of the walk
+is a coordinate of a weight in the orbit of a fundamental weight, at
+most 6 in absolute value, so it always fits its field.  A vector built
+from a tuple with a coordinate outside [0, 2^8) raises ``ValueError``.
 ``coords`` decodes the fields into a tuple once, on first read, for
 output, error messages and tests.
 """
@@ -146,24 +151,6 @@ class DeltaVector:
     def __hash__(self) -> int:
         return hash(self.bits)
 
-    def __add__(self, other: "DeltaVector") -> "DeltaVector":
-        self._same(other)
-        return DeltaVector(self.reference, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "DeltaVector") -> "DeltaVector":
-        self._same(other)
-        return DeltaVector(self.reference, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def _same(self, other: "DeltaVector") -> None:
-        if self.reference is not other.reference and self.reference != other.reference:
-            raise ValueError("mixed reference words")
-
-    def scaled(self, n: int) -> "DeltaVector":
-        return DeltaVector(self.reference, tuple(n * a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return not self.bits
-
     def truncated(self, n: int) -> tuple[int, ...]:
         """The first n coordinates."""
         return decode(self.bits & prefix_mask(n), n)
@@ -176,31 +163,8 @@ class DeltaVector:
         return "Delta(" + (" + ".join(terms) if terms else "0") + ")"
 
 
-class Candidate:
-    """One exchange candidate, kept as ``acc`` = G(n) + its vector, whose
-    coordinates may be negative; ``coords`` decodes it on first read."""
-
-    __slots__ = ("reference", "acc", "_coords")
-
-    def __init__(self, reference: Word, acc: int):
-        self.reference, self.acc, self._coords = reference, acc, None
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        if self._coords is None:
-            self._coords = decode_offset(self.acc, len(self.reference))
-        return self._coords
-
-
-def zero_delta(reference: Word) -> DeltaVector:
-    return DeltaVector(reference, (0,) * len(reference))
-
-
 def basis_delta(reference: Word, ks) -> DeltaVector:
-    coords = [0] * len(reference)
-    for k in ks:
-        coords[k - 1] += 1
-    return DeltaVector(reference, tuple(coords))
+    return DeltaVector.packed(reference, sum(1 << (W * (k - 1)) for k in ks))
 
 
 def initial_delta_same(word: Word, k: int) -> DeltaVector:
@@ -266,10 +230,9 @@ def delta_via_xi(module_word: Word, k: int, target: Word, start: Vec | None = No
     q_positions = set(leftmost_subword_of_rho(start, target))
 
     eta = fundamental_weight(c, module_word.color(k))
-    coords = []
+    bits = 0
     for i, j in enumerate(target.letters, start=1):
         if i in q_positions:
-            coords.append(0)
             eta = reflect_weight_simple(c, j, eta)
             continue
         n = eta[j - 1]
@@ -278,8 +241,8 @@ def delta_via_xi(module_word: Word, k: int, target: Word, start: Vec | None = No
                 f"coefficient {n} at position {i} (module index {k}); "
                 "the reference data is inconsistent"
             )
-        coords.append(n)
-    return DeltaVector(target, tuple(coords))
+        bits |= n << (W * (i - 1))
+    return DeltaVector.packed(target, bits)
 
 
 def initial_delta_tilde(word: Word, emb: SubwordEmbedding, k: int) -> tuple[int, ...]:

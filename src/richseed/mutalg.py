@@ -38,7 +38,6 @@ from typing import Optional
 from .deltavec import (
     SIDE_BOUND,
     W,
-    Candidate,
     DeltaVector,
     coordinate_mask,
     decode,
@@ -251,10 +250,12 @@ def cut_view(state: AlgState) -> CutSeedView:
     return CutSeedView(members, evicted, deleted, state.step)
 
 
-def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, Candidate, Candidate, str]:
+def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, int, int, str]:
     """The two exchange computations at k; exactly one must be valid.
 
-    Returns (chosen, in-candidate, out-candidate, branch name).  The
+    Returns (chosen, in-candidate, out-candidate, branch name), each
+    candidate packed as G + its vector (see :mod:`richseed.deltavec`),
+    whose coordinates may be negative; ``decode_offset`` reads them.  The
     in-candidate replaces the vector by the sum over arrows into k minus
     itself, the out-candidate uses the arrows out of k.
     """
@@ -267,9 +268,8 @@ def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, Candidate, Candi
         raise AmbiguousBranch(f"both exchange vectors are valid at vertex {k}")
     if not ok_in and not ok_out:
         raise NoValidBranch(f"no nonnegative exchange vector at vertex {k}")
-    ref = state.reference
-    chosen = DeltaVector.packed(ref, (acc_in if ok_in else acc_out) - g)
-    return chosen, Candidate(ref, acc_in), Candidate(ref, acc_out), "in" if ok_in else "out"
+    chosen = DeltaVector.packed(state.reference, (acc_in if ok_in else acc_out) - g)
+    return chosen, acc_in, acc_out, "in" if ok_in else "out"
 
 
 def _exchange(state: AlgState, k: int, g: int) -> tuple[int, int]:
@@ -317,14 +317,13 @@ def step_hat(state: AlgState) -> AlgState:
     lead, n = prefix_mask(state.lv), len(state.reference)
     for k in batch:
         configs = checker.before(k)
-        chosen, cand_in, cand_out, branch = mutate_delta(state, k)
+        chosen, acc_in, acc_out, branch = mutate_delta(state, k)
         old = state.deltas[k]
         state.quiver.mutate_in_place(k)
         state.deltas[k] = chosen
         evicted = not chosen.bits & lead
         checker.after(k, old, chosen, evicted)
-        rejected = cand_out if branch == "in" else cand_in
-        packed = (rejected.acc, old.bits, chosen.bits)
+        packed = (acc_out if branch == "in" else acc_in, old.bits, chosen.bits)
         state.trace.append(MutationRecord(m, k, branch, evicted, packed, n, configs))
     state.step = m
     checker.finish(batch)

@@ -191,6 +191,11 @@ def build_gamma(word: Word) -> Quiver:
     run k -> k+ inside every color line.  An ordinary arrow j -> k (with
     j > k of a different color) exists when the colors are adjacent and
     j+ >= k+ > j > k, with multiplicity -a_{i_j, i_k}.
+
+    One pass over j keeps each color's last index so far: an earlier k
+    of that color has k+ < j, so the last one is the only candidate per
+    adjacent color.  Arrows are added in the same order as an all-pairs
+    scan of (j, k), so every row lists its entries in that order too.
     """
     c = word.cartan
     L = len(word)
@@ -199,13 +204,13 @@ def build_gamma(word: Word) -> Quiver:
         kp = word.succ(k)
         if kp <= L:
             q._add(k, kp, 1)
-    for j in range(2, L + 1):
-        for k in range(1, j):
-            ij, ik = word.color(j), word.color(k)
-            if ij == ik or not c.adjacent(ij, ik):
-                continue
-            if word.succ(j) >= word.succ(k) > j:
-                q._add(j, k, -c.a(ij, ik))
+    last = [0] * (c.rank + 1)  # last[i]: the last index of color i before j, 0 if none
+    for j, ij in enumerate(word.letters, start=1):
+        jp = word.succ(j)
+        for k in sorted(last[i] for i in c.neighbors(ij)):
+            if k and jp >= word.succ(k) > j:
+                q._add(j, k, -c.a(ij, word.color(k)))
+        last[ij] = j
     return q
 
 

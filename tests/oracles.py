@@ -1,8 +1,10 @@
-"""Matrix and root-sequence paths kept as oracles of the weight walks in
-``richseed.words`` and ``richseed.deltavec``."""
+"""Matrix, root-sequence and all-pairs paths kept as oracles of the weight
+walks in ``richseed.words`` and ``richseed.deltavec`` and of the one-pass
+``richseed.quiver.build_gamma``."""
 
 from richseed.deltavec import DeltaVector
 from richseed.errors import NegativeCoordinate, NotLessOrEqual
+from richseed.quiver import Quiver, Vertex
 from richseed.rootsys import (
     fundamental_weight,
     identity_element,
@@ -64,3 +66,21 @@ def matrix_rightmost_subword(v, word):
     if not y.is_identity():
         raise NotLessOrEqual("element is not below the word in the Bruhat order")
     return SubwordEmbedding(word, tuple(positions))
+
+
+def all_pairs_gamma(word):
+    """The initial quiver from every pair k < j: horizontal arrows k -> k+,
+    and j -> k with multiplicity -a_{i_j, i_k} when the colors are
+    adjacent and j+ >= k+ > j."""
+    c = word.cartan
+    L = len(word)
+    q = Quiver(Vertex(k, word.color(k), k) for k in range(1, L + 1))
+    for k in range(1, L + 1):
+        if word.succ(k) <= L:
+            q._add(k, word.succ(k), 1)
+    for j in range(2, L + 1):
+        for k in range(1, j):
+            ij, ik = word.color(j), word.color(k)
+            if ij != ik and c.adjacent(ij, ik) and word.succ(j) >= word.succ(k) > j:
+                q._add(j, k, -c.a(ij, ik))
+    return q

@@ -66,6 +66,28 @@ def test_compute_v_equals_w():
     assert len(json.loads(proc.stdout)["vertices"]) == 0
 
 
+@pytest.mark.parametrize("w,v,token", [
+    ("1 2", "12", "'1 2'"),
+    ("1,2", "1_0", "'1_0'"),
+    ("1,2", "+2", "'+2'"),
+    ("1,2", "1,\uff12", "'\uff12'"),
+])
+def test_letters_joined_by_a_space_or_underscore_are_refused(capsys, w, v, token):
+    # before, "1 2" was read as the letter 12 and "1_0" as 10
+    argv = ["compute", "--type", "A15", "--w", w, "--v", v, "--no-check"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert token in captured.err
+
+
+def test_letters_may_have_blanks_around_commas(capsys):
+    assert main(["compute", "--type", "A3", "--w", " 1, 2 ,,3 ", "--v", "", "--no-check"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["metadata"]["w"] == [1, 2, 3] and doc["metadata"]["v"] == []
+
+
 def test_exit_code_not_reduced():
     proc = _cli("compute", "--type", "A3", "--w", "1,1", "--v", "")
     assert proc.returncode == 2

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richseed import golden
-from richseed.deltavec import DeltaVector, delta_tilde_from_combo, delta_via_xi, left_part_rhos
+from richseed.deltavec import (
+    DeltaVector,
+    decode_offset,
+    delta_tilde_from_combo,
+    delta_via_xi,
+    left_part_rhos,
+)
 from richseed.errors import InvariantViolation, StructuralFailure
 from richseed.mutalg import (
     MutationRecord,
@@ -87,12 +93,12 @@ def test_schedule_with_zero_beta_starts_at_line_minimum():
 
 def test_first_batch_exchange_values():
     state = initial_state(A5, WORD, V, completion=VDOT)
-    chosen, cand_in, cand_out, branch = mutate_delta(state, 1)
+    chosen, acc_in, acc_out, branch = mutate_delta(state, 1)
     # one candidate is the valid f_11, the other is f_2 - f_1
     assert chosen.support() == (11,)
     assert branch == "out"
-    invalid = cand_in if branch == "out" else cand_out
-    assert invalid.coords[0] == -1 and invalid.coords[1] == 1
+    invalid = decode_offset(acc_in if branch == "out" else acc_out, len(state.reference))
+    assert invalid[0] == -1 and invalid[1] == 1
 
 
 def test_step_hat_batches_match_appedix(a5_seed):
@@ -633,13 +639,13 @@ def test_a_record_decodes_the_candidate_of_either_branch(side):
     # the runs of the tests above choose "out" only; a record keeps the
     # rejected candidate and reads the chosen one off the vector after
     state, k = _planted_exchange(2, 3, side)
-    chosen, cand_in, cand_out, branch = mutate_delta(state, k)
-    rejected = cand_out if branch == "in" else cand_in
+    chosen, acc_in, acc_out, branch = mutate_delta(state, k)
+    rejected = acc_out if branch == "in" else acc_in
     n = len(state.reference)
-    rec = MutationRecord(1, k, branch, False, (rejected.acc, state.deltas[k].bits, chosen.bits), n)
+    rec = MutationRecord(1, k, branch, False, (rejected, state.deltas[k].bits, chosen.bits), n)
     valid, invalid = (1, 6) + (0,) * (n - 2), (-1,) + (0,) * (n - 1)
     assert branch == side and rec.after == chosen.coords == valid
-    assert (rec.candidate_in, rec.candidate_out) == (cand_in.coords, cand_out.coords)
+    assert (rec.candidate_in, rec.candidate_out) == (decode_offset(acc_in, n), decode_offset(acc_out, n))
     assert {rec.candidate_in, rec.candidate_out} == {valid, invalid}
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import all_pairs_gamma
 
 from richseed import golden
 from richseed.errors import FrozenVertex, Unclassifiable
@@ -17,7 +18,7 @@ from richseed.quiver import (
     quiver_has_sawteeth,
     to_dot,
 )
-from richseed.rootsys import cartan, element_of_word
+from richseed.rootsys import cartan, element_of_word, number_of_positive_roots
 from richseed.words import (
     Word,
     all_elements,
@@ -55,6 +56,27 @@ def test_build_gamma_d5_matches_figure():
     q = build_gamma(w)
     assert len(q.vertices) == 17
     assert set(q.arrows) == golden.D5_ARROWS
+
+
+ACCEPTED_TYPES = (
+    [("A", n) for n in range(1, 16)] + [("D", n) for n in range(4, 12)] + [("E", n) for n in (6, 7, 8)]
+)
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTED_TYPES, ids=[f"{f}{n}" for f, n in ACCEPTED_TYPES])
+def test_build_gamma_matches_the_all_pairs_scan(family, rank):
+    # the one-pass quiver against every pair k < j, on random words of
+    # every accepted type, the full length included; rows are compared
+    # entry by entry in order, since the scan order is the insertion order
+    c = cartan(family, rank)
+    r = number_of_positive_roots(c)
+    rng = random.Random(f"{family}{rank}")
+    for length in (r, r, rng.randint(1, r), rng.randint(1, r)):
+        w = Word(c, random_reduced_word(c, length, rng))
+        q, want = build_gamma(w), all_pairs_gamma(w)
+        assert q.vertices == want.vertices
+        for k in want.b:
+            assert list(q.b[k].items()) == list(want.b[k].items()), (w.letters, k)
 
 
 def test_mutation_involution_small():
