@@ -3,11 +3,11 @@
 A rigid summand is identified with the integer vector of multiplicities
 of its strata relative to a fixed reduced word of w0 (the reference).
 The engine below computes these vectors for the initial summands of any
-word relative to any reference.  The walk of the paper reflects a weight
-in the reference's root sequence and reads each coefficient as a
-pairing; conjugated by the reference's prefixes it becomes a walk of one
-weight vector by simple reflections, whose coefficients are single
-coordinates, never quotients.  No root sequence is built.
+word relative to any reference.  The paper's walk pairs a weight with
+the reference's root sequence; conjugated by the reference's prefixes
+and run down from its end, it is one pass of simple reflections of
+u_k(rho), which marks the positions that record 0, and u_k(omega_{i_k}),
+whose coordinates are the other coefficients.  No root sequence is built.
 
 A vector is stored packed, as one Python int with W = 16 bits per
 coordinate, coordinate 1 in the lowest field (the SWAR layout of Lamport,
@@ -50,12 +50,11 @@ from functools import lru_cache
 from .errors import InvariantViolation, NegativeCoordinate
 from .rootsys import (
     Vec,
-    fundamental_weight,
     identity_element,
     number_of_positive_roots,
     reflect_weight_simple,
 )
-from .words import ComboNumbers, SubwordEmbedding, Word, leftmost_subword_of_rho
+from .words import ComboNumbers, SubwordEmbedding, Word
 
 W = 16  # bits per coordinate field: two bytes, little-endian
 STORED_BOUND = 1 << 8
@@ -179,42 +178,51 @@ def initial_delta_same(word: Word, k: int) -> DeltaVector:
     return basis_delta(word, [j for j in range(1, k + 1) if word.color(j) == ik])
 
 
-def left_part_rhos(module_word: Word) -> list[Vec]:
-    """u_k(rho) in weight coordinates at index k - 1, for k = 1, ..., L.
+def left_parts(module_word: Word) -> list[tuple[Vec, Vec]]:
+    """(u_k(rho), u_k(omega_{i_k})) in weight coordinates at index k - 1,
+    for k = 1, ..., L.
 
     u_k = s_{i_L} ... s_{i_{k+1}} is the left part of the module word (a
     reduced word of w0, of length L) beyond index k.  Coordinate j of
-    u_k(rho) is <rho, u_k^{-1}(alpha_j)^vee>, the height of u_k^{-1}(alpha_j),
-    which is the sum of column j of u_k^{-1}'s matrix.  The walk runs k
-    down from L, where u_L^{-1} is the identity, and u_{k-1}^{-1} =
-    s_{i_k} u_k^{-1} is one ``lmul``.
+    u_k(rho) is <rho, u_k^{-1}(alpha_j)^vee>, the height of
+    u_k^{-1}(alpha_j): the sum of column j of u_k^{-1}'s matrix.
+    Coordinate j of u_k(omega_i) is the alpha_i-coefficient of
+    u_k^{-1}(alpha_j), so u_k(omega_i) is row i.  The walk runs k down from
+    L, where u_L^{-1} is the identity, and u_{k-1}^{-1} = s_{i_k} u_k^{-1}
+    is one ``lmul``.
     """
     u_inv = identity_element(module_word.cartan)
-    rhos = []
+    parts = []
     for i in reversed(module_word.letters):
-        rhos.append(u_inv.inverse_rho_image())
+        parts.append((u_inv.inverse_rho_image(), u_inv.matrix[i - 1]))
         u_inv = u_inv.lmul(i)
-    rhos.reverse()
-    return rhos
+    parts.reverse()
+    return parts
 
 
-def delta_via_xi(module_word: Word, k: int, target: Word, start: Vec | None = None) -> DeltaVector:
+def delta_via_xi(
+    module_word: Word, k: int, target: Word, start: tuple[Vec, Vec] | None = None
+) -> DeltaVector:
     """Vector of the k-th summand of one completed word relative to another.
 
-    Both words must be reduced words of w0.  The left part u_k of the
-    module word beyond index k is located as the leftmost subword of the
-    target (positions Q).  The paper's walk starts xi at the fundamental
-    weight of color i_k and, at each target position i outside Q, records
-    n = <xi, beta_i^vee> and reflects xi in beta_i; positions in Q record 0.
+    Both words must be reduced words of w0.  Let u_k be the left part of
+    the module word beyond index k and Q the positions of its leftmost
+    subword in the target.  The paper's walk starts xi at the fundamental
+    weight omega of color i_k and, at each target position i outside Q,
+    records n = <xi, beta_i^vee> and reflects xi in beta_i; positions in Q
+    record 0.
 
     Let x = s_{j_1} ... s_{j_{i-1}} be the target's prefix before position
-    i, so that beta_i = x(alpha_{j_i}), and carry eta = x^{-1}(xi) instead,
-    starting at the same fundamental weight.  Then n is coordinate j_i of
-    eta.  Reflecting xi in beta_i leaves eta unchanged, since
-    (x s_{j_i})^{-1} s_{beta_i} = x^{-1}; at a position in Q, xi stays and
-    eta becomes s_{j_i}(eta).  A negative n raises
-    :class:`NegativeCoordinate`.  ``start`` is u_k(rho), for callers that
-    walk k with ``left_part_rhos``.
+    i, so that beta_i = x(alpha_{j_i}), and carry eta = x^{-1}(xi) instead.
+    Then n is coordinate j_i of eta.  Reflecting xi in beta_i leaves eta
+    unchanged, since (x s_{j_i})^{-1} s_{beta_i} = x^{-1}; at a position in
+    Q, xi stays and eta becomes s_{j_i}(eta).  Walked up the target, eta
+    ends at u_k(omega); reflections are involutions, so this walk runs down
+    from position r with eta = u_k(omega) and y = u_k(rho) instead: i is in
+    Q exactly when coordinate j_i of y is negative, and then both are
+    reflected by s_{j_i}.  A negative n raises :class:`NegativeCoordinate`.
+    ``start`` is the pair (u_k(rho), u_k(omega)), for callers that walk k
+    with ``left_parts``.
     """
     c = module_word.cartan
     r = number_of_positive_roots(c)
@@ -225,14 +233,11 @@ def delta_via_xi(module_word: Word, k: int, target: Word, start: Vec | None = No
     if module_word.cartan != target.cartan:
         raise ValueError("words of different types")
 
-    if start is None:
-        start = left_part_rhos(module_word)[k - 1]
-    q_positions = set(leftmost_subword_of_rho(start, target))
-
-    eta = fundamental_weight(c, module_word.color(k))
+    y, eta = left_parts(module_word)[k - 1] if start is None else start
     bits = 0
-    for i, j in enumerate(target.letters, start=1):
-        if i in q_positions:
+    for i, j in zip(range(r, 0, -1), reversed(target.letters)):
+        if y[j - 1] < 0:
+            y = reflect_weight_simple(c, j, y)
             eta = reflect_weight_simple(c, j, eta)
             continue
         n = eta[j - 1]

@@ -44,7 +44,7 @@ from .deltavec import (
     decode_offset,
     delta_tilde_from_combo,
     delta_via_xi,
-    left_part_rhos,
+    left_parts,
     offset,
     prefix_mask,
 )
@@ -672,10 +672,9 @@ def initial_state(
         reference = completion
         _validate_completion(reference, vbar)
     module_word = left_complete(word)
-    starts = left_part_rhos(module_word)
     deltas = {
         k: delta_via_xi(module_word, k, reference, start)
-        for k, start in zip(range(1, len(word) + 1), starts)
+        for k, start in zip(range(1, len(word) + 1), left_parts(module_word))
     }
     state = AlgState(
         word=word,

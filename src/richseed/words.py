@@ -247,7 +247,7 @@ def rightmost_subword(v: WeylElement, word: Word) -> SubwordEmbedding:
     this succeeds iff v <= w in the Bruhat order.  s_i is a right descent
     of y exactly when coordinate i of y^{-1}(rho) is negative, and
     (y s_i)^{-1}(rho) is that weight reflected by s_i, so the scan is the
-    ascending twin of ``leftmost_subword_of_rho``.  It starts from
+    ascending twin of ``leftmost_subword``.  It starts from
     v^{-1}(rho), the column heights of v's matrix.  A v of another type
     than the word raises ``ValueError``.
     """
@@ -269,20 +269,15 @@ def leftmost_subword(u: WeylElement, word: Word) -> tuple[int, ...]:
     """Leftmost representative of u inside the word (positions pushed left).
 
     Scans indices in decreasing order, taking a letter exactly when it
-    is a left descent of the remaining element.  Returns the positions
-    in increasing order.
-    """
-    return leftmost_subword_of_rho(u.rho_image(), word)
-
-
-def leftmost_subword_of_rho(u_rho: Vec, word: Word) -> tuple[int, ...]:
-    """``leftmost_subword`` of the element u given by the weight u(rho).
-
+    is a left descent of the remaining element y, starting from y = u.
     s_i is a left descent of y exactly when coordinate i of y(rho) is
     negative, and (s_i y)(rho) is that weight reflected by s_i, so the
-    scan carries one weight vector; y is the identity when y(rho) = rho.
+    scan carries one weight vector.  Returns the positions in increasing
+    order.  A u of another type than the word raises ``ValueError``.
     """
-    return tuple(reversed(_descent_scan(u_rho, word, range(len(word), 0, -1))))
+    if u.cartan != word.cartan:
+        raise ValueError("element and word of different types")
+    return tuple(reversed(_descent_scan(u.rho_image(), word, range(len(word), 0, -1))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ from richseed.deltavec import DeltaVector
 from richseed.errors import NegativeCoordinate, NotLessOrEqual
 from richseed.quiver import Quiver, Vertex
 from richseed.rootsys import (
+    element_of_word,
     fundamental_weight,
     identity_element,
     is_negative,
     root_pairing,
     root_to_weight,
 )
-from richseed.words import SubwordEmbedding, leftmost_subword_of_rho
+from richseed.words import SubwordEmbedding, leftmost_subword
 
 
 def matrix_betas(c, letters):
@@ -30,12 +31,14 @@ def matrix_betas(c, letters):
     return tuple(betas), None
 
 
-def root_sequence_delta_via_xi(module_word, k, target, start):
-    """The xi-walk along the target's root sequence: at every position
-    outside the leftmost subword for u_k, the coefficient is the pairing
-    <xi, beta_i^vee> and xi is reflected in beta_i."""
+def root_sequence_delta_via_xi(module_word, k, target):
+    """The xi-walk along the target's root sequence, ascending: at every
+    position outside the leftmost subword for the matrix of u_k = s_{i_L}
+    ... s_{i_{k+1}}, the coefficient is the pairing <xi, beta_i^vee> and xi
+    is reflected in beta_i."""
     c = target.cartan
-    q_positions = set(leftmost_subword_of_rho(start, target))
+    u_k = element_of_word(c, module_word.letters[k:])
+    q_positions = set(leftmost_subword(u_k, target))
     xi = fundamental_weight(c, module_word.color(k))
     coords = []
     for i, beta in enumerate(matrix_betas(c, target.letters)[0], start=1):

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from oracles import matrix_betas, root_sequence_delta_via_xi
@@ -10,15 +11,17 @@ from richseed.deltavec import (
     in_Cw,
     initial_delta_same,
     initial_delta_tilde,
-    left_part_rhos,
+    left_parts,
 )
 from richseed.rootsys import (
     cartan,
     element_of_word,
+    fundamental_weight,
     longest_element,
     longest_element_word,
     number_of_positive_roots,
     parse_type,
+    reflect_weight_simple,
     root_to_weight,
 )
 from richseed.words import (
@@ -188,7 +191,8 @@ def test_delta_vector_refuses_coordinates_outside_the_packed_field(bad):
 
 def test_incremental_left_parts_match_dense_products():
     # u_k = w0 (s_{i_k} ... s_{i_1})^{-1} for every k of full-length words;
-    # the weight u_k(rho) determines u_k
+    # the weight u_k(rho) determines u_k, and u_k(omega_{i_k}) is omega_{i_k}
+    # walked by simple reflections through i_{k+1}, ..., i_L
     rng = random.Random(5)
     for spec in ("D5", "E6", "E8"):
         c = parse_type(spec)
@@ -196,12 +200,17 @@ def test_incremental_left_parts_match_dense_products():
         words = [Word(c, longest_element_word(c)),
                  Word(c, random_reduced_word(c, number_of_positive_roots(c), rng))]
         for wdot in words:
-            starts = list(left_part_rhos(wdot))
-            assert len(starts) == len(wdot)
-            for k, start in enumerate(starts, start=1):
+            parts = list(left_parts(wdot))
+            assert len(parts) == len(wdot)
+            for k, (rho_k, omega_k) in enumerate(parts, start=1):
                 u_k = w0 * wdot.prefix_element(k).inverse()
-                assert start == u_k.rho_image()
-            assert starts[-1] == (1,) * c.rank  # u_r is the identity
+                assert rho_k == u_k.rho_image()
+                assert omega_k == reduce(
+                    lambda lam, i: reflect_weight_simple(c, i, lam),
+                    wdot.letters[k:],
+                    fundamental_weight(c, wdot.color(k)),
+                )
+            assert parts[-1][0] == (1,) * c.rank  # u_r is the identity
 
 
 
@@ -224,7 +233,7 @@ def test_left_parts_match_the_w0_matrix_path_on_every_type():
         c = parse_type(spec)
         r = number_of_positive_roots(c)
         wdot = left_complete(Word(c, random_reduced_word(c, rng.randint(1, r), rng)))
-        assert list(left_part_rhos(wdot)) == list(_matrix_left_part_rhos(wdot)), spec
+        assert [rho_k for rho_k, _ in left_parts(wdot)] == list(_matrix_left_part_rhos(wdot)), spec
 
 
 def test_delta_via_xi_matches_the_root_sequence_walk_on_every_type():
@@ -239,8 +248,8 @@ def test_delta_via_xi_matches_the_root_sequence_walk_on_every_type():
         wdot, vdot = (
             left_complete(Word(c, random_reduced_word(c, rng.randint(1, r), rng))) for _ in range(2)
         )
-        for k, start in enumerate(left_part_rhos(wdot), start=1):
-            want = root_sequence_delta_via_xi(wdot, k, vdot, start)
+        for k, start in enumerate(left_parts(wdot), start=1):
+            want = root_sequence_delta_via_xi(wdot, k, vdot)
             assert delta_via_xi(wdot, k, vdot, start) == want, (spec, k)
 
 
@@ -250,5 +259,5 @@ def test_delta_via_xi_start_weight_is_optional():
     r = number_of_positive_roots(c)
     wdot = Word(c, random_reduced_word(c, r, rng))
     vdot = left_complete(Word(c, random_reduced_word(c, 7, rng)))
-    for k, start in enumerate(left_part_rhos(wdot), start=1):
+    for k, start in enumerate(left_parts(wdot), start=1):
         assert delta_via_xi(wdot, k, vdot, start) == delta_via_xi(wdot, k, vdot)

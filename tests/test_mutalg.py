@@ -11,7 +11,7 @@ from richseed.deltavec import (
     decode_offset,
     delta_tilde_from_combo,
     delta_via_xi,
-    left_part_rhos,
+    left_parts,
 )
 from richseed.errors import InvariantViolation, StructuralFailure
 from richseed.mutalg import (
@@ -505,7 +505,7 @@ def test_delta_oracle_full_length_e7_e8(spec):
         emb = rightmost_subword(v, w)
         wdot, vdot = left_complete(w), left_complete(emb.subword())
         combo = ComboNumbers(w, emb)
-        starts = left_part_rhos(wdot)
+        starts = left_parts(wdot)
         for k, start in zip(range(1, len(w) + 1), starts):
             via_xi = delta_via_xi(wdot, k, vdot, start).truncated(len(emb))
             assert via_xi == delta_tilde_from_combo(combo, k)

@@ -10,6 +10,7 @@ from richseed.rootsys import (
     element_of_word,
     identity_element,
     longest_element,
+    longest_element_word,
     number_of_positive_roots,
 )
 from richseed.words import (
@@ -211,6 +212,16 @@ def test_leftmost_subword_examples():
     assert leftmost_subword(u, w0dot) == (3, 5)
     assert leftmost_subword(identity_element(c), w0dot) == ()
     assert leftmost_subword(w0dot.element, w0dot) == (1, 2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize("element_type, word_type", [(("A", 3), ("D", 4)), (("D", 4), ("A", 3))])
+def test_leftmost_subword_refuses_an_element_of_another_type(element_type, word_type):
+    # unchecked, an A3 element in a D4 word indexes past its weight and a D4
+    # element in an A3 word reads as not below the word
+    word = Word(cartan(*word_type), longest_element_word(cartan(*word_type)))
+    u = element_of_word(cartan(*element_type), [1, 2, 3])
+    with pytest.raises(ValueError, match="different types"):
+        leftmost_subword(u, word)
 
 
 def _brute_rightmost(v_el, word):
