@@ -25,7 +25,7 @@ import sys
 from functools import lru_cache
 from typing import Iterator
 
-from .deltavec import delta_tilde_from_combo, delta_via_xi, initial_delta_same, left_parts
+from .deltavec import delta_tilde_from_combo, delta_vectors, delta_via_xi, initial_delta_same
 from .errors import NotLessOrEqual, StructuralFailure
 from .mutalg import FinalSeed, green_report, initial_state, run, step_hat, verify_equivalence
 from .quiver import build_gamma, classify_sawteeth, quiver_has_sawteeth, to_dot
@@ -348,9 +348,10 @@ def check_delta_oracle(c: CartanData, samples: int, max_len: int, rng) -> tuple[
         vdot = left_complete(emb.subword())
         wdot = left_complete(word)
         combo = combo_numbers(word, emb)
-        for k, start in zip(range(1, len(word) + 1), left_parts(wdot)):
+        ks = range(1, len(word) + 1)
+        for k, d in zip(ks, delta_vectors(wdot, vdot, ks)):
             direct = delta_tilde_from_combo(combo, k)
-            via_xi = delta_via_xi(wdot, k, vdot, start).truncated(len(emb))
+            via_xi = d.truncated(len(emb))
             if direct != via_xi:
                 return False, f"word {tuple(word.display)}, k={k}: {direct} != {via_xi}"
         n += 1

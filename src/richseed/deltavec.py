@@ -7,13 +7,15 @@ word relative to any reference.  The paper's walk pairs a weight with
 the reference's root sequence; conjugated by the reference's prefixes
 and run down from its end, it is one pass of simple reflections of
 u_k(rho), which marks the positions that record 0, and u_k(omega_{i_k}),
-whose coordinates are the other coefficients.  No root sequence is built.
+whose coordinates are the other coefficients.  No root sequence is built,
+and no matrix: every summand walks the same letters, so ``delta_vectors``
+walks all of them at once, one lane per summand.
 
 A vector is stored packed, as one Python int with W = 16 bits per
 coordinate, coordinate 1 in the lowest field (the SWAR layout of Lamport,
 *Multiple byte processing with full-word instructions*, CACM 1975, and
 Warren, *Hacker's Delight*, ch. 2).  The run builds every vector
-packed: ``delta_via_xi`` and ``basis_delta`` write each coordinate
+packed: ``delta_vectors`` and ``basis_delta`` write each coordinate
 straight into its field, the exchange's sums and differences of vectors
 are big-integer adds of ``bits``, and reads of a coordinate or of a run
 of leading coordinates are masks and shifts.  ``DeltaVector`` itself
@@ -40,6 +42,25 @@ most 6 in absolute value, so it always fits its field.  A vector built
 from a tuple with a coordinate outside [0, 2^8) raises ``ValueError``.
 ``coords`` decodes the fields into a tuple once, on first read, for
 output, error messages and tests.
+
+The walk turns the same layout to run across summands.  For each weight
+coordinate c, one int Y[c] holds u_k(rho)_c + 2^14 in its lane q, and
+one int E[c] holds u_k(omega_{i_k})_c + 2^14, where k = ks[q]; let G'
+hold 2^14 in every lane.  Reflecting the lanes of a mask m by s_j takes
+their coordinate j as P = (Y[j] & m) - (G' & m), subtracts 2P from Y[j]
+and adds P to the coordinate of each neighbor of j, and the same for E.
+Every lane value is a coordinate of a weight in the Weyl-group orbit of
+rho or of a fundamental weight.  Coordinate j of x(rho) is the height of
+the root x^{-1}(alpha_j), at most 29 in absolute value under
+MAX_POSITIVE_ROOTS (29 is E8's), and never 0; a coordinate of
+x(omega_i) is an alpha_i-coefficient of a root, at most 6 in absolute
+value.  So each lane holds 2^14 plus at most 29 before and after an
+update, and the update moves it by at most 2 * 29: every lane stays
+within 2^14 +- 2 * 29, inside [0, 2^15).  Python ints are exact, so the
+int after an update is the one whose base-2^16 digits are the new lane
+values: the borrows of a negative P cancel.  A lane's value is negative
+exactly when its bit 14 is clear, so ``G' & ~Y[j]`` marks the lanes to
+reflect, and ``G' & ~E[j]`` the negative coefficients.
 """
 
 from __future__ import annotations
@@ -48,17 +69,13 @@ import struct
 from functools import lru_cache
 
 from .errors import InvariantViolation, NegativeCoordinate
-from .rootsys import (
-    Vec,
-    identity_element,
-    number_of_positive_roots,
-    reflect_weight_simple,
-)
+from .rootsys import number_of_positive_roots
 from .words import ComboNumbers, SubwordEmbedding, Word
 
 W = 16  # bits per coordinate field: two bytes, little-endian
 STORED_BOUND = 1 << 8
 SIDE_BOUND = 1 << 7
+LANE_BIAS = 1 << 14  # a lane of the walk holds LANE_BIAS + its value
 
 
 @lru_cache(maxsize=128)
@@ -71,6 +88,12 @@ def offset(n: int) -> int:
 def _stored_mask(n: int) -> int:
     """The bits a stored vector of n coordinates may set."""
     return int.from_bytes(b"\xff\x00" * n, "little")
+
+
+@lru_cache(maxsize=128)
+def _lanes(value: int, n: int) -> int:
+    """``value`` in each of n fields."""
+    return int.from_bytes(value.to_bytes(2, "little") * n, "little")
 
 
 def prefix_mask(n: int) -> int:
@@ -178,32 +201,43 @@ def initial_delta_same(word: Word, k: int) -> DeltaVector:
     return basis_delta(word, [j for j in range(1, k + 1) if word.color(j) == ik])
 
 
-def left_parts(module_word: Word) -> list[tuple[Vec, Vec]]:
-    """(u_k(rho), u_k(omega_{i_k})) in weight coordinates at index k - 1,
-    for k = 1, ..., L.
+def _left_part_lanes(module_word: Word, ks: range) -> tuple[list[int], list[int]]:
+    """(Y, E): for each weight coordinate c, Y[c - 1] holds u_k(rho)_c and
+    E[c - 1] holds u_k(omega_{i_k})_c in lane q, biased by LANE_BIAS, with
+    k = ks[q].
 
     u_k = s_{i_L} ... s_{i_{k+1}} is the left part of the module word (a
-    reduced word of w0, of length L) beyond index k.  Coordinate j of
-    u_k(rho) is <rho, u_k^{-1}(alpha_j)^vee>, the height of
-    u_k^{-1}(alpha_j): the sum of column j of u_k^{-1}'s matrix.
-    Coordinate j of u_k(omega_i) is the alpha_i-coefficient of
-    u_k^{-1}(alpha_j), so u_k(omega_i) is row i.  The walk runs k down from
-    L, where u_L^{-1} is the identity, and u_{k-1}^{-1} = s_{i_k} u_k^{-1}
-    is one ``lmul``.
+    reduced word of w0, of length L) beyond index k, so lane k is rho and
+    omega_{i_k} reflected by s_{i_{k+1}}, then s_{i_{k+2}}, ..., s_{i_L}.
+    The walk runs p from ks.start + 1 to L and reflects by s_{i_p} the
+    lanes with k < p, the low lanes of the mask m.  No matrix is built.
     """
-    u_inv = identity_element(module_word.cartan)
-    parts = []
-    for i in reversed(module_word.letters):
-        parts.append((u_inv.inverse_rho_image(), u_inv.matrix[i - 1]))
-        u_inv = u_inv.lmul(i)
-    parts.reverse()
-    return parts
+    c = module_word.cartan
+    n = len(ks)
+    g = _lanes(LANE_BIAS, n)
+    ys = [g + _lanes(1, n)] * c.rank
+    es = [g] * c.rank
+    for q, k in enumerate(ks):
+        es[module_word.color(k) - 1] += 1 << (W * q)
+    nbrs = c.nbrs
+    a = ks.start
+    for p, j in enumerate(module_word.letters[a:], start=a + 1):
+        j -= 1
+        m = (1 << (W * min(p - a, n))) - 1
+        gm = g & m
+        y_j = (ys[j] & m) - gm
+        e_j = (es[j] & m) - gm
+        ys[j] -= 2 * y_j
+        es[j] -= 2 * e_j
+        for t in nbrs[j]:
+            ys[t - 1] += y_j
+            es[t - 1] += e_j
+    return ys, es
 
 
-def delta_via_xi(
-    module_word: Word, k: int, target: Word, start: tuple[Vec, Vec] | None = None
-) -> DeltaVector:
-    """Vector of the k-th summand of one completed word relative to another.
+def delta_vectors(module_word: Word, target: Word, ks: range) -> list[DeltaVector]:
+    """Vectors of the summands k in ``ks`` of one completed word relative to
+    another, in the order of ``ks``.
 
     Both words must be reduced words of w0.  Let u_k be the left part of
     the module word beyond index k and Q the positions of its leftmost
@@ -220,34 +254,68 @@ def delta_via_xi(
     ends at u_k(omega); reflections are involutions, so this walk runs down
     from position r with eta = u_k(omega) and y = u_k(rho) instead: i is in
     Q exactly when coordinate j_i of y is negative, and then both are
-    reflected by s_{j_i}.  A negative n raises :class:`NegativeCoordinate`.
-    ``start`` is the pair (u_k(rho), u_k(omega)), for callers that walk k
-    with ``left_parts``.
+    reflected by s_{j_i}.
+
+    Every summand walks the same letters, so all of them walk at once, one
+    lane each (see the module docstring): at position i, the lanes whose
+    coordinate j_i of y has bit 14 clear are reflected, and every other
+    lane writes coordinate j_i of eta to column i.  A negative coefficient
+    raises :class:`NegativeCoordinate` naming its k and position.
     """
     c = module_word.cartan
     r = number_of_positive_roots(c)
     if len(module_word) != r or len(target) != r:
         raise ValueError("both words must be reduced words of w0")
-    if not 1 <= k <= r:
-        raise IndexError(f"index {k} out of range 1..{r}")
-    if module_word.cartan != target.cartan:
+    if ks.step != 1:
+        raise ValueError("summand indices must be a range of step 1")
+    if ks and not (1 <= ks[0] and ks[-1] <= r):
+        raise IndexError(f"index {ks[0] if ks[0] < 1 else ks[-1]} out of range 1..{r}")
+    if c != target.cartan:
         raise ValueError("words of different types")
 
-    y, eta = left_parts(module_word)[k - 1] if start is None else start
-    bits = 0
+    n = len(ks)
+    ys, es = _left_part_lanes(module_word, ks)
+    g = _lanes(LANE_BIAS, n)  # bit 14 of every lane
+    full = (1 << (W * n)) - 1
+    nbrs = c.nbrs
+    # row q, the vector of summand ks[q], is units q*r .. q*r + r - 1
+    rows = bytearray(2 * n * r)
+    units = memoryview(rows).cast("H")
     for i, j in zip(range(r, 0, -1), reversed(target.letters)):
-        if y[j - 1] < 0:
-            y = reflect_weight_simple(c, j, y)
-            eta = reflect_weight_simple(c, j, eta)
-            continue
-        n = eta[j - 1]
-        if n < 0:
+        j -= 1
+        y, eta = ys[j], es[j]
+        in_q = g & ~y  # bit 14 of each lane whose position i is in Q
+        keep = full
+        if in_q:
+            fm = (in_q << 2) - (in_q >> 14)  # those lanes, all 16 bits
+            keep ^= fm
+            minus_y = in_q - (y & fm)
+            eta_j = (eta & fm) - in_q
+            ys[j] = y + 2 * minus_y
+            es[j] = eta - 2 * eta_j
+            for t in nbrs[j]:
+                ys[t - 1] -= minus_y
+                es[t - 1] += eta_j
+        bias = g & keep
+        negative = bias & ~eta
+        if negative:
+            lane = (negative & -negative).bit_length() // W
+            coefficient = (eta >> (W * lane) & 0xFFFF) - LANE_BIAS
             raise NegativeCoordinate(
-                f"coefficient {n} at position {i} (module index {k}); "
+                f"coefficient {coefficient} at position {i} (module index {ks[lane]}); "
                 "the reference data is inconsistent"
             )
-        bits |= n << (W * (i - 1))
-    return DeltaVector.packed(target, bits)
+        units[i - 1 :: r] = memoryview(((eta & keep) - bias).to_bytes(2 * n, "little")).cast("H")
+    return [
+        DeltaVector.packed(target, int.from_bytes(rows[2 * r * q : 2 * r * (q + 1)], "little"))
+        for q in range(n)
+    ]
+
+
+def delta_via_xi(module_word: Word, k: int, target: Word) -> DeltaVector:
+    """Vector of the k-th summand of one completed word relative to another:
+    ``delta_vectors`` on the one lane k."""
+    return delta_vectors(module_word, target, range(k, k + 1))[0]
 
 
 def initial_delta_tilde(word: Word, emb: SubwordEmbedding, k: int) -> tuple[int, ...]:

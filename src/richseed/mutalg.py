@@ -43,8 +43,7 @@ from .deltavec import (
     decode,
     decode_offset,
     delta_tilde_from_combo,
-    delta_via_xi,
-    left_parts,
+    delta_vectors,
     offset,
     prefix_mask,
 )
@@ -671,11 +670,8 @@ def initial_state(
     else:
         reference = completion
         _validate_completion(reference, vbar)
-    module_word = left_complete(word)
-    deltas = {
-        k: delta_via_xi(module_word, k, reference, start)
-        for k, start in zip(range(1, len(word) + 1), left_parts(module_word))
-    }
+    ks = range(1, len(word) + 1)
+    deltas = dict(zip(ks, delta_vectors(left_complete(word), reference, ks)))
     state = AlgState(
         word=word,
         embedding=emb,
@@ -690,6 +686,8 @@ def initial_state(
 
 
 def _validate_completion(reference: Word, vbar: Word) -> None:
+    if reference.cartan != vbar.cartan:
+        raise ValueError("completion and word of different types")
     r = number_of_positive_roots(vbar.cartan)
     if len(reference) != r:
         raise ValueError("completion must be a reduced word of w0")

@@ -168,7 +168,7 @@ def test_frozen_vertex_mid_run_exits_4(monkeypatch, capsys):
 
 @pytest.mark.parametrize("target,exc_name", [
     ("classify_config", "Unclassifiable"),
-    ("delta_via_xi", "NegativeCoordinate"),
+    ("delta_vectors", "NegativeCoordinate"),
 ])
 def test_verify_induction_reports_run_failures(monkeypatch, target, exc_name):
     import random

@@ -4,15 +4,20 @@ from functools import reduce
 import pytest
 from oracles import matrix_betas, root_sequence_delta_via_xi
 
+import richseed.deltavec
 from richseed.deltavec import (
+    LANE_BIAS,
+    W,
     DeltaVector,
+    _left_part_lanes,
+    delta_vectors,
     delta_via_xi,
     in_Cv,
     in_Cw,
     initial_delta_same,
     initial_delta_tilde,
-    left_parts,
 )
+from richseed.errors import NegativeCoordinate
 from richseed.rootsys import (
     cartan,
     element_of_word,
@@ -189,6 +194,16 @@ def test_delta_vector_refuses_coordinates_outside_the_packed_field(bad):
         DeltaVector(WDOT, (0, 1, 0, bad, 0, 1))
 
 
+def _left_parts(wdot, ks):
+    """(u_k(rho), u_k(omega_{i_k})) for k in ks, decoded from the lanes."""
+    ys, es = _left_part_lanes(wdot, ks)
+
+    def lane(x, q):
+        return (x >> (W * q) & 0xFFFF) - LANE_BIAS
+
+    return [(tuple(lane(y, q) for y in ys), tuple(lane(e, q) for e in es)) for q in range(len(ks))]
+
+
 def test_incremental_left_parts_match_dense_products():
     # u_k = w0 (s_{i_k} ... s_{i_1})^{-1} for every k of full-length words;
     # the weight u_k(rho) determines u_k, and u_k(omega_{i_k}) is omega_{i_k}
@@ -200,7 +215,7 @@ def test_incremental_left_parts_match_dense_products():
         words = [Word(c, longest_element_word(c)),
                  Word(c, random_reduced_word(c, number_of_positive_roots(c), rng))]
         for wdot in words:
-            parts = list(left_parts(wdot))
+            parts = _left_parts(wdot, range(1, len(wdot) + 1))
             assert len(parts) == len(wdot)
             for k, (rho_k, omega_k) in enumerate(parts, start=1):
                 u_k = w0 * wdot.prefix_element(k).inverse()
@@ -233,13 +248,15 @@ def test_left_parts_match_the_w0_matrix_path_on_every_type():
         c = parse_type(spec)
         r = number_of_positive_roots(c)
         wdot = left_complete(Word(c, random_reduced_word(c, rng.randint(1, r), rng)))
-        assert [rho_k for rho_k, _ in left_parts(wdot)] == list(_matrix_left_part_rhos(wdot)), spec
+        parts = _left_parts(wdot, range(1, r + 1))
+        assert [rho_k for rho_k, _ in parts] == list(_matrix_left_part_rhos(wdot)), spec
 
 
 def test_delta_via_xi_matches_the_root_sequence_walk_on_every_type():
     # the walk of x^{-1}(xi) by simple reflections against the walk of xi
     # by reflections in the target's root sequence, for every summand of
-    # random pairs of completions
+    # random pairs of completions: all lanes at once, the lanes of a
+    # random partial range, and one lane at a time
     specs = [f"A{n}" for n in range(1, 16)] + [f"D{n}" for n in range(4, 12)]
     rng = random.Random(43)
     for spec in specs + ["E6", "E7", "E8"]:
@@ -248,16 +265,48 @@ def test_delta_via_xi_matches_the_root_sequence_walk_on_every_type():
         wdot, vdot = (
             left_complete(Word(c, random_reduced_word(c, rng.randint(1, r), rng))) for _ in range(2)
         )
-        for k, start in enumerate(left_parts(wdot), start=1):
-            want = root_sequence_delta_via_xi(wdot, k, vdot)
-            assert delta_via_xi(wdot, k, vdot, start) == want, (spec, k)
+        want = [root_sequence_delta_via_xi(wdot, k, vdot) for k in range(1, r + 1)]
+        assert delta_vectors(wdot, vdot, range(1, r + 1)) == want, spec
+        a = rng.randint(1, r)
+        b = rng.randint(a, r + 1)
+        assert delta_vectors(wdot, vdot, range(a, b)) == want[a - 1 : b - 1], (spec, a, b)
+        for k in range(1, r + 1):
+            assert delta_via_xi(wdot, k, vdot) == want[k - 1], (spec, k)
 
 
-def test_delta_via_xi_start_weight_is_optional():
+def test_delta_vectors_on_any_range_equal_the_one_lane_calls():
     rng = random.Random(9)
     c = cartan("D", 5)
     r = number_of_positive_roots(c)
     wdot = Word(c, random_reduced_word(c, r, rng))
     vdot = left_complete(Word(c, random_reduced_word(c, 7, rng)))
-    for k, start in enumerate(left_parts(wdot), start=1):
-        assert delta_via_xi(wdot, k, vdot, start) == delta_via_xi(wdot, k, vdot)
+    one_lane = [delta_via_xi(wdot, k, vdot) for k in range(1, r + 1)]
+    for a in range(1, r + 2):
+        for b in range(a, r + 2):
+            assert delta_vectors(wdot, vdot, range(a, b)) == one_lane[a - 1 : b - 1], (a, b)
+
+
+def test_delta_vectors_refuses_indices_outside_the_word():
+    for ks, bad in ((range(0, 3), 0), (range(4, 8), 7), (range(7, 8), 7)):
+        with pytest.raises(IndexError, match=f"index {bad} out of range 1..6"):
+            delta_vectors(W0DOT, WDOT, ks)
+    with pytest.raises(ValueError, match="step 1"):
+        delta_vectors(W0DOT, WDOT, range(1, 7, 2))
+
+
+@pytest.mark.parametrize("lane", [0, 4, 11])
+def test_a_negative_lane_raises_naming_its_summand(monkeypatch, lane):
+    # E's lane for k = 3 + lane negated in every coordinate: that summand
+    # records a negative coefficient, and no other summand does
+    c = parse_type("D5")
+    wdot = Word(c, longest_element_word(c))
+    vdot = left_complete(Word(c, random_reduced_word(c, 5, random.Random(3))))
+
+    def negated(module_word, ks):
+        ys, es = _left_part_lanes(module_word, ks)
+        field = W * lane
+        return ys, [e - (2 * ((e >> field & 0xFFFF) - LANE_BIAS) << field) for e in es]
+
+    monkeypatch.setattr(richseed.deltavec, "_left_part_lanes", negated)
+    with pytest.raises(NegativeCoordinate, match=rf"\(module index {3 + lane}\)"):
+        delta_vectors(wdot, vdot, range(3, 18))

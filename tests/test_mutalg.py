@@ -10,8 +10,7 @@ from richseed.deltavec import (
     DeltaVector,
     decode_offset,
     delta_tilde_from_combo,
-    delta_via_xi,
-    left_parts,
+    delta_vectors,
 )
 from richseed.errors import InvariantViolation, StructuralFailure
 from richseed.mutalg import (
@@ -225,6 +224,22 @@ def test_run_refuses_cartan_data_of_another_type_than_the_word():
     for c in (a2, cartan("D", 4)):
         with pytest.raises(ValueError, match="different types"):
             run(c, word, element_of_word(a3, [2]))
+
+
+@pytest.mark.parametrize("spec,other", [("E6", "A8"), ("E8", "A15")])
+def test_run_refuses_a_completion_of_another_type(spec, other):
+    # both types have the same number of positive roots, and the completion
+    # begins with the subword for v, so only its type is wrong
+    c, d = parse_type(spec), parse_type(other)
+    word = Word(c, (1, 2, 3))
+    completion = left_complete(Word(d, (1,)))
+    assert len(completion) == number_of_positive_roots(c)
+    with pytest.raises(ValueError, match="^completion and word of different types$"):
+        run(c, word, element_of_word(c, [1]), completion=completion)
+    wdot = left_complete(word)
+    for module_word, target in ((wdot, completion), (completion, wdot)):
+        with pytest.raises(ValueError, match="^words of different types$"):
+            delta_vectors(module_word, target, range(1, 4))
 
 
 def test_cut_view_initial_eviction(a5_seed):
@@ -505,10 +520,9 @@ def test_delta_oracle_full_length_e7_e8(spec):
         emb = rightmost_subword(v, w)
         wdot, vdot = left_complete(w), left_complete(emb.subword())
         combo = ComboNumbers(w, emb)
-        starts = left_parts(wdot)
-        for k, start in zip(range(1, len(w) + 1), starts):
-            via_xi = delta_via_xi(wdot, k, vdot, start).truncated(len(emb))
-            assert via_xi == delta_tilde_from_combo(combo, k)
+        ks = range(1, len(w) + 1)
+        for k, d in zip(ks, delta_vectors(wdot, vdot, ks)):
+            assert d.truncated(len(emb)) == delta_tilde_from_combo(combo, k)
 
 
 def _w0_pairs(spec, seed):
