@@ -107,7 +107,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         v_letters = list(reversed(v_letters))
     v = element_of_word(c, v_letters)
     completion = None
-    if args.vdot:
+    if args.vdot is not None:
         completion = make_word(c, _parse_letters(args.vdot, "--vdot"), order=args.order)
     seed = run(c, word, v, completion=completion, check=not args.no_check)
     doc = seed_document(seed, with_trace=args.trace)

@@ -329,12 +329,11 @@ def initial_delta_tilde(word: Word, emb: SubwordEmbedding, k: int) -> tuple[int,
 
 
 def delta_tilde_from_combo(combo: ComboNumbers, k: int) -> tuple[int, ...]:
-    word, emb = combo.word, combo.emb
-    ik = word.color(k)
     f_k = combo.f(k)
-    out = []
-    for j in range(1, len(emb) + 1):
-        out.append(1 if j <= f_k and word.color(emb.positions[j - 1]) == ik else 0)
+    out = [0] * len(combo.emb)
+    for j in combo.v_indices[combo.word.color(k)]:
+        if j <= f_k:
+            out[j - 1] = 1
     return tuple(out)
 
 

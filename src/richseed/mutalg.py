@@ -31,7 +31,7 @@ tuples only when they are first read.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from functools import cached_property
 from typing import Optional
 
@@ -77,18 +77,14 @@ def schedule_tilde(word: Word, emb: SubwordEmbedding) -> list[list[int]]:
     """The combinatorial schedule, one ascending index batch per v-letter.
 
     Batch m walks the color line of p_m from (k_min)^{beta_m +} up to
-    (k_max)^{gamma_m -}; it is empty when the upper bound falls below
-    the lower one.
+    (k_max)^{gamma_m -}: the line without its first beta_m and last
+    gamma_m entries, empty when these overlap.
     """
     combo = combo_numbers(word, emb)
     batches = []
-    for m in range(1, len(emb) + 1):
-        pm = emb.positions[m - 1]
-        color = word.color(pm)
-        lo = word.succ_iter(word.k_min(color), combo.beta(m))
-        hi = word.pred_iter(word.k_max(color), combo.gamma(m))
-        line = word.positions_of_color(color)
-        batches.append([k for k in line if lo <= k <= hi])
+    for m, pm in enumerate(emb.positions, start=1):
+        line = word.positions_of_color(word.color(pm))
+        batches.append(list(line[combo.beta(m) : len(line) - combo.gamma(m)]))
     return batches
 
 
@@ -640,13 +636,13 @@ def check_induction(state: AlgState) -> None:
 
 def _expected_support(state: AlgState, k: int, m: int) -> int:
     """Packed 0/1 indicator of the predicted support: the v-indices of color
-    i_k in [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)]."""
+    i_k in [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)],
+    that is js[alpha(k,m) : ...] for js those v-indices in ascending order."""
     combo = state.combo
     a = combo.alpha(k, m)
-    lo = combo.m_oplus_iter(combo.f_min(k), a)
     hi = combo.f(state.word.succ_iter(k, a))
     js = combo.v_indices[state.word.color(k)]
-    return sum(1 << (W * (j - 1)) for j in js[bisect_left(js, lo) : bisect_right(js, hi)])
+    return sum(1 << (W * (j - 1)) for j in js[a : bisect_right(js, hi)])
 
 
 # ---------------------------------------------------------------------------

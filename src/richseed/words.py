@@ -8,8 +8,8 @@ written first); internally everything is stored in application order.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import NotLessOrEqual, NotReduced
@@ -69,12 +69,9 @@ class Word:
         L = len(letters)
         succ = [L + 1] * (L + 2)
         pred = [0] * (L + 2)
-        last: dict[int, int] = {}
-        for k, i in enumerate(letters, start=1):
-            if i in last:
-                succ[last[i]] = k
-                pred[k] = last[i]
-            last[i] = k
+        for line in self._by_color.values():
+            for a, b in zip(line, line[1:]):
+                succ[a], pred[b] = b, a
         self._succ = tuple(succ)
         self._pred = tuple(pred)
 
@@ -125,19 +122,24 @@ class Word:
 
     def succ_iter(self, k: int, t: int) -> int:
         """t-fold successor; the sentinel L+1 is absorbing."""
-        for _ in range(t):
-            if k > len(self.letters):
-                return len(self.letters) + 1
-            k = self.succ(k)
-        return k
+        L = len(self.letters)
+        if t <= 0:
+            return k
+        if not 1 <= k <= L:
+            return L + 1
+        line = self._by_color[self.letters[k - 1]]
+        j = bisect_left(line, k) + t
+        return line[j] if j < len(line) else L + 1
 
     def pred_iter(self, k: int, t: int) -> int:
         """t-fold predecessor; the sentinel 0 is absorbing."""
-        for _ in range(t):
-            if k <= 0:
-                return 0
-            k = self.pred(k)
-        return k
+        if t <= 0:
+            return k
+        if not 1 <= k <= len(self.letters):
+            return 0
+        line = self._by_color[self.letters[k - 1]]
+        j = bisect_left(line, k) - t
+        return line[j] if j >= 0 else 0
 
     def colors_used(self) -> tuple[int, ...]:
         return tuple(sorted(self._by_color))
@@ -299,6 +301,13 @@ class ComboNumbers:
     * ``beta(m)``    letters of color i_{p_m} right of p_m not used by v-bar,
     * ``xi(k,m)``    w-index of the first v-bar letter of color i_k
       strictly right of index p_m, sentinel l(w)+1 (p_0 = 0).
+
+    Only ``v_indices`` is stored: for each color of the word, its
+    v-indices in ascending order.  As p_1 < ... < p_{l(v)}, each map is a
+    position in one such list or in the color's line of w-indices
+    (``Word.positions_of_color``), read with a bisect or an offset: alpha
+    is the number of entries up to m, beta the index of p_m in its line
+    less the gamma_m - 1 v-bar letters before it.
     """
 
     def __init__(self, word: Word, emb: SubwordEmbedding):
@@ -306,80 +315,51 @@ class ComboNumbers:
             raise ValueError("embedding does not belong to this word")
         self.word = word
         self.emb = emb
-        L = len(word)
-        lv = len(emb)
-        p = emb.positions
-        pset = set(p)
-        pcolor = [word.color(q) for q in p]  # color of v-index m at [m-1]
-
-        self.v_indices = {  # ascending, per color
-            i: [m for m, c in enumerate(pcolor, 1) if c == i] for i in word.colors_used()
-        }
-        self._f_min = {}
-        self._f = {}
-        for k in range(1, L + 1):
-            same = self.v_indices[word.color(k)]
-            self._f_min[k] = same[0] if same else lv + 1
-            below = [m for m in same if p[m - 1] <= k]
-            self._f[k] = below[-1] if below else 0
-
-        # _counts[i][m] = alpha(k, m) for every k of color i
-        self._counts = {
-            i: list(accumulate((c == i for c in pcolor), initial=0)) for i in word.colors_used()
-        }
-
-        self._m_oplus = {}
-        self._beta = {}
-        self._gamma = {}
-        for m in range(1, lv + 1):
-            cm = pcolor[m - 1]
-            later = [j for j in range(m + 1, lv + 1) if pcolor[j - 1] == cm]
-            self._m_oplus[m] = later[0] if later else L + 1
-            self._beta[m] = sum(
-                1 for j in range(1, p[m - 1]) if word.color(j) == cm and j not in pset
-            )
-            self._gamma[m] = self.alpha(p[m - 1], m)
+        self.v_indices: dict[int, list[int]] = {i: [] for i in word.colors_used()}
+        for m, q in enumerate(emb.positions, start=1):
+            self.v_indices[word.color(q)].append(m)
 
     @property
     def positions(self) -> tuple[int, ...]:
         return self.emb.positions
 
+    def _js(self, k: int) -> list[int]:
+        """The v-indices of color i_k."""
+        return self.v_indices[self.word.color(k)]
+
     def f_min(self, k: int) -> int:
-        return self._f_min[k]
+        js = self._js(k)
+        return js[0] if js else len(self.emb) + 1
 
     def f(self, k: int) -> int:
         """f of a w-index; the sentinel L+1 maps to l(v)."""
         if k >= len(self.word) + 1:
             return len(self.emb)
-        return self._f[k]
+        js = self._js(k)
+        a = bisect_right(js, bisect_right(self.emb.positions, k))
+        return js[a - 1] if a else 0
 
     def m_oplus(self, m: int) -> int:
-        return self._m_oplus[m]
-
-    def m_oplus_iter(self, m: int, t: int) -> int:
-        """t-fold v-successor; any value beyond l(v) is absorbing."""
-        lv = len(self.emb)
-        for _ in range(t):
-            if m > lv:
-                return m
-            m = self._m_oplus[m]
-        return m
+        js = self._js(self.emb.positions[m - 1])
+        a = bisect_right(js, m)
+        return js[a] if a < len(js) else len(self.word) + 1
 
     def alpha(self, k: int, m: int) -> int:
-        return self._counts[self.word.color(k)][m]
+        return bisect_right(self._js(k), m)
 
     def gamma(self, m: int) -> int:
-        return self._gamma[m]
+        return self.alpha(self.emb.positions[m - 1], m)
 
     def beta(self, m: int) -> int:
-        return self._beta[m]
+        pm = self.emb.positions[m - 1]
+        line = self.word.positions_of_color(self.word.color(pm))
+        return bisect_left(line, pm) - self.gamma(m) + 1
 
     def xi(self, k: int, m: int) -> int:
         """First v-bar position of color i_k strictly right of p_m (p_0 = 0)."""
-        ik = self.word.color(k)
-        lower = self.emb.positions[m - 1] if m >= 1 else 0
-        cands = [q for q in self.emb.positions if q > lower and self.word.color(q) == ik]
-        return cands[0] if cands else len(self.word) + 1
+        js = self._js(k)
+        a = bisect_right(js, m)
+        return self.emb.positions[js[a] - 1] if a < len(js) else len(self.word) + 1
 
     def v_index_of(self, k: int) -> int | None:
         """The v-index m with p_m = k, if any."""
@@ -392,9 +372,10 @@ class ComboNumbers:
         """The indices k beyond (k_max)^{alpha(k,m)-}: the last alpha(., m)
         indices of every color line."""
         out: set[int] = set()
-        for i, counts in self._counts.items():
-            if counts[m]:
-                out.update(self.word.positions_of_color(i)[-counts[m] :])
+        for i, js in self.v_indices.items():
+            a = bisect_right(js, m)
+            if a:
+                out.update(self.word.positions_of_color(i)[-a:])
         return out
 
     def table_row(self, k: int) -> dict:

@@ -88,6 +88,16 @@ def test_letters_may_have_blanks_around_commas(capsys):
     assert doc["metadata"]["w"] == [1, 2, 3] and doc["metadata"]["v"] == []
 
 
+@pytest.mark.parametrize("vdot", ["", ","])
+def test_an_empty_completion_is_refused(capsys, vdot):
+    # an empty --vdot names the empty word, not the default completion
+    argv = ["compute", "--type", "A3", "--w", "2,1,2,3,2,1", "--v", "", "--vdot", vdot]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: completion must be a reduced word of w0\n"
+    assert captured.out == ""
+
+
 def test_exit_code_not_reduced():
     proc = _cli("compute", "--type", "A3", "--w", "1,1", "--v", "")
     assert proc.returncode == 2

@@ -435,3 +435,69 @@ def test_deleted_indices_lie_beyond_the_pulled_back_line_maximum():
                     k: w.pred_iter(w.k_max(w.color(k)), combo.alpha(k, m)) for k in range(1, len(w) + 1)
                 }
                 assert combo.deleted(m) == {k for k, b in bounds.items() if k > b}
+
+
+def _combo_oracle_pairs():
+    """Drawn (word, embedding) pairs over A, D and E, full-length words and
+    the empty v among them."""
+    rng = random.Random(101)
+    for c in (cartan("A", 4), cartan("D", 5), cartan("E", 6)):
+        r = number_of_positive_roots(c)
+        for n in range(8):
+            w = Word(c, random_reduced_word(c, r if n % 3 == 0 else rng.randint(1, r), rng))
+            pos = [p for p in range(1, len(w) + 1) if n and rng.random() < 0.5]
+            yield w, rightmost_subword(element_of_word(c, [w.color(p) for p in pos]), w)
+
+
+def test_combo_numbers_against_their_definitions():
+    # every map read straight off the definitions in the ComboNumbers
+    # docstring, by scanning all indices
+    for w, emb in _combo_oracle_pairs():
+        combo = combo_numbers(w, emb)
+        L, lv, p = len(w), len(emb), (0,) + emb.positions
+        pset = set(emb.positions)
+        vcolor = [None] + [w.color(q) for q in emb.positions]
+
+        def alpha(k, m):
+            return sum(1 for j in range(1, m + 1) if vcolor[j] == w.color(k))
+
+        assert combo.v_indices == {
+            i: [m for m in range(1, lv + 1) if vcolor[m] == i] for i in w.colors_used()
+        }
+        assert combo.f(L + 1) == lv
+        for k in range(1, L + 1):
+            same = [m for m in range(1, lv + 1) if vcolor[m] == w.color(k)]
+            assert combo.f_min(k) == min(same, default=lv + 1)
+            assert combo.f(k) == max((m for m in same if p[m] <= k), default=0)
+            assert combo.v_index_of(k) == (p.index(k) if k in pset else None)
+            for m in range(lv + 1):
+                assert combo.alpha(k, m) == alpha(k, m)
+                assert combo.xi(k, m) == min(
+                    (p[j] for j in same if p[j] > p[m]), default=L + 1)
+        for m in range(1, lv + 1):
+            assert combo.m_oplus(m) == min(
+                (j for j in range(m + 1, lv + 1) if vcolor[j] == vcolor[m]), default=L + 1)
+            assert combo.gamma(m) == alpha(p[m], m)
+            assert combo.beta(m) == sum(
+                1 for j in range(1, p[m]) if w.color(j) == vcolor[m] and j not in pset)
+        for m in range(lv + 1):
+            # k is deleted when at most alpha(k, m) letters of its color
+            # lie at k or beyond
+            assert combo.deleted(m) == {
+                k for k in range(1, L + 1)
+                if sum(1 for q in range(k, L + 1) if w.color(q) == w.color(k)) <= alpha(k, m)
+            }
+
+
+def test_t_fold_successors_repeat_the_successor():
+    for w, _ in _combo_oracle_pairs():
+        L = len(w)
+        for k in range(1, L + 1):
+            line = w.positions_of_color(w.color(k))
+            assert w.succ(k) == min((q for q in line if q > k), default=L + 1)
+            assert w.pred(k) == max((q for q in line if q < k), default=0)
+        for k in range(L + 2):
+            s = q = k
+            for t in range(L + 2):
+                assert (w.succ_iter(k, t), w.pred_iter(k, t)) == (s, q)
+                s, q = w.succ(s), w.pred(q)
