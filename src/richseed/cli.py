@@ -197,7 +197,7 @@ def example_d5_quiver() -> list[str]:
     q = build_gamma(word)
     _diff("vertex count", len(q.vertices), 17, failures)
     _diff("arrows", set(q.arrows), golden.D5_ARROWS, failures)
-    rep = classify_sawteeth(q.bicolor(3, 2))
+    rep = classify_sawteeth(q, 3, 2)
     _diff("(3,2) valid", rep.valid, True, failures)
     _diff("(3,2) pure", rep.pure, golden.D5_BICOLOR_32["pure"], failures)
     _diff(

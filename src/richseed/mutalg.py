@@ -12,7 +12,10 @@ structural checks that the method guarantees (cut-seed properties,
 branch consistency, tooth shifts, configuration transitions) observe it
 through a :class:`BatchChecker`; violations raise
 :class:`InvariantViolation` since they falsify the run, not the input.
-They re-examine only what a batch changed: the matrix entries in the
+The checks of the initial seed are the step-0 pass of
+:func:`check_induction`, which compares every summand's truncation with
+the combinatorial form of Leclerc's seeds.  After that, the checks
+re-examine only what a batch changed: the matrix entries in the
 quiver's journal (kept only in checked runs), the vertices whose vector
 it replaced, which are the only ones that can enter or leave the cut, and
 the members of the batch's color.  Each color's members are kept as one
@@ -42,11 +45,13 @@ from .deltavec import (
     coordinate_mask,
     decode,
     decode_offset,
-    delta_tilde_from_combo,
     delta_vectors,
     offset,
     prefix_mask,
 )
+# not called here: perfbench/tracer.py resolves its span
+# mutalg.delta_tilde_from_combo through this module's name
+from .deltavec import delta_tilde_from_combo  # noqa: F401
 from .errors import AmbiguousBranch, InvariantViolation, NoValidBranch
 from .quiver import (
     CONFIG_TRANSITIONS,
@@ -181,9 +186,6 @@ class AlgState:
     @property
     def lw(self) -> int:
         return len(self.word)
-
-    def delta_tilde(self, k: int) -> tuple[int, ...]:
-        return self.deltas[k].truncated(self.lv)
 
     def clone(self) -> "AlgState":
         """An independent copy: ``step_hat`` changes the state it is given."""
@@ -343,18 +345,6 @@ class BatchChecker:
         # whether the last mutated vertex, and whether any, left the cut
         self.evicted = self.evicted_during = False
 
-    @staticmethod
-    def initial(state: AlgState) -> None:
-        """The checks of the initial seed."""
-        for k in range(1, state.lw + 1):
-            expected = delta_tilde_from_combo(state.combo, k)
-            if state.delta_tilde(k) != expected:
-                raise InvariantViolation(
-                    f"initial truncation of summand {k} disagrees with the "
-                    f"combinatorial form: {state.delta_tilde(k)} != {expected}"
-                )
-        check_induction(state)
-
     def before(self, k: int) -> dict[int, str]:
         """Check k's color and configurations; return its labels."""
         color, prev = self.state.word.color(k), self.labels
@@ -404,10 +394,6 @@ class NoChecks:
     """The checker of an unchecked run: its calls do nothing."""
 
     def __init__(self, state: AlgState):
-        pass
-
-    @staticmethod
-    def initial(state: AlgState) -> None:
         pass
 
     def before(self, k: int) -> dict[int, str]:
@@ -507,7 +493,10 @@ def check_induction(state: AlgState) -> None:
     reports that these touch; a report reads the quiver's rows over two
     member lines.  The first check, or one without a view of the previous
     step or without a journal, starts from an empty view, so that every
-    vector counts as replaced and every matrix entry as written.
+    vector counts as replaced and every matrix entry as written.  At step
+    0 these are the checks of the initial seed, and the support check
+    covers every summand, not only the members: its truncation must be
+    the packed form of ``delta_tilde_from_combo``.
     """
     word, q = state.word, state.quiver
     m = state.step
@@ -530,9 +519,13 @@ def check_induction(state: AlgState) -> None:
 
     # a member keeps the support it was last verified with unless its
     # vector was replaced or alpha(k, m) moved, which happens on the color
-    # of p_m only; coordinate m, a v-index of that color, was 0 in it
-    line_color = word.color(state.embedding.positions[m - 1]) if m else 0
-    recheck = members & {*replaced, *word.positions_of_color(line_color)}
+    # of p_m only; coordinate m, a v-index of that color, was 0 in it.
+    # At step 0 every summand is checked, member or not
+    if m:
+        line = word.positions_of_color(word.color(state.embedding.positions[m - 1]))
+        recheck, who = members & {*replaced, *line}, "member"
+    else:
+        recheck, who = state.deltas.keys(), "summand"
     cleared = prefix_mask(m)
     for k in sorted(recheck):
         d = state.deltas[k]
@@ -547,7 +540,7 @@ def check_induction(state: AlgState) -> None:
                 for t in (d.bits & lead, expected)
             )
             raise InvariantViolation(
-                f"member {k} has truncated support {got}, expected {want} at step {m}"
+                f"{who} {k} has truncated support {got}, expected {want} at step {m}"
             )
 
     # entries (s < t) between two members that were written since the last
@@ -677,7 +670,8 @@ def initial_state(
         quiver=build_gamma(word),
         checker=BatchChecker if check else NoChecks,
     )
-    state.checker.initial(state)
+    if check:
+        check_induction(state)
     return state
 
 

@@ -38,26 +38,18 @@ class Quiver:
     the arrows into i.  Every row is the negated column of its vertex,
     and no entry joins two frozen vertices.  ``arrows`` is the view
     (source, target) -> multiplicity of the positive entries.
-    ``line_color``/``summit_color`` are set on bicolor subquivers so the
-    saw-teeth classifier knows which color plays which role.
     ``journal``, when it is a set, collects every matrix entry written,
     once, as (smaller id, larger id); checked runs turn it on and drain
     it after each batch.
     """
 
-    __slots__ = ("vertices", "b", "line_color", "summit_color", "journal")
+    __slots__ = ("vertices", "b", "journal")
 
     def __init__(
-        self,
-        vertices: Iterable[Vertex],
-        arrows: Optional[dict[tuple[int, int], int]] = None,
-        line_color: Optional[int] = None,
-        summit_color: Optional[int] = None,
+        self, vertices: Iterable[Vertex], arrows: Optional[dict[tuple[int, int], int]] = None
     ):
         self.vertices: dict[int, Vertex] = {v.id: v for v in vertices}
         self.b: dict[int, dict[int, int]] = {k: {} for k in self.vertices}
-        self.line_color = line_color
-        self.summit_color = summit_color
         self.journal: Optional[set[tuple[int, int]]] = None
         if arrows:
             for (s, t), m in arrows.items():
@@ -129,7 +121,7 @@ class Quiver:
     def restricted(self, keep: set[int]) -> "Quiver":
         """Subquiver on a vertex subset, keeping arrows inside it."""
         verts = [v for v in self.vertices.values() if v.id in keep]
-        q = Quiver(verts, None, self.line_color, self.summit_color)
+        q = Quiver(verts)
         ids = q.vertices
         q.b = {i: {j: x for j, x in self.b[i].items() if j in ids} for i in ids}
         return q
@@ -164,24 +156,6 @@ class Quiver:
                     self._set(s, t, b[s].get(t, 0) - m1 * m2)
         for j, m in list(row.items()):
             self._set(k, j, -m)
-
-    def bicolor(self, c1: int, c2: int) -> "Quiver":
-        """The (c1, c2)-bicolor subquiver; not symmetric in its arguments.
-
-        Keeps the vertices of both colors, the arrows between two
-        c1-vertices and the arrows joining the two colors in either
-        direction, but not the arrows between two c2-vertices.
-        """
-        vs = self.vertices
-        ids = [k for k in vs if vs[k].color in (c1, c2)]
-        q = Quiver([vs[k] for k in ids], None, c1, c2)
-        keep = q.vertices
-        for s in ids:
-            line = vs[s].color == c1
-            q.b[s] = {
-                t: x for t, x in self.b[s].items() if t in keep and (line or vs[t].color == c1)
-            }
-        return q
 
 
 def build_gamma(word: Word) -> Quiver:
@@ -259,23 +233,21 @@ class SawTeethReport:
 
 
 def classify_sawteeth(
-    q: Quiver,
-    c1: Optional[int] = None,
-    c2: Optional[int] = None,
-    lines: Optional[dict[int, list[int]]] = None,
+    q: Quiver, c1: int, c2: int, lines: Optional[dict[int, list[int]]] = None
 ) -> SawTeethReport:
-    """Decompose a bicolor subquiver, or report the first violation.
+    """Decompose the (c1, c2)-bicolor subquiver of ``q``, or report the
+    first violation.
 
-    ``q`` is a subquiver made by :meth:`Quiver.bicolor`, or, given the
-    ascending vertex lists of each color (``lines``, e.g. a cut's
-    members), any quiver whose (c1, c2)-bicolor subquiver on those lists
-    is read off its rows without a copy.  Violations are data, not
+    The subquiver is read off the rows of ``q``, without a copy: the
+    vertices of colors c1 (the line) and c2 (the summits), the arrows
+    between two c1-vertices and the arrows joining the two colors in
+    either direction, but not the arrows between two c2-vertices; so it
+    is not symmetric in c1 and c2.  ``lines``, when given, holds the
+    ascending vertex list of each color (e.g. a cut's members) and
+    replaces every vertex of that color.  Violations are data, not
     errors: the report comes back with ``valid=False`` and a description.
     """
     if lines is None:
-        c1, c2 = q.line_color, q.summit_color
-        if c1 is None or c2 is None:
-            raise ValueError("quiver was not produced by bicolor()")
         line, jline = q.ids_of_color(c1), q.ids_of_color(c2)
     else:
         line, jline = lines.get(c1, []), lines.get(c2, [])
@@ -388,7 +360,7 @@ def quiver_has_sawteeth(q: Quiver, cartan) -> bool:
         for c2 in cols:
             if c1 == c2 or not cartan.adjacent(c1, c2):
                 continue
-            if not classify_sawteeth(q.bicolor(c1, c2)).valid:
+            if not classify_sawteeth(q, c1, c2).valid:
                 return False
     return True
 

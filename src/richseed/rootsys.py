@@ -146,15 +146,14 @@ def cartan(family: str, rank: int) -> CartanData:
 
 
 def parse_type(spec: str) -> CartanData:
-    """Parse a type string such as ``"A5"`` or ``"d4"``."""
+    """Parse a type string such as ``"A5"`` or ``"d4"``: one letter, then
+    the rank in ASCII digits, so that "A1_0", "A 3" or "E\u0668" is refused
+    rather than read by ``int``."""
     spec = spec.strip()
-    if len(spec) < 2 or spec[0].upper() not in "ADE":
+    rank = spec[1:]
+    if not (rank.isascii() and rank.isdigit()) or spec[0].upper() not in "ADE":
         raise IllegalType(f"cannot parse type {spec!r}")
-    try:
-        rank = int(spec[1:])
-    except ValueError as exc:
-        raise IllegalType(f"cannot parse type {spec!r}") from exc
-    return cartan(spec[0], rank)
+    return cartan(spec[0], int(rank))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Matrix, root-sequence and all-pairs paths kept as oracles of the weight
 walks in ``richseed.words`` and ``richseed.deltavec`` and of the one-pass
-``richseed.quiver.build_gamma``."""
+``richseed.quiver.build_gamma``, and a bicolor copy as the oracle of the
+saw-teeth classifier, which reads the rows of the whole quiver."""
 
 from richseed.deltavec import DeltaVector
 from richseed.errors import NegativeCoordinate, NotLessOrEqual
@@ -87,3 +88,16 @@ def all_pairs_gamma(word):
             if ij != ik and c.adjacent(ij, ik) and word.succ(j) >= word.succ(k) > j:
                 q._add(j, k, -c.a(ij, ik))
     return q
+
+
+def bicolor(q, c1, c2):
+    """The (c1, c2)-bicolor subquiver as a copy, built from the arrow view:
+    the vertices of both colors, the arrows between two c1-vertices and
+    the arrows joining the two colors in either direction, but not the
+    arrows between two c2-vertices.  Not symmetric in c1 and c2."""
+    vs = q.vertices
+    kept = ({c1}, {c1, c2})
+    return Quiver(
+        [v for v in vs.values() if v.color in (c1, c2)],
+        {(s, t): m for (s, t), m in q.arrows.items() if {vs[s].color, vs[t].color} in kept},
+    )

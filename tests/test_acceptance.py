@@ -132,7 +132,7 @@ def test_criterion_3_d5_quiver_and_bicolor():
         q = build_gamma(make_word(c, list(golden.D5_WORD)))
         assert len(q.vertices) == 17
         assert set(q.arrows) == golden.D5_ARROWS
-        rep = classify_sawteeth(q.bicolor(3, 2))
+        rep = classify_sawteeth(q, 3, 2)
         assert rep.valid and not rep.pure
         assert len(rep.teeth) == 3
         assert [(t.right_end, t.summit, t.left_end) for t in rep.teeth] == [

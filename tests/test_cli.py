@@ -4,8 +4,6 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from richseed.cli import (
     EXAMPLES,
@@ -80,6 +78,16 @@ def test_letters_joined_by_a_space_or_underscore_are_refused(capsys, w, v, token
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert token in captured.err
+
+
+@pytest.mark.parametrize("spec", ["A1_0", "A 3", "A+3", "E\u0668", "D\uff15", "A3.0"])
+def test_a_rank_that_is_not_ascii_digits_is_refused(capsys, spec):
+    # before, the rank was read by int(), so "A1_0" ran as A10 and "E\u0668" as E8
+    argv = ["compute", "--type", spec, "--w", "1", "--v", "", "--no-check"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot parse type {spec!r}\n"
+    assert captured.out == ""
 
 
 def test_letters_may_have_blanks_around_commas(capsys):
@@ -326,59 +334,66 @@ def test_verify_rejects_samples_above_the_limit_at_once():
     assert proc.stdout == ""
 
 
-# CLI fuzz: small types and short words only, so that every example is quick
+# CLI fuzz: small types and short words only, so that every example is
+# quick; one rng per example, seeded 0, 1, 2, ..., draws its arguments,
+# since a seed drawn by hypothesis repeats
 _SMALL = ("A1", "A2", "A3", "A4", "A5", "D4")
-_TYPES = st.sampled_from(_SMALL + ("A0", "D3", "E9", "A16", "x", ""))
-_LETTER = st.one_of(st.integers(-1, 7).map(str), st.sampled_from(["", "x", "1.5", " ", "+2"]))
-_LETTERS = st.lists(_LETTER, max_size=8).map(",".join)
-_COUNT = st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["x", ""]))
-_SAMPLES = st.one_of(_COUNT, st.just("1000000000"))
-_CHECKS = st.lists(
-    st.sampled_from(["sawteeth", "induction", "equivalence", "delta-oracle", "green", "nope", ""]),
-    min_size=1, max_size=3,
-).map(",".join)
+_TYPES = _SMALL + ("A0", "D3", "E9", "A16", "A1_0", "x", "")
+_ODD_LETTERS = ("", "x", "1.5", " ", "+2")
+_CHECK_NAMES = ("sawteeth", "induction", "equivalence", "delta-oracle", "green", "nope", "")
 
 
-@st.composite
-def _argv(draw):
-    if draw(st.booleans()):
-        spec, w, v = draw(_TYPES), draw(_LETTERS), draw(_LETTERS)
-        if spec in _SMALL and draw(st.booleans()):  # a reduced w, maybe v below it
-            rng = random.Random(draw(st.integers(0, 10**6)))
+def _letters(rng):
+    return ",".join(
+        str(rng.randint(-1, 7)) if rng.random() < 0.5 else rng.choice(_ODD_LETTERS)
+        for _ in range(rng.randint(0, 8))
+    )
+
+
+def _count(rng):
+    return str(rng.randint(-1, 6)) if rng.random() < 0.5 else rng.choice(["x", ""])
+
+
+def _argv(rng):
+    if rng.random() < 0.5:
+        spec, w, v = rng.choice(_TYPES), _letters(rng), _letters(rng)
+        if spec in _SMALL and rng.random() < 0.5:  # a reduced w, maybe v below it
             letters = random_reduced_word(parse_type(spec), rng.randint(1, 8), rng)
             w = ",".join(map(str, letters))
-            if draw(st.booleans()):
+            if rng.random() < 0.5:
                 v = ",".join(str(i) for i in letters if rng.random() < 0.5)
         argv = ["compute", "--type", spec, "--w", w, "--v", v]
-        if draw(st.booleans()):
-            argv += ["--order", draw(st.sampled_from(["paper", "indexed", "x"]))]
-        if draw(st.booleans()):
-            argv += ["--vdot", draw(_LETTERS)]
-        argv += draw(st.lists(st.sampled_from(["--trace", "--no-check"]), max_size=2))
+        if rng.random() < 0.5:
+            argv += ["--order", rng.choice(["paper", "indexed", "x"])]
+        if rng.random() < 0.5:
+            argv += ["--vdot", _letters(rng)]
+        argv += rng.choices(["--trace", "--no-check"], k=rng.randint(0, 2))
     else:
-        argv = ["verify", "--type", draw(_TYPES), "--samples", draw(_SAMPLES),
-                "--max-len", draw(_COUNT), "--checks", draw(_CHECKS)]
-    if draw(st.booleans()):  # a token lost or repeated
-        i = draw(st.integers(0, len(argv) - 1))
-        argv = argv[:i] + argv[i + 1 :] if draw(st.booleans()) else argv[: i + 1] + argv[i:]
+        samples = "1000000000" if rng.random() < 0.5 else _count(rng)
+        checks = ",".join(rng.choices(_CHECK_NAMES, k=rng.randint(1, 3)))
+        argv = ["verify", "--type", rng.choice(_TYPES), "--samples", samples,
+                "--max-len", _count(rng), "--checks", checks]
+    if rng.random() < 0.5:  # a token lost or repeated
+        i = rng.randrange(len(argv))
+        argv = argv[:i] + argv[i + 1 :] if rng.random() < 0.5 else argv[: i + 1] + argv[i:]
     return argv
 
 
-@settings(max_examples=80, deadline=None)
-@given(_argv())
-def test_cli_fuzz_exits_with_a_documented_code(argv):
+def test_cli_fuzz_exits_with_a_documented_code():
     import io
     from contextlib import redirect_stderr, redirect_stdout
 
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:  # argparse rejected the arguments
-            assert exc.code == 2, (argv, err.getvalue())
-            return
-    assert rc in (0, 1, 2, 3, 4), (argv, rc, err.getvalue())
-    if rc >= 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
-    else:
-        assert err.getvalue() == "", argv
+    for seed in range(80):
+        argv = _argv(random.Random(seed))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejected the arguments
+                assert exc.code == 2, (argv, err.getvalue())
+                continue
+        assert rc in (0, 1, 2, 3, 4), (argv, rc, err.getvalue())
+        if rc >= 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+        else:
+            assert err.getvalue() == "", argv
