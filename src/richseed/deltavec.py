@@ -337,6 +337,18 @@ def delta_tilde_from_combo(combo: ComboNumbers, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def support_prefixes(combo: ComboNumbers) -> dict[int, list[int]]:
+    """Per color of the word, the packed 0/1 indicators of its first 0, 1,
+    2, ... v-indices: the indicator of the v-indices js[a:b] of a color is
+    the difference of entries b and a."""
+    tables = {}
+    for i, js in combo.v_indices.items():
+        table = tables[i] = [0]
+        for j in js:
+            table.append(table[-1] | 1 << (W * (j - 1)))
+    return tables
+
+
 def in_Cv(d: DeltaVector, lv: int) -> bool:
     """Membership by vanishing of the first l(v) coordinates."""
     return not d.bits & prefix_mask(lv)

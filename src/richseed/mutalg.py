@@ -34,13 +34,12 @@ tuples only when they are first read.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from functools import cached_property
 from typing import Optional
 
 from .deltavec import (
     SIDE_BOUND,
-    W,
     DeltaVector,
     coordinate_mask,
     decode,
@@ -48,6 +47,7 @@ from .deltavec import (
     delta_vectors,
     offset,
     prefix_mask,
+    support_prefixes,
 )
 # not called here: perfbench/tracer.py resolves its span
 # mutalg.delta_tilde_from_combo through this module's name
@@ -60,7 +60,7 @@ from .quiver import (
     SawTeethReport,
     Vertex,
     build_gamma,
-    classify_config,
+    classify_configs,
     classify_sawteeth,
 )
 from .rootsys import CartanData, WeylElement, number_of_positive_roots
@@ -162,10 +162,11 @@ class MutationRecord:
 class AlgState:
     """A run's state: ``reference`` completes the rightmost subword, ``quiver``
     is mutated in place, ``checker`` (BatchChecker or NoChecks) is made once
-    per batch, ``cut`` is the last checked view.  Compared by identity."""
+    per batch, ``cut`` is the last checked view, ``support`` the prefix
+    table that the support check reads.  Compared by identity."""
 
     __slots__ = ("word", "embedding", "combo", "reference", "deltas", "quiver", "checker",
-                 "step", "trace", "batches", "stats", "cut")
+                 "step", "trace", "batches", "stats", "cut", "support")
 
     def __init__(self, word: Word, embedding: SubwordEmbedding, combo: ComboNumbers,
                  reference: Word, deltas: dict[int, DeltaVector], quiver: Quiver, checker: type,
@@ -178,6 +179,7 @@ class AlgState:
         self.batches = [] if batches is None else batches
         self.stats = {} if stats is None else stats
         self.cut = cut
+        self.support = support_prefixes(combo)
 
     @property
     def lv(self) -> int:
@@ -346,17 +348,16 @@ class BatchChecker:
         self.evicted = self.evicted_during = False
 
     def before(self, k: int) -> dict[int, str]:
-        """Check k's color and configurations; return its labels."""
-        color, prev = self.state.word.color(k), self.labels
+        """Check k's color and configurations, all from one walk of row k;
+        return its labels."""
+        color, prev = self.state.word.letters[k - 1], self.labels
         if color != self.line_color:
             raise InvariantViolation(
                 f"batch {self.state.step + 1} touches vertex {k} of color {color}, "
                 f"expected color {self.line_color}"
             )
-        q = self.state.quiver
-        self.labels = {
-            oc: classify_config(q, k, oc, self.cut.members, self.line) for oc in self.other_colors
-        }
+        q, colors = self.state.quiver, self.other_colors
+        self.labels = classify_configs(q, k, colors, self.cut.members, self.line) if colors else {}
         for oc, label in self.labels.items():
             if oc in prev:
                 allowed = CONFIG_TRANSITIONS.get((prev[oc], self.evicted))
@@ -414,11 +415,10 @@ def _check_branch_formula(state: AlgState, k: int, old: DeltaVector, chosen: Del
     chosen must read G there.  Every stored field is below 2^8, so each
     field of the sum lies within 2^15 +- 510 and none borrows from the
     next; borrows run only upward, so the fields past l(v) do not matter."""
-    lv = state.lv
-    kp = state.word.succ(k)
-    km = state.word.pred(k)
-    succ = state.deltas[kp].bits if kp <= state.lw else 0
-    pred = state.deltas[km].bits if km >= 1 else 0
+    deltas, word, lv = state.deltas, state.word, state.lv
+    kp, km = word.succ(k), word.pred(k)
+    succ = deltas[kp].bits if kp in deltas else 0
+    pred = deltas[km].bits if km in deltas else 0
     g, lead = offset(lv), prefix_mask(lv)
     expected = g + succ + pred - old.bits
     if (expected - chosen.bits) & lead != g:
@@ -434,7 +434,7 @@ def _check_teeth_shift(
     """After an eviction-free pass over a pure line, each tooth must move
     one notch from the cut ``before`` toward the start, in the cut
     ``state.cut``, with the two boundary exceptions."""
-    word, after = state.word, state.cut
+    word, after, stats = state.word, state.cut, state.stats
     members_before = before.lines.get(line_color, [])
     if not members_before or not batch:
         return
@@ -444,9 +444,10 @@ def _check_teeth_shift(
     first = members_before[0]
     for oc in word.cartan.neighbors(line_color):
         rep_before = before.reports[(line_color, oc)]
-        rep_after = after.reports.get((line_color, oc)) or classify_sawteeth(
-            state.quiver, line_color, oc, after.lines
-        )
+        rep_after = after.reports.get((line_color, oc))
+        if rep_after is None:  # one of the two colors had no members at the last check
+            rep_after = classify_sawteeth(state.quiver, line_color, oc, after.lines)
+            stats["shift_reports_classified"] = stats.get("shift_reports_classified", 0) + 1
         if not rep_before.valid or not rep_before.pure:
             raise InvariantViolation(
                 f"line {line_color} was not pure before its pass (color {oc})"
@@ -490,15 +491,19 @@ def check_induction(state: AlgState) -> None:
     entries in the quiver's journal, the vertices whose vector was replaced
     (the only ones that can enter or leave the cut, besides the newly
     deleted), the members of p_m's color, and the color lines and saw-teeth
-    reports that these touch; a report reads the quiver's rows over two
-    member lines.  The first check, or one without a view of the previous
-    step or without a journal, starts from an empty view, so that every
-    vector counts as replaced and every matrix entry as written.  At step
-    0 these are the checks of the initial seed, and the support check
-    covers every summand, not only the members: its truncation must be
-    the packed form of ``delta_tilde_from_combo``.
+    reports that these touch, which make up one set of stale pairs; a
+    report reads the quiver's rows over a member line.  Colors are read
+    off ``word.letters``, and each expected support is a difference of
+    two entries of the prefix table ``state.support``.  The first check,
+    or one without a view of the previous step or without a journal,
+    starts from an empty view, so that every vector counts as replaced
+    and every matrix entry as written.  At step 0 these are the checks of
+    the initial seed, and the support check covers every summand, not
+    only the members: its truncation must be the packed form of
+    ``delta_tilde_from_combo``.
     """
     word, q = state.word, state.quiver
+    col = (0, *word.letters)  # col[k] is the color of vertex k
     m = state.step
     lv = state.lv
     prev, journal = state.cut, q.journal
@@ -522,7 +527,7 @@ def check_induction(state: AlgState) -> None:
     # of p_m only; coordinate m, a v-index of that color, was 0 in it.
     # At step 0 every summand is checked, member or not
     if m:
-        line = word.positions_of_color(word.color(state.embedding.positions[m - 1]))
+        line = word.positions_of_color(col[state.embedding.positions[m - 1]])
         recheck, who = members & {*replaced, *line}, "member"
     else:
         recheck, who = state.deltas.keys(), "summand"
@@ -533,7 +538,9 @@ def check_induction(state: AlgState) -> None:
             raise InvariantViolation(
                 f"member {k} keeps a nonzero coordinate among the first {m}"
             )
-        expected = _expected_support(state, k, m)
+        lo, hi = state.combo.support_slice(k, m)
+        table = state.support[col[k]]
+        expected = table[hi] - table[lo]
         if d.bits & lead != expected:
             got, want = (
                 [j for j, a in enumerate(decode(t, lv), start=1) if a]
@@ -547,7 +554,7 @@ def check_induction(state: AlgState) -> None:
     # view; a line arrow k -> k+ has k < k+
     moved = [(s, t) for s, t in journal if s in members and t in members]
     line_ends = {word.pred(x) for x in entered} | entered
-    line_ends.update(s for s, t in moved if word.succ(s) == t)
+    line_ends.update(s for s, t in moved if col[s] == col[t] and word.succ(s) == t)
     for k in sorted(line_ends):
         kp = word.succ(k)
         if k not in members or kp not in members:
@@ -562,18 +569,18 @@ def check_induction(state: AlgState) -> None:
     for x in entered:
         scan.update((x, t) if e > 0 else (t, x) for t, e in q.b[x].items() if t in members)
     for s, t in sorted(scan):
-        cs, ct = word.color(s), word.color(t)
+        cs, ct = col[s], col[t]
         if cs == ct:
             if word.succ(s) != t:
                 raise InvariantViolation(f"stray same-color arrow {s}->{t} at step {m}")
-        elif not word.cartan.adjacent(cs, ct):
+        elif ((cs, ct) if cs < ct else (ct, cs)) not in word.cartan.adjacency:
             raise InvariantViolation(
                 f"arrow {s}->{t} joins non-adjacent colors {cs},{ct} at step {m}"
             )
 
     # along every line, the evicted summands precede all members; the
     # member lines of the colors whose cut changed are read again
-    dirty = {word.color(k) for k in changed}
+    dirty = {col[k] for k in changed}
     lines = view.lines = dict(prev.lines)
     for color in sorted(dirty):
         line = []
@@ -592,12 +599,17 @@ def check_induction(state: AlgState) -> None:
 
     # a (c1, c2) report reads the members of both colors, the c1-c1 arrows
     # and the arrows joining c1 and c2; a report none of these moved is reused
-    touched = {(word.color(s), word.color(t)) for s, t in moved}
+    neighbors = word.cartan.neighbors
+    stale: set[tuple[int, int]] = set()
+    for a, b in {(col[s], col[t]) for s, t in moved}:
+        stale.update(((a, b), (b, a)) if a != b else ((a, c) for c in neighbors(a)))
+    for a in dirty:
+        stale.update(pair for c in neighbors(a) for pair in ((a, c), (c, a)))
 
     def report(c1: int, c2: int) -> SawTeethReport:
         if (c1, c2) not in view.reports:
             old = prev.reports.get((c1, c2))
-            if old is None or {c1, c2} & dirty or {(c1, c1), (c1, c2), (c2, c1)} & touched:
+            if old is None or (c1, c2) in stale:
                 old = classify_sawteeth(q, c1, c2, lines)
             view.reports[(c1, c2)] = old
         return view.reports[(c1, c2)]
@@ -610,7 +622,7 @@ def check_induction(state: AlgState) -> None:
                 )
 
     if m < lv:
-        next_color = word.color(state.embedding.positions[m])
+        next_color = col[state.embedding.positions[m]]
         for oc in word.cartan.neighbors(next_color):
             rep = report(next_color, oc)
             if oc in lines and (not rep.valid or not rep.pure):
@@ -625,17 +637,6 @@ def check_induction(state: AlgState) -> None:
         state.stats[key] = state.stats.get(key, 0) + n
     q.journal = set()
     state.cut = view
-
-
-def _expected_support(state: AlgState, k: int, m: int) -> int:
-    """Packed 0/1 indicator of the predicted support: the v-indices of color
-    i_k in [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)],
-    that is js[alpha(k,m) : ...] for js those v-indices in ascending order."""
-    combo = state.combo
-    a = combo.alpha(k, m)
-    hi = combo.f(state.word.succ_iter(k, a))
-    js = combo.v_indices[state.word.color(k)]
-    return sum(1 << (W * (j - 1)) for j in js[a : bisect_right(js, hi)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ returns a new quiver.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from typing import Collection, Iterable, KeysView, NamedTuple, Optional
 
@@ -238,11 +239,15 @@ def classify_sawteeth(
     """Decompose the (c1, c2)-bicolor subquiver of ``q``, or report the
     first violation.
 
-    The subquiver is read off the rows of ``q``, without a copy: the
-    vertices of colors c1 (the line) and c2 (the summits), the arrows
-    between two c1-vertices and the arrows joining the two colors in
-    either direction, but not the arrows between two c2-vertices; so it
-    is not symmetric in c1 and c2.  ``lines``, when given, holds the
+    The subquiver has the vertices of colors c1 (the line) and c2 (the
+    summits), the arrows between two c1-vertices and the arrows joining
+    the two colors in either direction, but not the arrows between two
+    c2-vertices; so it is not symmetric in c1 and c2.  Each of its arrows
+    has an end on the line, so it is read off the rows of the line's
+    vertices alone, without a copy, and the teeth in one ascending pass
+    over the line vertices with a cross arrow.  The first violation is the
+    one met in the order (source id, entry of its row); only to find it
+    are the summits' rows read.  ``lines``, when given, holds the
     ascending vertex list of each color (e.g. a cut's members) and
     replaces every vertex of that color.  Violations are data, not
     errors: the report comes back with ``valid=False`` and a description.
@@ -258,99 +263,95 @@ def classify_sawteeth(
         rep.violation = msg
         return rep
 
-    # inventory the line's arrows and those joining the colors, by source id
-    on_line, summits = set(line), set(jline)
-    horizontals: set[tuple[int, int]] = set()
-    out_at: dict[int, int] = {}  # line vertex -> summit target
-    in_at: dict[int, int] = {}  # line vertex -> summit source
-    in_j: dict[int, int] = {}  # summit -> line source of its incoming arrow
-    out_j: dict[int, int] = {}  # summit -> line target of its outgoing arrow
-    for s in sorted(line + jline):
-        from_line = s in on_line
-        for t, m in q.b[s].items():
-            if m <= 0 or not (t in on_line or from_line and t in summits):
-                continue
-            if m != 1:
-                return fail(f"arrow {s}->{t} has multiplicity {m}")
-            if from_line and t in on_line:
-                horizontals.add((s, t))
-            elif from_line:
-                if s in out_at or t in in_j:
-                    return fail(f"vertex with two outgoing ordinary arrows near {s}->{t}")
-                out_at[s] = t
-                in_j[t] = s
-            else:
-                if t in in_at or s in out_j:
-                    return fail(f"vertex with two incoming ordinary arrows near {s}->{t}")
-                in_at[t] = s
-                out_j[s] = t
+    # in a line's row, an arrow of the subquiver is a positive entry toward
+    # the line or an entry of either sign toward a summit.  A vertex of
+    # either color may have one outgoing and one incoming cross arrow
+    on_line, summits, rows = set(line), set(jline), q.b
+    succ_of: dict[int, int] = {}  # source -> target of its cross arrow
+    pred_of: dict[int, int] = {}  # target -> source of its cross arrow
+    n = h = 0  # cross arrows, and line arrows to the next line vertex
+    broken = False  # a multiplicity other than 1, or a line arrow to another vertex
+    for s, s_next in zip(line, line[1:] + [None]):
+        for t, m in rows[s].items():
+            if t in summits:
+                if m > 0:
+                    succ_of[s] = t
+                    pred_of[t] = s
+                else:
+                    succ_of[t] = s
+                    pred_of[s] = t
+                n += 1
+                broken = broken or m * m != 1
+            elif m > 0 and t in on_line:
+                h += 1
+                broken = broken or m != 1 or t != s_next
+    if broken or len(succ_of) != n or len(pred_of) != n or h < len(line) - 1:
+        return fail(_first_violation(rows, line, jline))
 
-    expected = {(a, b) for a, b in zip(line, line[1:])}
-    if horizontals != expected:
-        missing = expected - horizontals
-        extra = horizontals - expected
-        return fail(f"line arrows broken (missing {sorted(missing)}, extra {sorted(extra)})")
-
-    rep.isolated = {j for j in jline if j not in in_j and j not in out_j}
-
-    if not line:
-        if in_at or out_at:
-            return fail("cross arrows without a line")
-        return rep
-
-    crossed = sorted(set(in_at) | set(out_at))
+    rep.isolated = summits.difference(succ_of, pred_of)
+    crossed = [(i, x) for i, x in enumerate(line) if x in succ_of or x in pred_of]
     if not crossed:
         rep.initial_run = list(line)
         return rep
 
-    x0 = crossed[0]
-    pos = {k: idx for idx, k in enumerate(line)}
-    rep.initial_run = line[: pos[x0] + 1]
-
-    consumed_out: set[int] = set()
-    consumed_in: set[int] = set()
-    if x0 in out_at:
-        rep.initial_barb = (x0, out_at[x0])
-        consumed_out.add(x0)
-
-    anchor = x0
-    while True:
-        if anchor not in in_at:
-            break
-        y = in_at[anchor]
-        consumed_in.add(anchor)
-        closer = in_j.get(y)  # line vertex with an arrow into y
-        if closer is None or closer <= anchor or closer in consumed_out:
+    n, (i, anchor), chain = 0, crossed[0], tuple(line)
+    rep.initial_run = line[: i + 1]
+    if anchor in succ_of:
+        rep.initial_barb = (anchor, succ_of[anchor])
+    # a tooth's left end, the line vertex with an arrow into its summit, is
+    # the next crossed vertex: any crossed vertex before it is inside the tooth
+    while anchor in pred_of:
+        y = pred_of[anchor]
+        closer = pred_of.get(y)
+        if closer is None or closer <= anchor:
             # no matching left side: the arrow y -> anchor is a final barb
             rep.final_barb = (y, anchor)
             break
-        interior = line[pos[anchor] + 1 : pos[closer]]
-        dirty = [v for v in interior if v in in_at or v in out_at]
-        if dirty:
+        n += 1
+        j, x = crossed[n]
+        if x != closer:
+            dirty = [x for _, x in crossed[n:] if x < closer]
             return fail(f"cross arrows {dirty} inside the tooth {anchor}..{closer}")
-        rep.teeth.append(
-            Tooth(anchor, y, closer, tuple(line[pos[anchor] : pos[closer] + 1]))
-        )
-        consumed_out.add(closer)
-        anchor = closer
+        rep.teeth.append(Tooth(anchor, y, closer, chain[i : j + 1]))
+        i, anchor = j, closer
+    rep.final_run = line[i:]
 
-    rep.final_run = line[pos[anchor] :]
-
-    # every cross arrow must have been used by the structure; in particular
-    # nothing may follow a final barb
-    leftover_in = set(in_at) - consumed_in
-    leftover_out = set(out_at) - consumed_out
-    if leftover_in or leftover_out:
+    # every cross arrow must have been used by the structure: none may sit
+    # beyond the last anchor, so in particular nothing follows a final barb
+    if rest := [x for _, x in crossed[n + 1 :]]:
         return fail(
-            f"ordinary arrows outside the structure (in at {sorted(leftover_in)}, "
-            f"out at {sorted(leftover_out)})"
+            f"ordinary arrows outside the structure (in at {[x for x in rest if x in pred_of]}, "
+            f"out at {[x for x in rest if x in succ_of]})"
         )
-    if rep.initial_barb is not None and rep.final_barb is not None:
-        b_t = rep.initial_barb[1]
-        d_s = rep.final_barb[0]
-        if jline.index(d_s) <= jline.index(b_t):
-            return fail("final barb does not start beyond the initial barb target")
+    if rep.initial_barb and rep.final_barb and rep.final_barb[0] <= rep.initial_barb[1]:
+        return fail("final barb does not start beyond the initial barb target")
     return rep
+
+
+def _first_violation(rows: dict[int, dict[int, int]], line: list[int], jline: list[int]) -> str:
+    """The first violation of a bicolor subquiver's arrows, meeting them in
+    the order (source id, entry of its row), so that the summits' rows are
+    read too; else the line arrows that are missing or extra."""
+    on_line, summits = set(line), set(jline)
+    sources: set[int] = set()
+    targets: set[int] = set()
+    for s in sorted(line + jline):
+        for t, m in rows[s].items():
+            if m <= 0 or not (t in on_line or s in on_line and t in summits):
+                continue
+            if m != 1:
+                return f"arrow {s}->{t} has multiplicity {m}"
+            if s in on_line and t in on_line:
+                continue
+            if s in sources or t in targets:
+                side = "outgoing" if s in on_line else "incoming"
+                return f"vertex with two {side} ordinary arrows near {s}->{t}"
+            sources.add(s)
+            targets.add(t)
+    horizontals = {(s, t) for s in line for t, m in rows[s].items() if m > 0 and t in on_line}
+    expected = set(zip(line, line[1:]))
+    missing, extra = sorted(expected - horizontals), sorted(horizontals - expected)
+    return f"line arrows broken (missing {missing}, extra {extra})"
 
 
 def quiver_has_sawteeth(q: Quiver, cartan) -> bool:
@@ -412,48 +413,58 @@ def classify_config(
     The quiver, restricted to ``within`` when given (a cut's members),
     is expected to be a cut view in which the line of k obeys the
     structure theory; anything else raises :class:`Unclassifiable`.
-    ``line``, when the caller keeps it, is k's line within ``within``, ascending.
+    ``line``, when the caller keeps it, is k's line within ``within``,
+    ascending.  :func:`classify_configs` labels k against several colors
+    in one walk of its row.
     """
     inside = q.vertices if within is None else within
-    if k not in q.vertices or k not in inside:
-        raise KeyError(f"no vertex {k}")
-    vs = q.vertices
-    if line is None:
+    if line is None and k in q.vertices:
+        vs = q.vertices
         line = sorted(v for v in inside if vs[v].color == vs[k].color)
-    idx = line.index(k)
+    return classify_configs(q, k, (other_color,), inside, line)[other_color]
 
-    near = [(j, x) for j, x in q.b[k].items() if j in inside and vs[j].color == other_color]
-    ins = [j for j, x in near if x < 0]
-    outs = [j for j, x in near if x > 0]
-    if outs:
-        raise Unclassifiable(f"vertex {k} has an outgoing ordinary arrow toward {outs}")
-    if len(ins) > 1:
-        raise Unclassifiable(f"vertex {k} has several incoming ordinary arrows {ins}")
 
-    k_next = line[idx + 1] if idx + 1 < len(line) else None
-    first = idx == 0
+def classify_configs(
+    q: Quiver, k: int, colors: Collection[int], within: Collection[int], line: list[int]
+) -> dict[int, ConfigLabel]:
+    """The label of k against each of ``colors``, as :func:`classify_config`
+    gives it: one walk of row k sorts k's neighbours in ``within`` by
+    color, and ``line``, k's line within ``within``, ascending, gives the
+    line vertices before and after k.  The first color in order that does
+    not classify raises."""
+    vs, b = q.vertices, q.b
+    if k not in vs or k not in within:
+        raise KeyError(f"no vertex {k}")
+    i = bisect_left(line, k)
+    if i == len(line) or line[i] != k:
+        raise ValueError(f"vertex {k} is not on its line {line}")
+    near: dict[int, list[tuple[int, int]]] = {}
+    for j, x in b[k].items():
+        if j in within and (oc := vs[j].color) in colors:
+            near.setdefault(oc, []).append((j, x))
+    k_prev = line[i - 1] if i else None
+    k_next = line[i + 1] if i + 1 < len(line) else None
 
-    if first:
-        if not ins:
-            return ConfigLabel.ALPHA0
-        j = ins[0]
-        if k_next is not None and q.has_arrow(k_next, j):
-            return ConfigLabel.ALPHA2
-        return ConfigLabel.ALPHA1
-
-    k_prev = line[idx - 1]
-    if not ins:
-        return ConfigLabel.BETA0
-    j = ins[0]
-    down = q.has_arrow(k_prev, j)
-    up = k_next is not None and q.has_arrow(k_next, j)
-    if down and up:
-        return ConfigLabel.BETA4
-    if down:
-        return ConfigLabel.BETA3
-    if up:
-        return ConfigLabel.BETA2
-    return ConfigLabel.BETA1
+    labels = {}
+    for oc in colors:
+        js = near.get(oc, [])
+        if len(js) > 1 or js and js[0][1] > 0:
+            if outs := [j for j, x in js if x > 0]:
+                raise Unclassifiable(f"vertex {k} has an outgoing ordinary arrow toward {outs}")
+            ins = [j for j, _ in js]
+            raise Unclassifiable(f"vertex {k} has several incoming ordinary arrows {ins}")
+        if not js:
+            labels[oc] = ConfigLabel.ALPHA0 if k_prev is None else ConfigLabel.BETA0
+            continue
+        j = js[0][0]
+        up = k_next is not None and b[k_next].get(j, 0) > 0
+        if k_prev is None:
+            labels[oc] = ConfigLabel.ALPHA2 if up else ConfigLabel.ALPHA1
+        elif b[k_prev].get(j, 0) > 0:
+            labels[oc] = ConfigLabel.BETA4 if up else ConfigLabel.BETA3
+        else:
+            labels[oc] = ConfigLabel.BETA2 if up else ConfigLabel.BETA1
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ class ComboNumbers:
 
     def _js(self, k: int) -> list[int]:
         """The v-indices of color i_k."""
-        return self.v_indices[self.word.color(k)]
+        return self.v_indices[self.word.letters[k - 1]]
 
     def f_min(self, k: int) -> int:
         js = self._js(k)
@@ -333,8 +333,8 @@ class ComboNumbers:
 
     def f(self, k: int) -> int:
         """f of a w-index; the sentinel L+1 maps to l(v)."""
-        if k >= len(self.word) + 1:
-            return len(self.emb)
+        if k > len(self.word.letters):
+            return len(self.emb.positions)
         js = self._js(k)
         a = bisect_right(js, bisect_right(self.emb.positions, k))
         return js[a - 1] if a else 0
@@ -346,6 +346,14 @@ class ComboNumbers:
 
     def alpha(self, k: int, m: int) -> int:
         return bisect_right(self._js(k), m)
+
+    def support_slice(self, k: int, m: int) -> tuple[int, int]:
+        """(a, b) such that the v-indices js[a:b] of color i_k are those in
+        [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)]:
+        the predicted support of summand k after step m."""
+        js = self._js(k)
+        a = bisect_right(js, m)  # alpha(k, m)
+        return a, max(a, bisect_right(js, self.f(self.word.succ_iter(k, a))))
 
     def gamma(self, m: int) -> int:
         return self.alpha(self.emb.positions[m - 1], m)

@@ -170,7 +170,7 @@ def test_unclassifiable_mid_run_exits_4(monkeypatch, capsys):
     import richseed.mutalg
     from richseed.errors import Unclassifiable
 
-    monkeypatch.setattr(richseed.mutalg, "classify_config", _raise(Unclassifiable("no pattern")))
+    monkeypatch.setattr(richseed.mutalg, "classify_configs", _raise(Unclassifiable("no pattern")))
     assert main(A5_ARGS) == 4
     assert capsys.readouterr().err == "error: no pattern\n"
 
@@ -185,7 +185,7 @@ def test_frozen_vertex_mid_run_exits_4(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("target,exc_name", [
-    ("classify_config", "Unclassifiable"),
+    ("classify_configs", "Unclassifiable"),
     ("delta_vectors", "NegativeCoordinate"),
 ])
 def test_verify_induction_reports_run_failures(monkeypatch, target, exc_name):

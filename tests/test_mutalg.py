@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 from oracles import bicolor
+from oracles import classify_config as frozen_config
+from oracles import classify_sawteeth as frozen_sawteeth
 
 from richseed import golden
 from richseed.deltavec import (
@@ -11,7 +13,7 @@ from richseed.deltavec import (
     delta_tilde_from_combo,
     delta_vectors,
 )
-from richseed.errors import InvariantViolation, StructuralFailure
+from richseed.errors import InvariantViolation, StructuralFailure, Unclassifiable
 from richseed.mutalg import (
     MutationRecord,
     check_induction,
@@ -780,11 +782,19 @@ def test_records_are_equal_by_value():
     assert MutationRecord(rec.step + 1, *fields[1:]) != MutationRecord(*fields)
 
 
-@pytest.mark.parametrize("spec", ["A4", "D5", "E6"])
+def _agreement_pairs(spec):
+    """The pairs of _w0_pairs, or only the last one for E7: a full-length
+    word of 63 letters and a v of 47."""
+    pairs = list(_w0_pairs(spec, 17))
+    return pairs[-1:] if spec == "E7" else pairs
+
+
+@pytest.mark.parametrize("spec", ["A4", "D5", "E6", "E7"])
 def test_checks_agree_with_restricted_copies(spec):
-    # the checks read the quiver through the cut's members; build
-    # the cut quiver as a copy, as the checks once did, and compare
-    for c, w, v in _w0_pairs(spec, 17):
+    # the checks read the quiver through the cut's members; build the cut
+    # quiver as a copy, as the checks once did, and compare with the
+    # frozen classifiers of tests/oracles.py
+    for c, w, v in _agreement_pairs(spec):
         state = initial_state(c, w, v, check=True)
         for m in range(state.lv + 1):
             view = state.cut
@@ -794,7 +804,7 @@ def test_checks_agree_with_restricted_copies(spec):
             pairs = {(a, b) for a in cols for b in cols if a != b and c.adjacent(a, b)}
             assert pairs <= view.reports.keys()
             for (c1, c2), rep in view.reports.items():
-                assert rep == classify_sawteeth(bicolor(cut, c1, c2), c1, c2)
+                assert rep == frozen_sawteeth(bicolor(cut, c1, c2), c1, c2)
             if m == state.lv:
                 break
 
@@ -806,7 +816,9 @@ def test_checks_agree_with_restricted_copies(spec):
                 k = rec.vertex
                 cut = fq.restricted(members)
                 colors = [oc for oc in c.neighbors(w.color(k)) if oc in cut.colors()]
-                assert rec.configs == {oc: classify_config(cut, k, oc).value for oc in colors}
+                assert rec.configs == {oc: frozen_config(cut, k, oc).value for oc in colors}
+                for oc in colors:
+                    assert classify_config(cut, k, oc) is frozen_config(cut, k, oc)
                 fq.mutate_in_place(k)
                 if k not in view.deleted:
                     (members.discard if rec.evicted else members.add)(k)
@@ -887,26 +899,28 @@ def test_faults_injected_between_batches_are_caught():
 
 def _pairs_agree(state):
     """Classify every ordered pair of adjacent colors off the quiver's
-    rows over the cut's member lines and on a bicolor copy over its
-    members; return the reports, which must be equal."""
+    rows over the cut's member lines, and with the frozen classifier both
+    so and on a bicolor copy over the cut's members; return the reports,
+    which must be equal."""
     c, q, cut = state.word.cartan, state.quiver, state.cut
     reports = []
     for c1 in range(1, c.rank + 1):
         for c2 in c.neighbors(c1):
             rows = classify_sawteeth(q, c1, c2, cut.lines)
             copy = bicolor(q.restricted(cut.members), c1, c2)
-            assert rows == classify_sawteeth(copy, c1, c2), (c1, c2)
+            assert rows == frozen_sawteeth(q, c1, c2, cut.lines), (c1, c2)
+            assert rows == frozen_sawteeth(copy, c1, c2), (c1, c2)
             reports.append(rows)
     return reports
 
 
-@pytest.mark.parametrize("spec", ["A4", "D5", "E6"])
+@pytest.mark.parametrize("spec", ["A4", "D5", "E6", "E7"])
 def test_reports_read_off_the_rows_agree_with_bicolor_copies(spec):
     # after every batch, and on the quiver of each planted fault, so that
     # violations and their texts are compared too
     faults = (_stray_arrow, _reversed_stray_arrow, _deleted_line_arrow, _double_cross_arrow)
     violations = 0
-    for c, w, v in _w0_pairs(spec, 17):
+    for c, w, v in _agreement_pairs(spec):
         state = initial_state(c, w, v, check=True)
         for _ in range(state.lv):
             assert all(rep.valid for rep in _pairs_agree(state))
@@ -980,6 +994,32 @@ def test_report_and_shift_counts_are_pinned():
     seeds = [run(A5, WORD, V, completion=VDOT)] + [run(c, w, v) for c, w, v in _w0_pairs("E6", 17)]
     counts = [[seed.stats.get(key, 0) for key in keys] for seed in seeds]
     assert counts == [[16, 12, 0], [30, 24, 3], [58, 76, 12], [97, 148, 16]]
+
+
+def test_every_saw_teeth_classification_is_counted(monkeypatch):
+    # the end-of-batch checks count theirs as reports_classified; the
+    # tooth shift classifies a line against a color with no members, of
+    # which the checks made no report, and counts it as
+    # shift_reports_classified
+    from richseed import mutalg
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return classify_sawteeth(*args)
+
+    monkeypatch.setattr(mutalg, "classify_sawteeth", counted)
+    cases = [(A5, WORD, V, VDOT)] + [(*pair, None) for pair in _w0_pairs("E6", 17)]
+    cases.append((*next(_w0_pairs("E8", 17)), None))
+    shifts = []
+    for c, w, v, vdot in cases:
+        calls.clear()
+        stats = run(c, w, v, completion=vdot).stats
+        shifts.append(stats.get("shift_reports_classified", 0))
+        assert stats["reports_classified"] + shifts[-1] == len(calls)
+    assert shifts[1:3] == [1, 1], shifts
+
 
 def test_replaced_vectors_of_quiet_members_are_rechecked():
     # the support check skips a member whose vector it verified at the last
@@ -1058,6 +1098,26 @@ def test_a_corrupted_initial_vector_is_caught_naming_its_summand(monkeypatch, sp
                     initial_state(c, w, v, check=True)
             caught[fault] += 1
     assert all(caught.values()), caught
+
+
+def test_an_outgoing_arrow_at_a_vertex_about_to_mutate_is_unclassifiable():
+    # before(k) labels k against every adjacent color from one walk of row
+    # k; an arrow from k to a member of such a color fits no configuration
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    state = initial_state(c, w, v, check=True)
+    caught = 0
+    for _ in range(state.lv):
+        for k in index_set_A(state, state.step + 1)[:1]:
+            for j in sorted(state.cut.members):
+                if c.adjacent(w.color(j), w.color(k)) and state.quiver.b[k].get(j, 0) <= 0:
+                    broken = state.clone()
+                    broken.quiver._set(k, j, 1)
+                    match = rf"^vertex {k} has an outgoing ordinary arrow toward \[{j}\]$"
+                    with pytest.raises(Unclassifiable, match=match):
+                        step_hat(broken)
+                    caught += 1
+        state = step_hat(state)
+    assert caught
 
 
 def test_a_fault_is_journalled_across_a_clone():

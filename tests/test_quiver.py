@@ -1,7 +1,9 @@
 import random
+from itertools import takewhile
 
 import pytest
 from oracles import all_pairs_gamma, bicolor
+from oracles import classify_sawteeth as frozen_sawteeth
 
 from richseed import golden
 from richseed.errors import FrozenVertex, Unclassifiable
@@ -264,7 +266,8 @@ def test_bicolor_without_second_color_is_bare_line():
 def test_the_rows_classify_as_the_bicolor_copy():
     # the classifier reads the rows of the whole quiver; a c2 -> c2 arrow
     # and an arrow to a third color are outside the (c1, c2)-subquiver,
-    # so planting one changes neither path's report
+    # so planting one changes neither path's report.  The bicolor copies
+    # are classified by the frozen classifier of tests/oracles.py
     planted = 0
     for seed in range(40):
         rng = random.Random(seed)
@@ -276,7 +279,7 @@ def test_the_rows_classify_as_the_bicolor_copy():
                 if c1 == c2:
                     continue
                 rep = classify_sawteeth(q, c1, c2)
-                assert rep == classify_sawteeth(bicolor(q, c1, c2), c1, c2), (seed, c1, c2)
+                assert rep == frozen_sawteeth(bicolor(q, c1, c2), c1, c2), (seed, c1, c2)
                 summits = q.ids_of_color(c2)
                 both = [k for k, x in q.vertices.items() if x.color in (c1, c2)]
                 third = [k for k, x in q.vertices.items() if x.color not in (c1, c2)]
@@ -288,9 +291,57 @@ def test_the_rows_classify_as_the_bicolor_copy():
                     p = q.copy()
                     p._add(*ends)
                     assert classify_sawteeth(p, c1, c2) == rep, (seed, c1, c2, ends)
-                    assert classify_sawteeth(bicolor(p, c1, c2), c1, c2) == rep, (seed, ends)
+                    assert frozen_sawteeth(bicolor(p, c1, c2), c1, c2) == rep, (seed, ends)
                     planted += 1
     assert planted > 1000
+
+
+def test_arrows_planted_inside_the_subquiver_classify_as_the_frozen_copy():
+    # one to three arrows of multiplicity 1 or 2, or a removed arrow,
+    # between two vertices of the (c1, c2)-subquiver, over all vertices or
+    # over a tail of each line as in a cut; and an arrow between a tooth's
+    # inner line vertex and an isolated summit.  Reports and the first
+    # violation's text must be those of the frozen classifier, which reads
+    # every row of both colors in id order
+    kinds: dict[str, int] = {}
+
+    def agree(q, c1, c2, lines=None):
+        rep = classify_sawteeth(q, c1, c2, lines)
+        assert rep == frozen_sawteeth(q, c1, c2, lines), (seed, rep.violation)
+        # the violation's leading words, up to its first number or list
+        kind = " ".join(list(takewhile(str.isalpha, (rep.violation or "valid").split()))[:4])
+        kinds[kind] = kinds.get(kind, 0) + 1
+        return rep
+
+    for seed in range(300):
+        rng = random.Random(seed)
+        c = parse_type(rng.choice(["A4", "A6", "D4", "D5", "E6", "E7"]))
+        r = number_of_positive_roots(c)
+        q = build_gamma(Word(c, random_reduced_word(c, rng.randint(2, r), rng)))
+        c1, c2 = rng.sample(range(1, c.rank + 1), 2)
+        rep = agree(q, c1, c2)
+        inner = [t.chain[1] for t in rep.teeth if len(t.chain) > 2]
+        for ends in [(x, min(rep.isolated)) for x in inner[:1] if rep.isolated]:
+            for s, t in (ends, ends[::-1]):
+                p = q.copy()
+                p._add(s, t, 1)
+                agree(p, c1, c2)
+        both = [k for k, x in q.vertices.items() if x.color in (c1, c2)]
+        if len(both) < 2:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            s, t = rng.sample(both, 2)
+            q._add(s, t, rng.choice([1, 1, 2, -1]))
+        lines = None
+        if rng.random() < 0.5:
+            lines = {color: q.ids_of_color(color) for color in (c1, c2)}
+            lines = {color: ids[rng.randint(0, len(ids)) :] for color, ids in lines.items()}
+        agree(q, c1, c2, lines)
+    # every violation of the inventory and of the tooth walk
+    assert kinds.keys() == {
+        "valid", "arrow", "vertex with two incoming", "vertex with two outgoing",
+        "line arrows broken", "cross arrows", "ordinary arrows outside the", "final barb does not",
+    }, kinds
 
 
 def test_d5_bicolor_32_structure():
