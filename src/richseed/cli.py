@@ -60,6 +60,16 @@ def _parse_letters(text: str, option: str) -> list[int]:
     return [int(tok) for tok in tokens if tok]
 
 
+def integer(text: str) -> int:
+    """An optional "-" followed by ASCII digits, so that "1_0", " 7 " or
+    "\u0663" is refused rather than read by ``int``; argparse names this
+    function in its message."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def seed_document(seed: FinalSeed, with_trace: bool = False) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
@@ -402,7 +412,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown --checks name {unknown[0]!r}; valid: {', '.join(CHECKS)}")
     seed_env = os.environ.get("RSEED_SEED", "20260810")
     try:
-        rng = random.Random(int(seed_env))
+        rng = random.Random(integer(seed_env))
     except ValueError:
         raise ValueError(f"RSEED_SEED must be an integer, got {seed_env!r}") from None
     failed = 0
@@ -447,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the structural check suites")
     p.add_argument("--type", required=True)
-    p.add_argument("--max-len", type=int, default=12)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--max-len", type=integer, default=12)
+    p.add_argument("--samples", type=integer, default=50)
     p.add_argument("--checks", default="all",
                    help="comma list among sawteeth,induction,equivalence,delta-oracle,green")
     p.set_defaults(func=cmd_verify)

@@ -27,16 +27,18 @@ replay of the run's mutations: :func:`green_report`.
 The vectors are packed integers (see :mod:`richseed.deltavec`): the
 exchange is a few big-integer adds and its sign one mask, and every read
 of a vector in the run loop and the checks is a mask or a shift.  A
-:class:`MutationRecord` keeps its mutation's packed ints (the rejected
-candidate, the vectors before and after) and decodes its coordinate
-tuples only when they are first read.
+:class:`MutationRecord` is a named tuple that keeps its mutation's packed
+ints (the rejected candidate, the vectors before and after); its
+coordinate tuples are decoded when they are read, which only the output
+does.  The configuration labels it keeps are plain strings (see
+:class:`~richseed.quiver.ConfigLabel`).
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from functools import cached_property
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .deltavec import (
     SIDE_BOUND,
@@ -55,7 +57,6 @@ from .deltavec import delta_tilde_from_combo  # noqa: F401
 from .errors import AmbiguousBranch, InvariantViolation, NoValidBranch
 from .quiver import (
     CONFIG_TRANSITIONS,
-    ConfigLabel,
     Quiver,
     SawTeethReport,
     Vertex,
@@ -97,42 +98,37 @@ def schedule_tilde(word: Word, emb: SubwordEmbedding) -> list[list[int]]:
 # run state
 
 
-class MutationRecord:
+class MutationRecord(NamedTuple):
     """One mutation.  ``packed`` holds the rejected candidate as G + vector
     (see :mod:`richseed.deltavec`) and the vectors before and after, each
     over ``length`` coordinates; the chosen candidate is the vector after.
-    ``chosen`` is "in" or "out".  ``candidate_in``, ``candidate_out``,
-    ``before`` and ``after`` decode them on first read.  Two records are
-    equal when their seven fields are; records are unhashable."""
+    ``chosen`` is "in" or "out"; ``configs`` maps each adjacent color to
+    the label of the vertex before its mutation (empty when unchecked).
+    ``candidate_in``, ``candidate_out``, ``before`` and ``after`` decode
+    them at each read.  A named tuple, so equal when the seven fields are;
+    unhashable, since ``configs`` is a mapping."""
 
-    def __init__(self, step: int, vertex: int, chosen: str, evicted: bool,
-                 packed: tuple[int, int, int], length: int, configs: Optional[dict] = None):
-        self.step = step
-        self.vertex = vertex
-        self.chosen = chosen
-        self.evicted = evicted
-        self.packed = packed
-        self.length = length
-        self.configs = {} if configs is None else configs
+    step: int
+    vertex: int
+    chosen: str
+    evicted: bool
+    packed: tuple[int, int, int]
+    length: int
+    configs: Mapping[int, str] = MappingProxyType({})
 
-    def __eq__(self, other) -> bool:
-        fields = ("step", "vertex", "chosen", "evicted", "packed", "length", "configs")
-        return isinstance(other, MutationRecord) and all(
-            getattr(self, f) == getattr(other, f) for f in fields)
-
-    @cached_property
+    @property
     def candidate_in(self) -> tuple[int, ...]:
         return self.after if self.chosen == "in" else decode_offset(self.packed[0], self.length)
 
-    @cached_property
+    @property
     def candidate_out(self) -> tuple[int, ...]:
         return self.after if self.chosen == "out" else decode_offset(self.packed[0], self.length)
 
-    @cached_property
+    @property
     def before(self) -> tuple[int, ...]:
         return decode(self.packed[1], self.length)
 
-    @cached_property
+    @property
     def after(self) -> tuple[int, ...]:
         return decode(self.packed[2], self.length)
 
@@ -163,22 +159,17 @@ class AlgState:
     """A run's state: ``reference`` completes the rightmost subword, ``quiver``
     is mutated in place, ``checker`` (BatchChecker or NoChecks) is made once
     per batch, ``cut`` is the last checked view, ``support`` the prefix
-    table that the support check reads.  Compared by identity."""
+    table that the support check reads.  A new state is at step 0, with
+    no trace, batches, stats or view.  Compared by identity."""
 
     __slots__ = ("word", "embedding", "combo", "reference", "deltas", "quiver", "checker",
                  "step", "trace", "batches", "stats", "cut", "support")
 
     def __init__(self, word: Word, embedding: SubwordEmbedding, combo: ComboNumbers,
-                 reference: Word, deltas: dict[int, DeltaVector], quiver: Quiver, checker: type,
-                 step: int = 0, trace: Optional[list[MutationRecord]] = None,
-                 batches: Optional[list[list[int]]] = None, stats: Optional[dict] = None,
-                 cut: Optional[CutSeedView] = None):
+                 reference: Word, deltas: dict[int, DeltaVector], quiver: Quiver, checker: type):
         self.word, self.embedding, self.combo, self.reference = word, embedding, combo, reference
-        self.deltas, self.quiver, self.checker, self.step = deltas, quiver, checker, step
-        self.trace = [] if trace is None else trace
-        self.batches = [] if batches is None else batches
-        self.stats = {} if stats is None else stats
-        self.cut = cut
+        self.deltas, self.quiver, self.checker, self.step = deltas, quiver, checker, 0
+        self.trace, self.batches, self.stats, self.cut = [], [], {}, None
         self.support = support_prefixes(combo)
 
     @property
@@ -191,11 +182,11 @@ class AlgState:
 
     def clone(self) -> "AlgState":
         """An independent copy: ``step_hat`` changes the state it is given."""
-        return AlgState(
-            self.word, self.embedding, self.combo, self.reference, dict(self.deltas),
-            self.quiver.copy(), self.checker, self.step, list(self.trace),
-            [list(b) for b in self.batches], dict(self.stats), self.cut,
-        )
+        copy = AlgState(self.word, self.embedding, self.combo, self.reference,
+                        dict(self.deltas), self.quiver.copy(), self.checker)
+        copy.step, copy.trace, copy.cut = self.step, list(self.trace), self.cut
+        copy.batches, copy.stats = [list(b) for b in self.batches], dict(self.stats)
+        return copy
 
 
 class CutSeedView:
@@ -205,14 +196,9 @@ class CutSeedView:
 
     __slots__ = ("members", "evicted", "deleted", "step", "lines", "reports", "verified")
 
-    def __init__(self, members: set[int], evicted: set[int], deleted: set[int], step: int = 0,
-                 lines: Optional[dict[int, list[int]]] = None,
-                 reports: Optional[dict[tuple[int, int], SawTeethReport]] = None,
-                 verified: Optional[dict[int, DeltaVector]] = None):
+    def __init__(self, members: set[int], evicted: set[int], deleted: set[int], step: int = 0):
         self.members, self.evicted, self.deleted, self.step = members, evicted, deleted, step
-        self.lines = {} if lines is None else lines
-        self.reports = {} if reports is None else reports
-        self.verified = {} if verified is None else verified
+        self.lines, self.reports, self.verified = {}, {}, {}
 
 
 class FinalSeed:
@@ -225,11 +211,10 @@ class FinalSeed:
     def __init__(self, cartan: CartanData, word: Word, embedding: SubwordEmbedding,
                  reference: Word, summands: dict[int, DeltaVector], deleted: set[int],
                  frozen: set[int], quiver: Quiver, schedule: list[list[int]],
-                 trace: list[MutationRecord], stats: Optional[dict] = None):
+                 trace: list[MutationRecord], stats: dict):
         self.cartan, self.word, self.embedding, self.reference = cartan, word, embedding, reference
         self.summands, self.deleted, self.frozen, self.quiver = summands, deleted, frozen, quiver
-        self.schedule, self.trace = schedule, trace
-        self.stats = {} if stats is None else stats
+        self.schedule, self.trace, self.stats = schedule, trace, stats
 
     @property
     def size(self) -> int:
@@ -343,7 +328,7 @@ class BatchChecker:
         self.cut = state.cut
         self.line = list(self.cut.lines.get(line, ()))
         self.other_colors = [oc for oc in word.cartan.neighbors(line) if oc in self.cut.lines]
-        self.labels: dict[int, ConfigLabel] = {}
+        self.labels: dict[int, str] = {}
         # whether the last mutated vertex, and whether any, left the cut
         self.evicted = self.evicted_during = False
 
@@ -363,15 +348,15 @@ class BatchChecker:
                 allowed = CONFIG_TRANSITIONS.get((prev[oc], self.evicted))
                 if allowed is not None and label not in allowed:
                     raise InvariantViolation(
-                        f"configuration {prev[oc].value} may not be followed by {label.value} "
+                        f"configuration {prev[oc]} may not be followed by {label} "
                         f"(vertex {k}, color {oc}, eviction={self.evicted})"
                     )
-            elif not label.is_initial:
+            elif not label.startswith("alpha"):
                 raise InvariantViolation(
                     f"first mutated vertex {k} is not in an initial configuration "
-                    f"for color {oc} (got {label.value})"
+                    f"for color {oc} (got {label})"
                 )
-        return {oc: label.value for oc, label in self.labels.items()}
+        return self.labels
 
     def after(self, k: int, old: DeltaVector, chosen: DeltaVector, evicted: bool) -> None:
         _check_branch_formula(self.state, k, old, chosen)

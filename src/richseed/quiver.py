@@ -9,12 +9,15 @@ rule in O(deg_in * deg_out) and returns nothing: the arrows a mutation
 makes appear or vanish are read off by ``mutalg.green_report``, the one
 replay that needs them.  Every other operation, ``mutate`` included,
 returns a new quiver.
+
+The configuration labels of a vertex about to be mutated are plain
+strings, the ones the mutation records store: :class:`ConfigLabel` only
+names them, and :data:`CONFIG_TRANSITIONS` is keyed by (label, eviction).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from enum import Enum
 from typing import Collection, Iterable, KeysView, NamedTuple, Optional
 
 from .errors import FrozenVertex, Unclassifiable
@@ -370,63 +373,45 @@ def quiver_has_sawteeth(q: Quiver, cartan) -> bool:
 # local configurations around a vertex about to be mutated
 
 
-class ConfigLabel(Enum):
-    ALPHA0 = "alpha0"
-    ALPHA1 = "alpha1"
-    ALPHA2 = "alpha2"
-    BETA0 = "beta0"
-    BETA1 = "beta1"
-    BETA2 = "beta2"
-    BETA3 = "beta3"
-    BETA4 = "beta4"
+class ConfigLabel:
+    """The configuration labels: plain strings, as the mutation records
+    store them; the initial ones start with "alpha"."""
 
-    @property
-    def is_initial(self) -> bool:
-        return self.value.startswith("alpha")
+    ALPHA0, ALPHA1, ALPHA2 = "alpha0", "alpha1", "alpha2"
+    BETA0, BETA1, BETA2, BETA3, BETA4 = "beta0", "beta1", "beta2", "beta3", "beta4"
 
 
 # allowed follow-ups keyed by (label, previous vertex evicted after mutation)
-CONFIG_TRANSITIONS: dict[tuple[ConfigLabel, bool], set[ConfigLabel]] = {
-    (ConfigLabel.ALPHA0, True): {ConfigLabel.ALPHA0, ConfigLabel.ALPHA1, ConfigLabel.ALPHA2},
-    (ConfigLabel.ALPHA0, False): {ConfigLabel.BETA0, ConfigLabel.BETA1, ConfigLabel.BETA2},
-    (ConfigLabel.ALPHA1, True): {ConfigLabel.ALPHA1, ConfigLabel.ALPHA2},
-    (ConfigLabel.ALPHA1, False): {ConfigLabel.BETA3, ConfigLabel.BETA4},
-    (ConfigLabel.ALPHA2, True): {ConfigLabel.ALPHA0, ConfigLabel.ALPHA1, ConfigLabel.ALPHA2},
-    (ConfigLabel.ALPHA2, False): {ConfigLabel.BETA0, ConfigLabel.BETA1, ConfigLabel.BETA2},
-    (ConfigLabel.BETA0, False): {ConfigLabel.BETA0, ConfigLabel.BETA1, ConfigLabel.BETA2},
-    (ConfigLabel.BETA1, False): {ConfigLabel.BETA3, ConfigLabel.BETA4},
-    (ConfigLabel.BETA2, False): {ConfigLabel.BETA0, ConfigLabel.BETA1, ConfigLabel.BETA2},
-    (ConfigLabel.BETA3, False): {ConfigLabel.BETA3, ConfigLabel.BETA4},
-    (ConfigLabel.BETA4, False): {ConfigLabel.BETA0, ConfigLabel.BETA1, ConfigLabel.BETA2},
+CONFIG_TRANSITIONS: dict[tuple[str, bool], set[str]] = {
+    ("alpha0", True): {"alpha0", "alpha1", "alpha2"},
+    ("alpha0", False): {"beta0", "beta1", "beta2"},
+    ("alpha1", True): {"alpha1", "alpha2"},
+    ("alpha1", False): {"beta3", "beta4"},
+    ("alpha2", True): {"alpha0", "alpha1", "alpha2"},
+    ("alpha2", False): {"beta0", "beta1", "beta2"},
+    ("beta0", False): {"beta0", "beta1", "beta2"},
+    ("beta1", False): {"beta3", "beta4"},
+    ("beta2", False): {"beta0", "beta1", "beta2"},
+    ("beta3", False): {"beta3", "beta4"},
+    ("beta4", False): {"beta0", "beta1", "beta2"},
 }
 
 
-def classify_config(
-    q: Quiver,
-    k: int,
-    other_color: int,
-    within: Optional[Collection[int]] = None,
-    line: Optional[list[int]] = None,
-) -> ConfigLabel:
+def classify_config(q: Quiver, k: int, other_color: int) -> str:
     """Label the arrow pattern around k relative to one adjacent color.
 
-    The quiver, restricted to ``within`` when given (a cut's members),
-    is expected to be a cut view in which the line of k obeys the
-    structure theory; anything else raises :class:`Unclassifiable`.
-    ``line``, when the caller keeps it, is k's line within ``within``,
-    ascending.  :func:`classify_configs` labels k against several colors
-    in one walk of its row.
+    The quiver is expected to be a cut view in which the line of k obeys
+    the structure theory; anything else raises :class:`Unclassifiable`.
+    :func:`classify_configs` labels k against several colors in one walk
+    of its row, inside a cut's members.
     """
-    inside = q.vertices if within is None else within
-    if line is None and k in q.vertices:
-        vs = q.vertices
-        line = sorted(v for v in inside if vs[v].color == vs[k].color)
-    return classify_configs(q, k, (other_color,), inside, line)[other_color]
+    line = q.ids_of_color(q.vertices[k].color) if k in q.vertices else []
+    return classify_configs(q, k, (other_color,), q.vertices, line)[other_color]
 
 
 def classify_configs(
     q: Quiver, k: int, colors: Collection[int], within: Collection[int], line: list[int]
-) -> dict[int, ConfigLabel]:
+) -> dict[int, str]:
     """The label of k against each of ``colors``, as :func:`classify_config`
     gives it: one walk of row k sorts k's neighbours in ``within`` by
     color, and ``line``, k's line within ``within``, ascending, gives the

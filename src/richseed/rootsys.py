@@ -13,12 +13,16 @@ weight coordinates against root coordinates.  The Cartan matrix is the
 only change of basis: the j-th simple root has weight coordinates equal
 to the j-th column (= row) of the Cartan matrix.  This identification is
 relied on silently below.
+
+A Weyl group element is a named tuple (cartan, matrix): a plain value,
+equal, hashable and pickled as its two fields.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .errors import IllegalType
 
@@ -31,28 +35,13 @@ Vec = tuple[int, ...]
 MAX_POSITIVE_ROOTS = 120
 
 
-_set = object.__setattr__
-
-
-class _Frozen:
-    """A slotted base whose attributes are set once, with ``_set``, in
-    ``__init__``: assigning or deleting one raises ``AttributeError``.
-    Subclasses rebuild copies and pickles from their constructor
-    arguments (``__reduce__``)."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-
-class CartanData(_Frozen):
+class CartanData:
     """A simply-laced Dynkin type with its Cartan matrix and diagram.
-    Immutable; equal when family, rank, matrix and adjacency are (``nbrs``,
-    vertex i's neighbors at [i-1], is derived).  It keys the per-type
-    caches, so its hash is computed once."""
+    Equal when family, rank, matrix and adjacency are (``nbrs``, vertex
+    i's neighbors at [i-1], is derived).  It keys the per-type caches, so
+    its hash is computed once.  Immutable: its attributes are set once,
+    in ``__init__``, and assigning or deleting one raises
+    ``AttributeError``."""
 
     __slots__ = ("family", "rank", "matrix", "adjacency", "nbrs", "_key", "_hash")
 
@@ -63,7 +52,12 @@ class CartanData(_Frozen):
                      for i in vertices)
         key = (family, rank, matrix, adjacency)
         for name, x in zip(self.__slots__, (*key, nbrs, key, hash(key))):
-            _set(self, name, x)
+            object.__setattr__(self, name, x)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CartanData) and self._key == other._key
@@ -245,7 +239,7 @@ def _two_rho(c: CartanData) -> Vec:
 # Weyl group elements as integer matrices on the root lattice
 
 
-class WeylElement(_Frozen):
+class WeylElement(NamedTuple):
     """A Weyl group element as an integer matrix on the simple-root basis.
 
     Column j of the matrix holds the root coordinates of the image of
@@ -256,25 +250,13 @@ class WeylElement(_Frozen):
     descents and the inverse are read off the weight w(rho): for every
     element, <w(rho), alpha_i^vee> = ht(w^{-1}(alpha_i)), so s_i is a
     left descent of w exactly when coordinate i of w(rho) is negative,
-    and w is the identity exactly when w(rho) = rho.  Immutable and
-    hashable; equal when the Cartan data and the matrices are.
+    and w is the identity exactly when w(rho) = rho.  A named tuple
+    (cartan, matrix), so immutable and hashable; ``*`` is the group
+    product, not tuple repetition.
     """
 
-    __slots__ = ("cartan", "matrix")
-
-    def __init__(self, cartan: CartanData, matrix: tuple[tuple[int, ...], ...]):
-        _set(self, "cartan", cartan)
-        _set(self, "matrix", matrix)
-
-    def __eq__(self, other) -> bool:
-        same_type = isinstance(other, WeylElement)
-        return same_type and (self.cartan, self.matrix) == (other.cartan, other.matrix)
-
-    def __hash__(self) -> int:
-        return hash((self.cartan, self.matrix))
-
-    def __reduce__(self):
-        return WeylElement, (self.cartan, self.matrix)
+    cartan: CartanData
+    matrix: tuple[tuple[int, ...], ...]
 
     def apply(self, v: Vec) -> Vec:
         n = self.cartan.rank

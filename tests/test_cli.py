@@ -307,6 +307,36 @@ def test_verify_rejects_a_seed_that_is_not_an_integer(monkeypatch, capsys):
     assert captured.out == ""
 
 
+# int() reads each of these: an underscore, non-ASCII digits, blanks around
+_ODD_INTEGERS = ["1_0", "٥", " 7 ", "+3", "３"]
+
+
+@pytest.mark.parametrize("value", _ODD_INTEGERS)
+def test_verify_rejects_a_seed_that_is_not_ascii_digits(monkeypatch, capsys, value):
+    monkeypatch.setenv("RSEED_SEED", value)
+    assert main(["verify", "--type", "A3", "--checks", "induction", "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: RSEED_SEED must be an integer, got {value!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("option", ["--samples", "--max-len"])
+@pytest.mark.parametrize("value", _ODD_INTEGERS)
+def test_verify_rejects_a_count_that_is_not_ascii_digits(capsys, option, value):
+    argv = ["verify", "--type", "A3", "--checks", "induction", "--samples", "2", option, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: argument {option}: invalid integer value: {value!r}\n")
+
+
+def test_verify_reads_a_negative_seed(monkeypatch, capsys):
+    monkeypatch.setenv("RSEED_SEED", "-7")
+    assert main(["verify", "--type", "A3", "--checks", "induction", "--samples", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_rejects_an_unknown_check_before_running_any(capsys):
     assert main(["verify", "--type", "A3", "--checks", "induction,nope"]) == 2
     captured = capsys.readouterr()

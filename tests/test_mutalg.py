@@ -782,6 +782,19 @@ def test_records_are_equal_by_value():
     assert MutationRecord(rec.step + 1, *fields[1:]) != MutationRecord(*fields)
 
 
+def test_records_share_no_default_and_are_unhashable():
+    fields = (1, 2, "in", False, (0, 0, 0), 3)
+    one, two = MutationRecord(*fields), MutationRecord(*fields)
+    try:  # the default labels may refuse the write, but must not pass it on
+        one.configs[1] = "alpha0"
+    except TypeError:
+        pass
+    assert two.configs == {} and MutationRecord(*fields).configs == {}
+    for rec in (two, MutationRecord(*fields, {1: "alpha0"})):
+        with pytest.raises(TypeError):
+            hash(rec)
+
+
 def _agreement_pairs(spec):
     """The pairs of _w0_pairs, or only the last one for E7: a full-length
     word of 63 letters and a v of 47."""
@@ -816,7 +829,7 @@ def test_checks_agree_with_restricted_copies(spec):
                 k = rec.vertex
                 cut = fq.restricted(members)
                 colors = [oc for oc in c.neighbors(w.color(k)) if oc in cut.colors()]
-                assert rec.configs == {oc: frozen_config(cut, k, oc).value for oc in colors}
+                assert rec.configs == {oc: frozen_config(cut, k, oc) for oc in colors}
                 for oc in colors:
                     assert classify_config(cut, k, oc) is frozen_config(cut, k, oc)
                 fq.mutate_in_place(k)
@@ -1118,6 +1131,95 @@ def test_an_outgoing_arrow_at_a_vertex_about_to_mutate_is_unclassifiable():
                     caught += 1
         state = step_hat(state)
     assert caught
+
+
+def test_a_second_incoming_arrow_at_a_vertex_about_to_mutate_is_unclassifiable():
+    # a vertex of a configuration has at most one arrow from each adjacent
+    # color; a second one from another member of that color fits none
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    state = initial_state(c, w, v, check=True)
+    caught = 0
+    for _ in range(state.lv):
+        for k in index_set_A(state, state.step + 1)[:1]:
+            row, members = state.quiver.b[k], sorted(state.cut.members)
+            for j1 in [j for j, e in row.items() if e < 0 and j in state.cut.members]:
+                if w.color(j1) == w.color(k):
+                    continue
+                for j2 in [j for j in members if w.color(j) == w.color(j1) and j not in row]:
+                    broken = state.clone()
+                    broken.quiver._set(j2, k, 1)
+                    match = rf"^vertex {k} has several incoming ordinary arrows \[{j1}, {j2}\]$"
+                    with pytest.raises(Unclassifiable, match=match):
+                        step_hat(broken)
+                    caught += 1
+        state = step_hat(state)
+    assert caught
+
+
+def test_a_forbidden_configuration_transition_is_caught(monkeypatch):
+    # a classifier that labels every vertex alpha1: the first vertex of a
+    # batch passes, but after a vertex that stayed in the cut alpha1 may
+    # only be followed by beta3 or beta4
+    from richseed import mutalg
+    from richseed.quiver import ConfigLabel
+
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    trace = run(c, w, v).trace
+    rec = next(r for p, r in zip(trace, trace[1:])
+               if p.step == r.step and r.configs and not p.evicted)
+    oc = next(iter(rec.configs))
+    monkeypatch.setattr(mutalg, "classify_configs",
+                        lambda q, k, colors, *_: dict.fromkeys(colors, ConfigLabel.ALPHA1))
+    message = (f"configuration alpha1 may not be followed by alpha1 "
+               f"(vertex {rec.vertex}, color {oc}, eviction=False)")
+    with pytest.raises(InvariantViolation) as exc:
+        run(c, w, v)
+    assert str(exc.value) == message
+
+
+def _states_before_a_tooth_shift(c, w, v):
+    """The states of a checked run whose next batch compares the teeth
+    before and after it: an eviction-free pass over a line with members."""
+    state = initial_state(c, w, v, check=True)
+    for _ in range(state.lv):
+        shifts = state.stats.get("teeth_shift_checks", 0)
+        if step_hat(state.clone()).stats.get("teeth_shift_checks", 0) > shifts:
+            yield state
+        state = step_hat(state)
+
+
+def test_a_broken_saw_teeth_report_around_a_tooth_shift_is_caught(monkeypatch):
+    # the shift reads the line's report of the cut before the batch and of
+    # the cut after it; an impure one before and an invalid one after are
+    # each caught, against every adjacent color
+    from richseed import mutalg
+    from richseed.quiver import SawTeethReport
+
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    check = mutalg.check_induction
+    caught = 0
+    for state in _states_before_a_tooth_shift(c, w, v):
+        line = w.color(state.embedding.positions[state.step])
+        for oc in c.neighbors(line):
+            with monkeypatch.context() as mp:
+                impure = SawTeethReport(line, oc, True, initial_barb=(1, 2))
+                mp.setitem(state.cut.reports, (line, oc), impure)
+                with pytest.raises(InvariantViolation) as exc:
+                    step_hat(state.clone())
+            assert str(exc.value) == f"line {line} was not pure before its pass (color {oc})"
+
+            def planted(s, oc=oc):
+                check(s)
+                s.cut.reports[(line, oc)] = SawTeethReport(line, oc, False, violation="planted")
+
+            with monkeypatch.context() as mp:
+                mp.setattr(mutalg, "check_induction", planted)
+                with pytest.raises(InvariantViolation) as exc:
+                    step_hat(state.clone())
+            assert str(exc.value) == (
+                f"line {line} lost the tooth structure after its pass (color {oc}): planted")
+            caught += 1
+    assert caught >= 5, caught
 
 
 def test_a_fault_is_journalled_across_a_clone():
