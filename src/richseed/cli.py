@@ -105,6 +105,62 @@ def seed_document(seed: FinalSeed, with_trace: bool = False) -> dict:
     return doc
 
 
+# seed_document's layout as json.dumps(doc, indent=2) writes it; with an
+# indent, json runs its pure-Python encoder, which took about three times
+# as long as these templates
+_META = """{
+  "schema": %d,
+  "metadata": {
+    "type": "%s",
+    "w": %s,
+    "v": %s,
+    "positions": %s,
+    "completion": %s,
+    "l_w": %d,
+    "l_v": %d,
+    "deleted": %s,
+    "schedule": %s
+  },
+  "vertices": %s,
+  "arrows": %s"""
+_VERTEX = """{
+      "id": %d,
+      "color": %d,
+      "line": %d,
+      "column": %d,
+      "delta": %s,
+      "frozen": %s
+    }"""
+_ARROW = '{\n      "src": %d,\n      "dst": %d,\n      "mult": %d\n    }'
+
+
+def _list(items, pad: str) -> str:
+    """A list whose items (ints or JSON texts) sit at the indent ``pad``."""
+    if not items:
+        return "[]"
+    return "[\n" + pad + (",\n" + pad).join(map(str, items)) + "\n" + pad[:-2] + "]"
+
+
+def document_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)`` of a ``seed_document``, byte for byte."""
+    meta, p4, p6, p8 = doc["metadata"], " " * 4, " " * 6, " " * 8
+    vertices = [
+        _VERTEX % (v["id"], v["color"], v["line"], v["column"], _list(v["delta"], p8),
+                   "true" if v["frozen"] else "false")
+        for v in doc["vertices"]
+    ]
+    arrows = [_ARROW % (a["src"], a["dst"], a["mult"]) for a in doc["arrows"]]
+    text = _META % (
+        doc["schema"], meta["type"], _list(meta["w"], p6), _list(meta["v"], p6),
+        _list(meta["positions"], p6), _list(meta["completion"], p6), meta["l_w"], meta["l_v"],
+        _list(meta["deleted"], p6), _list([_list(b, p8) for b in meta["schedule"]], p6),
+        _list(vertices, p4), _list(arrows, p4),
+    )
+    if "trace" in doc:
+        text += ',\n  "trace": ' + json.dumps(doc["trace"], indent=2).replace("\n", "\n  ")
+    return text + "\n}"
+
+
 # ---------------------------------------------------------------------------
 # compute
 
@@ -121,7 +177,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         completion = make_word(c, _parse_letters(args.vdot, "--vdot"), order=args.order)
     seed = run(c, word, v, completion=completion, check=not args.no_check)
     doc = seed_document(seed, with_trace=args.trace)
-    payload = json.dumps(doc, indent=2)
+    payload = document_json(doc)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload + "\n")

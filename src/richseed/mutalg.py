@@ -184,7 +184,8 @@ class AlgState:
         """An independent copy: ``step_hat`` changes the state it is given."""
         copy = AlgState(self.word, self.embedding, self.combo, self.reference,
                         dict(self.deltas), self.quiver.copy(), self.checker)
-        copy.step, copy.trace, copy.cut = self.step, list(self.trace), self.cut
+        copy.step, copy.trace = self.step, list(self.trace)
+        copy.cut = None if self.cut is None else self.cut.copy()
         copy.batches, copy.stats = [list(b) for b in self.batches], dict(self.stats)
         return copy
 
@@ -196,9 +197,18 @@ class CutSeedView:
 
     __slots__ = ("members", "evicted", "deleted", "step", "lines", "reports", "verified")
 
-    def __init__(self, members: set[int], evicted: set[int], deleted: set[int], step: int = 0):
+    def __init__(self, members: set[int], evicted: set[int], deleted: frozenset[int],
+                 step: int = 0):
         self.members, self.evicted, self.deleted, self.step = members, evicted, deleted, step
         self.lines, self.reports, self.verified = {}, {}, {}
+
+    def copy(self) -> "CutSeedView":
+        """A view with its own sets, lines and dicts, so that a change to
+        either view leaves the other as it was."""
+        view = CutSeedView(set(self.members), set(self.evicted), self.deleted, self.step)
+        view.lines = {color: list(line) for color, line in self.lines.items()}
+        view.reports, view.verified = dict(self.reports), dict(self.verified)
+        return view
 
 
 class FinalSeed:
@@ -209,7 +219,7 @@ class FinalSeed:
                  "quiver", "schedule", "trace", "stats")
 
     def __init__(self, cartan: CartanData, word: Word, embedding: SubwordEmbedding,
-                 reference: Word, summands: dict[int, DeltaVector], deleted: set[int],
+                 reference: Word, summands: dict[int, DeltaVector], deleted: frozenset[int],
                  frozen: set[int], quiver: Quiver, schedule: list[list[int]],
                  trace: list[MutationRecord], stats: dict):
         self.cartan, self.word, self.embedding, self.reference = cartan, word, embedding, reference
@@ -493,7 +503,7 @@ def check_induction(state: AlgState) -> None:
     lv = state.lv
     prev, journal = state.cut, q.journal
     if prev is None or prev.step != m - 1 or journal is None:
-        prev = CutSeedView(set(), set(), set())
+        prev = CutSeedView(set(), set(), frozenset())
         journal = [(s, t) for s, row in q.b.items() for t in row if s < t]
     # only a replaced vector can move its vertex into or out of the cut
     replaced = [k for k, d in state.deltas.items() if d is not prev.verified.get(k)]
@@ -716,7 +726,7 @@ def run(
     )
 
 
-def frozen_vertices_from(state: AlgState, deleted: set[int], trimmed: Quiver) -> set[int]:
+def frozen_vertices_from(state: AlgState, deleted: frozenset[int], trimmed: Quiver) -> set[int]:
     """Non-mutable survivors.
 
     Three sources: neighbors of a deleted vertex (in the pre-deletion

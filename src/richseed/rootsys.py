@@ -147,7 +147,14 @@ def parse_type(spec: str) -> CartanData:
     rank = spec[1:]
     if not (rank.isascii() and rank.isdigit()) or spec[0].upper() not in "ADE":
         raise IllegalType(f"cannot parse type {spec!r}")
-    return cartan(spec[0], int(rank))
+    return _parsed_cartan(spec[0].upper(), int(rank))
+
+
+# one CartanData per type and process; about 29 types lie under
+# MAX_POSITIVE_ROOTS, and an IllegalType is raised again on every call
+@lru_cache(maxsize=32)
+def _parsed_cartan(family: str, rank: int) -> CartanData:
+    return cartan(family, rank)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,7 @@ class ComboNumbers:
         self.v_indices: dict[int, list[int]] = {i: [] for i in word.colors_used()}
         for m, q in enumerate(emb.positions, start=1):
             self.v_indices[word.color(q)].append(m)
+        self._deleted: list[frozenset[int]] = [frozenset()]
 
     @property
     def positions(self) -> tuple[int, ...]:
@@ -376,15 +377,17 @@ class ComboNumbers:
         except ValueError:
             return None
 
-    def deleted(self, m: int) -> set[int]:
+    def deleted(self, m: int) -> frozenset[int]:
         """The indices k beyond (k_max)^{alpha(k,m)-}: the last alpha(., m)
-        indices of every color line."""
-        out: set[int] = set()
-        for i, js in self.v_indices.items():
-            a = bisect_right(js, m)
-            if a:
-                out.update(self.word.positions_of_color(i)[-a:])
-        return out
+        indices of every color line, for m in 0..l(v).  Step m adds one
+        index, the gamma(m)-th from the end of p_m's line; each step's set
+        is built once."""
+        sets = self._deleted
+        while len(sets) <= m:
+            pm = self.emb.positions[len(sets) - 1]
+            line = self.word.positions_of_color(self.word.color(pm))
+            sets.append(sets[-1] | {line[-self.gamma(len(sets))]})
+        return sets[m]
 
     def table_row(self, k: int) -> dict:
         """One row of the notations table (None for the grayed cells)."""

@@ -7,12 +7,13 @@ import pytest
 
 from richseed.cli import (
     EXAMPLES,
+    document_json,
     main,
     seed_document,
 )
 from richseed.mutalg import run
-from richseed.rootsys import cartan, element_of_word, parse_type
-from richseed.words import make_word, random_reduced_word
+from richseed.rootsys import cartan, element_of_word, number_of_positive_roots, parse_type
+from richseed.words import Word, make_word, random_reduced_word
 
 
 def _cli(*argv):
@@ -50,18 +51,57 @@ def test_compute_a5_document(tmp_path):
     assert text.count("->") == len(doc["arrows"])
 
 
+def _indent2(text):
+    """The document as json.dumps(..., indent=2) writes it, and a newline."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def test_compute_empty_v():
     proc = _cli("compute", "--type", "A3", "--w", "2,1,2,3,2,1", "--v", "")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert len(doc["vertices"]) == 6
-    assert doc["metadata"]["schedule"] == []
+    assert doc["metadata"]["schedule"] == [] and doc["metadata"]["deleted"] == []
+    assert proc.stdout == _indent2(proc.stdout)
 
 
 def test_compute_v_equals_w():
-    proc = _cli("compute", "--type", "A3", "--w", "2,1,2,3,2,1", "--v", "2,1,2,3,2,1")
+    proc = _cli("compute", "--type", "A3", "--w", "2,1,2,3,2,1", "--v", "2,1,2,3,2,1", "--trace")
     assert proc.returncode == 0
-    assert len(json.loads(proc.stdout)["vertices"]) == 0
+    doc = json.loads(proc.stdout)
+    assert doc["vertices"] == [] and doc["arrows"] == [] and doc["trace"]
+    assert proc.stdout == _indent2(proc.stdout)
+
+
+def test_compute_without_arrows_and_out_equal_to_stdout(tmp_path, capsys):
+    # one vertex, so no arrow; --out receives the same bytes as stdout
+    for extra in ([], ["--trace"]):
+        argv = ["compute", "--type", "A2", "--w", "1", "--v", "", *extra]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert '"arrows": []' in out and out == _indent2(out)
+        assert main([*argv, "--out", str(tmp_path / "seed.json")]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "seed.json").read_text() == out
+
+
+def test_document_json_equals_json_dumps_with_indent():
+    # drawn A/D/E pairs, full-length w among them, with and without the
+    # trace; the mismatches are listed, since a diff of two E8 documents
+    # takes pytest minutes
+    mismatches = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        c = parse_type(rng.choice(["A3", "A5", "D4", "D5", "E6", "E7", "E8"]))
+        r = number_of_positive_roots(c)
+        w = Word(c, random_reduced_word(c, r if seed % 5 == 0 else rng.randint(1, r), rng))
+        v = element_of_word(c, [w.color(p) for p in range(1, len(w) + 1) if rng.random() < 0.4])
+        result = run(c, w, v, check=False)
+        for with_trace in (False, True):
+            doc = seed_document(result, with_trace)
+            if document_json(doc) != json.dumps(doc, indent=2):
+                mismatches.append((seed, with_trace))
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("w,v,token", [

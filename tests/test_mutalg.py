@@ -28,7 +28,7 @@ from richseed.mutalg import (
     step_hat,
     verify_equivalence,
 )
-from richseed.quiver import build_gamma, classify_config, classify_sawteeth
+from richseed.quiver import SawTeethReport, build_gamma, classify_config, classify_sawteeth
 from richseed.rootsys import (
     cartan,
     element_of_word,
@@ -1193,7 +1193,6 @@ def test_a_broken_saw_teeth_report_around_a_tooth_shift_is_caught(monkeypatch):
     # the cut after it; an impure one before and an invalid one after are
     # each caught, against every adjacent color
     from richseed import mutalg
-    from richseed.quiver import SawTeethReport
 
     c, w, v = list(_w0_pairs("D5", 17))[1]
     check = mutalg.check_induction
@@ -1238,6 +1237,19 @@ def test_a_fault_is_journalled_across_a_clone():
     assert broken.quiver.journal == state.quiver.journal
     with pytest.raises(InvariantViolation, match="bicolor"):
         step_hat(broken)
+
+
+def test_a_report_replaced_in_a_clone_leaves_the_original_alone():
+    # the clone's cut view is its own: a broken report planted in it is
+    # not reused by the original's next check
+    c, w, v = list(_w0_pairs("A4", 17))[1]
+    state = initial_state(c, w, v, check=True)
+    for _ in range(state.lv):
+        reports = state.clone().cut.reports
+        assert reports
+        for c1, c2 in reports:
+            reports[(c1, c2)] = SawTeethReport(c1, c2, False, "planted")
+        state = step_hat(state)
 
 
 def test_a_doubled_line_arrow_is_caught_between_batches():

@@ -437,6 +437,27 @@ def test_deleted_indices_lie_beyond_the_pulled_back_line_maximum():
                 assert combo.deleted(m) == {k for k, b in bounds.items() if k > b}
 
 
+def test_deleted_sets_equal_their_rebuild_in_any_order():
+    # deleted(m) grows the set of step m - 1 by one index and keeps it;
+    # asked in a shuffled order, every step still gets the set rebuilt
+    # from every color's alpha(., m)
+    rng = random.Random(29)
+    for c in (cartan("A", 4), cartan("D", 5), cartan("E", 6)):
+        r = number_of_positive_roots(c)
+        for _ in range(8):
+            w = Word(c, random_reduced_word(c, rng.randint(1, r), rng))
+            pos = [p for p in range(1, len(w) + 1) if rng.random() < 0.5]
+            combo = combo_numbers(w, rightmost_subword(element_of_word(c, [w.color(p) for p in pos]), w))
+            steps = list(range(len(combo.positions) + 1)) * 2
+            rng.shuffle(steps)
+            for m in steps:
+                rebuilt = set()
+                for i, js in combo.v_indices.items():
+                    line = w.positions_of_color(i)
+                    rebuilt.update(line[len(line) - sum(1 for j in js if j <= m):])
+                assert combo.deleted(m) == rebuilt and isinstance(combo.deleted(m), frozenset)
+
+
 def _combo_oracle_pairs():
     """Drawn (word, embedding) pairs over A, D and E, full-length words and
     the empty v among them."""
