@@ -14,14 +14,15 @@ only change of basis: the j-th simple root has weight coordinates equal
 to the j-th column (= row) of the Cartan matrix.  This identification is
 relied on silently below.
 
-A Weyl group element is a named tuple (cartan, matrix): a plain value,
-equal, hashable and pickled as its two fields.
+A Weyl group element w is a named tuple (cartan, inv_rho) holding the
+single weight w^{-1}(rho), which determines w because rho is regular: a
+plain value, equal, hashable and pickled as its two fields; every
+operation is a walk of simple reflections on weights.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 from typing import NamedTuple
 
 from .errors import IllegalType
@@ -165,20 +166,6 @@ def simple_root(c: CartanData, i: int) -> Vec:
     return tuple(1 if j == i - 1 else 0 for j in range(c.rank))
 
 
-def fundamental_weight(c: CartanData, i: int) -> Vec:
-    return tuple(1 if j == i - 1 else 0 for j in range(c.rank))
-
-
-def root_pairing(c: CartanData, lam: Vec, beta: Vec) -> int:
-    """Pairing <lam, beta^vee> of a weight with the coroot of a root."""
-    return sum(map(mul, lam, beta))
-
-
-def root_to_weight(c: CartanData, beta: Vec) -> Vec:
-    """Weight coordinates of a root vector (multiply by the Cartan matrix)."""
-    return tuple(sum(map(mul, row, beta)) for row in c.matrix)
-
-
 def reflect_root(c: CartanData, i: int, v: Vec) -> Vec:
     """s_i acting on root coordinates."""
     pairing = sum(c.matrix[i - 1][j] * v[j] for j in range(c.rank))
@@ -200,19 +187,8 @@ def reflect_weight_simple(c: CartanData, i: int, lam: Vec) -> Vec:
     return tuple(out)
 
 
-def reflect_weight(c: CartanData, lam: Vec, beta: Vec) -> Vec:
-    """Reflection s_beta of a weight in the hyperplane of the root beta."""
-    n = root_pairing(c, lam, beta)
-    beta_w = root_to_weight(c, beta)
-    return tuple(lam[j] - n * beta_w[j] for j in range(c.rank))
-
-
 def is_positive(v: Vec) -> bool:
     return all(x >= 0 for x in v) and any(x > 0 for x in v)
-
-
-def is_negative(v: Vec) -> bool:
-    return all(x <= 0 for x in v) and any(x < 0 for x in v)
 
 
 @lru_cache(maxsize=None)
@@ -236,113 +212,76 @@ def number_of_positive_roots(c: CartanData) -> int:
     return _positive_root_count(c.family, c.rank)
 
 
-@lru_cache(maxsize=None)
-def _two_rho(c: CartanData) -> Vec:
-    """2 rho in root coordinates: the sum of the positive roots."""
-    return tuple(map(sum, zip(*positive_roots(c))))
-
-
 # ---------------------------------------------------------------------------
-# Weyl group elements as integer matrices on the root lattice
+# Weyl group elements as the single weight w^{-1}(rho)
 
 
 class WeylElement(NamedTuple):
-    """A Weyl group element as an integer matrix on the simple-root basis.
+    """A Weyl group element w as the weight y = w^{-1}(rho).
 
-    Column j of the matrix holds the root coordinates of the image of
-    the j-th simple root.  Equality of elements is equality of matrices.
-
-    Products with a simple reflection touch one row (``lmul``) or the
-    columns of one vertex and its neighbors (``rmul``).  Length, left
-    descents and the inverse are read off the weight w(rho): for every
-    element, <w(rho), alpha_i^vee> = ht(w^{-1}(alpha_i)), so s_i is a
-    left descent of w exactly when coordinate i of w(rho) is negative,
-    and w is the identity exactly when w(rho) = rho.  A named tuple
-    (cartan, matrix), so immutable and hashable; ``*`` is the group
-    product, not tuple repetition.
+    rho is regular, so W acts simply transitively on its orbit and y
+    determines w; equality of elements is equality of weights.  Every
+    operation reads off y: coordinate i of y is <rho, w(alpha_i)^vee> =
+    ht(w(alpha_i)), so s_i is a right descent of w exactly when y_i < 0;
+    w s_i has the weight s_i(y); w is the identity exactly when y = rho.
+    ``peel_left(y)`` spells a reduced word of w in application order,
+    from which the length, the inverse and products are built.  A named
+    tuple (cartan, inv_rho), so immutable and hashable; ``*`` is the
+    group product, not tuple repetition.
     """
 
     cartan: CartanData
-    matrix: tuple[tuple[int, ...], ...]
-
-    def apply(self, v: Vec) -> Vec:
-        n = self.cartan.rank
-        return tuple(sum(self.matrix[i][j] * v[j] for j in range(n)) for i in range(n))
-
-    def image_of_simple(self, i: int) -> Vec:
-        """w(alpha_i), i.e. column i."""
-        return tuple(row[i - 1] for row in self.matrix)
+    inv_rho: Vec
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.cartan != other.cartan:
             raise ValueError("elements of different Weyl groups")
-        n = self.cartan.rank
-        a, b = self.matrix, other.matrix
-        prod = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-        )
-        return WeylElement(self.cartan, prod)
-
-    def lmul(self, i: int) -> "WeylElement":
-        """s_i * w: row i becomes minus itself plus the rows of the neighbors of i."""
-        m = self.matrix
-        row = [-x for x in m[i - 1]]
-        for j in self.cartan.neighbors(i):
-            row = [x + y for x, y in zip(row, m[j - 1])]
-        return WeylElement(self.cartan, m[: i - 1] + (tuple(row),) + m[i:])
+        # other = s_{j_l} ... s_{j_1}, so self * other right-multiplies by
+        # s_{j_l} first and s_{j_1} last
+        y = self.inv_rho
+        for i in reversed(peel_left(self.cartan, other.inv_rho)):
+            y = reflect_weight_simple(self.cartan, i, y)
+        return WeylElement(self.cartan, y)
 
     def rmul(self, i: int) -> "WeylElement":
-        """w * s_i: column i is negated and added to the column of each neighbor."""
-        nbrs = self.cartan.neighbors(i)
-        rows = []
-        for row in self.matrix:
-            x = row[i - 1]
-            if x:
-                out = list(row)
-                out[i - 1] = -x
-                for j in nbrs:
-                    out[j - 1] += x
-                row = tuple(out)
-            rows.append(row)
-        return WeylElement(self.cartan, tuple(rows))
+        """w * s_i, whose weight is s_i(w^{-1}(rho))."""
+        return WeylElement(self.cartan, reflect_weight_simple(self.cartan, i, self.inv_rho))
 
     def rho_image(self) -> Vec:
-        """Weight coordinates of w(rho)."""
+        """Weight coordinates of w(rho): rho walked through a reduced word
+        of w in application order."""
         c = self.cartan
-        return tuple(x // 2 for x in root_to_weight(c, self.apply(_two_rho(c))))
-
-    def inverse_rho_image(self) -> Vec:
-        """Weight coordinates of w^{-1}(rho): coordinate j is
-        <rho, w(alpha_j)^vee> = ht(w(alpha_j)), the sum of column j."""
-        return tuple(map(sum, zip(*self.matrix)))
+        y = (1,) * c.rank
+        for i in peel_left(c, self.inv_rho):
+            y = reflect_weight_simple(c, i, y)
+        return y
 
     def inverse(self) -> "WeylElement":
-        # w = s_{j_1} ... s_{j_l}, so w^{-1} = s_{j_l} ... s_{j_1}: the word
-        # (j_1, ..., j_l) in application order
-        return element_of_word(self.cartan, peel_left(self.cartan, self.rho_image()))
+        return WeylElement(self.cartan, self.rho_image())
 
     def is_identity(self) -> bool:
-        return self == identity_element(self.cartan)
+        return self.inv_rho == (1,) * self.cartan.rank
 
     @property
     def length(self) -> int:
-        return len(peel_left(self.cartan, self.rho_image()))
+        return len(peel_left(self.cartan, self.inv_rho))
 
     def right_descents(self) -> tuple[int, ...]:
         """Colors i with l(w s_i) < l(w), i.e. w(alpha_i) negative."""
-        return tuple(i for i in range(1, self.cartan.rank + 1) if self.is_right_descent(i))
+        return tuple(i for i, x in enumerate(self.inv_rho, start=1) if x < 0)
 
     def is_right_descent(self, i: int) -> bool:
-        return is_negative(self.image_of_simple(i))
+        return self.inv_rho[i - 1] < 0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WeylElement({self.cartan.family}{self.cartan.rank}, len={self.length})"
 
 
 def peel_left(c: CartanData, y: Vec) -> list[int]:
-    """Letters j_1, ..., j_l with w = s_{j_1} ... s_{j_l} for the element w
-    given by the weight y = w(rho), peeling the smallest left descent
-    (the smallest negative coordinate) each time."""
+    """Letters j_1, ..., j_l with u = s_{j_1} ... s_{j_l} for the element u
+    given by the weight y = u(rho), peeling the smallest left descent
+    (the smallest negative coordinate) each time.  For y = w^{-1}(rho)
+    the letters are a reduced word of w in application order."""
     letters = []
     while i := next((j for j, x in enumerate(y, start=1) if x < 0), 0):
         letters.append(i)
@@ -350,53 +289,47 @@ def peel_left(c: CartanData, y: Vec) -> list[int]:
     return letters
 
 
-@lru_cache(maxsize=None)
 def identity_element(c: CartanData) -> WeylElement:
-    m = tuple(tuple(int(i == j) for j in range(c.rank)) for i in range(c.rank))
-    return WeylElement(c, m)
+    return WeylElement(c, (1,) * c.rank)
 
 
-@lru_cache(maxsize=None)
 def simple_reflection(c: CartanData, i: int) -> WeylElement:
-    return identity_element(c).lmul(i)
+    return identity_element(c).rmul(i)
 
 
 def element_of_word(c: CartanData, letters) -> WeylElement:
-    """Element s_{i_k} ... s_{i_1} for letters (i_1, ..., i_k) in application order.
+    """Element w = s_{i_k} ... s_{i_1} for letters (i_1, ..., i_k) in
+    application order: w^{-1}(rho) = s_{i_1} ... s_{i_k}(rho), so rho is
+    reflected by the letters from the last to the first.
 
     The word need not be reduced.
     """
-    w = identity_element(c)
     for i in letters:
         if not 1 <= i <= c.rank:
             raise ValueError(f"letter {i} out of range 1..{c.rank}")
-        w = w.lmul(i)
-    return w
+    y = (1,) * c.rank
+    for i in reversed(letters):
+        y = reflect_weight_simple(c, i, y)
+    return WeylElement(c, y)
 
 
-@lru_cache(maxsize=None)
 def longest_element(c: CartanData) -> WeylElement:
-    w, _ = _build_w0(c)
-    return w
+    # w0(rho) = -rho and w0 is an involution
+    return WeylElement(c, (-1,) * c.rank)
 
 
 @lru_cache(maxsize=None)
 def longest_element_word(c: CartanData) -> tuple[int, ...]:
-    """One reduced word for w0, letters in application order (i_1 first)."""
-    _, letters = _build_w0(c)
-    return letters
+    """One reduced word for w0, letters in application order (i_1 first).
 
-
-def _build_w0(c: CartanData) -> tuple[WeylElement, tuple[int, ...]]:
-    # Greedy ascent from the identity: keep right-multiplying by the
-    # smallest generator that is not a right descent, once per positive
-    # root, which is the length of w0.
-    w = identity_element(c)
+    Greedy ascent from the identity: keep right-multiplying by the
+    smallest generator that is not a right descent, once per positive
+    root, which is the length of w0.  w0 = s_{d_1} s_{d_2} ... s_{d_r},
+    so in application order the word reads (d_r, ..., d_1)."""
+    y = (1,) * c.rank
     picked: list[int] = []
     for _ in range(number_of_positive_roots(c)):
-        i = next(i for i in range(1, c.rank + 1) if not w.is_right_descent(i))
-        w = w.rmul(i)
+        i = next(j for j, x in enumerate(y, start=1) if x > 0)
+        y = reflect_weight_simple(c, i, y)
         picked.append(i)
-    # w0 = s_{d_1} s_{d_2} ... s_{d_r}, so in application order the word
-    # reads (d_r, ..., d_1).
-    return w, tuple(reversed(picked))
+    return tuple(reversed(picked))

@@ -35,15 +35,15 @@ class Word:
     never zero), and (s_{i_k} x)(rho) is x(rho) reflected by s_{i_k}.
     The first letter that is not an ascent raises :class:`NotReduced`
     with its prefix length k.  The final weight w(rho) is kept
-    (``rho_image``), and the represented element (``element``) is built
-    on first read and then kept.
+    (``rho_image``); the represented element (``element``) is built on
+    each read, one walk of the letters.
 
     No root sequence is stored: a walk that would pair a weight xi with
     beta_k = x(alpha_{i_k}), for x the prefix above, carries x^{-1}(xi)
     instead and reads coordinate i_k of it (see ``delta_via_xi``).
     """
 
-    __slots__ = ("cartan", "letters", "_rho", "_element", "_succ", "_pred", "_by_color")
+    __slots__ = ("cartan", "letters", "_rho", "_succ", "_pred", "_by_color")
 
     def __init__(self, cartan: CartanData, letters):
         letters = tuple(letters)
@@ -59,7 +59,6 @@ class Word:
                 raise NotReduced(k)
             y = reflect_weight_simple(cartan, i, y)
         self._rho = y
-        self._element: WeylElement | None = None
 
         by_color: dict[int, list[int]] = {}
         for k, i in enumerate(letters, start=1):
@@ -78,9 +77,7 @@ class Word:
     @property
     def element(self) -> WeylElement:
         """The represented element s_{i_L} ... s_{i_1}."""
-        if self._element is None:
-            self._element = element_of_word(self.cartan, self.letters)
-        return self._element
+        return element_of_word(self.cartan, self.letters)
 
     def rho_image(self) -> Vec:
         """Weight coordinates of w(rho) for the represented element w."""
@@ -250,12 +247,12 @@ def rightmost_subword(v: WeylElement, word: Word) -> SubwordEmbedding:
     of y exactly when coordinate i of y^{-1}(rho) is negative, and
     (y s_i)^{-1}(rho) is that weight reflected by s_i, so the scan is the
     ascending twin of ``leftmost_subword``.  It starts from
-    v^{-1}(rho), the column heights of v's matrix.  A v of another type
+    v^{-1}(rho), the weight that v is stored as.  A v of another type
     than the word raises ``ValueError``.
     """
     if v.cartan != word.cartan:
         raise ValueError("element and word of different types")
-    positions = _descent_scan(v.inverse_rho_image(), word, range(1, len(word) + 1))
+    positions = _descent_scan(v.inv_rho, word, range(1, len(word) + 1))
     return SubwordEmbedding(word, tuple(positions))
 
 
@@ -416,9 +413,8 @@ def combo_numbers(word: Word, emb: SubwordEmbedding) -> ComboNumbers:
 @lru_cache(maxsize=None)
 def all_elements(c: CartanData) -> tuple[WeylElement, ...]:
     """Every element of the Weyl group, by breadth-first length order."""
-    seen = {identity_element(c)}
-    frontier = [identity_element(c)]
-    order = [identity_element(c)]
+    e = identity_element(c)
+    seen, frontier, order = {e}, [e], [e]
     while frontier:
         nxt = []
         for w in frontier:
@@ -438,11 +434,7 @@ def reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
     """All reduced words of w, letters in application order."""
     if w.is_identity():
         return [()]
-    out = []
-    for i in w.right_descents():
-        for rest in reduced_words(w.rmul(i)):
-            out.append((i,) + rest)
-    return out
+    return [(i,) + rest for i in w.right_descents() for rest in reduced_words(w.rmul(i))]
 
 
 def random_reduced_word(c: CartanData, length: int, rng) -> tuple[int, ...]:
@@ -451,10 +443,7 @@ def random_reduced_word(c: CartanData, length: int, rng) -> tuple[int, ...]:
     letters: list[int] = []
     r = number_of_positive_roots(c)
     for _ in range(min(length, r)):
-        choices = [i for i in range(1, c.rank + 1) if not w.is_right_descent(i)]
-        if not choices:
-            break
-        i = rng.choice(choices)
+        i = rng.choice([i for i in range(1, c.rank + 1) if not w.is_right_descent(i)])
         # each right multiplication pushes the new letter to index 1,
         # so the picks read off the word from the left
         w = w.rmul(i)

@@ -1,23 +1,197 @@
 """Matrix, root-sequence and all-pairs paths kept as oracles of the weight
-walks in ``richseed.words`` and ``richseed.deltavec`` and of the one-pass
-``richseed.quiver.build_gamma``; a bicolor copy, and frozen copies of the
-saw-teeth and configuration classifiers as they were before they read
-only the line's rows and k's row once, as oracles of those two."""
+walks in ``richseed.rootsys``, ``richseed.words`` and ``richseed.deltavec``
+and of the one-pass ``richseed.quiver.build_gamma``; a bicolor copy, and
+frozen copies of the saw-teeth and configuration classifiers as they were
+before they read only the line's rows and k's row once, as oracles of
+those two."""
 
-from typing import Collection, Optional
+from operator import mul
+from typing import Collection, NamedTuple, Optional
 
 from richseed.deltavec import DeltaVector
 from richseed.errors import NegativeCoordinate, NotLessOrEqual, Unclassifiable
 from richseed.quiver import ConfigLabel, Quiver, SawTeethReport, Tooth, Vertex
 from richseed.rootsys import (
+    CartanData,
+    Vec,
     element_of_word,
-    fundamental_weight,
-    identity_element,
-    is_negative,
-    root_pairing,
-    root_to_weight,
+    number_of_positive_roots,
+    positive_roots,
 )
 from richseed.words import SubwordEmbedding, leftmost_subword
+
+# ---------------------------------------------------------------------------
+# root and weight arithmetic through the Cartan matrix
+
+
+def fundamental_weight(c: CartanData, i: int) -> Vec:
+    return tuple(1 if j == i - 1 else 0 for j in range(c.rank))
+
+
+def root_pairing(c: CartanData, lam: Vec, beta: Vec) -> int:
+    """Pairing <lam, beta^vee> of a weight with the coroot of a root."""
+    return sum(map(mul, lam, beta))
+
+
+def root_to_weight(c: CartanData, beta: Vec) -> Vec:
+    """Weight coordinates of a root vector (multiply by the Cartan matrix)."""
+    return tuple(sum(map(mul, row, beta)) for row in c.matrix)
+
+
+def reflect_weight(c: CartanData, lam: Vec, beta: Vec) -> Vec:
+    """Reflection s_beta of a weight in the hyperplane of the root beta."""
+    n = root_pairing(c, lam, beta)
+    beta_w = root_to_weight(c, beta)
+    return tuple(lam[j] - n * beta_w[j] for j in range(c.rank))
+
+
+def is_negative(v: Vec) -> bool:
+    return all(x <= 0 for x in v) and any(x < 0 for x in v)
+
+
+# ---------------------------------------------------------------------------
+# Weyl group elements as integer matrices on the root lattice
+
+
+class MatrixElement(NamedTuple):
+    """A Weyl group element as an integer matrix on the simple-root basis,
+    the reference for ``richseed.rootsys.WeylElement``.
+
+    Column j of the matrix holds the root coordinates of the image of
+    the j-th simple root.  Products with a simple reflection touch one
+    row (``lmul``) or the columns of one vertex and its neighbors
+    (``rmul``); the length is the number of inversions.
+    """
+
+    cartan: CartanData
+    matrix: tuple[tuple[int, ...], ...]
+
+    def apply(self, v: Vec) -> Vec:
+        n = self.cartan.rank
+        return tuple(sum(self.matrix[i][j] * v[j] for j in range(n)) for i in range(n))
+
+    def image_of_simple(self, i: int) -> Vec:
+        """w(alpha_i), i.e. column i."""
+        return tuple(row[i - 1] for row in self.matrix)
+
+    def __mul__(self, other: "MatrixElement") -> "MatrixElement":
+        n = self.cartan.rank
+        a, b = self.matrix, other.matrix
+        prod = tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+        )
+        return MatrixElement(self.cartan, prod)
+
+    def lmul(self, i: int) -> "MatrixElement":
+        """s_i * w: row i becomes minus itself plus the rows of the neighbors of i."""
+        m = self.matrix
+        row = [-x for x in m[i - 1]]
+        for j in self.cartan.neighbors(i):
+            row = [x + y for x, y in zip(row, m[j - 1])]
+        return MatrixElement(self.cartan, m[: i - 1] + (tuple(row),) + m[i:])
+
+    def rmul(self, i: int) -> "MatrixElement":
+        """w * s_i: column i is negated and added to the column of each neighbor."""
+        nbrs = self.cartan.neighbors(i)
+        rows = []
+        for row in self.matrix:
+            x = row[i - 1]
+            if x:
+                out = list(row)
+                out[i - 1] = -x
+                for j in nbrs:
+                    out[j - 1] += x
+                row = tuple(out)
+            rows.append(row)
+        return MatrixElement(self.cartan, tuple(rows))
+
+    def rho_image(self) -> Vec:
+        """Weight coordinates of w(rho), with 2 rho the sum of the positive roots."""
+        c = self.cartan
+        two_rho = tuple(map(sum, zip(*positive_roots(c))))
+        return tuple(x // 2 for x in root_to_weight(c, self.apply(two_rho)))
+
+    def inverse_rho_image(self) -> Vec:
+        """Weight coordinates of w^{-1}(rho): coordinate j is
+        <rho, w(alpha_j)^vee> = ht(w(alpha_j)), the sum of column j."""
+        return tuple(map(sum, zip(*self.matrix)))
+
+    def word(self) -> tuple[int, ...]:
+        """A reduced word (d_1, ..., d_l) in application order: w s_{d_1}
+        ... s_{d_l} is the identity, peeling the smallest right descent."""
+        w, letters = self, []
+        while descents := w.right_descents():
+            letters.append(descents[0])
+            w = w.rmul(descents[0])
+        return tuple(letters)
+
+    def inverse(self) -> "MatrixElement":
+        return matrix_of_word(self.cartan, reversed(self.word()))
+
+    def is_identity(self) -> bool:
+        return self == matrix_identity(self.cartan)
+
+    @property
+    def length(self) -> int:
+        return sum(1 for b in positive_roots(self.cartan) if is_negative(self.apply(b)))
+
+    def right_descents(self) -> tuple[int, ...]:
+        """Colors i with l(w s_i) < l(w), i.e. w(alpha_i) negative."""
+        return tuple(i for i in range(1, self.cartan.rank + 1) if self.is_right_descent(i))
+
+    def is_right_descent(self, i: int) -> bool:
+        return is_negative(self.image_of_simple(i))
+
+
+def matrix_identity(c: CartanData) -> MatrixElement:
+    return MatrixElement(c, tuple(tuple(int(i == j) for j in range(c.rank)) for i in range(c.rank)))
+
+
+def matrix_of_word(c: CartanData, letters) -> MatrixElement:
+    """Matrix of s_{i_k} ... s_{i_1} for letters (i_1, ..., i_k) in
+    application order, one ``lmul`` per letter; the word need not be
+    reduced."""
+    w = matrix_identity(c)
+    for i in letters:
+        w = w.lmul(i)
+    return w
+
+
+def matrix_all_elements(c: CartanData) -> list[MatrixElement]:
+    """Every element of the Weyl group, by breadth-first length order."""
+    e = matrix_identity(c)
+    seen, frontier, order = {e}, [e], [e]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(1, c.rank + 1):
+                if w.is_right_descent(i):
+                    continue
+                ws = w.rmul(i)
+                if ws not in seen:
+                    seen.add(ws)
+                    nxt.append(ws)
+        order += nxt
+        frontier = nxt
+    return order
+
+
+def matrix_reduced_words(w: MatrixElement) -> list[tuple[int, ...]]:
+    """All reduced words of w, letters in application order."""
+    if w.is_identity():
+        return [()]
+    return [(i,) + rest for i in w.right_descents() for rest in matrix_reduced_words(w.rmul(i))]
+
+
+def matrix_random_reduced_word(c: CartanData, length: int, rng) -> tuple[int, ...]:
+    """A random reduced word of the given length (shorter past w0), picking
+    among the matrix ascents with the same draws as the package does."""
+    w, letters = matrix_identity(c), []
+    for _ in range(min(length, number_of_positive_roots(c))):
+        i = rng.choice([i for i in range(1, c.rank + 1) if not w.is_right_descent(i)])
+        w = w.rmul(i)
+        letters.append(i)
+    return tuple(reversed(letters))
 
 
 def matrix_betas(c, letters):
@@ -25,7 +199,7 @@ def matrix_betas(c, letters):
     matrix product per letter, and the prefix length of the first
     negative root (None for a reduced word)."""
     betas = []
-    x = identity_element(c)
+    x = matrix_identity(c)
     for k, i in enumerate(letters, start=1):
         beta = x.image_of_simple(i)
         if is_negative(beta):

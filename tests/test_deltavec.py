@@ -2,7 +2,13 @@ import random
 from functools import reduce
 
 import pytest
-from oracles import matrix_betas, root_sequence_delta_via_xi
+from oracles import (
+    fundamental_weight,
+    matrix_betas,
+    matrix_of_word,
+    root_sequence_delta_via_xi,
+    root_to_weight,
+)
 
 import richseed.deltavec
 from richseed.deltavec import (
@@ -21,13 +27,10 @@ from richseed.errors import NegativeCoordinate
 from richseed.rootsys import (
     cartan,
     element_of_word,
-    fundamental_weight,
-    longest_element,
     longest_element_word,
     number_of_positive_roots,
     parse_type,
     reflect_weight_simple,
-    root_to_weight,
 )
 from richseed.words import (
     Word,
@@ -211,14 +214,14 @@ def test_incremental_left_parts_match_dense_products():
     rng = random.Random(5)
     for spec in ("D5", "E6", "E8"):
         c = parse_type(spec)
-        w0 = longest_element(c)
+        w0 = matrix_of_word(c, longest_element_word(c))
         words = [Word(c, longest_element_word(c)),
                  Word(c, random_reduced_word(c, number_of_positive_roots(c), rng))]
         for wdot in words:
             parts = _left_parts(wdot, range(1, len(wdot) + 1))
             assert len(parts) == len(wdot)
             for k, (rho_k, omega_k) in enumerate(parts, start=1):
-                u_k = w0 * wdot.prefix_element(k).inverse()
+                u_k = w0 * matrix_of_word(c, reversed(wdot.letters[:k]))
                 assert rho_k == u_k.rho_image()
                 assert omega_k == reduce(
                     lambda lam, i: reflect_weight_simple(c, i, lam),
@@ -232,7 +235,7 @@ def test_incremental_left_parts_match_dense_products():
 def _matrix_left_part_rhos(wdot):
     """u_k(rho), with w0(beta_k) taken through the w0 matrix and the Cartan matrix."""
     c = wdot.cartan
-    w0, y = longest_element(c), (-1,) * c.rank
+    w0, y = matrix_of_word(c, longest_element_word(c)), (-1,) * c.rank
     for beta in matrix_betas(c, wdot.letters)[0]:
         y = tuple(a - b for a, b in zip(y, root_to_weight(c, w0.apply(beta))))
         yield y

@@ -1343,3 +1343,63 @@ def test_incremental_and_full_checks_agree_on_random_faults():
                 runs.append(_outcome(broken))
             assert runs[0] == runs[1], (seed, fault)
             state = step_hat(state)
+
+
+# ---------------------------------------------------------------------------
+# commutation moves: the initial quiver, and so the seed, depends only on
+# the commutation class of w (Geiss-Leclerc-Schroer 2011, Leclerc 2016)
+
+
+def _commutation_cases():
+    """(c, w, v, p): a seeded reduced word w of A4-E7 whose letters at
+    positions p and p+1 commute, and v spelled by a random subset of w's
+    letters, so v <= w."""
+    rng = random.Random(23)
+    for spec in ("A4", "A5", "D4", "D5", "D6", "E6", "E7"):
+        c = parse_type(spec)
+        r = number_of_positive_roots(c)
+        for _ in range(12):
+            letters = random_reduced_word(c, rng.randint(3, min(r, 30)), rng)
+            moves = [p for p in range(1, len(letters))
+                     if letters[p - 1] != letters[p] and not c.adjacent(letters[p - 1], letters[p])]
+            if moves:
+                v = element_of_word(c, [i for i in letters if rng.random() < 0.5])
+                yield c, Word(c, letters), v, rng.choice(moves)
+
+
+def _seed_under(seed, swap_ids, swap_coords):
+    """The seed's embedding, quiver, frozen and deleted ids and vectors,
+    with ids and vector coordinates exchanged by the two dicts (an
+    absent key is left as it is)."""
+
+    def ids(k):
+        return swap_ids.get(k, k)
+
+    n = len(seed.reference)
+    return (
+        sorted(map(ids, seed.embedding.positions)),
+        {(ids(s), ids(t)): x for (s, t), x in seed.quiver.arrows.items()},
+        {ids(k) for k in seed.frozen},
+        {ids(k) for k in seed.deleted},
+        {ids(k): tuple(d.coords[swap_coords.get(m, m) - 1] for m in range(1, n + 1))
+         for k, d in seed.summands.items()},
+    )
+
+
+def test_a_commutation_move_relabels_the_seed():
+    # swapping the commuting letters at p and p+1 swaps the ids p and p+1;
+    # when v uses both, they are its letters m and m+1, and the reference
+    # completion swaps them too, so each vector swaps coordinates m, m+1
+    cases = differ = 0
+    for c, w, v, p in _commutation_cases():
+        letters = list(w.letters)
+        letters[p - 1], letters[p] = letters[p], letters[p - 1]
+        seed = run(c, w, v, check=False)
+        moved = _seed_under(run(c, Word(c, letters), v, check=False), {}, {})
+        pos = seed.embedding.positions
+        m = pos.index(p) + 1 if p in pos and p + 1 in pos else 0
+        coords = {m: m + 1, m + 1: m} if m else {}
+        assert _seed_under(seed, {p: p + 1, p + 1: p}, coords) == moved, (w.letters, p)
+        cases += 1
+        differ += _seed_under(seed, {}, {}) != moved
+    assert cases >= 70 and differ >= cases // 2

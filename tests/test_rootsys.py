@@ -5,24 +5,31 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import matrix_betas
+from oracles import (
+    fundamental_weight,
+    is_negative,
+    matrix_all_elements,
+    matrix_betas,
+    matrix_of_word,
+    matrix_random_reduced_word,
+    matrix_reduced_words,
+    reflect_weight,
+    root_pairing,
+    root_to_weight,
+)
 
 from richseed.errors import IllegalType
 from richseed.rootsys import (
     MAX_POSITIVE_ROOTS,
     cartan,
     element_of_word,
-    fundamental_weight,
     identity_element,
-    is_negative,
     longest_element,
     longest_element_word,
     number_of_positive_roots,
     parse_type,
+    peel_left,
     positive_roots,
-    reflect_weight,
-    root_pairing,
-    root_to_weight,
     simple_reflection,
     simple_root,
 )
@@ -56,13 +63,13 @@ def test_cartan_a1():
 def test_cartan_data_and_elements_are_immutable():
     c = cartan("E", 8)
     w = element_of_word(c, [1, 3, 4])
-    for obj, name in ((c, "rank"), (c, "nbrs"), (w, "matrix"), (w, "cartan")):
+    for obj, name in ((c, "rank"), (c, "nbrs"), (w, "inv_rho"), (w, "cartan")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
     with pytest.raises(AttributeError):
         c.extra = 1
     with pytest.raises(AttributeError):
-        del w.matrix
+        del w.inv_rho
     assert c.rank == 8 and w == element_of_word(c, [1, 3, 4])
 
 
@@ -137,8 +144,10 @@ def test_w0_sends_positives_to_negatives():
     for spec in ("A3", "D4"):
         c = parse_type(spec)
         w0 = longest_element(c)
-        assert all(is_negative(w0.apply(b)) for b in positive_roots(c))
         word = longest_element_word(c)
+        m0 = matrix_of_word(c, word)
+        assert all(is_negative(m0.apply(b)) for b in positive_roots(c))
+        assert m0.inverse_rho_image() == w0.inv_rho
         assert Word(c, word).element == w0
 
 
@@ -202,15 +211,18 @@ def test_elements_permute_root_set_and_are_unimodular():
     roots = set(positive_roots(c)) | {tuple(-x for x in b) for b in positive_roots(c)}
     rng = random.Random(3)
     for _ in range(10):
-        w = element_of_word(c, random_reduced_word(c, rng.randint(1, 6), rng))
-        assert {w.apply(b) for b in roots} == roots
+        letters = random_reduced_word(c, rng.randint(1, 6), rng)
+        w = element_of_word(c, letters)
+        assert {matrix_of_word(c, letters).apply(b) for b in roots} == roots
         assert (w * w.inverse()).is_identity()
 
 
 def test_length_is_inversion_count():
     c = cartan("A", 3)
     for el in all_elements(c):
-        inv = sum(1 for b in positive_roots(c) if is_negative(el.apply(b)))
+        m = matrix_of_word(c, peel_left(c, el.inv_rho))
+        assert m.inverse_rho_image() == el.inv_rho
+        inv = sum(1 for b in positive_roots(c) if is_negative(m.apply(b)))
         assert el.length == inv
 
 
@@ -228,48 +240,88 @@ def test_simple_reflection_involution():
 
 
 # ---------------------------------------------------------------------------
-# the O(rank) primitives against the dense arithmetic they replace
+# the one-weight elements against the matrix form they replace
 
 
-def _inversions(w):
-    """Length as the number of positive roots sent to negative ones."""
-    return sum(1 for b in positive_roots(w.cartan) if is_negative(w.apply(b)))
-
-
-def _elements_under_test():
-    """All of A3 and D4, and a seeded sample of E8."""
-    out = list(all_elements(cartan("A", 3))) + list(all_elements(cartan("D", 4)))
-    e8 = cartan("E", 8)
+def _pairs_under_test():
+    """(element, matrix) pairs: all of A4 and D4 in the enumeration order
+    of both forms, and 40 seeded reduced words of E6, E7 and E8, each
+    drawn by both forms from the same seed, each with an unreduced word."""
+    pairs = []
+    for spec in ("A4", "D4"):
+        c = parse_type(spec)
+        pairs += zip(all_elements(c), matrix_all_elements(c))
     rng = random.Random(8)
-    for _ in range(40):
-        out.append(element_of_word(e8, random_reduced_word(e8, rng.randint(0, 120), rng)))
-    return out
+    for t in range(40):
+        c = parse_type(f"E{6 + t % 3}")
+        n = rng.randint(0, number_of_positive_roots(c))
+        letters = random_reduced_word(c, n, random.Random(t))
+        pairs.append((element_of_word(c, letters),
+                      matrix_of_word(c, matrix_random_reduced_word(c, n, random.Random(t)))))
+        unreduced = [rng.randint(1, c.rank) for _ in range(t % 7)] + list(letters)
+        pairs.append((element_of_word(c, unreduced), matrix_of_word(c, unreduced)))
+    return pairs
 
 
-ELEMENTS = _elements_under_test()
+PAIRS = _pairs_under_test()
+
+
+def test_weight_elements_match_the_matrix_form():
+    for (y, m), (z, n) in zip(PAIRS, PAIRS[1:] + PAIRS[:1]):
+        c = y.cartan
+        assert y.inv_rho == m.inverse_rho_image()
+        assert y.rho_image() == m.rho_image()
+        assert y.right_descents() == m.right_descents()
+        assert y.length == m.length
+        assert y.is_identity() == m.is_identity()
+        assert y.inverse().inv_rho == m.inverse().inverse_rho_image()
+        for i in range(1, c.rank + 1):
+            assert y.is_right_descent(i) == m.is_right_descent(i)
+            assert y.rmul(i).inv_rho == m.rmul(i).inverse_rho_image()
+        if z.cartan == c:
+            assert (y * z).inv_rho == (m * n).inverse_rho_image()
+
+
+@pytest.mark.parametrize("spec", ["A4", "D4"])
+def test_enumerations_match_the_matrix_driven_ones(spec):
+    c = parse_type(spec)
+    elements, matrices = all_elements(c), matrix_all_elements(c)
+    assert [y.inv_rho for y in elements] == [m.inverse_rho_image() for m in matrices]
+    assert len(set(elements)) == len(elements)
+    for y, m in zip(elements, matrices):
+        assert reduced_words(y) == matrix_reduced_words(m)
+    for seed in range(20):
+        n = seed % (number_of_positive_roots(c) + 2)
+        assert random_reduced_word(c, n, random.Random(seed)) == matrix_random_reduced_word(
+            c, n, random.Random(seed)
+        )
 
 
 def test_rho_descent_test_matches_inversion_count():
-    for y in ELEMENTS:
+    for y, m in PAIRS:
         c = y.cartan
         rho_y = y.rho_image()
-        assert y.length == _inversions(y)
+        length = m.length
+        assert y.length == length
         assert (rho_y == (1,) * c.rank) == y.is_identity()
         for i in range(1, c.rank + 1):
-            shorter = _inversions(simple_reflection(c, i) * y) < _inversions(y)
+            shorter = m.lmul(i).length < length
             assert (rho_y[i - 1] < 0) == shorter
 
 
 def test_simple_products_match_dense_products():
-    for y in ELEMENTS:
+    for y, m in PAIRS:
         c = y.cartan
         for i in range(1, c.rank + 1):
-            assert y.lmul(i) == simple_reflection(c, i) * y
+            s = matrix_of_word(c, [i])
+            assert m.lmul(i) == s * m
+            assert m.rmul(i) == m * s
+            assert (simple_reflection(c, i) * y).inv_rho == (s * m).inverse_rho_image()
             assert y.rmul(i) == y * simple_reflection(c, i)
 
 
 def test_word_inverse_is_two_sided():
-    for y in ELEMENTS:
+    for y, _ in PAIRS:
         inv = y.inverse()
         assert (y * inv).is_identity()
         assert (inv * y).is_identity()
