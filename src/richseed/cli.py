@@ -25,7 +25,7 @@ import sys
 from functools import lru_cache
 from typing import Iterator
 
-from .deltavec import delta_tilde_from_combo, delta_vectors, delta_via_xi, initial_delta_same
+from .deltavec import delta_tilde_from_combo, delta_via_xi, initial_delta_same
 from .errors import NotLessOrEqual, StructuralFailure
 from .mutalg import FinalSeed, green_report, initial_state, run, step_hat, verify_equivalence
 from .quiver import build_gamma, classify_sawteeth, quiver_has_sawteeth, to_dot
@@ -35,7 +35,6 @@ from .words import (
     all_elements,
     bruhat_le,
     combo_numbers,
-    left_complete,
     make_word,
     random_reduced_word,
     reduced_words,
@@ -76,7 +75,7 @@ def seed_document(seed: FinalSeed, with_trace: bool = False) -> dict:
         "metadata": {
             "type": f"{seed.cartan.family}{seed.cartan.rank}",
             "w": list(seed.word.display),
-            "v": list(seed.embedding.subword().display),
+            "v": list(reversed(seed.embedding.letters)),
             "positions": list(seed.embedding.positions),
             "completion": list(seed.reference.display),
             "l_w": len(seed.word),
@@ -275,6 +274,15 @@ def example_d5_quiver() -> list[str]:
     _diff("(3,2) initial barb", rep.initial_barb, golden.D5_BICOLOR_32["initial_barb"], failures)
     _diff("(3,2) final barb", rep.final_barb, golden.D5_BICOLOR_32["final_barb"], failures)
     _diff("(3,2) isolated", tuple(sorted(rep.isolated)), golden.D5_BICOLOR_32["isolated"], failures)
+    # of every ordered pair of adjacent colors, the summits that no arrow
+    # of the frozen table joins to the line are the isolated ones
+    for c1 in range(1, c.rank + 1):
+        line = set(q.ids_of_color(c1))
+        joined = {s if t in line else t for s, t in golden.D5_ARROWS if (s in line) != (t in line)}
+        for c2 in c.neighbors(c1):
+            want = tuple(k for k in q.ids_of_color(c2) if k not in joined)
+            got = tuple(sorted(classify_sawteeth(q, c1, c2).isolated))
+            _diff(f"({c1},{c2}) isolated", got, want, failures)
     return failures
 
 
@@ -410,14 +418,10 @@ def check_delta_oracle(c: CartanData, samples: int, max_len: int, rng) -> tuple[
     n = 0
     for word, v_letters in _sample_pairs(c, samples, max_len, rng):
         v_el = element_of_word(c, v_letters)
-        emb = rightmost_subword(v_el, word)
-        vdot = left_complete(emb.subword())
-        wdot = left_complete(word)
-        combo = combo_numbers(word, emb)
-        ks = range(1, len(word) + 1)
-        for k, d in zip(ks, delta_vectors(wdot, vdot, ks)):
-            direct = delta_tilde_from_combo(combo, k)
-            via_xi = d.truncated(len(emb))
+        state = initial_state(c, word, v_el, check=False)
+        for k, d in state.deltas.items():
+            direct = delta_tilde_from_combo(state.combo, k)
+            via_xi = d.truncated(state.lv)
             if direct != via_xi:
                 return False, f"word {tuple(word.display)}, k={k}: {direct} != {via_xi}"
         n += 1

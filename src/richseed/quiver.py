@@ -10,6 +10,10 @@ makes appear or vanish are read off by ``mutalg.green_report``, the one
 replay that needs them.  Every other operation, ``mutate`` included,
 returns a new quiver.
 
+A saw-teeth report and its teeth are named tuples that hold what the
+checks read: the barbs, the teeth as (right end, summit, left end) and
+the isolated summits, or the first violation.
+
 The configuration labels of a vertex about to be mutated are plain
 strings, the ones the mutation records store: :class:`ConfigLabel` only
 names them, and :data:`CONFIG_TRANSITIONS` is keyed by (label, eviction).
@@ -203,33 +207,22 @@ class Tooth(NamedTuple):
     right_end: int
     summit: int
     left_end: int
-    chain: tuple[int, ...]  # line vertices from right_end to left_end inclusive
 
 
-class SawTeethReport:
-    """The decomposition of one bicolor subquiver, filled in by
-    :func:`classify_sawteeth`.  ``initial_barb`` is (line source, summit
-    target), ``final_barb`` (summit source, line target).  Mutable; two
-    reports are equal when every field is, and they are unhashable."""
+class SawTeethReport(NamedTuple):
+    """The decomposition of one bicolor subquiver by :func:`classify_sawteeth`:
+    ``initial_barb`` is (line source, summit target), ``final_barb`` (summit
+    source, line target), and ``isolated`` the summits without a cross arrow.
+    An invalid report holds only its ``violation``.  A named tuple."""
 
-    __slots__ = ("line_color", "summit_color", "valid", "violation", "initial_run",
-                 "initial_barb", "teeth", "final_barb", "final_run", "isolated")
-
-    def __init__(self, line_color: int, summit_color: int, valid: bool,
-                 violation: Optional[str] = None, initial_run: Optional[list[int]] = None,
-                 initial_barb: Optional[tuple[int, int]] = None,
-                 teeth: Optional[list[Tooth]] = None, final_barb: Optional[tuple[int, int]] = None,
-                 final_run: Optional[list[int]] = None, isolated: Optional[set[int]] = None):
-        self.line_color, self.summit_color, self.valid = line_color, summit_color, valid
-        self.violation, self.initial_barb, self.final_barb = violation, initial_barb, final_barb
-        self.initial_run = [] if initial_run is None else initial_run
-        self.teeth = [] if teeth is None else teeth
-        self.final_run = [] if final_run is None else final_run
-        self.isolated = set() if isolated is None else isolated
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SawTeethReport) and all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__)
+    line_color: int
+    summit_color: int
+    valid: bool
+    violation: Optional[str] = None
+    initial_barb: Optional[tuple[int, int]] = None
+    teeth: tuple[Tooth, ...] = ()
+    final_barb: Optional[tuple[int, int]] = None
+    isolated: frozenset[int] = frozenset()
 
     @property
     def pure(self) -> bool:
@@ -259,17 +252,11 @@ def classify_sawteeth(
         line, jline = q.ids_of_color(c1), q.ids_of_color(c2)
     else:
         line, jline = lines.get(c1, []), lines.get(c2, [])
-    rep = SawTeethReport(c1, c2, valid=True)
-
-    def fail(msg: str) -> SawTeethReport:
-        rep.valid = False
-        rep.violation = msg
-        return rep
 
     # in a line's row, an arrow of the subquiver is a positive entry toward
     # the line or an entry of either sign toward a summit.  A vertex of
     # either color may have one outgoing and one incoming cross arrow
-    on_line, summits, rows = set(line), set(jline), q.b
+    on_line, summits, rows = set(line), frozenset(jline), q.b
     succ_of: dict[int, int] = {}  # source -> target of its cross arrow
     pred_of: dict[int, int] = {}  # target -> source of its cross arrow
     n = h = 0  # cross arrows, and line arrows to the next line vertex
@@ -289,18 +276,15 @@ def classify_sawteeth(
                 h += 1
                 broken = broken or m != 1 or t != s_next
     if broken or len(succ_of) != n or len(pred_of) != n or h < len(line) - 1:
-        return fail(_first_violation(rows, line, jline))
+        return SawTeethReport(c1, c2, False, _first_violation(rows, line, jline))
 
-    rep.isolated = summits.difference(succ_of, pred_of)
-    crossed = [(i, x) for i, x in enumerate(line) if x in succ_of or x in pred_of]
+    isolated = summits.difference(succ_of, pred_of)
+    crossed = [x for x in line if x in succ_of or x in pred_of]
     if not crossed:
-        rep.initial_run = list(line)
-        return rep
+        return SawTeethReport(c1, c2, True, isolated=isolated)
 
-    n, (i, anchor), chain = 0, crossed[0], tuple(line)
-    rep.initial_run = line[: i + 1]
-    if anchor in succ_of:
-        rep.initial_barb = (anchor, succ_of[anchor])
+    n, anchor, teeth, final_barb = 0, crossed[0], [], None
+    initial_barb = (anchor, succ_of[anchor]) if anchor in succ_of else None
     # a tooth's left end, the line vertex with an arrow into its summit, is
     # the next crossed vertex: any crossed vertex before it is inside the tooth
     while anchor in pred_of:
@@ -308,27 +292,26 @@ def classify_sawteeth(
         closer = pred_of.get(y)
         if closer is None or closer <= anchor:
             # no matching left side: the arrow y -> anchor is a final barb
-            rep.final_barb = (y, anchor)
+            final_barb = (y, anchor)
             break
         n += 1
-        j, x = crossed[n]
-        if x != closer:
-            dirty = [x for _, x in crossed[n:] if x < closer]
-            return fail(f"cross arrows {dirty} inside the tooth {anchor}..{closer}")
-        rep.teeth.append(Tooth(anchor, y, closer, chain[i : j + 1]))
-        i, anchor = j, closer
-    rep.final_run = line[i:]
+        if crossed[n] != closer:
+            dirty = [x for x in crossed[n:] if x < closer]
+            msg = f"cross arrows {dirty} inside the tooth {anchor}..{closer}"
+            return SawTeethReport(c1, c2, False, msg)
+        teeth.append(Tooth(anchor, y, closer))
+        anchor = closer
 
     # every cross arrow must have been used by the structure: none may sit
     # beyond the last anchor, so in particular nothing follows a final barb
-    if rest := [x for _, x in crossed[n + 1 :]]:
-        return fail(
-            f"ordinary arrows outside the structure (in at {[x for x in rest if x in pred_of]}, "
-            f"out at {[x for x in rest if x in succ_of]})"
-        )
-    if rep.initial_barb and rep.final_barb and rep.final_barb[0] <= rep.initial_barb[1]:
-        return fail("final barb does not start beyond the initial barb target")
-    return rep
+    if rest := crossed[n + 1 :]:
+        msg = (f"ordinary arrows outside the structure (in at {[x for x in rest if x in pred_of]}, "
+               f"out at {[x for x in rest if x in succ_of]})")
+        return SawTeethReport(c1, c2, False, msg)
+    if initial_barb and final_barb and final_barb[0] <= initial_barb[1]:
+        msg = "final barb does not start beyond the initial barb target"
+        return SawTeethReport(c1, c2, False, msg)
+    return SawTeethReport(c1, c2, True, None, initial_barb, tuple(teeth), final_barb, isolated)
 
 
 def _first_violation(rows: dict[int, dict[int, int]], line: list[int], jline: list[int]) -> str:

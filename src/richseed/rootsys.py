@@ -14,10 +14,11 @@ only change of basis: the j-th simple root has weight coordinates equal
 to the j-th column (= row) of the Cartan matrix.  This identification is
 relied on silently below.
 
-A Weyl group element w is a named tuple (cartan, inv_rho) holding the
-single weight w^{-1}(rho), which determines w because rho is regular: a
-plain value, equal, hashable and pickled as its two fields; every
-operation is a walk of simple reflections on weights.
+A type is a named tuple :class:`CartanData` and a Weyl group element w
+a named tuple (cartan, inv_rho) holding the single weight w^{-1}(rho),
+which determines w because rho is regular: plain values, equal,
+hashable and pickled as their fields; every operation on an element is
+a walk of simple reflections on weights.
 """
 
 from __future__ import annotations
@@ -36,38 +37,16 @@ Vec = tuple[int, ...]
 MAX_POSITIVE_ROOTS = 120
 
 
-class CartanData:
-    """A simply-laced Dynkin type with its Cartan matrix and diagram.
-    Equal when family, rank, matrix and adjacency are (``nbrs``, vertex
-    i's neighbors at [i-1], is derived).  It keys the per-type caches, so
-    its hash is computed once.  Immutable: its attributes are set once,
-    in ``__init__``, and assigning or deleting one raises
-    ``AttributeError``."""
+class CartanData(NamedTuple):
+    """A simply-laced Dynkin type with its Cartan matrix and diagram;
+    ``nbrs`` holds vertex i's neighbors at [i-1].  A named tuple, so
+    immutable and equal by value; its hash is not cached."""
 
-    __slots__ = ("family", "rank", "matrix", "adjacency", "nbrs", "_key", "_hash")
-
-    def __init__(self, family: str, rank: int, matrix: tuple[tuple[int, ...], ...],
-                 adjacency: frozenset[tuple[int, int]]):
-        vertices = range(1, rank + 1)
-        nbrs = tuple(tuple(j for j in vertices if j != i and (min(i, j), max(i, j)) in adjacency)
-                     for i in vertices)
-        key = (family, rank, matrix, adjacency)
-        for name, x in zip(self.__slots__, (*key, nbrs, key, hash(key))):
-            object.__setattr__(self, name, x)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CartanData) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return CartanData, self._key
+    family: str
+    rank: int
+    matrix: tuple[tuple[int, ...], ...]
+    adjacency: frozenset[tuple[int, int]]
+    nbrs: tuple[tuple[int, ...], ...]
 
     def a(self, i: int, j: int) -> int:
         """Cartan entry a_{ij} for colors 1..rank."""
@@ -126,18 +105,11 @@ def cartan(family: str, rank: int) -> CartanData:
             f"{MAX_POSITIVE_ROOTS} (the number of E8)"
         )
     adj = frozenset((min(i, j), max(i, j)) for i, j in _edges(family, rank))
-    rows = []
-    for i in range(1, rank + 1):
-        row = []
-        for j in range(1, rank + 1):
-            if i == j:
-                row.append(2)
-            elif (min(i, j), max(i, j)) in adj:
-                row.append(-1)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    return CartanData(family, rank, tuple(rows), adj)
+    vertices = range(1, rank + 1)
+    nbrs = tuple(tuple(j for j in vertices if (min(i, j), max(i, j)) in adj) for i in vertices)
+    matrix = tuple(tuple(2 if i == j else -1 if j in nbrs[i - 1] else 0 for j in vertices)
+                   for i in vertices)
+    return CartanData(family, rank, matrix, adj, nbrs)
 
 
 def parse_type(spec: str) -> CartanData:
@@ -191,7 +163,7 @@ def is_positive(v: Vec) -> bool:
     return all(x >= 0 for x in v) and any(x > 0 for x in v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def positive_roots(c: CartanData) -> tuple[Vec, ...]:
     """All positive roots, sorted by height then lexicographically."""
     roots = {simple_root(c, i) for i in range(1, c.rank + 1)}
@@ -318,7 +290,7 @@ def longest_element(c: CartanData) -> WeylElement:
     return WeylElement(c, (-1,) * c.rank)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def longest_element_word(c: CartanData) -> tuple[int, ...]:
     """One reduced word for w0, letters in application order (i_1 first).
 

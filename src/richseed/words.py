@@ -410,7 +410,7 @@ def combo_numbers(word: Word, emb: SubwordEmbedding) -> ComboNumbers:
 # enumeration helpers (small ranks; used by verifiers and tests)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def all_elements(c: CartanData) -> tuple[WeylElement, ...]:
     """Every element of the Weyl group, by breadth-first length order."""
     e = identity_element(c)

@@ -303,12 +303,9 @@ def classify_sawteeth(
         line, jline = q.ids_of_color(c1), q.ids_of_color(c2)
     else:
         line, jline = lines.get(c1, []), lines.get(c2, [])
-    rep = SawTeethReport(c1, c2, valid=True)
 
     def fail(msg: str) -> SawTeethReport:
-        rep.valid = False
-        rep.violation = msg
-        return rep
+        return SawTeethReport(c1, c2, False, msg)
 
     # inventory the line's arrows and those joining the colors, by source id
     on_line, summits = set(line), set(jline)
@@ -343,26 +340,26 @@ def classify_sawteeth(
         extra = horizontals - expected
         return fail(f"line arrows broken (missing {sorted(missing)}, extra {sorted(extra)})")
 
-    rep.isolated = {j for j in jline if j not in in_j and j not in out_j}
+    isolated = frozenset(j for j in jline if j not in in_j and j not in out_j)
 
     if not line:
         if in_at or out_at:
             return fail("cross arrows without a line")
-        return rep
+        return SawTeethReport(c1, c2, True, isolated=isolated)
 
     crossed = sorted(set(in_at) | set(out_at))
     if not crossed:
-        rep.initial_run = list(line)
-        return rep
+        return SawTeethReport(c1, c2, True, isolated=isolated)
 
     x0 = crossed[0]
     pos = {k: idx for idx, k in enumerate(line)}
-    rep.initial_run = line[: pos[x0] + 1]
 
     consumed_out: set[int] = set()
     consumed_in: set[int] = set()
+    initial_barb = final_barb = None
+    teeth = []
     if x0 in out_at:
-        rep.initial_barb = (x0, out_at[x0])
+        initial_barb = (x0, out_at[x0])
         consumed_out.add(x0)
 
     anchor = x0
@@ -374,19 +371,15 @@ def classify_sawteeth(
         closer = in_j.get(y)  # line vertex with an arrow into y
         if closer is None or closer <= anchor or closer in consumed_out:
             # no matching left side: the arrow y -> anchor is a final barb
-            rep.final_barb = (y, anchor)
+            final_barb = (y, anchor)
             break
         interior = line[pos[anchor] + 1 : pos[closer]]
         dirty = [v for v in interior if v in in_at or v in out_at]
         if dirty:
             return fail(f"cross arrows {dirty} inside the tooth {anchor}..{closer}")
-        rep.teeth.append(
-            Tooth(anchor, y, closer, tuple(line[pos[anchor] : pos[closer] + 1]))
-        )
+        teeth.append(Tooth(anchor, y, closer))
         consumed_out.add(closer)
         anchor = closer
-
-    rep.final_run = line[pos[anchor] :]
 
     # every cross arrow must have been used by the structure; in particular
     # nothing may follow a final barb
@@ -397,12 +390,12 @@ def classify_sawteeth(
             f"ordinary arrows outside the structure (in at {sorted(leftover_in)}, "
             f"out at {sorted(leftover_out)})"
         )
-    if rep.initial_barb is not None and rep.final_barb is not None:
-        b_t = rep.initial_barb[1]
-        d_s = rep.final_barb[0]
+    if initial_barb is not None and final_barb is not None:
+        b_t = initial_barb[1]
+        d_s = final_barb[0]
         if jline.index(d_s) <= jline.index(b_t):
             return fail("final barb does not start beyond the initial barb target")
-    return rep
+    return SawTeethReport(c1, c2, True, None, initial_barb, tuple(teeth), final_barb, isolated)
 
 
 def classify_config(

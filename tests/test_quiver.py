@@ -224,11 +224,14 @@ def test_with_frozen_marks_exactly_the_given_ids_and_keeps_colors_and_columns():
 def test_vertices_and_teeth_are_immutable():
     v = Vertex(1, 1, 1)
     q = build_gamma(make_word(cartan("D", 5), list(golden.D5_WORD)))
-    tooth = classify_sawteeth(q, 3, 2).teeth[0]
-    for obj, name in ((v, "frozen"), (v, "id"), (tooth, "summit"), (tooth, "chain")):
+    rep = classify_sawteeth(q, 3, 2)
+    tooth = rep.teeth[0]
+    for obj, name in ((v, "frozen"), (v, "id"), (tooth, "summit"), (rep, "valid")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
-    assert not v.frozen and tooth.chain == (3, 7, 9)
+    assert not v.frozen and tooth == (3, 4, 9) and rep.valid
+    twin = classify_sawteeth(q.copy(), 3, 2)
+    assert twin is not rep and twin == rep and hash(twin) == hash(rep)
 
 
 def test_a5_first_mutation_matches_figure():
@@ -259,7 +262,6 @@ def test_bicolor_without_second_color_is_bare_line():
     assert set(b.arrows) == {(1, 3)}
     rep = classify_sawteeth(b, 1, 3)
     assert rep.valid and rep.pure and not rep.teeth
-    assert rep.initial_run == [1, 3]
     assert classify_sawteeth(q, 1, 3) == rep
 
 
@@ -320,7 +322,10 @@ def test_arrows_planted_inside_the_subquiver_classify_as_the_frozen_copy():
         q = build_gamma(Word(c, random_reduced_word(c, rng.randint(2, r), rng)))
         c1, c2 = rng.sample(range(1, c.rank + 1), 2)
         rep = agree(q, c1, c2)
-        inner = [t.chain[1] for t in rep.teeth if len(t.chain) > 2]
+        # a tooth's first inner line vertex follows its right end on the line
+        line = q.ids_of_color(c1)
+        after = [line[line.index(t.right_end) + 1] for t in rep.teeth]
+        inner = [x for t, x in zip(rep.teeth, after) if x != t.left_end]
         for ends in [(x, min(rep.isolated)) for x in inner[:1] if rep.isolated]:
             for s, t in (ends, ends[::-1]):
                 p = q.copy()
@@ -355,7 +360,6 @@ def test_d5_bicolor_32_structure():
     assert rep.initial_barb == (3, 1)
     assert rep.final_barb is None
     assert not rep.pure
-    assert rep.teeth[0].chain == (3, 7, 9)
 
 
 def _counterexample_quiver() -> Quiver:
