@@ -27,7 +27,15 @@ from typing import Iterator
 
 from .deltavec import delta_tilde_from_combo, delta_via_xi, initial_delta_same
 from .errors import NotLessOrEqual, StructuralFailure
-from .mutalg import FinalSeed, green_report, initial_state, run, step_hat, verify_equivalence
+from .mutalg import (
+    FinalSeed,
+    green_report,
+    initial_state,
+    initial_vectors,
+    run,
+    step_hat,
+    verify_equivalence,
+)
 from .quiver import build_gamma, classify_sawteeth, quiver_has_sawteeth, to_dot
 from .rootsys import CartanData, element_of_word, number_of_positive_roots, parse_type
 from .words import (
@@ -418,10 +426,10 @@ def check_delta_oracle(c: CartanData, samples: int, max_len: int, rng) -> tuple[
     n = 0
     for word, v_letters in _sample_pairs(c, samples, max_len, rng):
         v_el = element_of_word(c, v_letters)
-        state = initial_state(c, word, v_el, check=False)
-        for k, d in state.deltas.items():
-            direct = delta_tilde_from_combo(state.combo, k)
-            via_xi = d.truncated(state.lv)
+        emb, combo, _, deltas = initial_vectors(c, word, v_el)
+        for k, d in deltas.items():
+            direct = delta_tilde_from_combo(combo, k)
+            via_xi = d.truncated(len(emb))
             if direct != via_xi:
                 return False, f"word {tuple(word.display)}, k={k}: {direct} != {via_xi}"
         n += 1

@@ -3,13 +3,17 @@
 A rigid summand is identified with the integer vector of multiplicities
 of its strata relative to a fixed reduced word of w0 (the reference).
 The engine below computes these vectors for the initial summands of any
-word relative to any reference.  The paper's walk pairs a weight with
-the reference's root sequence; conjugated by the reference's prefixes
-and run down from its end, it is one pass of simple reflections of
-u_k(rho), which marks the positions that record 0, and u_k(omega_{i_k}),
-whose coordinates are the other coefficients.  No root sequence is built,
-and no matrix: every summand walks the same letters, so ``delta_vectors``
-walks all of them at once, one lane per summand.
+reduced word relative to any reference.  The paper's walk pairs a weight
+with the reference's root sequence; conjugated by the reference's
+prefixes and run down from its end, it is one pass of simple reflections
+of u_k(rho), which marks the positions that record 0, and
+u_k(omega_{i_k}), whose coordinates are the other coefficients.  Here u_k
+is the left part beyond index k of a completion of the word to w0; it is
+-(s_{i_1} ... s_{i_k} lam)* on a weight lam, with * the diagram
+involution, so both weights walk the word's own first k letters: no
+completion is built, no root sequence and no matrix.  Every summand walks
+the same letters, so ``delta_vectors`` walks all of them at once, one
+lane per summand.
 
 A vector is stored packed, as one Python int with W = 16 bits per
 coordinate, coordinate 1 in the lowest field (the SWAR layout of Lamport,
@@ -56,7 +60,8 @@ MAX_POSITIVE_ROOTS (29 is E8's), and never 0; a coordinate of
 x(omega_i) is an alpha_i-coefficient of a root, at most 6 in absolute
 value.  So each lane holds 2^14 plus at most 29 before and after an
 update, and the update moves it by at most 2 * 29: every lane stays
-within 2^14 +- 2 * 29, inside [0, 2^15).  Python ints are exact, so the
+within 2^14 +- 2 * 29, inside [0, 2^15), also after the negation by *,
+which takes 2^14 + x to 2^14 - x.  Python ints are exact, so the
 int after an update is the one whose base-2^16 digits are the new lane
 values: the borrows of a negative P cancel.  A lane's value is negative
 exactly when its bit 14 is clear, so ``G' & ~Y[j]`` marks the lanes to
@@ -69,7 +74,7 @@ import struct
 from functools import lru_cache
 
 from .errors import InvariantViolation, NegativeCoordinate
-from .rootsys import number_of_positive_roots
+from .rootsys import diagram_involution, number_of_positive_roots
 from .words import ComboNumbers, SubwordEmbedding, Word
 
 W = 16  # bits per coordinate field: two bytes, little-endian
@@ -201,29 +206,37 @@ def initial_delta_same(word: Word, k: int) -> DeltaVector:
     return basis_delta(word, [j for j in range(1, k + 1) if word.color(j) == ik])
 
 
-def _left_part_lanes(module_word: Word, ks: range) -> tuple[list[int], list[int]]:
+def _left_part_lanes(word: Word, ks: range) -> tuple[list[int], list[int]]:
     """(Y, E): for each weight coordinate c, Y[c - 1] holds u_k(rho)_c and
     E[c - 1] holds u_k(omega_{i_k})_c in lane q, biased by LANE_BIAS, with
     k = ks[q].
 
-    u_k = s_{i_L} ... s_{i_{k+1}} is the left part of the module word (a
-    reduced word of w0, of length L) beyond index k, so lane k is rho and
-    omega_{i_k} reflected by s_{i_{k+1}}, then s_{i_{k+2}}, ..., s_{i_L}.
-    The walk runs p from ks.start + 1 to L and reflects by s_{i_p} the
-    lanes with k < p, the low lanes of the mask m.  No matrix is built.
+    u_k = s_{i_N} ... s_{i_{k+1}} is the left part beyond index k of any
+    reduced word of w0 whose first letters are the word's.  It equals
+    w0 s_{i_1} ... s_{i_k}, and w0 sends lam to -lam*, with * the diagram
+    involution (``diagram_involution``), so u_k(lam) =
+    -(s_{i_1} ... s_{i_k} lam)*: it depends on the first k letters only,
+    and no completion of the word is built.  The walk runs p from max(ks)
+    down to 1 and reflects by s_{i_p} the lanes with k >= p, the high
+    lanes of the mask m; then each list is negated and permuted by *: a
+    lane holding LANE_BIAS + x becomes LANE_BIAS - x, which is
+    2 * LANE_BIAS - (LANE_BIAS + x) and never borrows.  No matrix is
+    built.
     """
-    c = module_word.cartan
+    c = word.cartan
     n = len(ks)
     g = _lanes(LANE_BIAS, n)
+    full = (1 << (W * n)) - 1
     ys = [g + _lanes(1, n)] * c.rank
     es = [g] * c.rank
+    letters = word.letters
     for q, k in enumerate(ks):
-        es[module_word.color(k) - 1] += 1 << (W * q)
+        es[letters[k - 1] - 1] += 1 << (W * q)
     nbrs = c.nbrs
     a = ks.start
-    for p, j in enumerate(module_word.letters[a:], start=a + 1):
-        j -= 1
-        m = (1 << (W * min(p - a, n))) - 1
+    for p in range(ks[-1] if ks else 0, 0, -1):
+        j = letters[p - 1] - 1
+        m = full & -(1 << (W * max(p - a, 0)))
         gm = g & m
         y_j = (ys[j] & m) - gm
         e_j = (es[j] & m) - gm
@@ -232,16 +245,21 @@ def _left_part_lanes(module_word: Word, ks: range) -> tuple[list[int], list[int]
         for t in nbrs[j]:
             ys[t - 1] += y_j
             es[t - 1] += e_j
-    return ys, es
+    g2 = 2 * g
+    star = diagram_involution(c)
+    return [g2 - ys[i - 1] for i in star], [g2 - es[i - 1] for i in star]
 
 
 def delta_vectors(module_word: Word, target: Word, ks: range) -> list[DeltaVector]:
-    """Vectors of the summands k in ``ks`` of one completed word relative to
-    another, in the order of ``ks``.
+    """Vectors of the summands k in ``ks`` of a reduced word relative to a
+    reduced word of w0 (the target), in the order of ``ks``.
 
-    Both words must be reduced words of w0.  Let u_k be the left part of
-    the module word beyond index k and Q the positions of its leftmost
-    subword in the target.  The paper's walk starts xi at the fundamental
+    The module word may be any reduced word, with ks inside
+    1..len(module_word): it is the start of some reduced word of w0, and
+    summand k's vector depends on its first k letters only (see
+    ``_left_part_lanes``).  Let u_k be the left part beyond index k of
+    such a completion and Q the positions of its leftmost subword in the
+    target.  The paper's walk starts xi at the fundamental
     weight omega of color i_k and, at each target position i outside Q,
     records n = <xi, beta_i^vee> and reflects xi in beta_i; positions in Q
     record 0.
@@ -263,15 +281,17 @@ def delta_vectors(module_word: Word, target: Word, ks: range) -> list[DeltaVecto
     raises :class:`NegativeCoordinate` naming its k and position.
     """
     c = module_word.cartan
-    r = number_of_positive_roots(c)
-    if len(module_word) != r or len(target) != r:
-        raise ValueError("both words must be reduced words of w0")
-    if ks.step != 1:
-        raise ValueError("summand indices must be a range of step 1")
-    if ks and not (1 <= ks[0] and ks[-1] <= r):
-        raise IndexError(f"index {ks[0] if ks[0] < 1 else ks[-1]} out of range 1..{r}")
     if c != target.cartan:
         raise ValueError("words of different types")
+    r = number_of_positive_roots(c)
+    if len(target) != r:
+        raise ValueError("the target must be a reduced word of w0")
+    if ks.step != 1:
+        raise ValueError("summand indices must be a range of step 1")
+    if ks and not (1 <= ks[0] and ks[-1] <= len(module_word)):
+        raise IndexError(
+            f"index {ks[0] if ks[0] < 1 else ks[-1]} out of range 1..{len(module_word)}"
+        )
 
     n = len(ks)
     ys, es = _left_part_lanes(module_word, ks)
@@ -313,8 +333,8 @@ def delta_vectors(module_word: Word, target: Word, ks: range) -> list[DeltaVecto
 
 
 def delta_via_xi(module_word: Word, k: int, target: Word) -> DeltaVector:
-    """Vector of the k-th summand of one completed word relative to another:
-    ``delta_vectors`` on the one lane k."""
+    """Vector of the k-th summand of a reduced word relative to a reduced
+    word of w0: ``delta_vectors`` on the one lane k."""
     return delta_vectors(module_word, target, range(k, k + 1))[0]
 
 

@@ -638,13 +638,13 @@ def check_induction(state: AlgState) -> None:
 # whole runs
 
 
-def initial_state(
-    cartan: CartanData,
-    word: Word,
-    v: WeylElement,
-    completion: Optional[Word] = None,
-    check: bool = True,
-) -> AlgState:
+def initial_vectors(
+    cartan: CartanData, word: Word, v: WeylElement, completion: Optional[Word] = None
+) -> tuple[SubwordEmbedding, ComboNumbers, Word, dict[int, DeltaVector]]:
+    """(embedding, combo, reference, deltas) of a run: the rightmost
+    subword for v, its numbers, the reference completing it (``completion``
+    or ``left_complete``) and every initial summand's vector relative to
+    it, walked from w itself."""
     if cartan != word.cartan:
         raise ValueError("cartan data and word of different types")
     emb = rightmost_subword(v, word)
@@ -656,7 +656,17 @@ def initial_state(
         reference = completion
         _validate_completion(reference, vbar)
     ks = range(1, len(word) + 1)
-    deltas = dict(zip(ks, delta_vectors(left_complete(word), reference, ks)))
+    return emb, combo, reference, dict(zip(ks, delta_vectors(word, reference, ks)))
+
+
+def initial_state(
+    cartan: CartanData,
+    word: Word,
+    v: WeylElement,
+    completion: Optional[Word] = None,
+    check: bool = True,
+) -> AlgState:
+    emb, combo, reference, deltas = initial_vectors(cartan, word, v, completion)
     state = AlgState(
         word=word,
         embedding=emb,

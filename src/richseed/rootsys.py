@@ -154,7 +154,7 @@ def reflect_weight_simple(c: CartanData, i: int, lam: Vec) -> Vec:
         return lam
     out = list(lam)
     out[i - 1] = -n
-    for j in c.neighbors(i):
+    for j in c.nbrs[i - 1]:
         out[j - 1] += n
     return tuple(out)
 
@@ -253,12 +253,21 @@ def peel_left(c: CartanData, y: Vec) -> list[int]:
     """Letters j_1, ..., j_l with u = s_{j_1} ... s_{j_l} for the element u
     given by the weight y = u(rho), peeling the smallest left descent
     (the smallest negative coordinate) each time.  For y = w^{-1}(rho)
-    the letters are a reduced word of w in application order."""
+    the letters are a reduced word of w in application order.  One list
+    is reflected in place."""
+    y = list(y)
+    nbrs = c.nbrs
     letters = []
-    while i := next((j for j, x in enumerate(y, start=1) if x < 0), 0):
-        letters.append(i)
-        y = reflect_weight_simple(c, i, y)
-    return letters
+    while True:
+        for i, n in enumerate(y):
+            if n < 0:
+                break
+        else:
+            return letters
+        letters.append(i + 1)
+        y[i] = -n
+        for j in nbrs[i]:
+            y[j - 1] += n
 
 
 def identity_element(c: CartanData) -> WeylElement:
@@ -272,17 +281,23 @@ def simple_reflection(c: CartanData, i: int) -> WeylElement:
 def element_of_word(c: CartanData, letters) -> WeylElement:
     """Element w = s_{i_k} ... s_{i_1} for letters (i_1, ..., i_k) in
     application order: w^{-1}(rho) = s_{i_1} ... s_{i_k}(rho), so rho is
-    reflected by the letters from the last to the first.
+    reflected by the letters from the last to the first, in place in one
+    list.
 
     The word need not be reduced.
     """
     for i in letters:
         if not 1 <= i <= c.rank:
             raise ValueError(f"letter {i} out of range 1..{c.rank}")
-    y = (1,) * c.rank
+    y = [1] * c.rank
+    nbrs = c.nbrs
     for i in reversed(letters):
-        y = reflect_weight_simple(c, i, y)
-    return WeylElement(c, y)
+        i -= 1
+        n = y[i]
+        y[i] = -n
+        for j in nbrs[i]:
+            y[j - 1] += n
+    return WeylElement(c, tuple(y))
 
 
 def longest_element(c: CartanData) -> WeylElement:
@@ -305,3 +320,17 @@ def longest_element_word(c: CartanData) -> tuple[int, ...]:
         y = reflect_weight_simple(c, i, y)
         picked.append(i)
     return tuple(reversed(picked))
+
+
+@lru_cache(maxsize=32)
+def diagram_involution(c: CartanData) -> tuple[int, ...]:
+    """(1*, ..., n*) for the involution * of the diagram with
+    w0(omega_i) = -omega_{i*} (Bourbaki, ch. VI, 1.6, and plates I-VII):
+    the reversal on A_n, the swap of n-1 and n on odd D_n, 1 <-> 6 and
+    3 <-> 5 on E6, the identity elsewhere.  w0 sends lam to -lam*, whose
+    coordinate i is -lam_{i*}, so lam = (1, ..., n) walked down a word of
+    w0 ends at -(1*, ..., n*)."""
+    lam = tuple(range(1, c.rank + 1))
+    for i in longest_element_word(c):
+        lam = reflect_weight_simple(c, i, lam)
+    return tuple(-x for x in lam)

@@ -21,7 +21,6 @@ from .rootsys import (
     identity_element,
     number_of_positive_roots,
     peel_left,
-    reflect_weight_simple,
 )
 
 
@@ -32,11 +31,12 @@ class Word:
     reducedness on one weight vector: with x = s_{i_{k-1}} ... s_{i_1},
     the letter i_k is an ascent of x exactly when coordinate i_k of
     x(rho) is positive (it is the height of the root beta_k below, so
-    never zero), and (s_{i_k} x)(rho) is x(rho) reflected by s_{i_k}.
-    The first letter that is not an ascent raises :class:`NotReduced`
-    with its prefix length k.  The final weight w(rho) is kept
-    (``rho_image``); the represented element (``element``) is built on
-    each read, one walk of the letters.
+    never zero), and (s_{i_k} x)(rho) is x(rho) reflected by s_{i_k}:
+    coordinate i_k, n, becomes -n and each neighbor of i_k gains n, in
+    place in one list.  The first letter that is not an ascent raises
+    :class:`NotReduced` with its prefix length k.  The final weight w(rho)
+    is kept (``rho_image``); the represented element (``element``) is
+    built on each read, one walk of the letters.
 
     No root sequence is stored: a walk that would pair a weight xi with
     beta_k = x(alpha_{i_k}), for x the prefix above, carries x^{-1}(xi)
@@ -53,12 +53,17 @@ class Word:
         self.cartan = cartan
         self.letters = letters
 
-        y = (1,) * cartan.rank  # x(rho) for the prefix x read so far
+        y = [1] * cartan.rank  # x(rho) for the prefix x read so far
+        nbrs = cartan.nbrs
         for k, i in enumerate(letters, start=1):
-            if y[i - 1] < 0:
+            i -= 1
+            n = y[i]
+            if n < 0:
                 raise NotReduced(k)
-            y = reflect_weight_simple(cartan, i, y)
-        self._rho = y
+            y[i] = -n
+            for j in nbrs[i]:
+                y[j - 1] += n
+        self._rho = tuple(y)
 
         by_color: dict[int, list[int]] = {}
         for k, i in enumerate(letters, start=1):
@@ -188,7 +193,7 @@ def left_complete(word: Word) -> Word:
     by s_i, so each letter costs O(rank).  Completions are not unique;
     this one is deterministic.
     """
-    extra = peel_left(word.cartan, tuple(-x for x in word.rho_image()))
+    extra = peel_left(word.cartan, [-x for x in word.rho_image()])
     return Word(word.cartan, word.letters + tuple(extra))
 
 
@@ -220,19 +225,23 @@ def _descent_scan(y: Vec, word: Word, order: range) -> list[int]:
 
     Visits the positions t in ``order`` and takes t exactly when
     coordinate i_t of the running weight y is negative, reflecting y by
-    s_{i_t}; the scan stops once y = rho and raises
+    s_{i_t} in place in one list; the scan stops once y = rho and raises
     :class:`NotLessOrEqual` if it never gets there.
     """
-    c = word.cartan
-    rho = (1,) * c.rank
+    nbrs, letters = word.cartan.nbrs, word.letters
+    y = list(y)
+    rho = [1] * len(y)
     positions = []
     for t in order:
         if y == rho:
             break
-        i = word.letters[t - 1]
-        if y[i - 1] < 0:
+        i = letters[t - 1] - 1
+        n = y[i]
+        if n < 0:
             positions.append(t)
-            y = reflect_weight_simple(c, i, y)
+            y[i] = -n
+            for j in nbrs[i]:
+                y[j - 1] += n
     if y != rho:
         raise NotLessOrEqual("element is not below the word in the Bruhat order")
     return positions

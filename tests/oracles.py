@@ -1,14 +1,15 @@
 """Matrix, root-sequence and all-pairs paths kept as oracles of the weight
 walks in ``richseed.rootsys``, ``richseed.words`` and ``richseed.deltavec``
-and of the one-pass ``richseed.quiver.build_gamma``; a bicolor copy, and
-frozen copies of the saw-teeth and configuration classifiers as they were
-before they read only the line's rows and k's row once, as oracles of
-those two."""
+and of the one-pass ``richseed.quiver.build_gamma``; the lane walk up a
+completed word of w0, frozen as it was before it read w alone; a bicolor
+copy, and frozen copies of the saw-teeth and configuration classifiers as
+they were before they read only the line's rows and k's row once, as
+oracles of those two."""
 
 from operator import mul
 from typing import Collection, NamedTuple, Optional
 
-from richseed.deltavec import DeltaVector
+from richseed.deltavec import LANE_BIAS, W, DeltaVector
 from richseed.errors import NegativeCoordinate, NotLessOrEqual, Unclassifiable
 from richseed.quiver import ConfigLabel, Quiver, SawTeethReport, Tooth, Vertex
 from richseed.rootsys import (
@@ -229,6 +230,34 @@ def root_sequence_delta_via_xi(module_word, k, target):
         xi = tuple(x - n * b for x, b in zip(xi, root_to_weight(c, beta)))
         coords.append(n)
     return DeltaVector(target, tuple(coords))
+
+
+def completion_left_part_lanes(module_word, ks):
+    """``richseed.deltavec._left_part_lanes`` as it walked a completed word,
+    frozen: ``module_word`` is a reduced word of w0 of length N, and lane k
+    holds rho and omega_{i_k} reflected by s_{i_{k+1}}, then s_{i_{k+2}},
+    ..., s_{i_N}.  The walk runs p from ks.start + 1 to N and reflects by
+    s_{i_p} the lanes with k < p, the low lanes of the mask m."""
+    c = module_word.cartan
+    n = len(ks)
+    g = int.from_bytes(LANE_BIAS.to_bytes(2, "little") * n, "little")
+    ys = [g + int.from_bytes(b"\x01\x00" * n, "little")] * c.rank
+    es = [g] * c.rank
+    for q, k in enumerate(ks):
+        es[module_word.color(k) - 1] += 1 << (W * q)
+    a = ks.start
+    for p, j in enumerate(module_word.letters[a:], start=a + 1):
+        j -= 1
+        m = (1 << (W * min(p - a, n))) - 1
+        gm = g & m
+        y_j = (ys[j] & m) - gm
+        e_j = (es[j] & m) - gm
+        ys[j] -= 2 * y_j
+        es[j] -= 2 * e_j
+        for t in c.nbrs[j]:
+            ys[t - 1] += y_j
+            es[t - 1] += e_j
+    return ys, es
 
 
 def matrix_rightmost_subword(v, word):

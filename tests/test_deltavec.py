@@ -3,6 +3,7 @@ from functools import reduce
 
 import pytest
 from oracles import (
+    completion_left_part_lanes,
     fundamental_weight,
     matrix_betas,
     matrix_of_word,
@@ -26,6 +27,7 @@ from richseed.deltavec import (
 from richseed.errors import NegativeCoordinate
 from richseed.rootsys import (
     cartan,
+    diagram_involution,
     element_of_word,
     longest_element_word,
     number_of_positive_roots,
@@ -295,6 +297,103 @@ def test_delta_vectors_refuses_indices_outside_the_word():
             delta_vectors(W0DOT, WDOT, ks)
     with pytest.raises(ValueError, match="step 1"):
         delta_vectors(W0DOT, WDOT, range(1, 7, 2))
+
+
+def test_delta_vectors_of_a_short_module_word():
+    # a module word need not be a word of w0: ks lie in 1..len(module_word),
+    # and its vectors are those of any completion's first summands
+    w = Word(A3, W0DOT.letters[:2])
+    assert delta_vectors(w, WDOT, range(1, 3)) == delta_vectors(W0DOT, WDOT, range(1, 3))
+    for ks, bad in ((range(0, 2), 0), (range(1, 4), 3), (range(3, 4), 3)):
+        with pytest.raises(IndexError, match=rf"^index {bad} out of range 1\.\.2$"):
+            delta_vectors(w, WDOT, ks)
+    with pytest.raises(ValueError, match="^the target must be a reduced word of w0$"):
+        delta_vectors(W0DOT, w, range(1, 3))
+
+
+SPECS = [f"A{n}" for n in range(2, 16)] + [f"D{n}" for n in range(4, 12)] + ["E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_lanes_of_w_equal_the_walk_up_its_completion(monkeypatch, spec):
+    # every length 0..r, one seeded word each: the lanes, and every
+    # coordinate of the vectors (the delta-oracle compares only the first
+    # l(v)), against the frozen walk up left_complete(w)
+    c = parse_type(spec)
+    r = number_of_positive_roots(c)
+    rng = random.Random(f"lanes/{spec}")
+    target = left_complete(Word(c, random_reduced_word(c, rng.randint(0, r), rng)))
+    words = [Word(c, random_reduced_word(c, length, rng)) for length in range(r + 1)]
+    want = []
+    for w in words:
+        ks = range(1, len(w) + 1)
+        assert _left_part_lanes(w, ks) == completion_left_part_lanes(left_complete(w), ks), w
+        want.append(delta_vectors(w, target, ks))
+    monkeypatch.setattr(
+        richseed.deltavec,
+        "_left_part_lanes",
+        lambda module_word, ks: completion_left_part_lanes(left_complete(module_word), ks),
+    )
+    for w, vectors in zip(words, want):
+        assert vectors == delta_vectors(w, target, range(1, len(w) + 1)), w
+
+
+def _another_completion(w, rng):
+    """w completed by a reduced word of w0 w^{-1} that peels a random left
+    descent of -w(rho) each time, where ``left_complete`` peels the smallest."""
+    c = w.cartan
+    y, extra = tuple(-x for x in w.rho_image()), []
+    while descents := [i for i, x in enumerate(y, start=1) if x < 0]:
+        extra.append(rng.choice(descents))
+        y = reflect_weight_simple(c, extra[-1], y)
+    return Word(c, w.letters + tuple(extra))
+
+
+@pytest.mark.parametrize("spec", ["A4", "D5", "E6"])
+def test_two_completions_of_w_give_its_vectors(spec):
+    # the walk up either completion, and the root-sequence walk along
+    # either, give the vectors of w's own walk for every k <= l(w)
+    c = parse_type(spec)
+    r = number_of_positive_roots(c)
+    rng = random.Random(f"completions/{spec}")
+    compared = 0
+    for _ in range(8):
+        w = Word(c, random_reduced_word(c, rng.randint(1, r - 3), rng))
+        first = left_complete(w)
+        # w0 w^{-1} may have one reduced word only; then w is passed over
+        others = (_another_completion(w, rng) for _ in range(20))
+        second = next((x for x in others if x.letters != first.letters), None)
+        if second is None:
+            continue
+        compared += 1
+        assert second.letters[: len(w)] == first.letters[: len(w)] == w.letters
+        ks = range(1, len(w) + 1)
+        lanes = _left_part_lanes(w, ks)
+        assert completion_left_part_lanes(first, ks) == lanes
+        assert completion_left_part_lanes(second, ks) == lanes
+        target = left_complete(Word(c, random_reduced_word(c, rng.randint(0, r), rng)))
+        vectors = delta_vectors(w, target, ks)
+        for k in ks:
+            assert root_sequence_delta_via_xi(first, k, target) == vectors[k - 1], (w, k)
+            assert root_sequence_delta_via_xi(second, k, target) == vectors[k - 1], (w, k)
+    assert compared >= 6, compared
+
+
+@pytest.mark.parametrize("spec", ["A1"] + SPECS)
+def test_diagram_involution_matches_the_plates(spec):
+    # -w0 permutes the fundamental weights: the reversal on A_n, the swap
+    # of n-1 and n on odd D_n, 1 <-> 6 and 3 <-> 5 on E6 (Bourbaki, ch. VI,
+    # plates I, IV and V); the identity on even D_n, E7 and E8
+    c = parse_type(spec)
+    n = c.rank
+    star = list(range(1, n + 1))
+    if c.family == "A":
+        star.reverse()
+    elif c.family == "D" and n % 2:
+        star[n - 2], star[n - 1] = n, n - 1
+    elif spec == "E6":
+        star = [6, 2, 5, 4, 3, 1]
+    assert diagram_involution(c) == tuple(star)
 
 
 @pytest.mark.parametrize("lane", [0, 4, 11])
