@@ -183,16 +183,17 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.vdot is not None:
         completion = make_word(c, _parse_letters(args.vdot, "--vdot"), order=args.order)
     seed = run(c, word, v, completion=completion, check=not args.no_check)
-    doc = seed_document(seed, with_trace=args.trace)
-    payload = document_json(doc)
+    payload = document_json(seed_document(seed, with_trace=args.trace))
+    # the DOT file first and stdout last: a DOT file that cannot be written
+    # leaves no seed behind, on stdout or in --out
+    if args.dot:
+        with open(args.dot, "w") as fh:
+            fh.write(to_dot(seed.quiver) + "\n")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(seed.quiver) + "\n")
     return 0
 
 
@@ -387,7 +388,7 @@ def check_equivalence(c: CartanData, samples: int, max_len: int, rng) -> tuple[b
     n = 0
     if r <= 6:
         for el in all_elements(c):
-            if el.is_identity():
+            if el.is_identity() or el.length > max_len:
                 continue
             for rw in reduced_words(el):
                 word = Word(c, rw)

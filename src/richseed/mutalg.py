@@ -5,7 +5,8 @@ mutations per letter of the rightmost subword for v (each batch clears
 one more leading coordinate of every surviving vector), then discards
 the tail summand of every line that was touched.  What survives is the
 seed of the smaller category: l(w) - l(v) summands whose leading l(v)
-coordinates all vanish, with frozen vertices marked.
+coordinates all vanish, on a quiver that keeps each survivor's color and
+the set of frozen survivors, with no entry between two of them.
 
 A batch changes only the vectors and the run's one quiver.  The
 structural checks that the method guarantees (cut-seed properties,
@@ -59,7 +60,6 @@ from .quiver import (
     CONFIG_TRANSITIONS,
     Quiver,
     SawTeethReport,
-    Vertex,
     build_gamma,
     classify_configs,
     classify_sawteeth,
@@ -212,15 +212,16 @@ class CutSeedView:
 
 
 class FinalSeed:
-    """The seed a run leaves: the survivors' vectors and quiver, frozen
-    vertices marked, arrows between two dropped.  Compared by identity."""
+    """The seed a run leaves: the survivors' vectors and quiver; ``frozen``
+    is the quiver's frozen set, and no arrow joins two of its vertices.
+    Compared by identity."""
 
     __slots__ = ("cartan", "word", "embedding", "reference", "summands", "deleted", "frozen",
                  "quiver", "schedule", "trace", "stats")
 
     def __init__(self, cartan: CartanData, word: Word, embedding: SubwordEmbedding,
                  reference: Word, summands: dict[int, DeltaVector], deleted: frozenset[int],
-                 frozen: set[int], quiver: Quiver, schedule: list[list[int]],
+                 frozen: frozenset[int], quiver: Quiver, schedule: list[list[int]],
                  trace: list[MutationRecord], stats: dict):
         self.cartan, self.word, self.embedding, self.reference = cartan, word, embedding, reference
         self.summands, self.deleted, self.frozen, self.quiver = summands, deleted, frozen, quiver
@@ -718,8 +719,8 @@ def run(
             )
 
     trimmed = state.quiver.restricted(set(survivors))
-    frozen = frozen_vertices_from(state, deleted, trimmed)
-    final_quiver = trimmed.with_frozen(frozen)
+    final_quiver = Quiver(trimmed.vertices, trimmed.arrows,
+                          frozen_vertices_from(state, deleted, trimmed))
 
     return FinalSeed(
         cartan=cartan,
@@ -728,7 +729,7 @@ def run(
         reference=state.reference,
         summands={k: state.deltas[k] for k in survivors},
         deleted=deleted,
-        frozen=frozen,
+        frozen=final_quiver.frozen,
         quiver=final_quiver,
         schedule=state.batches,
         trace=state.trace,
@@ -745,12 +746,12 @@ def frozen_vertices_from(state: AlgState, deleted: frozenset[int], trimmed: Quiv
     """
     word = state.word
     frozen = set()
-    for k in trimmed.vertices:
+    for k, color in trimmed.vertices.items():
         if any(n in deleted for n in state.quiver.neighbors(k)):
             frozen.add(k)
         elif not trimmed.neighbors(k):
             frozen.add(k)
-        elif k == word.k_max(word.color(k)):
+        elif k == word.k_max(color):
             frozen.add(k)
     return frozen
 
@@ -773,14 +774,14 @@ def verify_equivalence(word: Word, emb: SubwordEmbedding) -> tuple[bool, list[di
 
 
 def framed_quiver(q: Quiver) -> Quiver:
-    """One frozen frame -k per vertex k, with an arrow -k -> k; the frame
-    arrows of a mutable vertex are its c-vector (Fomin-Zelevinsky, IV)."""
-    verts = list(q.vertices.values())
-    frames = [Vertex(-v.id, v.color, v.column, frozen=True) for v in verts]
-    fq = Quiver(verts + frames)
-    for v in verts:
-        fq.b[v.id] = dict(q.b[v.id])
-        fq._add(-v.id, v.id, 1)
+    """One frozen frame -k of k's color per vertex k, with an arrow -k -> k;
+    the frame arrows of a mutable vertex are its c-vector
+    (Fomin-Zelevinsky, IV)."""
+    frames = {-k: color for k, color in q.vertices.items()}
+    fq = Quiver({**q.vertices, **frames}, frozen=q.frozen.union(frames))
+    for k in q.vertices:
+        fq.b[k] = dict(q.b[k])
+        fq._add(-k, k, 1)
     return fq
 
 

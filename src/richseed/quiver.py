@@ -1,10 +1,11 @@
 """Seed quivers and their combinatorics.
 
-A quiver is stored as its skew-symmetric exchange matrix: ``b[i][j]``
-is #(i->j) - #(j->i), so ``b[j][i] == -b[i][j]``, a zero entry is
-absent, and a 2-cycle cannot be represented.  An entry joining two
-frozen vertices is never stored, since seeds are only defined up to
-such arrows.  ``mutate_in_place`` applies the Fomin-Zelevinsky matrix
+A quiver is a map from each vertex id to its color, a set of frozen
+ids, and its skew-symmetric exchange matrix: ``b[i][j]`` is
+#(i->j) - #(j->i), so ``b[j][i] == -b[i][j]``, a zero entry is absent,
+and a 2-cycle cannot be represented.  An entry joining two frozen
+vertices is never stored, since seeds are only defined up to such
+arrows.  ``mutate_in_place`` applies the Fomin-Zelevinsky matrix
 rule in O(deg_in * deg_out) and returns nothing: the arrows a mutation
 makes appear or vanish are read off by ``mutalg.green_report``, the one
 replay that needs them.  Every other operation, ``mutate`` included,
@@ -28,22 +29,15 @@ from .errors import FrozenVertex, Unclassifiable
 from .words import Word
 
 
-class Vertex(NamedTuple):
-    """A vertex on line ``color`` at ``column``: a named tuple, so
-    immutable, hashable and equal by value."""
-
-    id: int
-    color: int
-    column: int
-    frozen: bool = False
-
-
 class Quiver:
     """A finite quiver without loops or 2-cycles, as one signed row per vertex.
 
-    ``b[i]`` maps each vertex joined to i to #(i->j) - #(j->i): the
-    positive entries of a row are the arrows out of i, the negative ones
-    the arrows into i.  Every row is the negated column of its vertex,
+    ``vertices`` maps each vertex id to its color and ``frozen`` is the
+    frozenset of frozen ids; a frozen id that is not a vertex raises
+    :class:`KeyError`, as an arrow to an unknown vertex does.  ``b[i]``
+    maps each vertex joined to i to #(i->j) - #(j->i): the positive
+    entries of a row are the arrows out of i, the negative ones the
+    arrows into i.  Every row is the negated column of its vertex,
     and no entry joins two frozen vertices.  ``arrows`` is the view
     (source, target) -> multiplicity of the positive entries.
     ``journal``, when it is a set, collects every matrix entry written,
@@ -51,12 +45,14 @@ class Quiver:
     it after each batch.
     """
 
-    __slots__ = ("vertices", "b", "journal")
+    __slots__ = ("vertices", "frozen", "b", "journal")
 
-    def __init__(
-        self, vertices: Iterable[Vertex], arrows: Optional[dict[tuple[int, int], int]] = None
-    ):
-        self.vertices: dict[int, Vertex] = {v.id: v for v in vertices}
+    def __init__(self, vertices: dict[int, int],
+                 arrows: Optional[dict[tuple[int, int], int]] = None, frozen: Iterable[int] = ()):
+        self.vertices: dict[int, int] = dict(vertices)
+        self.frozen: frozenset[int] = frozenset(frozen)
+        if unknown := self.frozen.difference(self.vertices):
+            raise KeyError(f"frozen vertex {min(unknown)} is not a vertex")
         self.b: dict[int, dict[int, int]] = {k: {} for k in self.vertices}
         self.journal: Optional[set[tuple[int, int]]] = None
         if arrows:
@@ -73,7 +69,7 @@ class Quiver:
             raise ValueError("loops are not allowed")
         if s not in self.vertices or t not in self.vertices:
             raise KeyError(f"arrow {s}->{t} uses an unknown vertex")
-        if self.vertices[s].frozen and self.vertices[t].frozen:
+        if s in self.frozen and t in self.frozen:
             return
         self._set(s, t, self.b[s].get(t, 0) + mult)
 
@@ -97,7 +93,8 @@ class Quiver:
     # -- queries ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Quiver) and self.vertices == other.vertices and self.b == other.b
+        return (isinstance(other, Quiver) and self.vertices == other.vertices
+                and self.frozen == other.frozen and self.b == other.b)
 
     @property
     def arrows(self) -> dict[tuple[int, int], int]:
@@ -116,10 +113,10 @@ class Quiver:
         return self.b[k].keys()
 
     def ids_of_color(self, color: int) -> list[int]:
-        return sorted(v.id for v in self.vertices.values() if v.color == color)
+        return sorted(k for k, c in self.vertices.items() if c == color)
 
     def colors(self) -> list[int]:
-        return sorted({v.color for v in self.vertices.values()})
+        return sorted(set(self.vertices.values()))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Quiver({len(self.vertices)} vertices, {sum(self.arrows.values())} arrows)"
@@ -128,16 +125,10 @@ class Quiver:
 
     def restricted(self, keep: set[int]) -> "Quiver":
         """Subquiver on a vertex subset, keeping arrows inside it."""
-        verts = [v for v in self.vertices.values() if v.id in keep]
-        q = Quiver(verts)
-        ids = q.vertices
+        ids = {k: c for k, c in self.vertices.items() if k in keep}
+        q = Quiver(ids, frozen=self.frozen.intersection(ids))
         q.b = {i: {j: x for j, x in self.b[i].items() if j in ids} for i in ids}
         return q
-
-    def with_frozen(self, frozen_ids: set[int]) -> "Quiver":
-        """Mark vertices frozen; arrows between two frozen vertices drop."""
-        verts = [v._replace(frozen=v.id in frozen_ids) for v in self.vertices.values()]
-        return Quiver(verts, self.arrows)
 
     def mutate(self, k: int) -> "Quiver":
         """Fomin-Zelevinsky mutation at a mutable vertex, as a new quiver."""
@@ -151,16 +142,16 @@ class Quiver:
         between two frozen vertices), then row k is negated."""
         if k not in self.vertices:
             raise KeyError(f"no vertex {k}")
-        if self.vertices[k].frozen:
+        frozen, b, row = self.frozen, self.b, self.b[k]
+        if k in frozen:
             raise FrozenVertex(f"vertex {k} is frozen")
-        vs, b, row = self.vertices, self.b, self.b[k]
         outs = [(t, m) for t, m in row.items() if m > 0]
         for s, m1 in row.items():
             if m1 > 0:
                 continue
-            frozen = vs[s].frozen
+            both = s in frozen
             for t, m2 in outs:
-                if not (frozen and vs[t].frozen):
+                if not (both and t in frozen):
                     self._set(s, t, b[s].get(t, 0) - m1 * m2)
         for j, m in list(row.items()):
             self._set(k, j, -m)
@@ -169,9 +160,9 @@ class Quiver:
 def build_gamma(word: Word) -> Quiver:
     """The combinatorial quiver of a word's initial seed.
 
-    Vertices k = 1..l(w) sit on line i_k, column k.  Horizontal arrows
-    run k -> k+ inside every color line.  An ordinary arrow j -> k (with
-    j > k of a different color) exists when the colors are adjacent and
+    Vertex k = 1..l(w) has color i_k.  Horizontal arrows run k -> k+
+    inside every color line.  An ordinary arrow j -> k (with j > k of a
+    different color) exists when the colors are adjacent and
     j+ >= k+ > j > k, with multiplicity -a_{i_j, i_k}.
 
     One pass over j keeps each color's last index so far: an earlier k
@@ -181,7 +172,7 @@ def build_gamma(word: Word) -> Quiver:
     """
     c = word.cartan
     L = len(word)
-    q = Quiver(Vertex(k, word.color(k), k) for k in range(1, L + 1))
+    q = Quiver(dict(enumerate(word.letters, start=1)))
     for k in range(1, L + 1):
         kp = word.succ(k)
         if kp <= L:
@@ -388,7 +379,7 @@ def classify_config(q: Quiver, k: int, other_color: int) -> str:
     :func:`classify_configs` labels k against several colors in one walk
     of its row, inside a cut's members.
     """
-    line = q.ids_of_color(q.vertices[k].color) if k in q.vertices else []
+    line = q.ids_of_color(q.vertices[k]) if k in q.vertices else []
     return classify_configs(q, k, (other_color,), q.vertices, line)[other_color]
 
 
@@ -408,7 +399,7 @@ def classify_configs(
         raise ValueError(f"vertex {k} is not on its line {line}")
     near: dict[int, list[tuple[int, int]]] = {}
     for j, x in b[k].items():
-        if j in within and (oc := vs[j].color) in colors:
+        if j in within and (oc := vs[j]) in colors:
             near.setdefault(oc, []).append((j, x))
     k_prev = line[i - 1] if i else None
     k_next = line[i + 1] if i + 1 < len(line) else None
@@ -440,17 +431,16 @@ def classify_configs(
 
 
 def to_dot(q: Quiver, name: str = "seed") -> str:
-    """Graphviz source; one rank per color line, frozen vertices boxed."""
+    """Graphviz source; one rank per color line, frozen vertices boxed, and
+    each vertex's id as its column."""
     lines = [f"digraph {name} {{", "  rankdir=RL;", "  node [shape=ellipse];"]
     for color in q.colors():
         ids = q.ids_of_color(color)
         row = "; ".join(f"v{k}" for k in ids)
         lines.append(f"  {{ rank=same; {row}; }}")
-    for v in sorted(q.vertices.values(), key=lambda v: v.id):
-        shape = "box" if v.frozen else "ellipse"
-        lines.append(
-            f'  v{v.id} [label="{v.id}", shape={shape}, color_line={v.color}, column={v.column}];'
-        )
+    for k in sorted(q.vertices):
+        shape = "box" if k in q.frozen else "ellipse"
+        lines.append(f'  v{k} [label="{k}", shape={shape}, color_line={q.vertices[k]}, column={k}];')
     for (s, t), m in sorted(q.arrows.items()):
         for _ in range(m):
             lines.append(f"  v{s} -> v{t};")

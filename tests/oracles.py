@@ -11,7 +11,7 @@ from typing import Collection, NamedTuple, Optional
 
 from richseed.deltavec import LANE_BIAS, W, DeltaVector
 from richseed.errors import NegativeCoordinate, NotLessOrEqual, Unclassifiable
-from richseed.quiver import ConfigLabel, Quiver, SawTeethReport, Tooth, Vertex
+from richseed.quiver import ConfigLabel, Quiver, SawTeethReport, Tooth
 from richseed.rootsys import (
     CartanData,
     Vec,
@@ -284,7 +284,7 @@ def all_pairs_gamma(word):
     adjacent and j+ >= k+ > j."""
     c = word.cartan
     L = len(word)
-    q = Quiver(Vertex(k, word.color(k), k) for k in range(1, L + 1))
+    q = Quiver({k: word.color(k) for k in range(1, L + 1)})
     for k in range(1, L + 1):
         if word.succ(k) <= L:
             q._add(k, word.succ(k), 1)
@@ -304,8 +304,8 @@ def bicolor(q, c1, c2):
     vs = q.vertices
     kept = ({c1}, {c1, c2})
     return Quiver(
-        [v for v in vs.values() if v.color in (c1, c2)],
-        {(s, t): m for (s, t), m in q.arrows.items() if {vs[s].color, vs[t].color} in kept},
+        {k: color for k, color in vs.items() if color in (c1, c2)},
+        {(s, t): m for (s, t), m in q.arrows.items() if {vs[s], vs[t]} in kept},
     )
 
 
@@ -446,10 +446,10 @@ def classify_config(
         raise KeyError(f"no vertex {k}")
     vs = q.vertices
     if line is None:
-        line = sorted(v for v in inside if vs[v].color == vs[k].color)
+        line = sorted(v for v in inside if vs[v] == vs[k])
     idx = line.index(k)
 
-    near = [(j, x) for j, x in q.b[k].items() if j in inside and vs[j].color == other_color]
+    near = [(j, x) for j, x in q.b[k].items() if j in inside and vs[j] == other_color]
     ins = [j for j, x in near if x < 0]
     outs = [j for j, x in near if x > 0]
     if outs:

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import subprocess
 import sys
 
@@ -49,6 +50,9 @@ def test_compute_a5_document(tmp_path):
     assert "trace" in doc and len(doc["trace"]) == 8
     text = dot.read_text()
     assert text.count("->") == len(doc["arrows"])
+    nodes = dict(re.findall(r"^  v(-?\d+) \[.*shape=(\w+)", text, re.M))
+    assert sorted(map(int, nodes)) == [v["id"] for v in doc["vertices"]]
+    assert {int(k) for k, shape in nodes.items() if shape == "box"} == {2, 3, 5, 7, 9}
 
 
 def _indent2(text):
@@ -167,6 +171,14 @@ def test_json_roundtrip():
     assert len(ids) == len(set(ids))
 
 
+def test_exhaustive_suites_honour_max_len(capsys):
+    # A3 has 9 reduced words of length 1 or 2: 3 of length 1, each above one
+    # v, and 6 of length 2, each above three, so 3 + 18 = 21 pairs
+    assert main(["verify", "--type", "A3", "--max-len", "2", "--checks", "equivalence,sawteeth"]) == 0
+    out = capsys.readouterr().out
+    assert out == "equivalence: pass (21 pairs (exhaustive))\nsawteeth: pass (9 words (exhaustive))\n"
+
+
 def test_verify_subcommand_passes():
     proc = _cli("verify", "--type", "A3", "--checks", "equivalence,sawteeth")
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -243,12 +255,16 @@ def test_verify_induction_reports_run_failures(monkeypatch, target, exc_name):
 
 
 def test_out_into_missing_directory_exits_5(tmp_path):
-    proc = _cli(*A5_ARGS, "--out", str(tmp_path / "missing" / "seed.json"))
-    assert proc.returncode == 5
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    proc = _cli(*A5_ARGS, "--dot", str(tmp_path / "missing" / "seed.dot"))
-    assert proc.returncode == 5
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    # an output that cannot be written leaves stdout empty, and a DOT file
+    # that cannot be written leaves no --out file either
+    out, missing = tmp_path / "seed.json", tmp_path / "missing"
+    for extra in (["--out", str(missing / "seed.json")], ["--dot", str(missing / "seed.dot")],
+                  ["--out", str(out), "--dot", str(missing / "seed.dot")]):
+        proc = _cli(*A5_ARGS, *extra)
+        assert proc.returncode == 5, extra
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert proc.stdout == "", extra
+    assert not out.exists()
 
 
 def test_closed_stdout_exits_quietly():
@@ -316,6 +332,25 @@ def test_compute_trace_output_pinned(tmp_path, args, digest):
     out = tmp_path / "seed.json"
     assert main(["compute", *args, "--trace", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the `richseed compute --dot` file for each TRACE_DIGESTS case,
+# recorded while every vertex was a (id, color, column, frozen) record
+DOT_DIGESTS = [
+    "211c0c6f855c9190344ef9a95b7099dd5ad7fb5e070ddf81c4903bef72b87c56",
+    "5cb7bcb766a6e309ca19d89d8902e1e16d1bd2586e5dc1b8be22d9b81538818e",
+    "68914eeb12a6aaedf76916df28dabeb08c92727c8153fcf1cd4ec6d22b1416af",
+    "1854f05b9c2d2beb80ff946bf5b018d72e56aac9d0c8008021d58acbbfe57a53",
+]
+
+
+@pytest.mark.parametrize("case,digest", zip(TRACE_DIGESTS, DOT_DIGESTS), ids=["A5", "D5", "E6", "E8"])
+def test_compute_dot_output_pinned(tmp_path, case, digest):
+    import hashlib
+
+    args, dot = case[0], tmp_path / "seed.dot"
+    assert main(["compute", *args, "--out", str(tmp_path / "seed.json"), "--dot", str(dot)]) == 0
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv,message", [

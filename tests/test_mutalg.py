@@ -13,7 +13,7 @@ from richseed.deltavec import (
     delta_tilde_from_combo,
     delta_vectors,
 )
-from richseed.errors import InvariantViolation, StructuralFailure, Unclassifiable
+from richseed.errors import FrozenVertex, InvariantViolation, StructuralFailure, Unclassifiable
 from richseed.mutalg import (
     MutationRecord,
     check_induction,
@@ -28,7 +28,7 @@ from richseed.mutalg import (
     step_hat,
     verify_equivalence,
 )
-from richseed.quiver import SawTeethReport, build_gamma, classify_config, classify_sawteeth
+from richseed.quiver import Quiver, SawTeethReport, build_gamma, classify_config, classify_sawteeth
 from richseed.rootsys import (
     cartan,
     element_of_word,
@@ -124,6 +124,8 @@ def test_run_full_a5(a5_seed):
     assert sorted(a5_seed.deleted) == list(golden.A5_DELETED)
     assert sorted(a5_seed.summands) == list(golden.A5_SURVIVORS)
     assert sorted(a5_seed.frozen) == list(golden.A5_FROZEN)
+    assert a5_seed.frozen is a5_seed.quiver.frozen
+    assert a5_seed.quiver.vertices == {k: WORD.color(k) for k in golden.A5_SURVIVORS}
     assert a5_seed.size == 13 - 6
     assert set(a5_seed.quiver.arrows) == golden.A5_FINAL_ARROWS
     for k, d in a5_seed.summands.items():
@@ -325,6 +327,33 @@ def test_green_report_pins_a_replay_whose_multiplicity_grows_and_shrinks():
     for k in (4, 2, 3):
         q = q.mutate(k)
     assert q.arrows[(5, 1)] == 2 and q.mutate(2).arrows[(5, 1)] == 1
+
+
+def test_c_vectors_of_the_green_replay_are_sign_coherent(monkeypatch):
+    # before each mutation at k on green_report's framed quiver, row k's
+    # frame entries, its c-vector, are nonzero and all of one sign, and no
+    # entry joins two frames (Derksen-Weyman-Zelevinsky, JAMS 2010): so the
+    # frames never need entries between themselves
+    specs = ("A4", "D4", "D5", "E6", "E7", "E8")
+    seeds = [run(c, w, v, check=False) for c, w, v in _sampled_pairs(specs, 25, 41)]
+    seeds += [run(c, w, v, check=False) for spec in specs for c, w, v in _w0_pairs(spec, 43)]
+    mutate_in_place, checked = Quiver.mutate_in_place, []
+
+    def coherent_then_mutate(fq, k):
+        signs = {x > 0 for j, x in fq.b[k].items() if j < 0}
+        assert len(signs) == 1, (k, fq.b[k])
+        assert not [(i, j) for i, row in fq.b.items() if i < 0 for j in row if j < 0], k
+        checked.append(k)
+        mutate_in_place(fq, k)
+
+    monkeypatch.setattr(Quiver, "mutate_in_place", coherent_then_mutate)
+    for seed in seeds:
+        green_report(seed.word, [rec.vertex for rec in seed.trace])
+    assert len(checked) == sum(len(seed.trace) for seed in seeds) > 2500
+    # the frames are frozen: the replay refuses to mutate one
+    monkeypatch.undo()
+    with pytest.raises(FrozenVertex, match="vertex -1 is frozen"):
+        green_report(seeds[0].word, [-1])
 
 
 @pytest.mark.parametrize("k", [0, 9])
@@ -704,7 +733,7 @@ def _extended_exchange_matrix(seed):
     """B~ of a final seed: one row per survivor, one column per mutable survivor."""
     q = seed.quiver
     ids = sorted(q.vertices)
-    cols = [j for j in ids if not q.vertices[j].frozen]
+    cols = [j for j in ids if j not in q.frozen]
     return [[q.mult(i, j) - q.mult(j, i) for j in cols] for i in ids]
 
 

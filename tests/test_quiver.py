@@ -11,7 +11,6 @@ from richseed.mutalg import framed_quiver
 from richseed.quiver import (
     ConfigLabel,
     Quiver,
-    Vertex,
     build_gamma,
     classify_config,
     classify_sawteeth,
@@ -44,10 +43,8 @@ def test_build_gamma_a4_matches_figure():
 
 def test_build_gamma_layout():
     q = build_gamma(A4_WORD)
-    for k, v in q.vertices.items():
-        assert v.column == k
-        assert v.color == A4_WORD.color(k)
-        assert not v.frozen
+    assert q.vertices == {k: A4_WORD.color(k) for k in range(1, len(A4_WORD) + 1)}
+    assert q.frozen == frozenset()
 
 
 def test_build_gamma_d5_matches_figure():
@@ -80,7 +77,7 @@ def test_build_gamma_matches_the_all_pairs_scan(family, rank):
 
 
 def test_mutation_involution_small():
-    q = Quiver([Vertex(1, 1, 1), Vertex(2, 2, 2)], {(1, 2): 1})
+    q = Quiver({1: 1, 2: 2}, {(1, 2): 1})
     m = q.mutate(1)
     assert set(m.arrows) == {(2, 1)}
     assert m.mutate(1) == q
@@ -88,7 +85,7 @@ def test_mutation_involution_small():
 
 def test_opposite_arrows_given_to_the_constructor_cancel():
     # a 2-cycle is not representable in the exchange matrix
-    verts = [Vertex(1, 1, 1), Vertex(2, 2, 2)]
+    verts = {1: 1, 2: 2}
     q = Quiver(verts, {(1, 2): 3, (2, 1): 1})
     assert q.arrows == {(1, 2): 2} and q.b == {1: {2: 2}, 2: {1: -2}}
     q = Quiver(verts, {(1, 2): 1, (2, 1): 1})
@@ -126,7 +123,7 @@ def _assert_rows_are_skew(q):
     for i, row in q.b.items():
         for j, bij in row.items():
             assert bij != 0 and q.b[j][i] == -bij, (i, j)
-            assert not (q.vertices[i].frozen and q.vertices[j].frozen), (i, j)
+            assert not (i in q.frozen and j in q.frozen), (i, j)
 
 
 def _skew_matrix(q):
@@ -163,23 +160,22 @@ def test_mutate_in_place_follows_the_skew_matrix_rule():
         if rng.random() < 0.5:
             q = framed_quiver(q)
         ids = sorted(q.vertices)
-        mutable = [k for k in ids if not q.vertices[k].frozen]
+        mutable = [k for k in ids if k not in q.frozen]
         for _ in range(rng.randint(1, 6)):
             k = rng.choice(mutable)
             expected = _skew_rule(_skew_matrix(q), ids, k)
             assert q.mutate_in_place(k) is None
             b = _skew_matrix(q)
             for (i, j), bij in expected.items():
-                if not (q.vertices[i].frozen and q.vertices[j].frozen):
+                if not (i in q.frozen and j in q.frozen):
                     assert b.get((i, j), 0) == bij, (seed, k, i, j)
             _assert_rows_are_skew(q)
             # the arrow view rebuilds the quiver
-            assert Quiver(q.vertices.values(), q.arrows) == q, seed
+            assert Quiver(q.vertices, q.arrows, q.frozen) == q, seed
 
 
 def test_mutate_in_place_grows_and_shrinks_multiplicities():
-    verts = [Vertex(k, k, k) for k in (1, 2, 3, 4)]
-    q = Quiver(verts, {(1, 2): 1, (2, 3): 1, (1, 3): 1, (4, 2): 1, (3, 4): 2})
+    q = Quiver({k: k for k in (1, 2, 3, 4)}, {(1, 2): 1, (2, 3): 1, (1, 3): 1, (4, 2): 1, (3, 4): 2})
     q.mutate_in_place(2)
     # 1 -> 3 grows to 2 and 3 -> 4 shrinks to 1; the arrows at 2 reverse
     assert q.arrows == {(2, 1): 1, (3, 2): 1, (1, 3): 2, (2, 4): 1, (3, 4): 1}
@@ -194,42 +190,50 @@ def test_mutate_leaves_the_original_unchanged():
 
 
 def test_mutate_frozen_raises():
-    q = Quiver([Vertex(1, 1, 1, frozen=True), Vertex(2, 2, 2)], {(1, 2): 1})
+    q = Quiver({1: 1, 2: 2}, {(1, 2): 1}, frozen={1})
     with pytest.raises(FrozenVertex):
         q.mutate(1)
+    with pytest.raises(FrozenVertex):
+        q.mutate_in_place(1)
 
 
 def test_frozen_frozen_arrows_not_stored():
-    q = Quiver([Vertex(1, 1, 1), Vertex(2, 2, 2), Vertex(3, 1, 3)], {(1, 2): 1, (2, 3): 1})
-    f = q.with_frozen({1, 2})
-    assert not f.has_arrow(1, 2)
-    assert f.has_arrow(2, 3)
+    q = Quiver({1: 1, 2: 2, 3: 1}, {(1, 2): 1, (2, 3): 1}, frozen={1, 2})
+    assert not q.has_arrow(1, 2) and q.b[1] == {}
+    assert q.has_arrow(2, 3)
+    # mutating 3 would make 2 -> 1 of the path 2 -> 3 -> 1: both ends are frozen
+    q._add(3, 1, 1)
+    q.mutate_in_place(3)
+    assert q.b[1] == {3: 1} and q.b[2] == {3: -1}
+    _assert_rows_are_skew(q)
 
 
-def test_a_fresh_vertex_is_mutable():
-    assert Vertex(4, 2, 7).frozen is False
-    assert Vertex(4, 2, 7) == Vertex(4, 2, 7, frozen=False) != Vertex(4, 2, 7, frozen=True)
+def test_a_quiver_copies_its_colors_and_freezes_exactly_the_given_ids():
+    colors = {k: A4_WORD.color(k) for k in range(1, len(A4_WORD) + 1)}
+    g = build_gamma(A4_WORD)
+    f = Quiver(colors, g.arrows, frozen=[2, 5, 7, 5])
+    assert f.vertices == colors and f.vertices is not colors
+    assert f.frozen == frozenset({2, 5, 7})
+    colors[1] = 4
+    assert f.vertices[1] == A4_WORD.color(1) and not g.frozen
+    assert f.copy() == f != g and f.restricted({1, 2, 3}).frozen == {2}
+    with pytest.raises(KeyError, match="frozen vertex 12 is not a vertex"):
+        Quiver({1: 1, 2: 2}, frozen={2, 12, 14})
+    with pytest.raises(KeyError, match="arrow 1->3 uses an unknown vertex"):
+        Quiver({1: 1, 2: 2}, {(1, 3): 1})
 
 
-def test_with_frozen_marks_exactly_the_given_ids_and_keeps_colors_and_columns():
-    q = build_gamma(A4_WORD)
-    f = q.with_frozen({2, 5, 9})
-    assert sorted(f.vertices) == sorted(q.vertices)
-    for k, v in f.vertices.items():
-        assert v.frozen == (k in {2, 5, 9})
-        assert (v.id, v.color, v.column) == (k, q.vertices[k].color, q.vertices[k].column)
-    assert not any(v.frozen for v in q.vertices.values())
-
-
-def test_vertices_and_teeth_are_immutable():
-    v = Vertex(1, 1, 1)
+def test_frozen_set_and_teeth_are_immutable():
+    # a run's FinalSeed.frozen is its quiver's frozen set, the same object
     q = build_gamma(make_word(cartan("D", 5), list(golden.D5_WORD)))
+    frozen = Quiver(q.vertices, q.arrows, frozen={1, 2}).frozen
     rep = classify_sawteeth(q, 3, 2)
     tooth = rep.teeth[0]
-    for obj, name in ((v, "frozen"), (v, "id"), (tooth, "summit"), (rep, "valid")):
+    assert isinstance(frozen, frozenset) and frozen == {1, 2}
+    for obj, name in ((tooth, "summit"), (rep, "valid")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
-    assert not v.frozen and tooth == (3, 4, 9) and rep.valid
+    assert tooth == (3, 4, 9) and rep.valid
     twin = classify_sawteeth(q.copy(), 3, 2)
     assert twin is not rep and twin == rep and hash(twin) == hash(rep)
 
@@ -283,8 +287,8 @@ def test_the_rows_classify_as_the_bicolor_copy():
                 rep = classify_sawteeth(q, c1, c2)
                 assert rep == frozen_sawteeth(bicolor(q, c1, c2), c1, c2), (seed, c1, c2)
                 summits = q.ids_of_color(c2)
-                both = [k for k, x in q.vertices.items() if x.color in (c1, c2)]
-                third = [k for k, x in q.vertices.items() if x.color not in (c1, c2)]
+                both = [k for k, x in q.vertices.items() if x in (c1, c2)]
+                third = [k for k, x in q.vertices.items() if x not in (c1, c2)]
                 arrows = [rng.sample(summits, 2)] if len(summits) > 1 else []
                 if both and third:
                     arrows.append([rng.choice(both), rng.choice(third)])
@@ -331,7 +335,7 @@ def test_arrows_planted_inside_the_subquiver_classify_as_the_frozen_copy():
                 p = q.copy()
                 p._add(s, t, 1)
                 agree(p, c1, c2)
-        both = [k for k, x in q.vertices.items() if x.color in (c1, c2)]
+        both = [k for k, x in q.vertices.items() if x in (c1, c2)]
         if len(both) < 2:
             continue
         for _ in range(rng.randint(1, 3)):
@@ -363,11 +367,8 @@ def test_d5_bicolor_32_structure():
 
 
 def _counterexample_quiver() -> Quiver:
-    verts = (
-        [Vertex(k, 1, k) for k in (3, 6, 9)]
-        + [Vertex(k, 2, k) for k in (1, 2, 4, 7, 8, 11, 12)]
-        + [Vertex(k, 3, k) for k in (5, 10)]
-    )
+    verts = {k: color for color, ks in ((1, (3, 6, 9)), (2, (1, 2, 4, 7, 8, 11, 12)), (3, (5, 10)))
+             for k in ks}
     arrows = {
         (9, 7): 1, (6, 9): 1, (6, 4): 1, (3, 6): 1, (11, 9): 1, (11, 10): 1,
         (11, 12): 1, (8, 11): 1, (8, 6): 1, (7, 8): 1, (7, 5): 1, (4, 7): 1,
@@ -445,8 +446,7 @@ def test_restricted_line_of_first_v_letter_is_pure():
 def _initial_config_quiver() -> Quiver:
     # line color 2 with vertices 1..4, one adjacent line (color 1, ids 11, 12)
     # and another (color 3, id 21)
-    verts = [Vertex(1, 2, 1), Vertex(2, 2, 2), Vertex(3, 2, 3), Vertex(4, 2, 4),
-             Vertex(11, 1, 11), Vertex(12, 1, 12), Vertex(21, 3, 21)]
+    verts = {1: 2, 2: 2, 3: 2, 4: 2, 11: 1, 12: 1, 21: 3}
     arrows = {(1, 2): 1, (2, 3): 1, (3, 4): 1,
               (12, 2): 1, (11, 1): 1, (4, 12): 1, (2, 11): 1,
               (3, 21): 1, (21, 1): 1}
@@ -460,8 +460,7 @@ def test_classify_config_initial_figures():
 
 
 def _general_config_quiver() -> Quiver:
-    verts = [Vertex(0, 2, 0), Vertex(1, 2, 1), Vertex(2, 2, 2), Vertex(3, 2, 3),
-             Vertex(4, 2, 4), Vertex(11, 1, 11), Vertex(12, 1, 12), Vertex(21, 3, 21)]
+    verts = {0: 2, 1: 2, 2: 2, 3: 2, 4: 2, 11: 1, 12: 1, 21: 3}
     arrows = {(1, 0): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1,
               (12, 2): 1, (11, 1): 1, (2, 11): 1, (3, 12): 1, (0, 11): 1,
               (4, 21): 1, (21, 1): 1}
@@ -475,13 +474,12 @@ def test_classify_config_general_figures():
 
 
 def test_classify_config_bare_first_vertex():
-    q = Quiver([Vertex(1, 1, 1), Vertex(2, 1, 2), Vertex(9, 2, 9)], {(1, 2): 1})
+    q = Quiver({1: 1, 2: 1, 9: 2}, {(1, 2): 1})
     assert classify_config(q, 1, 2) is ConfigLabel.ALPHA0
 
 
 def test_classify_config_rejects_outgoing_ordinary_arrow():
-    q = Quiver([Vertex(1, 1, 1), Vertex(2, 1, 2), Vertex(9, 2, 9)],
-               {(1, 2): 1, (1, 9): 1})
+    q = Quiver({1: 1, 2: 1, 9: 2}, {(1, 2): 1, (1, 9): 1})
     with pytest.raises(Unclassifiable):
         classify_config(q, 1, 2)
 
@@ -490,7 +488,8 @@ def test_classify_config_rejects_outgoing_ordinary_arrow():
 
 
 def test_dot_output_shape():
-    q = build_gamma(A4_WORD).with_frozen({1})
+    g = build_gamma(A4_WORD)
+    q = Quiver(g.vertices, g.arrows, frozen={1})
     dot = to_dot(q)
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
     assert dot.count("{") == dot.count("}")
