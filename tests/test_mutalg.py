@@ -1432,3 +1432,214 @@ def test_a_commutation_move_relabels_the_seed():
         cases += 1
         differ += _seed_under(seed, {}, {}) != moved
     assert cases >= 70 and differ >= cases // 2
+
+
+# ---------------------------------------------------------------------------
+# every violation text of the batch checks, each from one planted fault and
+# pinned by an anchored pattern
+
+
+def _pinned_pairs():
+    """The full-length D5 and E6 pairs of _w0_pairs(spec, 17)."""
+    for spec in ("D5", "E6"):
+        yield from _w0_pairs(spec, 17)
+
+
+def _states_with_quiet_members():
+    """(state, quiet members of its next batch) over every batch of the
+    pinned pairs."""
+    for c, w, v in _pinned_pairs():
+        state = initial_state(c, w, v, check=True)
+        for _ in range(state.lv):
+            yield state, _quiet_members(state)
+            state = step_hat(state)
+
+
+def test_an_exchange_off_the_line_formula_is_caught(monkeypatch):
+    # the chosen vector of the first mutation, one higher in its last
+    # leading coordinate: the exchange itself is unchanged
+    import re
+
+    from richseed import mutalg
+
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    seed = run(c, w, v)
+    first, lv = seed.trace[0], len(seed.embedding)
+    exchange = mutalg.mutate_delta
+
+    def bumped(state, k):
+        chosen, acc_in, acc_out, branch = exchange(state, k)
+        coords = list(chosen.coords)
+        coords[state.lv - 1] += 1
+        return DeltaVector(state.reference, tuple(coords)), acc_in, acc_out, branch
+
+    want = first.after[:lv]
+    got = (*want[:-1], want[-1] + 1)
+    monkeypatch.setattr(mutalg, "mutate_delta", bumped)
+    match = re.escape(f"exchange at {first.vertex} does not match the line formula: {got} != {want}")
+    with pytest.raises(InvariantViolation, match=f"^{match}$"):
+        run(c, w, v)
+
+
+def test_a_member_keeping_a_cleared_coordinate_is_caught():
+    caught = 0
+    for state, quiet in _states_with_quiet_members():
+        m, w = state.step + 1, state.word
+        line = w.color(state.embedding.positions[m - 1])
+        for k in quiet:
+            if w.color(k) == line:
+                continue
+            broken = state.clone()
+            bad = list(state.deltas[k].coords)
+            bad[m - 1] += 1
+            broken.deltas[k] = DeltaVector(state.reference, tuple(bad))
+            if index_set_A(broken, m) != index_set_A(state, m):
+                continue
+            match = rf"^member {k} keeps a nonzero coordinate among the first {m}$"
+            with pytest.raises(InvariantViolation, match=match):
+                step_hat(broken)
+            caught += 1
+    assert caught
+
+
+def test_a_missing_and_a_doubled_line_arrow_are_caught():
+    caught = dict.fromkeys((0, 2), 0)
+    for state, quiet in _states_with_quiet_members():
+        m = state.step + 1
+        for k in quiet:
+            kp = state.word.succ(k)
+            if kp not in quiet or state.quiver.mult(k, kp) != 1:
+                continue
+            for mult, match in ((0, rf"^missing line arrow {k}->{kp} at step {m}$"),
+                                (2, rf"^line arrow {k}->{kp} has multiplicity 2 at step {m}$")):
+                broken = state.clone()
+                broken.quiver._set(k, kp, mult)
+                with pytest.raises(InvariantViolation, match=match):
+                    step_hat(broken)
+                caught[mult] += 1
+    assert all(caught.values()), caught
+
+
+def test_a_stray_same_color_arrow_is_caught():
+    # an arrow between two members of one color that are not neighbours
+    # on its line
+    caught = 0
+    for state, quiet in _states_with_quiet_members():
+        m, w = state.step + 1, state.word
+        for s in quiet:
+            for t in quiet:
+                if s < t and w.color(s) == w.color(t) and w.succ(s) != t:
+                    if t in state.quiver.b[s]:
+                        continue
+                    broken = state.clone()
+                    broken.quiver._add(s, t, 1)
+                    match = rf"^stray same-color arrow {s}->{t} at step {m}$"
+                    with pytest.raises(InvariantViolation, match=match):
+                        step_hat(broken)
+                    caught += 1
+    assert caught
+
+
+def test_an_arrow_between_non_adjacent_colors_is_caught():
+    caught = 0
+    for state, quiet in _states_with_quiet_members():
+        m = state.step + 1
+        pair = _stray_pair(state, quiet)
+        if pair is None:
+            continue
+        s, t = pair
+        cs, ct = state.word.color(s), state.word.color(t)
+        broken = state.clone()
+        broken.quiver._add(s, t, 1)
+        match = rf"^arrow {s}->{t} joins non-adjacent colors {cs},{ct} at step {m}$"
+        with pytest.raises(InvariantViolation, match=match):
+            step_hat(broken)
+        caught += 1
+    assert caught
+
+
+def test_an_evicted_summand_above_a_member_is_caught():
+    # a quiet member off the batch's line with a member below it on its
+    # line loses its leading coordinates
+    caught = 0
+    for state, quiet in _states_with_quiet_members():
+        m, w, lv = state.step + 1, state.word, state.lv
+        line = w.color(state.embedding.positions[m - 1])
+        for k in quiet:
+            color = w.color(k)
+            if color == line or state.cut.lines[color][0] == k:
+                continue
+            broken = state.clone()
+            coords = list(state.deltas[k].coords)
+            coords[:lv] = [0] * lv
+            broken.deltas[k] = DeltaVector(state.reference, tuple(coords))
+            if index_set_A(broken, m) != index_set_A(state, m):
+                continue
+            match = rf"^evicted summand {k} sits above a member on line {color} at step {m}$"
+            with pytest.raises(InvariantViolation, match=match):
+                step_hat(broken)
+            caught += 1
+    assert caught
+
+
+def test_an_impure_next_line_is_caught(monkeypatch):
+    # every report of the next line against a color comes back impure but
+    # valid, so that the bicolor checks pass and the next-line check fails
+    # at step 0, against the first adjacent color with members
+    from richseed import mutalg
+
+    caught = 0
+    for c, w, v in _pinned_pairs():
+        clean = initial_state(c, w, v, check=True)
+        if not clean.lv:
+            continue
+        nxt = w.color(clean.embedding.positions[0])
+        others = [oc for oc in c.neighbors(nxt) if oc in clean.cut.lines]
+        if not others:
+            continue
+
+        def impure(q, c1, c2, lines=None, nxt=nxt):
+            rep = classify_sawteeth(q, c1, c2, lines)
+            return rep._replace(initial_barb=(0, 0)) if c1 == nxt else rep
+
+        with monkeypatch.context() as mp:
+            mp.setattr(mutalg, "classify_sawteeth", impure)
+            match = rf"^next line {nxt} is not pure against {others[0]} at step 0$"
+            with pytest.raises(InvariantViolation, match=match):
+                initial_state(c, w, v, check=True)
+        caught += 1
+    assert caught
+
+
+def test_a_failed_tooth_shift_and_an_invalid_report_before_it_are_caught(monkeypatch):
+    # after the pass, a valid report with one tooth too many; before it,
+    # an invalid report, which is not pure either
+    from richseed import mutalg
+    from richseed.quiver import Tooth
+
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    check = mutalg.check_induction
+    caught = 0
+    for state in _states_before_a_tooth_shift(c, w, v):
+        line = w.color(state.embedding.positions[state.step])
+        for oc in c.neighbors(line):
+
+            def planted(s, oc=oc):
+                check(s)
+                rep = s.cut.reports.get((line, oc)) or SawTeethReport(line, oc, True)
+                s.cut.reports[(line, oc)] = rep._replace(teeth=(*rep.teeth, Tooth(0, 0, 0)))
+
+            with monkeypatch.context() as mp:
+                mp.setattr(mutalg, "check_induction", planted)
+                match = (rf"^tooth shift failed on line {line} vs color {oc}: "
+                         rf"teeth \[(.*, )?\(0, 0, 0\)\] != \[.*\] or barb .* != .*$")
+                with pytest.raises(InvariantViolation, match=match):
+                    step_hat(state.clone())
+            with monkeypatch.context() as mp:
+                invalid = SawTeethReport(line, oc, False, violation="planted")
+                mp.setitem(state.cut.reports, (line, oc), invalid)
+                match = rf"^line {line} was not pure before its pass \(color {oc}\)$"
+                with pytest.raises(InvariantViolation, match=match):
+                    step_hat(state.clone())
+            caught += 1
+    assert caught >= 5, caught
