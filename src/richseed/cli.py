@@ -184,17 +184,46 @@ def cmd_compute(args: argparse.Namespace) -> int:
         completion = make_word(c, _parse_letters(args.vdot, "--vdot"), order=args.order)
     seed = run(c, word, v, completion=completion, check=not args.no_check)
     payload = document_json(seed_document(seed, with_trace=args.trace))
-    # the DOT file first and stdout last: a DOT file that cannot be written
-    # leaves no seed behind, on stdout or in --out
+    # the files first and stdout last: an output that cannot be written
+    # leaves nothing behind, on stdout or in a file
+    files = {}
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(seed.quiver) + "\n")
+        files[args.dot] = to_dot(seed.quiver) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
+        files[args.out] = payload + "\n"
+    write_all(files)
+    if not args.out:
         print(payload)
     return 0
+
+
+def write_all(files: dict[str, str]) -> None:
+    """Write each text to its path, or none of them.  Each text goes to a
+    new temporary file in its path's directory; only once every write has
+    succeeded are they renamed onto their paths, and on a failure the
+    temporary files are removed.  An error names the path, not the
+    temporary file."""
+    written: list[tuple[str, str]] = []
+    try:
+        for n, (path, text) in enumerate(files.items()):
+            head, tail = os.path.split(path)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
+            try:
+                fh = open(tmp, "x")
+            except OSError as exc:
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            written.append((tmp, path))
+            with fh:
+                fh.write(text)
+        for tmp, path in written:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in written:
+            try:
+                os.remove(tmp)
+            except FileNotFoundError:  # renamed already
+                pass
+        raise
 
 
 # ---------------------------------------------------------------------------

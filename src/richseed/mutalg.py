@@ -38,6 +38,8 @@ does.  The configuration labels it keeps are plain strings (see
 from __future__ import annotations
 
 from bisect import insort
+from itertools import compress
+from operator import is_not
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -59,7 +61,6 @@ from .errors import AmbiguousBranch, InvariantViolation, NoValidBranch
 from .quiver import (
     CONFIG_TRANSITIONS,
     Quiver,
-    SawTeethReport,
     build_gamma,
     classify_configs,
     classify_sawteeth,
@@ -159,18 +160,19 @@ class AlgState:
     """A run's state: ``reference`` completes the rightmost subword, ``quiver``
     is mutated in place, ``checker`` (BatchChecker or NoChecks) is made once
     per batch, ``cut`` is the last checked view, ``support`` the prefix
-    table that the support check reads.  A new state is at step 0, with
-    no trace, batches, stats or view.  Compared by identity."""
+    table that the support check reads and ``col[k]`` the color of vertex
+    k.  A new state is at step 0, with no trace, batches, stats or view.
+    Compared by identity."""
 
     __slots__ = ("word", "embedding", "combo", "reference", "deltas", "quiver", "checker",
-                 "step", "trace", "batches", "stats", "cut", "support")
+                 "step", "trace", "batches", "stats", "cut", "support", "col")
 
     def __init__(self, word: Word, embedding: SubwordEmbedding, combo: ComboNumbers,
                  reference: Word, deltas: dict[int, DeltaVector], quiver: Quiver, checker: type):
         self.word, self.embedding, self.combo, self.reference = word, embedding, combo, reference
         self.deltas, self.quiver, self.checker, self.step = deltas, quiver, checker, 0
         self.trace, self.batches, self.stats, self.cut = [], [], {}, None
-        self.support = support_prefixes(combo)
+        self.support, self.col = support_prefixes(combo), (0, *word.letters)
 
     @property
     def lv(self) -> int:
@@ -193,21 +195,23 @@ class AlgState:
 class CutSeedView:
     """The cut seed after a step.  ``check_induction`` fills in each color's
     members in ascending order (colors with members only), the reports per
-    ordered pair and the vectors it saw.  Compared by identity."""
+    ordered pair and ``verified``, the tuple of the vectors it saw in the
+    order of ``state.deltas``.  Compared by identity."""
 
     __slots__ = ("members", "evicted", "deleted", "step", "lines", "reports", "verified")
 
     def __init__(self, members: set[int], evicted: set[int], deleted: frozenset[int],
                  step: int = 0):
         self.members, self.evicted, self.deleted, self.step = members, evicted, deleted, step
-        self.lines, self.reports, self.verified = {}, {}, {}
+        self.lines, self.reports = {}, {}
+        self.verified: tuple[DeltaVector, ...] = ()
 
     def copy(self) -> "CutSeedView":
-        """A view with its own sets, lines and dicts, so that a change to
+        """A view with its own sets, lines and reports, so that a change to
         either view leaves the other as it was."""
         view = CutSeedView(set(self.members), set(self.evicted), self.deleted, self.step)
         view.lines = {color: list(line) for color, line in self.lines.items()}
-        view.reports, view.verified = dict(self.reports), dict(self.verified)
+        view.reports, view.verified = dict(self.reports), self.verified
         return view
 
 
@@ -330,11 +334,13 @@ class BatchChecker:
     see the mutation at k, ``finish`` the cut seed the batch leaves.  It
     holds the cut before the batch, the batch's line of members as it
     moves (no other color moves, and k only after ``before(k)``), the
-    adjacent colors with a member and the previous mutation's labels."""
+    adjacent colors with a member and the previous mutation's labels,
+    and reads what the hooks compare (G and the lead mask of the line
+    formula, the colors, the quiver) once per batch."""
 
     def __init__(self, state: AlgState):
         word, self.state = state.word, state
-        self.line_color = line = word.color(state.embedding.positions[state.step])
+        self.line_color = line = state.col[state.embedding.positions[state.step]]
         # the cut before this batch is the last check's view; a mutation moves only its vertex
         self.cut = state.cut
         self.line = list(self.cut.lines.get(line, ()))
@@ -342,19 +348,23 @@ class BatchChecker:
         self.labels: dict[int, str] = {}
         # whether the last mutated vertex, and whether any, left the cut
         self.evicted = self.evicted_during = False
+        self.col, self.quiver, self.deltas = state.col, state.quiver, state.deltas
+        self.succ, self.pred = word.succ, word.pred
+        self.g, self.lead = offset(state.lv), prefix_mask(state.lv)
 
     def before(self, k: int) -> dict[int, str]:
         """Check k's color and configurations, all from one walk of row k;
         return its labels."""
-        color, prev = self.state.word.letters[k - 1], self.labels
-        if color != self.line_color:
+        prev, colors = self.labels, self.other_colors
+        if self.col[k] != self.line_color:
             raise InvariantViolation(
-                f"batch {self.state.step + 1} touches vertex {k} of color {color}, "
+                f"batch {self.state.step + 1} touches vertex {k} of color {self.col[k]}, "
                 f"expected color {self.line_color}"
             )
-        q, colors = self.state.quiver, self.other_colors
-        self.labels = classify_configs(q, k, colors, self.cut.members, self.line) if colors else {}
-        for oc, label in self.labels.items():
+        if not colors:
+            return {}
+        self.labels = labels = classify_configs(self.quiver, k, colors, self.cut.members, self.line)
+        for oc, label in labels.items():
             if oc in prev:
                 allowed = CONFIG_TRANSITIONS.get((prev[oc], self.evicted))
                 if allowed is not None and label not in allowed:
@@ -367,11 +377,22 @@ class BatchChecker:
                     f"first mutated vertex {k} is not in an initial configuration "
                     f"for color {oc} (got {label})"
                 )
-        return self.labels
+        return labels
 
     def after(self, k: int, old: DeltaVector, chosen: DeltaVector, evicted: bool) -> None:
-        _check_branch_formula(self.state, k, old, chosen)
-        self.evicted, self.evicted_during = evicted, self.evicted_during or evicted
+        # the line formula packed, as _check_branch_formula compares it; that
+        # function is called only to raise
+        deltas, kp, km = self.deltas, self.succ(k), self.pred(k)
+        expected = self.g - old.bits
+        if kp in deltas:
+            expected += deltas[kp].bits
+        if km in deltas:
+            expected += deltas[km].bits
+        if (expected - chosen.bits) & self.lead != self.g:
+            _check_branch_formula(self.state, k, old, chosen)
+        self.evicted = evicted
+        if evicted:
+            self.evicted_during = True
         if k in self.cut.deleted or (k in self.line) != evicted:
             return
         if evicted:
@@ -483,40 +504,59 @@ def check_induction(state: AlgState) -> None:
     view goes to ``state.cut`` with its saw-teeth reports, the next line's
     included, which the next batch's tooth shift reads as its "before".
 
-    Only what changed since the last view is examined again: the matrix
-    entries in the quiver's journal, the vertices whose vector was replaced
-    (the only ones that can enter or leave the cut, besides the newly
-    deleted), the members of p_m's color, and the color lines and saw-teeth
-    reports that these touch, which make up one set of stale pairs; a
-    report reads the quiver's rows over a member line.  Colors are read
-    off ``word.letters``, and each expected support is a difference of
-    two entries of the prefix table ``state.support``.  The first check,
-    or one without a view of the previous step or without a journal,
-    starts from an empty view, so that every vector counts as replaced
-    and every matrix entry as written.  At step 0 these are the checks of
-    the initial seed, and the support check covers every summand, not
-    only the members: its truncation must be the packed form of
-    ``delta_tilde_from_combo``.
+    The view is carried forward from the last one: members and evicted
+    change only at the vertices whose vector was replaced and at the newly
+    deleted index.  Every vector is still read, in one pass that compares
+    it by identity with the tuple of vectors the last view saw.  The
+    quiver's journal, the matrix entries written since then, is walked
+    once; the members of p_m's color, the color lines and the saw-teeth
+    reports that these changes touch are examined again, and only the
+    pairs of colors they make stale are visited: a report kept from the
+    last view was valid when it was stored.  A report reads the quiver's
+    rows over a member line.  Colors are read off ``state.col``, and each
+    expected support is a difference of two entries of the prefix table
+    ``state.support``.  The first check, or one without a view of the
+    previous step or without a journal, starts from an empty view, so that
+    every vector counts as replaced and every matrix entry as written.  At
+    step 0 these are the checks of the initial seed, and the support check
+    covers every summand, not only the members: its truncation must be the
+    packed form of ``delta_tilde_from_combo``.
     """
-    word, q = state.word, state.quiver
-    col = (0, *word.letters)  # col[k] is the color of vertex k
-    m = state.step
-    lv = state.lv
+    word, q, col, deltas = state.word, state.quiver, state.col, state.deltas
+    nbrs = word.cartan.neighbors
+    m, lv = state.step, state.lv
     prev, journal = state.cut, q.journal
     if prev is None or prev.step != m - 1 or journal is None:
         prev = CutSeedView(set(), set(), frozenset())
         journal = [(s, t) for s, row in q.b.items() for t in row if s < t]
-    # only a replaced vector can move its vertex into or out of the cut
-    replaced = [k for k, d in state.deltas.items() if d is not prev.verified.get(k)]
+    seen = tuple(deltas.values())
+    if len(prev.verified) == len(seen):
+        replaced = compress(deltas, map(is_not, seen, prev.verified))
+    else:
+        replaced = deltas
     deleted = state.combo.deleted(m)
-    members = prev.members - deleted
-    lead = prefix_mask(lv)
-    for k in set(replaced) - deleted:
-        (members.add if state.deltas[k].bits & lead else members.discard)(k)
-    view = CutSeedView(members, state.deltas.keys() - deleted - members, deleted, m)
-    view.verified = dict(state.deltas)
-    changed = (members ^ prev.members) | (view.evicted ^ prev.evicted)
-    entered = members - prev.members
+    members, evicted = set(prev.members), set(prev.evicted)
+    changed = {k for k in deleted.difference(prev.deleted) if k in members or k in evicted}
+    members -= changed
+    evicted -= changed
+    # only a replaced vector can move its vertex into or out of the cut
+    entered, lead, recheck = set(), prefix_mask(lv), []
+    for k in replaced:
+        if k in deleted:
+            continue
+        if deltas[k].bits & lead:
+            recheck.append(k)
+            if k not in members:
+                members.add(k)
+                evicted.discard(k)
+                changed.add(k)
+                entered.add(k)
+        elif k not in evicted:
+            evicted.add(k)
+            members.discard(k)
+            changed.add(k)
+    view = CutSeedView(members, evicted, deleted, m)
+    view.verified = seen
 
     # a member keeps the support it was last verified with unless its
     # vector was replaced or alpha(k, m) moved, which happens on the color
@@ -524,52 +564,65 @@ def check_induction(state: AlgState) -> None:
     # At step 0 every summand is checked, member or not
     if m:
         line = word.positions_of_color(col[state.embedding.positions[m - 1]])
-        recheck, who = members & {*replaced, *line}, "member"
+        recheck, who = members.intersection(line).union(recheck), "member"
     else:
-        recheck, who = state.deltas.keys(), "summand"
-    cleared = prefix_mask(m)
+        recheck, who = deltas.keys(), "summand"
+    cleared, combo, support = prefix_mask(m), state.combo, state.support
     for k in sorted(recheck):
-        d = state.deltas[k]
-        if d.bits & cleared:
+        bits = deltas[k].bits
+        if bits & cleared:
             raise InvariantViolation(
                 f"member {k} keeps a nonzero coordinate among the first {m}"
             )
-        lo, hi = state.combo.support_slice(k, m)
-        table = state.support[col[k]]
+        lo, hi = combo.support_slice(k, m)
+        table = support[col[k]]
         expected = table[hi] - table[lo]
-        if d.bits & lead != expected:
+        if bits & lead != expected:
             got, want = (
                 [j for j, a in enumerate(decode(t, lv), start=1) if a]
-                for t in (d.bits & lead, expected)
+                for t in (bits & lead, expected)
             )
             raise InvariantViolation(
                 f"{who} {k} has truncated support {got}, expected {want} at step {m}"
             )
 
-    # entries (s < t) between two members that were written since the last
-    # view; a line arrow k -> k+ has k < k+
-    moved = [(s, t) for s, t in journal if s in members and t in members]
+    # one walk of the entries (s < t) written since the last view: those
+    # between two members give the pairs of colors moved and the line
+    # arrows to read again (a line arrow k -> k+ has k < k+; the line
+    # check reads its multiplicity and sign).  Any other arrow between two
+    # members of one color, or of two colors that are not adjacent, is
+    # scanned, as is every arrow between an entered vertex and a member
+    succ, rows, adjacency = word.succ, q.b, word.cartan.adjacency
     line_ends = {word.pred(x) for x in entered} | entered
-    line_ends.update(s for s, t in moved if col[s] == col[t] and word.succ(s) == t)
+    scan: set[tuple[int, int]] = set()
+    moved: set[tuple[int, int]] = set()
+    for s, t in journal:
+        if s in members and t in members:
+            cs, ct = col[s], col[t]
+            moved.add((cs, ct))
+            if cs == ct and succ(s) == t:
+                line_ends.add(s)
+            elif cs == ct or ((cs, ct) if cs < ct else (ct, cs)) not in adjacency:
+                if e := rows[s].get(t):
+                    scan.add((s, t) if e > 0 else (t, s))
     for k in sorted(line_ends):
-        kp = word.succ(k)
+        kp = succ(k)
         if k not in members or kp not in members:
             continue
-        n = q.mult(k, kp)
-        if not n:
+        n = rows[k].get(kp, 0)
+        if n <= 0:
             raise InvariantViolation(f"missing line arrow {k}->{kp} at step {m}")
         if n != 1:
             raise InvariantViolation(f"line arrow {k}->{kp} has multiplicity {n} at step {m}")
 
-    scan = {(s, t) if e > 0 else (t, s) for s, t in moved if (e := q.b[s].get(t))}
     for x in entered:
-        scan.update((x, t) if e > 0 else (t, x) for t, e in q.b[x].items() if t in members)
+        scan.update((x, t) if e > 0 else (t, x) for t, e in rows[x].items() if t in members)
     for s, t in sorted(scan):
         cs, ct = col[s], col[t]
         if cs == ct:
-            if word.succ(s) != t:
+            if succ(s) != t:
                 raise InvariantViolation(f"stray same-color arrow {s}->{t} at step {m}")
-        elif ((cs, ct) if cs < ct else (ct, cs)) not in word.cartan.adjacency:
+        elif ((cs, ct) if cs < ct else (ct, cs)) not in adjacency:
             raise InvariantViolation(
                 f"arrow {s}->{t} joins non-adjacent colors {cs},{ct} at step {m}"
             )
@@ -583,7 +636,7 @@ def check_induction(state: AlgState) -> None:
         for k in word.positions_of_color(color):
             if k in members:
                 line.append(k)
-            elif k in view.evicted and line:
+            elif k in evicted and line:
                 raise InvariantViolation(
                     f"evicted summand {k} sits above a member on line {color} "
                     f"at step {m}"
@@ -594,33 +647,38 @@ def check_induction(state: AlgState) -> None:
             lines.pop(color, None)
 
     # a (c1, c2) report reads the members of both colors, the c1-c1 arrows
-    # and the arrows joining c1 and c2; a report none of these moved is reused
-    neighbors = word.cartan.neighbors
+    # and the arrows joining c1 and c2; one that none of these moved is kept.
+    # The view holds a report for each adjacent pair of colors with members
+    # and for the next line against each adjacent color; only the stale
+    # pairs and the next lines' pairs, the last view's and this one's, can
+    # enter, leave or change, and they are visited in the order of the pairs
     stale: set[tuple[int, int]] = set()
-    for a, b in {(col[s], col[t]) for s, t in moved}:
-        stale.update(((a, b), (b, a)) if a != b else ((a, c) for c in neighbors(a)))
+    for a, b in moved:
+        stale.update(((a, b), (b, a)) if a != b else ((a, c) for c in nbrs(a)))
     for a in dirty:
-        stale.update(pair for c in neighbors(a) for pair in ((a, c), (c, a)))
+        stale.update(pair for c in nbrs(a) for pair in ((a, c), (c, a)))
+    visit = set(stale)
+    next_color = col[state.embedding.positions[m]] if m < lv else None
+    for c1 in (col[state.embedding.positions[m - 1]] if m else None, next_color):
+        if c1 is not None:
+            visit.update((c1, c2) for c2 in nbrs(c1))
+    reports, classified = dict(prev.reports), 0
+    view.reports = reports
+    for c1, c2 in sorted(visit):
+        bicolor = c1 in lines and c2 in lines
+        if c2 not in nbrs(c1) or not (bicolor or c1 == next_color):
+            reports.pop((c1, c2), None)
+            continue
+        rep = reports.get((c1, c2))
+        if rep is None or (c1, c2) in stale:
+            rep = reports[(c1, c2)] = classify_sawteeth(q, c1, c2, lines)
+            classified += 1
+        if bicolor and not rep.valid:
+            raise InvariantViolation(f"bicolor ({c1},{c2}) broken at step {m}: {rep.violation}")
 
-    def report(c1: int, c2: int) -> SawTeethReport:
-        if (c1, c2) not in view.reports:
-            old = prev.reports.get((c1, c2))
-            if old is None or (c1, c2) in stale:
-                old = classify_sawteeth(q, c1, c2, lines)
-            view.reports[(c1, c2)] = old
-        return view.reports[(c1, c2)]
-
-    for c1 in sorted(lines):
-        for c2 in word.cartan.neighbors(c1):
-            if c2 in lines and not (rep := report(c1, c2)).valid:
-                raise InvariantViolation(
-                    f"bicolor ({c1},{c2}) broken at step {m}: {rep.violation}"
-                )
-
-    if m < lv:
-        next_color = col[state.embedding.positions[m]]
-        for oc in word.cartan.neighbors(next_color):
-            rep = report(next_color, oc)
+    if next_color is not None:
+        for oc in nbrs(next_color):
+            rep = reports[(next_color, oc)]
             if oc in lines and (not rep.valid or not rep.pure):
                 raise InvariantViolation(
                     f"next line {next_color} is not pure against {oc} at step {m}"
@@ -628,9 +686,9 @@ def check_induction(state: AlgState) -> None:
 
     if m == lv and members:
         raise InvariantViolation(f"cut seed still has members {sorted(members)}")
-    reused = sum(prev.reports.get(pair) is rep for pair, rep in view.reports.items())
-    for key, n in (("reports_classified", len(view.reports) - reused), ("reports_reused", reused)):
-        state.stats[key] = state.stats.get(key, 0) + n
+    stats = state.stats
+    stats["reports_classified"] = stats.get("reports_classified", 0) + classified
+    stats["reports_reused"] = stats.get("reports_reused", 0) + len(reports) - classified
     q.journal = set()
     state.cut = view
 

@@ -23,6 +23,7 @@ names them, and :data:`CONFIG_TRANSITIONS` is keyed by (label, eviction).
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice, zip_longest
 from typing import Collection, Iterable, KeysView, NamedTuple, Optional
 
 from .errors import FrozenVertex, Unclassifiable
@@ -139,22 +140,33 @@ class Quiver:
     def mutate_in_place(self, k: int) -> None:
         """Fomin-Zelevinsky mutation at a mutable vertex, in place: every
         path s -> k -> t adds b[s][k] * b[k][t] arrows s -> t (none
-        between two frozen vertices), then row k is negated."""
+        between two frozen vertices), then row k is negated.  The entries
+        are written as ``_set`` writes them, journal included, without a
+        call per entry."""
         if k not in self.vertices:
             raise KeyError(f"no vertex {k}")
-        frozen, b, row = self.frozen, self.b, self.b[k]
+        frozen, b, row, journal = self.frozen, self.b, self.b[k], self.journal
         if k in frozen:
             raise FrozenVertex(f"vertex {k} is frozen")
-        outs = [(t, m) for t, m in row.items() if m > 0]
+        outs = [(t, m, b[t]) for t, m in row.items() if m > 0]
         for s, m1 in row.items():
             if m1 > 0:
                 continue
-            both = s in frozen
-            for t, m2 in outs:
-                if not (both and t in frozen):
-                    self._set(s, t, b[s].get(t, 0) - m1 * m2)
-        for j, m in list(row.items()):
-            self._set(k, j, -m)
+            both, rs = s in frozen, b[s]
+            for t, m2, rt in outs:
+                if both and t in frozen:
+                    continue
+                if journal is not None:
+                    journal.add((s, t) if s < t else (t, s))
+                if x := rs.get(t, 0) - m1 * m2:
+                    rs[t], rt[s] = x, -x
+                elif t in rs:
+                    del rs[t], rt[s]
+        # negating row k writes only entries that exist: no row gains or loses one
+        for j, m in row.items():
+            row[j], b[j][k] = -m, m
+        if journal is not None:
+            journal.update((k, j) if k < j else (j, k) for j in row)
 
 
 def build_gamma(word: Word) -> Quiver:
@@ -246,31 +258,37 @@ def classify_sawteeth(
 
     # in a line's row, an arrow of the subquiver is a positive entry toward
     # the line or an entry of either sign toward a summit.  A vertex of
-    # either color may have one outgoing and one incoming cross arrow
+    # either color may have one outgoing and one incoming cross arrow; a
+    # multiplicity other than 1, or a line arrow to another vertex than the
+    # next, ends the pass, and the violation is then found by a pass of its own
     on_line, summits, rows = set(line), frozenset(jline), q.b
     succ_of: dict[int, int] = {}  # source -> target of its cross arrow
     pred_of: dict[int, int] = {}  # target -> source of its cross arrow
+    crossed = []  # the line vertices with a cross arrow, ascending
     n = h = 0  # cross arrows, and line arrows to the next line vertex
-    broken = False  # a multiplicity other than 1, or a line arrow to another vertex
-    for s, s_next in zip(line, line[1:] + [None]):
+    for s, s_next in zip_longest(line, islice(line, 1, None)):
+        seen = n
         for t, m in rows[s].items():
             if t in summits:
-                if m > 0:
+                if m == 1:
                     succ_of[s] = t
                     pred_of[t] = s
-                else:
+                elif m == -1:
                     succ_of[t] = s
                     pred_of[s] = t
+                else:
+                    return SawTeethReport(c1, c2, False, _first_violation(rows, line, jline))
                 n += 1
-                broken = broken or m * m != 1
             elif m > 0 and t in on_line:
+                if m != 1 or t != s_next:
+                    return SawTeethReport(c1, c2, False, _first_violation(rows, line, jline))
                 h += 1
-                broken = broken or m != 1 or t != s_next
-    if broken or len(succ_of) != n or len(pred_of) != n or h < len(line) - 1:
+        if n != seen:
+            crossed.append(s)
+    if len(succ_of) != n or len(pred_of) != n or h < len(line) - 1:
         return SawTeethReport(c1, c2, False, _first_violation(rows, line, jline))
 
     isolated = summits.difference(succ_of, pred_of)
-    crossed = [x for x in line if x in succ_of or x in pred_of]
     if not crossed:
         return SawTeethReport(c1, c2, True, isolated=isolated)
 

@@ -357,10 +357,16 @@ class ComboNumbers:
     def support_slice(self, k: int, m: int) -> tuple[int, int]:
         """(a, b) such that the v-indices js[a:b] of color i_k are those in
         [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)]:
-        the predicted support of summand k after step m."""
-        js = self._js(k)
+        the predicted support of summand k after step m.  k advanced stays
+        on the line of k, or is the sentinel, where f is l(v); so js[:b]
+        are the v-indices whose position is at most k advanced."""
+        word = self.word
+        js = self.v_indices[word.letters[k - 1]]
         a = bisect_right(js, m)  # alpha(k, m)
-        return a, max(a, bisect_right(js, self.f(self.word.succ_iter(k, a))))
+        kp = word.succ_iter(k, a)
+        if kp > len(word.letters):
+            return a, len(js)
+        return a, max(a, bisect_right(js, bisect_right(self.emb.positions, kp)))
 
     def gamma(self, m: int) -> int:
         return self.alpha(self.emb.positions[m - 1], m)

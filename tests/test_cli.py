@@ -255,16 +255,19 @@ def test_verify_induction_reports_run_failures(monkeypatch, target, exc_name):
 
 
 def test_out_into_missing_directory_exits_5(tmp_path):
-    # an output that cannot be written leaves stdout empty, and a DOT file
-    # that cannot be written leaves no --out file either
-    out, missing = tmp_path / "seed.json", tmp_path / "missing"
+    # an output that cannot be written leaves stdout empty and no file
+    # behind: no --out file, no DOT file and no temporary file, whichever
+    # of the two fails; the error names the path asked for
+    out, dot, missing = tmp_path / "seed.json", tmp_path / "seed.dot", tmp_path / "missing"
     for extra in (["--out", str(missing / "seed.json")], ["--dot", str(missing / "seed.dot")],
-                  ["--out", str(out), "--dot", str(missing / "seed.dot")]):
+                  ["--out", str(out), "--dot", str(missing / "seed.dot")],
+                  ["--dot", str(dot), "--out", str(missing / "seed.json")]):
         proc = _cli(*A5_ARGS, *extra)
         assert proc.returncode == 5, extra
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert str(missing) in proc.stderr and ".tmp" not in proc.stderr, proc.stderr
         assert proc.stdout == "", extra
-    assert not out.exists()
+        assert not list(tmp_path.iterdir()), extra
 
 
 def test_closed_stdout_exits_quietly():

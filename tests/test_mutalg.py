@@ -1318,6 +1318,25 @@ def test_incremental_checks_agree_with_a_check_from_scratch(spec):
             state = step_hat(state)
 
 
+
+@pytest.mark.parametrize("spec", ["E7", "E8"])
+def test_the_carried_view_equals_a_recheck_without_a_journal(spec):
+    # at benchmark scale, the full-length word with the longest v: after
+    # every batch the view carried forward from the last one equals the
+    # view a check rebuilds from an empty one, with every vector replaced
+    # and every matrix entry written
+    c, w, v = list(_w0_pairs(spec, 17))[-1]
+    state = initial_state(c, w, v, check=True)
+    while True:
+        fresh = state.clone()
+        fresh.quiver.journal = None
+        check_induction(fresh)
+        for name in ("members", "evicted", "deleted", "lines", "reports"):
+            assert getattr(fresh.cut, name) == getattr(state.cut, name), (state.step, name)
+        if state.step == state.lv:
+            break
+        state = step_hat(state)
+
 def test_report_counts_sum_to_the_pairs_examined():
     for c, w, v in _w0_pairs("E6", 17):
         state = initial_state(c, w, v, check=True)

@@ -509,6 +509,24 @@ def test_combo_numbers_against_their_definitions():
             }
 
 
+
+def test_support_slices_against_their_definition():
+    # js[a:b] are the v-indices of color i_k from f_min(k) advanced
+    # alpha(k, m) times up to f(k advanced alpha(k, m) times), with f of
+    # the sentinel l(v)
+    for w, emb in _combo_oracle_pairs():
+        combo = combo_numbers(w, emb)
+        L, lv, p = len(w), len(emb), (0,) + emb.positions
+        for k in range(1, L + 1):
+            same = [m for m in range(1, lv + 1) if w.color(p[m]) == w.color(k)]
+            for m in range(lv + 1):
+                a = sum(1 for j in same if j <= m)
+                kp = w.succ_iter(k, a)
+                top = lv if kp > L else max((j for j in same if p[j] <= kp), default=0)
+                support = [j for j in same[a:] if j <= top]
+                lo, hi = combo.support_slice(k, m)
+                assert (lo, same[lo:hi]) == (a, support), (w.letters, emb.positions, k, m)
+
 def test_t_fold_successors_repeat_the_successor():
     for w, _ in _combo_oracle_pairs():
         L = len(w)
