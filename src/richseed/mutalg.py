@@ -15,13 +15,15 @@ through a :class:`BatchChecker`; violations raise
 :class:`InvariantViolation` since they falsify the run, not the input.
 The checks of the initial seed are the step-0 pass of
 :func:`check_induction`, which compares every summand's truncation with
-the combinatorial form of Leclerc's seeds.  After that, the checks
-re-examine only what a batch changed: the matrix entries in the
-quiver's journal (kept only in checked runs), the vertices whose vector
-it replaced, which are the only ones that can enter or leave the cut, and
-the members of the batch's color.  Each color's members are kept as one
-ascending line; a saw-teeth report reads the quiver's rows over two such
-lines, and one that nothing it reads moved is reused.  Green labels
+the combinatorial form of Leclerc's seeds.  After that, each check
+carries the cut view of the last one forward and re-examines only what a
+batch changed: the matrix entries in the quiver's journal (kept only in
+checked runs), the vertices whose vector it replaced, which with the
+newly deleted index are the only ones that can enter or leave the cut,
+and the members of the batch's color.  Each color's members are kept as
+one ascending line; a saw-teeth report reads the quiver's rows over two
+such lines, and only the pairs of colors that the batch touched are
+classified again, the others' reports are kept.  Green labels
 and the arrows each mutation makes appear and vanish come from one
 replay of the run's mutations: :func:`green_report`.
 

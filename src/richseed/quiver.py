@@ -140,7 +140,7 @@ class Quiver:
     def mutate_in_place(self, k: int) -> None:
         """Fomin-Zelevinsky mutation at a mutable vertex, in place: every
         path s -> k -> t adds b[s][k] * b[k][t] arrows s -> t (none
-        between two frozen vertices), then row k is negated.  The entries
+        between two frozen vertices), and row k is negated.  The entries
         are written as ``_set`` writes them, journal included, without a
         call per entry."""
         if k not in self.vertices:
@@ -148,11 +148,16 @@ class Quiver:
         frozen, b, row, journal = self.frozen, self.b, self.b[k], self.journal
         if k in frozen:
             raise FrozenVertex(f"vertex {k} is frozen")
-        outs = [(t, m, b[t]) for t, m in row.items() if m > 0]
-        for s, m1 in row.items():
-            if m1 > 0:
-                continue
-            both, rs = s in frozen, b[s]
+        # row k is negated in the pass that sorts its entries into the arrows
+        # out of k and into k, each as (vertex, entry before, its row): a
+        # negation changes no row's keys, and the paths read no entry at k
+        outs, ins = [], []
+        for j, m in row.items():
+            rj = b[j]
+            row[j], rj[k] = -m, m
+            (outs if m > 0 else ins).append((j, m, rj))
+        for s, m1, rs in ins:
+            both = s in frozen
             for t, m2, rt in outs:
                 if both and t in frozen:
                     continue
@@ -162,9 +167,6 @@ class Quiver:
                     rs[t], rt[s] = x, -x
                 elif t in rs:
                     del rs[t], rt[s]
-        # negating row k writes only entries that exist: no row gains or loses one
-        for j, m in row.items():
-            row[j], b[j][k] = -m, m
         if journal is not None:
             journal.update((k, j) if k < j else (j, k) for j in row)
 

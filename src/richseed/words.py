@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import NotLessOrEqual, NotReduced
@@ -309,7 +310,8 @@ class ComboNumbers:
       strictly right of index p_m, sentinel l(w)+1 (p_0 = 0).
 
     Only ``v_indices`` is stored: for each color of the word, its
-    v-indices in ascending order.  As p_1 < ... < p_{l(v)}, each map is a
+    v-indices in ascending order (``deleted`` and ``support_slice`` keep
+    what they build).  As p_1 < ... < p_{l(v)}, each map is a
     position in one such list or in the color's line of w-indices
     (``Word.positions_of_color``), read with a bisect or an offset: alpha
     is the number of entries up to m, beta the index of p_m in its line
@@ -325,6 +327,7 @@ class ComboNumbers:
         for m, q in enumerate(emb.positions, start=1):
             self.v_indices[word.color(q)].append(m)
         self._deleted: list[frozenset[int]] = [frozenset()]
+        self._places: dict[int, tuple[list[int], int, list[int]]] = {}
 
     @property
     def positions(self) -> tuple[int, ...]:
@@ -358,15 +361,20 @@ class ComboNumbers:
         """(a, b) such that the v-indices js[a:b] of color i_k are those in
         [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)]:
         the predicted support of summand k after step m.  k advanced stays
-        on the line of k, or is the sentinel, where f is l(v); so js[:b]
-        are the v-indices whose position is at most k advanced."""
-        word = self.word
-        js = self.v_indices[word.letters[k - 1]]
+        on the line of k, where f counts the v-bar letters of that color up
+        to it, or is the sentinel, where f is l(v); the places and counts
+        of every line are built on the first call."""
+        if not self._places:
+            positions = set(self.emb.positions)
+            for i, js in self.v_indices.items():
+                line = self.word.positions_of_color(i)
+                counts = list(accumulate(k in positions for k in line))
+                self._places.update((k, (js, t, counts)) for t, k in enumerate(line))
+        js, t, counts = self._places[k]
         a = bisect_right(js, m)  # alpha(k, m)
-        kp = word.succ_iter(k, a)
-        if kp > len(word.letters):
+        if t + a >= len(counts):
             return a, len(js)
-        return a, max(a, bisect_right(js, bisect_right(self.emb.positions, kp)))
+        return a, max(a, counts[t + a])
 
     def gamma(self, m: int) -> int:
         return self.alpha(self.emb.positions[m - 1], m)
