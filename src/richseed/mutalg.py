@@ -506,23 +506,22 @@ def check_induction(state: AlgState) -> None:
     view goes to ``state.cut`` with its saw-teeth reports, the next line's
     included, which the next batch's tooth shift reads as its "before".
 
-    The view is carried forward from the last one: members and evicted
-    change only at the vertices whose vector was replaced and at the newly
-    deleted index.  Every vector is still read, in one pass that compares
-    it by identity with the tuple of vectors the last view saw.  The
-    quiver's journal, the matrix entries written since then, is walked
-    once; the members of p_m's color, the color lines and the saw-teeth
-    reports that these changes touch are examined again, and only the
-    pairs of colors they make stale are visited: a report kept from the
-    last view was valid when it was stored.  A report reads the quiver's
-    rows over a member line.  Colors are read off ``state.col``, and each
-    expected support is a difference of two entries of the prefix table
-    ``state.support``.  The first check, or one without a view of the
-    previous step or without a journal, starts from an empty view, so that
-    every vector counts as replaced and every matrix entry as written.  At
-    step 0 these are the checks of the initial seed, and the support check
-    covers every summand, not only the members: its truncation must be the
-    packed form of ``delta_tilde_from_combo``.
+    The view is carried forward from the last one.  Members and evicted
+    change only at the newly deleted index and at the vertices whose
+    vector was replaced, found by one identity comparison of every vector
+    with the tuple the last view saw.  One walk of the quiver's journal,
+    the matrix entries written since then, gives the entries between two
+    members to examine again; with the members of p_m's color and the
+    lines that changed, they make the pairs of colors stale.  Only the
+    stale pairs and the next lines' are visited: every other report is
+    kept, valid as it was when stored.  A report reads the quiver's rows
+    over a member line; an expected support is a difference of two
+    entries of the prefix table ``state.support``.  The first check, or
+    one without a view of the previous step or without a journal, starts
+    from an empty view: every vector counts as replaced and every matrix
+    entry as written.  At step 0 these are the checks of the initial seed,
+    and the support check covers every summand, not only the members: its
+    truncation must be the packed form of ``delta_tilde_from_combo``.
     """
     word, q, col, deltas = state.word, state.quiver, state.col, state.deltas
     nbrs = word.cartan.neighbors

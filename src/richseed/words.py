@@ -368,8 +368,8 @@ class ComboNumbers:
             positions = set(self.emb.positions)
             for i, js in self.v_indices.items():
                 line = self.word.positions_of_color(i)
-                counts = list(accumulate(k in positions for k in line))
-                self._places.update((k, (js, t, counts)) for t, k in enumerate(line))
+                counts = list(accumulate(x in positions for x in line))
+                self._places.update((x, (js, t, counts)) for t, x in enumerate(line))
         js, t, counts = self._places[k]
         a = bisect_right(js, m)  # alpha(k, m)
         if t + a >= len(counts):
