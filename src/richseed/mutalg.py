@@ -659,10 +659,9 @@ def check_induction(state: AlgState) -> None:
     for a in dirty:
         stale.update(pair for c in nbrs(a) for pair in ((a, c), (c, a)))
     visit = set(stale)
+    for p in state.embedding.positions[max(m - 1, 0) : m + 1]:  # p_m and p_{m+1}
+        visit.update((col[p], c) for c in nbrs(col[p]))
     next_color = col[state.embedding.positions[m]] if m < lv else None
-    for c1 in (col[state.embedding.positions[m - 1]] if m else None, next_color):
-        if c1 is not None:
-            visit.update((c1, c2) for c2 in nbrs(c1))
     reports, classified = dict(prev.reports), 0
     view.reports = reports
     for c1, c2 in sorted(visit):

@@ -1337,6 +1337,33 @@ def test_the_carried_view_equals_a_recheck_without_a_journal(spec):
             break
         state = step_hat(state)
 
+
+def test_a_vertex_that_enters_the_cut_again_leaves_the_evicted_set():
+    # a quiet member off the batch's line, marked evicted in the last view
+    # and given an equal but new vector, enters the cut again at the next
+    # check; the carried sets must equal those of a check without a journal
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    state = initial_state(c, w, v, check=True)
+    tried = 0
+    for _ in range(state.lv):
+        line = w.color(state.embedding.positions[state.step])
+        for k in _quiet_members(state):
+            if w.color(k) == line:
+                continue
+            moved = state.clone()
+            moved.cut.members.discard(k)
+            moved.cut.evicted.add(k)
+            moved.deltas[k] = DeltaVector(state.reference, state.deltas[k].coords)
+            step_hat(moved)
+            fresh = moved.clone()
+            fresh.quiver.journal = None
+            check_induction(fresh)
+            assert k in moved.cut.members and k not in moved.cut.evicted
+            assert (moved.cut.members, moved.cut.evicted) == (fresh.cut.members, fresh.cut.evicted)
+            tried += 1
+        state = step_hat(state)
+    assert tried
+
 def test_report_counts_sum_to_the_pairs_examined():
     for c, w, v in _w0_pairs("E6", 17):
         state = initial_state(c, w, v, check=True)
