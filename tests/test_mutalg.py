@@ -1318,7 +1318,6 @@ def test_incremental_checks_agree_with_a_check_from_scratch(spec):
             state = step_hat(state)
 
 
-
 @pytest.mark.parametrize("spec", ["E7", "E8"])
 def test_the_carried_view_equals_a_recheck_without_a_journal(spec):
     # at benchmark scale, the full-length word with the longest v: after
@@ -1363,6 +1362,7 @@ def test_a_vertex_that_enters_the_cut_again_leaves_the_evicted_set():
             tried += 1
         state = step_hat(state)
     assert tried
+
 
 def test_report_counts_sum_to_the_pairs_examined():
     for c, w, v in _w0_pairs("E6", 17):
@@ -1522,8 +1522,8 @@ def test_an_exchange_off_the_line_formula_is_caught(monkeypatch):
     want = first.after[:lv]
     got = (*want[:-1], want[-1] + 1)
     monkeypatch.setattr(mutalg, "mutate_delta", bumped)
-    match = re.escape(f"exchange at {first.vertex} does not match the line formula: {got} != {want}")
-    with pytest.raises(InvariantViolation, match=f"^{match}$"):
+    text = f"exchange at {first.vertex} does not match the line formula: {got} != {want}"
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(text)}$"):
         run(c, w, v)
 
 
