@@ -168,7 +168,7 @@ class Quiver:
                 elif t in rs:
                     del rs[t], rt[s]
         if journal is not None:
-            journal.update((k, j) if k < j else (j, k) for j in row)
+            journal.update([(k, j) if k < j else (j, k) for j in row])
 
 
 def build_gamma(word: Word) -> Quiver:
