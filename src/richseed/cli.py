@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import random
+import stat
 import sys
 from functools import lru_cache
 from typing import Iterator
@@ -198,30 +199,53 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def write_all(files: dict[str, str]) -> None:
-    """Write each text to its path, or none of them.  Each text goes to a
-    new temporary file in its path's directory; only once every write has
-    succeeded are they renamed onto their paths, and on a failure the
-    temporary files are removed.  An error names the path, not the
-    temporary file."""
-    written: list[tuple[str, str]] = []
+    """Write each text to its path, or none of them.  A path that exists
+    (a file, a link, a device, a pipe) is opened first and written through
+    last, so it keeps its kind, mode and owner; a directory is refused by
+    that open.  A new path gets a temporary file beside its target, and
+    only once every open and every write has succeeded are these renamed
+    onto their targets.  On a failure the temporary files, and the new
+    files already renamed, are removed.  An error names the path asked
+    for, not the temporary file."""
+    staged: list[tuple[str, str, str]] = []  # (temporary file, target, path)
+    through = []  # (open file, text) for the paths that exist
+    done: list[str] = []
     try:
         for n, (path, text) in enumerate(files.items()):
-            head, tail = os.path.split(path)
+            try:
+                through.append((open(os.open(path, os.O_WRONLY), "w"), text))
+                continue
+            except FileNotFoundError:
+                pass
+            # a dangling link is followed, as open(path, "w") would
+            target = os.path.realpath(path)
+            head, tail = os.path.split(target)
             tmp = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
             try:
                 fh = open(tmp, "x")
             except OSError as exc:
                 raise type(exc)(exc.errno, exc.strerror, path) from None
-            written.append((tmp, path))
+            staged.append((tmp, target, path))
             with fh:
                 fh.write(text)
-        for tmp, path in written:
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in written:
+        for tmp, target, path in staged:
             try:
-                os.remove(tmp)
-            except FileNotFoundError:  # renamed already
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            done.append(target)
+        for fh, text in through:
+            with fh:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
+                fh.write(text)
+    except BaseException:
+        for fh, _ in through:
+            fh.close()
+        for name in [tmp for tmp, _, _ in staged] + done:
+            try:
+                os.remove(name)
+            except FileNotFoundError:  # renamed already, or never written
                 pass
         raise
 

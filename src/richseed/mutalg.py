@@ -382,8 +382,8 @@ class BatchChecker:
         return labels
 
     def after(self, k: int, old: DeltaVector, chosen: DeltaVector, evicted: bool) -> None:
-        # the line formula packed, as _check_branch_formula compares it; that
-        # function is called only to raise
+        # the line formula, packed: G + succ + pred - old - chosen must read
+        # G over the first l(v) fields (see _check_branch_formula)
         deltas, kp, km = self.deltas, self.succ(k), self.pred(k)
         expected = self.g - old.bits
         if kp in deltas:
@@ -391,7 +391,7 @@ class BatchChecker:
         if km in deltas:
             expected += deltas[km].bits
         if (expected - chosen.bits) & self.lead != self.g:
-            _check_branch_formula(self.state, k, old, chosen)
+            _check_branch_formula(k, chosen, expected & self.lead, self.state.lv)
         self.evicted = evicted
         if evicted:
             self.evicted_during = True
@@ -426,25 +426,21 @@ class NoChecks:
         pass
 
 
-def _check_branch_formula(state: AlgState, k: int, old: DeltaVector, chosen: DeltaVector) -> None:
-    """Inside the cut view, the chosen vector's truncation must equal
-    (successor) + (predecessor, zero when absent) - (old).
+def _check_branch_formula(k: int, chosen: DeltaVector, expected: int, lv: int) -> None:
+    """Raise for a chosen vector whose truncation is not (successor) +
+    (predecessor, zero when absent) - (old) inside the cut view;
+    ``BatchChecker.after`` compares and calls this only on a mismatch.
 
-    Compared packed over the first l(v) fields: G + succ + pred - old -
-    chosen must read G there.  Every stored field is below 2^8, so each
-    field of the sum lies within 2^15 +- 510 and none borrows from the
-    next; borrows run only upward, so the fields past l(v) do not matter."""
-    deltas, word, lv = state.deltas, state.word, state.lv
-    kp, km = word.succ(k), word.pred(k)
-    succ = deltas[kp].bits if kp in deltas else 0
-    pred = deltas[km].bits if km in deltas else 0
-    g, lead = offset(lv), prefix_mask(lv)
-    expected = g + succ + pred - old.bits
-    if (expected - chosen.bits) & lead != g:
-        raise InvariantViolation(
-            f"exchange at {k} does not match the line formula: "
-            f"{chosen.truncated(lv)} != {decode_offset(expected & lead, lv)}"
-        )
+    The comparison is packed over the first l(v) fields: G + succ + pred
+    - old - chosen must read G there, and ``expected`` is G + succ + pred
+    - old masked to those fields.  Every stored field is below 2^8, so
+    each field of the sum lies within 2^15 +- 510 and none borrows from
+    the next; borrows run only upward, so the fields past l(v) do not
+    matter."""
+    raise InvariantViolation(
+        f"exchange at {k} does not match the line formula: "
+        f"{chosen.truncated(lv)} != {decode_offset(expected, lv)}"
+    )
 
 
 def _check_teeth_shift(

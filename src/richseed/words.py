@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import NotLessOrEqual, NotReduced
@@ -310,8 +309,7 @@ class ComboNumbers:
       strictly right of index p_m, sentinel l(w)+1 (p_0 = 0).
 
     Only ``v_indices`` is stored: for each color of the word, its
-    v-indices in ascending order (``deleted`` and ``support_slice`` keep
-    what they build).  As p_1 < ... < p_{l(v)}, each map is a
+    v-indices in ascending order.  As p_1 < ... < p_{l(v)}, each map is a
     position in one such list or in the color's line of w-indices
     (``Word.positions_of_color``), read with a bisect or an offset: alpha
     is the number of entries up to m, beta the index of p_m in its line
@@ -327,7 +325,6 @@ class ComboNumbers:
         for m, q in enumerate(emb.positions, start=1):
             self.v_indices[word.color(q)].append(m)
         self._deleted: list[frozenset[int]] = [frozenset()]
-        self._places: dict[int, tuple[list[int], int, list[int]]] = {}
 
     @property
     def positions(self) -> tuple[int, ...]:
@@ -360,21 +357,10 @@ class ComboNumbers:
     def support_slice(self, k: int, m: int) -> tuple[int, int]:
         """(a, b) such that the v-indices js[a:b] of color i_k are those in
         [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)]:
-        the predicted support of summand k after step m.  k advanced stays
-        on the line of k, where f counts the v-bar letters of that color up
-        to it, or is the sentinel, where f is l(v); the places and counts
-        of every line are built on the first call."""
-        if not self._places:
-            positions = set(self.emb.positions)
-            for i, js in self.v_indices.items():
-                line = self.word.positions_of_color(i)
-                counts = list(accumulate(x in positions for x in line))
-                self._places.update((x, (js, t, counts)) for t, x in enumerate(line))
-        js, t, counts = self._places[k]
+        the predicted support of summand k after step m."""
+        js = self._js(k)
         a = bisect_right(js, m)  # alpha(k, m)
-        if t + a >= len(counts):
-            return a, len(js)
-        return a, max(a, counts[t + a])
+        return a, max(a, bisect_right(js, self.f(self.word.succ_iter(k, a))))
 
     def gamma(self, m: int) -> int:
         return self.alpha(self.emb.positions[m - 1], m)

@@ -1,8 +1,12 @@
+import errno
 import json
+import os
 import random
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -11,6 +15,7 @@ from richseed.cli import (
     document_json,
     main,
     seed_document,
+    write_all,
 )
 from richseed.mutalg import run
 from richseed.rootsys import cartan, element_of_word, number_of_positive_roots, parse_type
@@ -257,17 +262,61 @@ def test_verify_induction_reports_run_failures(monkeypatch, target, exc_name):
 def test_out_into_missing_directory_exits_5(tmp_path):
     # an output that cannot be written leaves stdout empty and no file
     # behind: no --out file, no DOT file and no temporary file, whichever
-    # of the two fails; the error names the path asked for
-    out, dot, missing = tmp_path / "seed.json", tmp_path / "seed.dot", tmp_path / "missing"
-    for extra in (["--out", str(missing / "seed.json")], ["--dot", str(missing / "seed.dot")],
-                  ["--out", str(out), "--dot", str(missing / "seed.dot")],
-                  ["--dot", str(dot), "--out", str(missing / "seed.json")]):
+    # of the two fails; an existing directory is refused the same way; the
+    # error names the path asked for
+    out, dot = tmp_path / "seed.json", tmp_path / "seed.dot"
+    missing, somedir = tmp_path / "missing", tmp_path / "somedir"
+    somedir.mkdir()
+    for bad, extra in ((missing, ["--out", str(missing / "seed.json")]),
+                       (missing, ["--dot", str(missing / "seed.dot")]),
+                       (missing, ["--out", str(out), "--dot", str(missing / "seed.dot")]),
+                       (missing, ["--dot", str(dot), "--out", str(missing / "seed.json")]),
+                       (somedir, ["--dot", str(dot), "--out", str(somedir)]),
+                       (somedir, ["--out", str(out), "--dot", str(somedir)])):
         proc = _cli(*A5_ARGS, *extra)
         assert proc.returncode == 5, extra
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert str(missing) in proc.stderr and ".tmp" not in proc.stderr, proc.stderr
+        assert str(bad) in proc.stderr and ".tmp" not in proc.stderr, proc.stderr
         assert proc.stdout == "", extra
-        assert not list(tmp_path.iterdir()), extra
+        assert list(tmp_path.iterdir()) == [somedir] and not list(somedir.iterdir()), extra
+
+
+def test_existing_outputs_are_written_through(tmp_path):
+    # an output that exists keeps its kind: a pipe is written into, not
+    # replaced by a file, a link stays a link and the file it points to
+    # keeps its mode, and a longer old text is cut
+    fifo, target, link = tmp_path / "seed.fifo", tmp_path / "seed.json", tmp_path / "link.json"
+    os.mkfifo(fifo)
+    target.write_text("old\n" * 10000)
+    target.chmod(0o600)
+    link.symlink_to(target)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    proc = _cli(*A5_ARGS, "--dot", str(fifo), "--out", str(link))
+    reader.join(timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "", proc.stderr
+    assert got and got[0].startswith("digraph")
+    assert stat.S_ISFIFO(fifo.lstat().st_mode) and link.is_symlink()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert target.read_text() == _cli(*A5_ARGS).stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "seed.fifo", "seed.json"]
+
+
+def test_a_failed_rename_removes_the_files_renamed_before_it(tmp_path, monkeypatch):
+    first, second = tmp_path / "seed.dot", tmp_path / "seed.json"
+    real = os.replace
+
+    def replace(src, dst):
+        if dst == os.path.realpath(second):
+            raise PermissionError(errno.EACCES, "Permission denied", src, dst)
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(PermissionError) as err:
+        write_all({str(first): "dot\n", str(second): "seed\n"})
+    assert err.value.filename == str(second) and err.value.filename2 is None
+    assert not list(tmp_path.iterdir())
 
 
 def test_closed_stdout_exits_quietly():

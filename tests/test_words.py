@@ -509,7 +509,6 @@ def test_combo_numbers_against_their_definitions():
             }
 
 
-
 def test_support_slices_against_their_definition():
     # js[a:b] are the v-indices of color i_k from f_min(k) advanced
     # alpha(k, m) times up to f(k advanced alpha(k, m) times), with f of
@@ -526,6 +525,7 @@ def test_support_slices_against_their_definition():
                 support = [j for j in same[a:] if j <= top]
                 lo, hi = combo.support_slice(k, m)
                 assert (lo, same[lo:hi]) == (a, support), (w.letters, emb.positions, k, m)
+
 
 def test_t_fold_successors_repeat_the_successor():
     for w, _ in _combo_oracle_pairs():
