@@ -70,9 +70,11 @@ class Word:
             by_color.setdefault(i, []).append(k)
         self._by_color = {i: tuple(ks) for i, ks in by_color.items()}
 
+        # indexed 0..L+2: the sentinels L+1 and 0 sit at 0, L+1 and L+2, so
+        # that k = -1 and k = L+2 read them too
         L = len(letters)
-        succ = [L + 1] * (L + 2)
-        pred = [0] * (L + 2)
+        succ = [L + 1] * (L + 3)
+        pred = [0] * (L + 3)
         for line in self._by_color.values():
             for a, b in zip(line, line[1:]):
                 succ[a], pred[b] = b, a
@@ -115,12 +117,12 @@ class Word:
         return self.letters[k - 1]
 
     def succ(self, k: int) -> int:
-        """Successor k+ (sentinel L+1)."""
-        return self._succ[k] if k <= len(self.letters) else len(self.letters) + 1
+        """Successor k+ (sentinel L+1), for -1 <= k <= L+2."""
+        return self._succ[k]
 
     def pred(self, k: int) -> int:
-        """Predecessor k- (sentinel 0)."""
-        return self._pred[k] if 1 <= k <= len(self.letters) else 0
+        """Predecessor k- (sentinel 0), for -1 <= k <= L+2."""
+        return self._pred[k]
 
     def succ_iter(self, k: int, t: int) -> int:
         """t-fold successor; the sentinel L+1 is absorbing."""

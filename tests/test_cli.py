@@ -9,14 +9,11 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from richseed.cli import (
-    EXAMPLES,
-    document_json,
-    main,
-    seed_document,
-    write_all,
-)
+from richseed.cli import document_json, main, seed_document, write_all
+from richseed.commands import EXAMPLES
 from richseed.mutalg import run
 from richseed.rootsys import cartan, element_of_word, number_of_positive_roots, parse_type
 from richseed.words import Word, make_word, random_reduced_word
@@ -250,7 +247,7 @@ def test_verify_induction_reports_run_failures(monkeypatch, target, exc_name):
 
     import richseed.errors
     import richseed.mutalg
-    from richseed.cli import check_induction
+    from richseed.commands import check_induction
 
     exc = getattr(richseed.errors, exc_name)("broken on purpose")
     monkeypatch.setattr(richseed.mutalg, target, _raise(exc))
@@ -316,6 +313,34 @@ def test_a_failed_rename_removes_the_files_renamed_before_it(tmp_path, monkeypat
     with pytest.raises(PermissionError) as err:
         write_all({str(first): "dot\n", str(second): "seed\n"})
     assert err.value.filename == str(second) and err.value.filename2 is None
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("full,beside", [("--out", "--dot"), ("--dot", "--out")])
+def test_a_failed_write_through_names_its_path(tmp_path, full, beside):
+    # /dev/full exists, so it is written through, and it refuses the text
+    # only at the flush on close, after the new output beside it is in place
+    proc = _cli(*A5_ARGS, full, "/dev/full", beside, str(tmp_path / "new"))
+    assert proc.returncode == 5 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.rstrip().endswith(": '/dev/full'"), proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failed_write_of_a_new_file_names_its_path(tmp_path, monkeypatch):
+    import richseed.cli
+
+    def full(path, mode):  # the temporary file is made, the text refused
+        open(path, mode).close()
+        return open("/dev/full", "w")
+
+    monkeypatch.setattr(richseed.cli, "open", full, raising=False)
+    target = tmp_path / "seed.json"
+    with pytest.raises(OSError) as err:
+        write_all({str(target): "seed\n"})
+    assert err.value.errno == errno.ENOSPC and err.value.filename == str(target)
     assert not list(tmp_path.iterdir())
 
 
@@ -554,3 +579,84 @@ def test_cli_fuzz_exits_with_a_documented_code():
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
         else:
             assert err.getvalue() == "", argv
+
+
+# the canonical compute reader against argparse: lists drawn from the
+# compute options, canonical or broken in a way that argparse refuses or
+# that leaves argparse to decide
+_VALUED = ("--type", "--w", "--v", "--order", "--vdot", "--out", "--dot")
+_FLAGS = ("--trace", "--no-check")
+# each with the option it abbreviates; "--t" and "--o" are ambiguous
+_ABBREVIATIONS = {"--t": None, "--ty": "--type", "--typ": "--type", "--o": None, "--or": "--order",
+                  "--vd": "--vdot", "--ou": "--out", "--do": "--dot", "--tr": "--trace",
+                  "--no": "--no-check"}
+_VALUES = ("A3", "d4", "1,2,1", "", " ", "x", "a=b", "compute", "seed.json", "indexed",
+           "-1", "-h", "--w", "-", "--", "- 1")
+_ORDERS = ("paper", "indexed", "INDEXED", "Paper", "")
+_BREAKS = ("none", "value", "drop", "help", "command")
+
+
+@st.composite
+def _compute_argv(draw):
+    """An argument list, and whether the reader must accept it."""
+    brk = draw(st.sampled_from(_BREAKS))
+    plain = [v for v in _VALUES if not v.startswith("-")]
+    pairs = []
+    for opt in _VALUED:
+        if opt in ("--type", "--w", "--v") or draw(st.booleans()):
+            pairs.append([opt, draw(st.sampled_from(_ORDERS if opt == "--order" else plain))])
+    pairs += [[flag] for flag in _FLAGS if draw(st.booleans())]
+    pairs = draw(st.permutations(pairs))
+    if brk == "value":  # a dash-leading, missing, repeated or extra value
+        opt = draw(st.sampled_from(_VALUED))
+        pairs.insert(draw(st.integers(0, len(pairs))),
+                     [opt] + [draw(st.sampled_from(_VALUES))] * draw(st.integers(0, 1)))
+    elif brk == "drop":
+        pair = draw(st.sampled_from(pairs))
+        del pair[draw(st.integers(0, len(pair) - 1))]
+    argv = [token for pair in pairs for token in pair]
+    if brk == "help":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help"])))
+    head = draw(st.sampled_from(["examples", "verify", "Compute"])) if brk == "command" else "compute"
+    order = dict(pair for pair in pairs if len(pair) == 2).get("--order", "paper")
+    return [head] + argv, brk == "none" and order in ("paper", "indexed")
+
+
+def _spelled_otherwise(argv):
+    """The lists one abbreviation, one = form or one repeat away from a
+    canonical ``argv``, all of which argparse reads or refuses itself."""
+    for j, opt in enumerate(argv):
+        if opt not in _VALUED + _FLAGS:
+            continue
+        rest = argv[j + 1 + (opt in _VALUED):]
+        value = argv[j + 1 : j + 2] if opt in _VALUED else []
+        for short, full in _ABBREVIATIONS.items():
+            if full == opt or (full is None and opt.startswith(short)):
+                yield argv[:j] + [short] + value + rest
+        yield argv[:j] + [f"{opt}={(value or ['x'])[0]}"] + rest
+        yield argv + [opt] + value
+        yield argv[:j] + [opt] + value + argv[j:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_compute_argv())
+def test_the_compute_reader_agrees_with_argparse(drawn):
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from richseed.cli import cmd_compute, read_compute
+    from richseed.commands import build_parser
+
+    argv, canonical = drawn
+    args = read_compute(argv)
+    if canonical:
+        assert args is not None, argv
+        for other in _spelled_otherwise(argv):
+            assert read_compute(other) is None, other
+    if args is not None:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            try:
+                want = build_parser(cmd_compute).parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
+        assert vars(args) == vars(want), argv

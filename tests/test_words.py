@@ -70,6 +70,24 @@ def test_successor_structure_is_total_with_sentinels():
         assert kmin <= k <= kmax
 
 
+@pytest.mark.parametrize("family,rank", [("A", 5), ("D", 5), ("E", 6)])
+def test_successors_and_predecessors_up_to_and_beyond_the_sentinels(family, rank):
+    # every k in 0..L+1, and one value beyond each end: off the positions
+    # 1..L, succ reads the sentinel L+1 and pred the sentinel 0
+    c = cartan(family, rank)
+    for letters in (random_reduced_word(c, 12, random.Random(rank)), longest_element_word(c)):
+        w = Word(c, letters)
+        L = len(w)
+        for k in range(-1, L + 3):
+            if 1 <= k <= L:
+                line = w.positions_of_color(w.color(k))
+                want = (min((q for q in line if q > k), default=L + 1),
+                        max((q for q in line if q < k), default=0))
+            else:
+                want = (L + 1, 0)
+            assert (w.succ(k), w.pred(k)) == want, (letters, k)
+
+
 def test_left_complete_of_w0_word_is_itself():
     c = cartan("A", 3)
     w = make_word(c, [2, 1, 2, 3, 2, 1])
