@@ -18,6 +18,7 @@ could not be written (quietly when the reader closed stdout early).
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import stat
@@ -154,12 +155,12 @@ def cmd_compute(args) -> int:
     # the files first and stdout last: an output that cannot be written
     # leaves nothing behind, on stdout or in a file
     files = {}
-    if args.dot:
+    if args.dot is not None:
         files[args.dot] = to_dot(seed.quiver) + "\n"
-    if args.out:
+    if args.out is not None:
         files[args.out] = payload + "\n"
     write_all(files)
-    if not args.out:
+    if args.out is None:
         print(payload)
     return 0
 
@@ -172,7 +173,10 @@ def write_all(files: dict[str, str]) -> None:
     only once every open and every write has succeeded are these renamed
     onto their targets.  On a failure the temporary files, and the new
     files already renamed, are removed.  An error names the path asked
-    for, not the temporary file."""
+    for, not the temporary file.  The empty path is refused before
+    anything is opened: ``realpath("")`` is the working directory."""
+    if "" in files:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
     staged: list[tuple[str, str, str]] = []  # (temporary file, target, path)
     through = []  # (open file, text, path) for the paths that exist
     done: list[str] = []

@@ -75,7 +75,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation, NegativeCoordinate
 from .rootsys import diagram_involution, number_of_positive_roots
-from .words import ComboNumbers, SubwordEmbedding, Word
+from .words import ComboNumbers, Word
 
 W = 16  # bits per coordinate field: two bytes, little-endian
 STORED_BOUND = 1 << 8
@@ -338,17 +338,10 @@ def delta_via_xi(module_word: Word, k: int, target: Word) -> DeltaVector:
     return delta_vectors(module_word, target, range(k, k + 1))[0]
 
 
-def initial_delta_tilde(word: Word, emb: SubwordEmbedding, k: int) -> tuple[int, ...]:
-    """First l(v) reference coordinates of the k-th initial summand.
-
-    Combinatorial closed form: coordinate j is 1 exactly when j is a
-    v-index of color i_k with j <= f(k).
-    """
-    combo = ComboNumbers(word, emb)
-    return delta_tilde_from_combo(combo, k)
-
-
 def delta_tilde_from_combo(combo: ComboNumbers, k: int) -> tuple[int, ...]:
+    """First l(v) reference coordinates of the k-th initial summand, in
+    closed form: coordinate j is 1 exactly when j is a v-index of color
+    i_k with j <= f(k)."""
     f_k = combo.f(k)
     out = [0] * len(combo.emb)
     for j in combo.v_indices[combo.word.color(k)]:
@@ -368,12 +361,3 @@ def support_prefixes(combo: ComboNumbers) -> dict[int, list[int]]:
             table.append(table[-1] | 1 << (W * (j - 1)))
     return tables
 
-
-def in_Cv(d: DeltaVector, lv: int) -> bool:
-    """Membership by vanishing of the first l(v) coordinates."""
-    return not d.bits & prefix_mask(lv)
-
-
-def in_Cw(d: DeltaVector, lw: int) -> bool:
-    """Membership by vanishing of the coordinates beyond l(w)."""
-    return not d.bits >> (W * lw)

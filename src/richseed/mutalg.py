@@ -135,13 +135,9 @@ class MutationRecord(NamedTuple):
     def after(self) -> tuple[int, ...]:
         return decode(self.packed[2], self.length)
 
-    def to_json(self, replay: Optional[dict] = None) -> dict:
+    def to_json(self, replay: dict) -> dict:
         """The record as JSON; ``green`` and the arrow changes are read off
-        this mutation's dict of :func:`green_report`, null without one."""
-
-        def pairs(key: str) -> Optional[list[list[int]]]:
-            return None if replay is None else [list(a) for a in replay[key]]
-
+        this mutation's dict of :func:`green_report`."""
         return {
             "step": self.step,
             "vertex": self.vertex,
@@ -151,10 +147,10 @@ class MutationRecord(NamedTuple):
             "before": list(self.before),
             "after": list(self.after),
             "evicted": self.evicted,
-            "green": None if replay is None else replay["green"],
+            "green": replay["green"],
             "configs": {str(color): label for color, label in self.configs.items()},
-            "arrows_added": pairs("arrows_added"),
-            "arrows_removed": pairs("arrows_removed"),
+            "arrows_added": [list(a) for a in replay["arrows_added"]],
+            "arrows_removed": [list(a) for a in replay["arrows_removed"]],
         }
 
 
@@ -232,10 +228,6 @@ class FinalSeed:
         self.cartan, self.word, self.embedding, self.reference = cartan, word, embedding, reference
         self.summands, self.deleted, self.frozen, self.quiver = summands, deleted, frozen, quiver
         self.schedule, self.trace, self.stats = schedule, trace, stats
-
-    @property
-    def size(self) -> int:
-        return len(self.summands)
 
 
 # ---------------------------------------------------------------------------

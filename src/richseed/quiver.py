@@ -102,13 +102,6 @@ class Quiver:
         """(source, target) -> multiplicity, read off the positive entries."""
         return {(s, t): x for s, row in self.b.items() for t, x in row.items() if x > 0}
 
-    def mult(self, s: int, t: int) -> int:
-        """The number of arrows s -> t (0 for an unknown vertex)."""
-        return max(self.b.get(s, {}).get(t, 0), 0)
-
-    def has_arrow(self, s: int, t: int) -> bool:
-        return self.b.get(s, {}).get(t, 0) > 0
-
     def neighbors(self, k: int) -> KeysView[int]:
         """The vertices joined to k, as a view of its row."""
         return self.b[k].keys()
@@ -450,10 +443,10 @@ def classify_configs(
 # DOT export
 
 
-def to_dot(q: Quiver, name: str = "seed") -> str:
-    """Graphviz source; one rank per color line, frozen vertices boxed, and
-    each vertex's id as its column."""
-    lines = [f"digraph {name} {{", "  rankdir=RL;", "  node [shape=ellipse];"]
+def to_dot(q: Quiver) -> str:
+    """Graphviz source of the digraph "seed"; one rank per color line,
+    frozen vertices boxed, and each vertex's id as its column."""
+    lines = ["digraph seed {", "  rankdir=RL;", "  node [shape=ellipse];"]
     for color in q.colors():
         ids = q.ids_of_color(color)
         row = "; ".join(f"v{k}" for k in ids)

@@ -1,18 +1,14 @@
-"""Simply-laced root-system arithmetic.
+"""Simply-laced Weyl-group arithmetic on weights.
 
 Conventions used everywhere in the package:
 
-* roots are integer vectors in the simple-root basis,
 * weights are integer vectors in the fundamental-weight basis,
 * vertices of the Dynkin diagram (colors) are numbered 1..rank.
 
-In a simply-laced type the Cartan matrix is symmetric and every root is
-its own coroot, so the pairing of a weight ``lam`` with the coroot of a
-root ``beta`` is the plain dot product ``sum(lam[j] * beta[j])`` of
-weight coordinates against root coordinates.  The Cartan matrix is the
-only change of basis: the j-th simple root has weight coordinates equal
-to the j-th column (= row) of the Cartan matrix.  This identification is
-relied on silently below.
+No root vector is built: the j-th simple root has weight coordinates
+equal to the j-th column (= row) of the Cartan matrix, so a simple
+reflection s_j subtracts lam_j times that column from a weight lam, and
+coordinate j of w^{-1}(rho) is the height of the root w(alpha_j).
 
 A type is a named tuple :class:`CartanData` and a Weyl group element w
 a named tuple (cartan, inv_rho) holding the single weight w^{-1}(rho),
@@ -131,19 +127,7 @@ def _parsed_cartan(family: str, rank: int) -> CartanData:
 
 
 # ---------------------------------------------------------------------------
-# root and weight arithmetic
-
-
-def simple_root(c: CartanData, i: int) -> Vec:
-    return tuple(1 if j == i - 1 else 0 for j in range(c.rank))
-
-
-def reflect_root(c: CartanData, i: int, v: Vec) -> Vec:
-    """s_i acting on root coordinates."""
-    pairing = sum(c.matrix[i - 1][j] * v[j] for j in range(c.rank))
-    out = list(v)
-    out[i - 1] -= pairing
-    return tuple(out)
+# weight arithmetic
 
 
 def reflect_weight_simple(c: CartanData, i: int, lam: Vec) -> Vec:
@@ -157,27 +141,6 @@ def reflect_weight_simple(c: CartanData, i: int, lam: Vec) -> Vec:
     for j in c.nbrs[i - 1]:
         out[j - 1] += n
     return tuple(out)
-
-
-def is_positive(v: Vec) -> bool:
-    return all(x >= 0 for x in v) and any(x > 0 for x in v)
-
-
-@lru_cache(maxsize=32)
-def positive_roots(c: CartanData) -> tuple[Vec, ...]:
-    """All positive roots, sorted by height then lexicographically."""
-    roots = {simple_root(c, i) for i in range(1, c.rank + 1)}
-    frontier = set(roots)
-    while frontier:
-        new = set()
-        for v in frontier:
-            for i in range(1, c.rank + 1):
-                img = reflect_root(c, i, v)
-                if is_positive(img) and img not in roots:
-                    new.add(img)
-        roots |= new
-        frontier = new
-    return tuple(sorted(roots, key=lambda v: (sum(v), v)))
 
 
 def number_of_positive_roots(c: CartanData) -> int:
@@ -274,10 +237,6 @@ def identity_element(c: CartanData) -> WeylElement:
     return WeylElement(c, (1,) * c.rank)
 
 
-def simple_reflection(c: CartanData, i: int) -> WeylElement:
-    return identity_element(c).rmul(i)
-
-
 def element_of_word(c: CartanData, letters) -> WeylElement:
     """Element w = s_{i_k} ... s_{i_1} for letters (i_1, ..., i_k) in
     application order: w^{-1}(rho) = s_{i_1} ... s_{i_k}(rho), so rho is
@@ -300,26 +259,12 @@ def element_of_word(c: CartanData, letters) -> WeylElement:
     return WeylElement(c, tuple(y))
 
 
-def longest_element(c: CartanData) -> WeylElement:
-    # w0(rho) = -rho and w0 is an involution
-    return WeylElement(c, (-1,) * c.rank)
-
-
 @lru_cache(maxsize=32)
 def longest_element_word(c: CartanData) -> tuple[int, ...]:
-    """One reduced word for w0, letters in application order (i_1 first).
-
-    Greedy ascent from the identity: keep right-multiplying by the
-    smallest generator that is not a right descent, once per positive
-    root, which is the length of w0.  w0 = s_{d_1} s_{d_2} ... s_{d_r},
-    so in application order the word reads (d_r, ..., d_1)."""
-    y = (1,) * c.rank
-    picked: list[int] = []
-    for _ in range(number_of_positive_roots(c)):
-        i = next(j for j, x in enumerate(y, start=1) if x > 0)
-        y = reflect_weight_simple(c, i, y)
-        picked.append(i)
-    return tuple(reversed(picked))
+    """One reduced word for w0, letters in application order (i_1 first):
+    ``peel_left`` of w0^{-1}(rho) = -rho, reversed, which spells w0^{-1} =
+    w0 again."""
+    return tuple(reversed(peel_left(c, (-1,) * c.rank)))
 
 
 @lru_cache(maxsize=32)

@@ -151,19 +151,10 @@ class Word:
     def positions_of_color(self, i: int) -> tuple[int, ...]:
         return self._by_color.get(i, ())
 
-    def k_min(self, i: int) -> int:
-        """Smallest index of color i (0 when the color is absent)."""
-        ks = self._by_color.get(i)
-        return ks[0] if ks else 0
-
     def k_max(self, i: int) -> int:
         """Largest index of color i (0 when the color is absent)."""
         ks = self._by_color.get(i)
         return ks[-1] if ks else 0
-
-    def prefix_element(self, k: int) -> WeylElement:
-        """Element of the rightmost k letters s_{i_k} ... s_{i_1}."""
-        return element_of_word(self.cartan, self.letters[:k])
 
 
 def make_word(cartan: CartanData, letters, order: str = "paper") -> Word:
@@ -306,9 +297,7 @@ class ComboNumbers:
     * ``m_oplus(m)`` next v-index of the same color, sentinel l(w)+1,
     * ``alpha(k,m)`` number of v-indices j <= m of color i_k,
     * ``gamma(m)``   alpha(p_m, m),
-    * ``beta(m)``    letters of color i_{p_m} right of p_m not used by v-bar,
-    * ``xi(k,m)``    w-index of the first v-bar letter of color i_k
-      strictly right of index p_m, sentinel l(w)+1 (p_0 = 0).
+    * ``beta(m)``    letters of color i_{p_m} right of p_m not used by v-bar.
 
     Only ``v_indices`` is stored: for each color of the word, its
     v-indices in ascending order.  As p_1 < ... < p_{l(v)}, each map is a
@@ -327,10 +316,6 @@ class ComboNumbers:
         for m, q in enumerate(emb.positions, start=1):
             self.v_indices[word.color(q)].append(m)
         self._deleted: list[frozenset[int]] = [frozenset()]
-
-    @property
-    def positions(self) -> tuple[int, ...]:
-        return self.emb.positions
 
     def _js(self, k: int) -> list[int]:
         """The v-indices of color i_k."""
@@ -371,12 +356,6 @@ class ComboNumbers:
         pm = self.emb.positions[m - 1]
         line = self.word.positions_of_color(self.word.color(pm))
         return bisect_left(line, pm) - self.gamma(m) + 1
-
-    def xi(self, k: int, m: int) -> int:
-        """First v-bar position of color i_k strictly right of p_m (p_0 = 0)."""
-        js = self._js(k)
-        a = bisect_right(js, m)
-        return self.emb.positions[js[a] - 1] if a < len(js) else len(self.word) + 1
 
     def v_index_of(self, k: int) -> int | None:
         """The v-index m with p_m = k, if any."""

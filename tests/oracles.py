@@ -1,25 +1,22 @@
-"""Matrix, root-sequence and all-pairs paths kept as oracles of the weight
-walks in ``richseed.rootsys``, ``richseed.words`` and ``richseed.deltavec``
-and of the one-pass ``richseed.quiver.build_gamma``; the lane walk up a
-completed word of w0, frozen as it was before it read w alone; a bicolor
-copy, and frozen copies of the saw-teeth and configuration classifiers as
-they were before they read only the line's rows and k's row once, as
-oracles of those two."""
+"""Root-vector, matrix, root-sequence and all-pairs paths kept as oracles
+of the weight walks in ``richseed.rootsys``, ``richseed.words`` and
+``richseed.deltavec`` and of the one-pass ``richseed.quiver.build_gamma``;
+the lane walk up a completed word of w0, frozen as it was before it read w
+alone; a bicolor copy, and frozen copies of the saw-teeth and
+configuration classifiers as they were before they read only the line's
+rows and k's row once, as oracles of those two; and the map xi of a
+rightmost embedding, which only the tests read."""
 
+from bisect import bisect_right
+from functools import lru_cache
 from operator import mul
 from typing import Collection, NamedTuple, Optional
 
 from richseed.deltavec import LANE_BIAS, W, DeltaVector
 from richseed.errors import NegativeCoordinate, NotLessOrEqual, Unclassifiable
 from richseed.quiver import ConfigLabel, Quiver, SawTeethReport, Tooth
-from richseed.rootsys import (
-    CartanData,
-    Vec,
-    element_of_word,
-    number_of_positive_roots,
-    positive_roots,
-)
-from richseed.words import SubwordEmbedding, leftmost_subword
+from richseed.rootsys import CartanData, Vec, element_of_word, number_of_positive_roots
+from richseed.words import ComboNumbers, SubwordEmbedding, leftmost_subword
 
 # ---------------------------------------------------------------------------
 # root and weight arithmetic through the Cartan matrix
@@ -48,6 +45,48 @@ def reflect_weight(c: CartanData, lam: Vec, beta: Vec) -> Vec:
 
 def is_negative(v: Vec) -> bool:
     return all(x <= 0 for x in v) and any(x < 0 for x in v)
+
+
+def is_positive(v: Vec) -> bool:
+    return all(x >= 0 for x in v) and any(x > 0 for x in v)
+
+
+def simple_root(c: CartanData, i: int) -> Vec:
+    return tuple(1 if j == i - 1 else 0 for j in range(c.rank))
+
+
+def reflect_root(c: CartanData, i: int, v: Vec) -> Vec:
+    """s_i acting on root coordinates."""
+    pairing = sum(c.matrix[i - 1][j] * v[j] for j in range(c.rank))
+    out = list(v)
+    out[i - 1] -= pairing
+    return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def positive_roots(c: CartanData) -> tuple[Vec, ...]:
+    """All positive roots in the simple-root basis, sorted by height then
+    lexicographically."""
+    roots = {simple_root(c, i) for i in range(1, c.rank + 1)}
+    frontier = set(roots)
+    while frontier:
+        new = set()
+        for v in frontier:
+            for i in range(1, c.rank + 1):
+                img = reflect_root(c, i, v)
+                if is_positive(img) and img not in roots:
+                    new.add(img)
+        roots |= new
+        frontier = new
+    return tuple(sorted(roots, key=lambda v: (sum(v), v)))
+
+
+def xi(combo: ComboNumbers, k: int, m: int) -> int:
+    """w-index of the first v-bar letter of color i_k strictly right of
+    index p_m (p_0 = 0), sentinel l(w)+1."""
+    js = combo.v_indices[combo.word.color(k)]
+    a = bisect_right(js, m)
+    return combo.emb.positions[js[a] - 1] if a < len(js) else len(combo.word) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +503,7 @@ def classify_config(
         if not ins:
             return ConfigLabel.ALPHA0
         j = ins[0]
-        if k_next is not None and q.has_arrow(k_next, j):
+        if k_next is not None and q.b[k_next].get(j, 0) > 0:
             return ConfigLabel.ALPHA2
         return ConfigLabel.ALPHA1
 
@@ -472,8 +511,8 @@ def classify_config(
     if not ins:
         return ConfigLabel.BETA0
     j = ins[0]
-    down = q.has_arrow(k_prev, j)
-    up = k_next is not None and q.has_arrow(k_next, j)
+    down = q.b[k_prev].get(j, 0) > 0
+    up = k_next is not None and q.b[k_next].get(j, 0) > 0
     if down and up:
         return ConfigLabel.BETA4
     if down:

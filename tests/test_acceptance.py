@@ -11,7 +11,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from richseed import golden
-from richseed.deltavec import delta_via_xi, initial_delta_same, initial_delta_tilde
+from richseed.deltavec import delta_tilde_from_combo, delta_via_xi, initial_delta_same
 from richseed.mutalg import (
     cut_view,
     green_report,
@@ -24,6 +24,7 @@ from richseed.mutalg import (
 from richseed.quiver import build_gamma, classify_sawteeth, quiver_has_sawteeth
 from richseed.rootsys import cartan, element_of_word, number_of_positive_roots
 from richseed.words import (
+    ComboNumbers,
     Word,
     all_elements,
     bruhat_le,
@@ -121,9 +122,9 @@ def test_criterion_2_a4_quiver():
     with criterion(2, "A4 initial quiver arrow set"):
         q = build_gamma(make_word(cartan("A", 4), list(golden.A4_WORD)))
         assert set(q.arrows) == golden.A4_ARROWS
-        assert q.has_arrow(5, 2)
-        assert not q.has_arrow(6, 1)
-        assert not q.has_arrow(2, 1)
+        assert q.b[5].get(2, 0) > 0
+        assert q.b[6].get(1, 0) <= 0
+        assert q.b[2].get(1, 0) <= 0
 
 
 def test_criterion_3_d5_quiver_and_bicolor():
@@ -174,7 +175,7 @@ def test_criterion_5_a5_full_run(a5_run):
                 assert set(state.quiver.arrows) == golden.A5_QUIVERS[m]
         assert vectors_checked == 65
         assert sorted(a5_run.deleted) == list(golden.A5_DELETED)
-        assert a5_run.size == 13 - 6 == len(a5_run.summands)
+        assert len(a5_run.summands) == 13 - 6
         for d in a5_run.summands.values():
             assert not any(d.truncated(6))
         assert 2 in a5_run.frozen
@@ -208,8 +209,9 @@ def test_criterion_7_delta_oracle_equivalence(sample_corpus):
                 emb = rightmost_subword(v, word)
                 wdot = left_complete(word)
                 vdot = left_complete(emb.subword())
+                combo = ComboNumbers(word, emb)
                 for k in range(1, len(word) + 1):
-                    direct = initial_delta_tilde(word, emb, k)
+                    direct = delta_tilde_from_combo(combo, k)
                     walked = delta_via_xi(wdot, k, vdot).truncated(len(emb))
                     assert direct == walked, f"{spec} {word.display} k={k}"
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richseed.cli import document_json, main, seed_document, write_all
+from richseed.cli import document_json, main, read_compute, seed_document, write_all
 from richseed.commands import EXAMPLES
 from richseed.mutalg import run
 from richseed.rootsys import cartan, element_of_word, number_of_positive_roots, parse_type
@@ -276,6 +276,22 @@ def test_out_into_missing_directory_exits_5(tmp_path):
         assert str(bad) in proc.stderr and ".tmp" not in proc.stderr, proc.stderr
         assert proc.stdout == "", extra
         assert list(tmp_path.iterdir()) == [somedir] and not list(somedir.iterdir()), extra
+
+
+@pytest.mark.parametrize("extra", [["--dot", ""], ["--dot="], ["--out", ""], ["--out="]])
+def test_an_empty_output_path_is_refused(tmp_path, monkeypatch, capsys, extra):
+    # the canonical reader takes `--dot ""`, argparse takes `--dot=`; either
+    # way the empty path fails like a missing one, and realpath("") being
+    # the working directory must not stage a file in its parent
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert (read_compute(A5_ARGS + extra) is None) == (len(extra) == 1)
+    assert main(A5_ARGS + extra) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert list(tmp_path.iterdir()) == [cwd] and not list(cwd.iterdir())
 
 
 def test_existing_outputs_are_written_through(tmp_path):

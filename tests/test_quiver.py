@@ -36,9 +36,9 @@ def test_build_gamma_a4_matches_figure():
     q = build_gamma(A4_WORD)
     assert set(q.arrows) == golden.A4_ARROWS
     assert all(m == 1 for m in q.arrows.values())
-    assert q.has_arrow(5, 2)
-    assert not q.has_arrow(6, 1)
-    assert not q.has_arrow(2, 1)
+    assert q.b[5].get(2, 0) > 0
+    assert q.b[6].get(1, 0) <= 0
+    assert q.b[2].get(1, 0) <= 0
 
 
 def test_build_gamma_layout():
@@ -199,8 +199,8 @@ def test_mutate_frozen_raises():
 
 def test_frozen_frozen_arrows_not_stored():
     q = Quiver({1: 1, 2: 2, 3: 1}, {(1, 2): 1, (2, 3): 1}, frozen={1, 2})
-    assert not q.has_arrow(1, 2) and q.b[1] == {}
-    assert q.has_arrow(2, 3)
+    assert q.b[1] == {}
+    assert q.b[2].get(3, 0) > 0
     # mutating 3 would make 2 -> 1 of the path 2 -> 3 -> 1: both ends are frozen
     q._add(3, 1, 1)
     q.mutate_in_place(3)
@@ -242,8 +242,8 @@ def test_a5_first_mutation_matches_figure():
     c5 = cartan("A", 5)
     w = make_word(c5, list(golden.A5_WORD))
     q = build_gamma(w).mutate(1)
-    assert q.has_arrow(3, 1) and q.has_arrow(1, 2) and q.has_arrow(2, 3)
-    assert not q.has_arrow(2, 1) and not q.has_arrow(1, 3)
+    assert q.b[3].get(1, 0) > 0 and q.b[1].get(2, 0) > 0 and q.b[2].get(3, 0) > 0
+    assert q.b[2].get(1, 0) <= 0 and q.b[1].get(3, 0) <= 0
 
 
 def test_bicolor_is_asymmetric():

@@ -13,25 +13,24 @@ from oracles import (
     matrix_of_word,
     matrix_random_reduced_word,
     matrix_reduced_words,
+    positive_roots,
     reflect_weight,
     root_pairing,
     root_to_weight,
+    simple_root,
 )
 
 from richseed.errors import IllegalType
 from richseed.rootsys import (
     MAX_POSITIVE_ROOTS,
+    WeylElement,
     cartan,
     element_of_word,
     identity_element,
-    longest_element,
     longest_element_word,
     number_of_positive_roots,
     parse_type,
     peel_left,
-    positive_roots,
-    simple_reflection,
-    simple_root,
 )
 from richseed.words import Word, all_elements, random_reduced_word, reduced_words
 
@@ -137,13 +136,13 @@ def test_full_length_word_is_longest_element():
     c = cartan("A", 3)
     w = element_of_word(c, [1, 2, 3, 2, 1, 2])  # display [2,1,2,3,2,1]
     assert w.length == 6 == number_of_positive_roots(c)
-    assert w == longest_element(c)
+    assert w == WeylElement(c, (-1,) * c.rank)
 
 
 def test_w0_sends_positives_to_negatives():
     for spec in ("A3", "D4"):
         c = parse_type(spec)
-        w0 = longest_element(c)
+        w0 = WeylElement(c, (-1,) * c.rank)
         word = longest_element_word(c)
         m0 = matrix_of_word(c, word)
         assert all(is_negative(m0.apply(b)) for b in positive_roots(c))
@@ -182,7 +181,7 @@ def test_beta_bijection_all_reduced_words_small_rank():
     for spec in ("A2", "A3"):
         c = parse_type(spec)
         pos = set(positive_roots(c))
-        for rw in reduced_words(longest_element(c)):
+        for rw in reduced_words(WeylElement(c, (-1,) * c.rank)):
             assert set(matrix_betas(c, rw)[0]) == pos
 
 
@@ -235,7 +234,7 @@ def test_length_of_word_at_most_letter_count():
 def test_simple_reflection_involution():
     c = cartan("E", 6)
     for i in range(1, 7):
-        s = simple_reflection(c, i)
+        s = identity_element(c).rmul(i)
         assert (s * s).is_identity()
 
 
@@ -316,8 +315,8 @@ def test_simple_products_match_dense_products():
             s = matrix_of_word(c, [i])
             assert m.lmul(i) == s * m
             assert m.rmul(i) == m * s
-            assert (simple_reflection(c, i) * y).inv_rho == (s * m).inverse_rho_image()
-            assert y.rmul(i) == y * simple_reflection(c, i)
+            assert (identity_element(c).rmul(i) * y).inv_rho == (s * m).inverse_rho_image()
+            assert y.rmul(i) == y * identity_element(c).rmul(i)
 
 
 def test_word_inverse_is_two_sided():
@@ -333,8 +332,8 @@ def test_longest_element_word_is_reduced_of_full_length():
         c = parse_type(spec)
         word = longest_element_word(c)
         assert len(word) == number_of_positive_roots(c)
-        assert Word(c, word).element == longest_element(c)
-        assert longest_element(c).right_descents() == tuple(range(1, c.rank + 1))
+        assert Word(c, word).element == WeylElement(c, (-1,) * c.rank)
+        assert WeylElement(c, (-1,) * c.rank).right_descents() == tuple(range(1, c.rank + 1))
 
 
 def test_positive_root_count_closed_form():

@@ -2,14 +2,14 @@ import itertools
 import random
 
 import pytest
-from oracles import matrix_betas, matrix_of_word, matrix_rightmost_subword
+from oracles import matrix_betas, matrix_of_word, matrix_rightmost_subword, xi
 
 from richseed.errors import NotLessOrEqual, NotReduced
 from richseed.rootsys import (
+    WeylElement,
     cartan,
     element_of_word,
     identity_element,
-    longest_element,
     longest_element_word,
     number_of_positive_roots,
 )
@@ -57,14 +57,14 @@ def test_successor_structure_examples():
     assert SUC_WORD.succ(8) == 12 and SUC_WORD.pred(8) == 1
     assert SUC_WORD.succ(6) == 14 and SUC_WORD.pred(6) == 0
     one = make_word(cartan("A", 1), [1])
-    assert (one.succ(1), one.pred(1), one.k_min(1), one.k_max(1)) == (2, 0, 1, 1)
+    assert (one.succ(1), one.pred(1), one.positions_of_color(1)[0], one.k_max(1)) == (2, 0, 1, 1)
 
 
 def test_successor_structure_is_total_with_sentinels():
     for k in range(1, 14):
         i = SUC_WORD.color(k)
         kp, km = SUC_WORD.succ(k), SUC_WORD.pred(k)
-        kmin, kmax = SUC_WORD.k_min(i), SUC_WORD.k_max(i)
+        kmin, kmax = SUC_WORD.positions_of_color(i)[0], SUC_WORD.k_max(i)
         assert kp == 14 or SUC_WORD.color(kp) == SUC_WORD.color(k)
         assert km == 0 or SUC_WORD.color(km) == SUC_WORD.color(k)
         assert kmin <= k <= kmax
@@ -98,7 +98,7 @@ def test_left_complete_appendix_word():
     dot = left_complete(APP_WORD)
     assert len(dot) == number_of_positive_roots(A5) == 15
     assert dot.letters[:13] == APP_WORD.letters
-    assert dot.element == longest_element(A5)
+    assert dot.element == WeylElement(A5, (-1,) * A5.rank)
 
 
 def test_left_complete_random_words():
@@ -210,7 +210,7 @@ def test_rightmost_subword_identity_and_failure():
     c = cartan("A", 2)
     w = make_word(c, [1, 2])
     with pytest.raises(NotLessOrEqual):
-        rightmost_subword(longest_element(c), w)
+        rightmost_subword(WeylElement(c, (-1,) * c.rank), w)
 
 
 def test_rightmost_subword_d5_underlined():
@@ -392,7 +392,7 @@ def test_d6_leftmost_representative_of_left_part():
         c, [4, 6, 2, 3, 4, 5, 1, 2, 3, 4, 6, 5, 4, 2, 3, 2, 5, 4, 1, 5, 2, 3, 2, 4, 3, 6, 4, 5, 4, 3]
     )
     assert vdot.letters[:14] == emb.subword().letters
-    u10 = wdot.element * wdot.prefix_element(10).inverse()
+    u10 = wdot.element * element_of_word(c, wdot.letters[:10]).inverse()
     assert leftmost_subword(u10, vdot) == (
         9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29,
     )
@@ -406,7 +406,7 @@ def test_d6_leftmost_representative_of_left_part():
         c, [4, 6, 2, 3, 4, 5, 1, 2, 3, 4, 6, 2, 3, 4, 5, 4, 3, 2, 4, 1, 2, 3, 2, 4, 3, 6, 4, 5, 4, 3]
     )
     assert vdot3.letters[:12] == vbar3.letters
-    u16 = wdot.element * wdot.prefix_element(16).inverse()
+    u16 = wdot.element * element_of_word(c, wdot.letters[:16]).inverse()
     q = leftmost_subword(u16, vdot3)
     assert q[0] == 14 > 12
 
@@ -428,7 +428,7 @@ def test_relation_between_representative_indices():
         lv = len(emb)
         p = emb.positions
         for k in range(1, len(word) + 1):
-            u_k = wdot.element * wdot.prefix_element(k).inverse()
+            u_k = wdot.element * element_of_word(c, wdot.letters[:k]).inverse()
             q = leftmost_subword(u_k, vdot)
             if not q:
                 continue
@@ -447,7 +447,7 @@ def test_deleted_indices_lie_beyond_the_pulled_back_line_maximum():
             w = Word(c, random_reduced_word(c, rng.randint(2, 14), rng))
             pos = sorted(rng.sample(range(1, len(w) + 1), rng.randint(1, len(w))))
             combo = combo_numbers(w, rightmost_subword(element_of_word(c, [w.color(p) for p in pos]), w))
-            for m in range(len(combo.positions) + 1):
+            for m in range(len(combo.emb.positions) + 1):
                 bounds = {
                     k: w.pred_iter(w.k_max(w.color(k)), combo.alpha(k, m)) for k in range(1, len(w) + 1)
                 }
@@ -465,7 +465,7 @@ def test_deleted_sets_equal_their_rebuild_in_any_order():
             w = Word(c, random_reduced_word(c, rng.randint(1, r), rng))
             pos = [p for p in range(1, len(w) + 1) if rng.random() < 0.5]
             combo = combo_numbers(w, rightmost_subword(element_of_word(c, [w.color(p) for p in pos]), w))
-            steps = list(range(len(combo.positions) + 1)) * 2
+            steps = list(range(len(combo.emb.positions) + 1)) * 2
             rng.shuffle(steps)
             for m in steps:
                 rebuilt = set()
@@ -510,7 +510,7 @@ def test_combo_numbers_against_their_definitions():
             assert combo.v_index_of(k) == (p.index(k) if k in pset else None)
             for m in range(lv + 1):
                 assert combo.alpha(k, m) == alpha(k, m)
-                assert combo.xi(k, m) == min(
+                assert xi(combo, k, m) == min(
                     (p[j] for j in same if p[j] > p[m]), default=L + 1)
         for m in range(1, lv + 1):
             assert combo.m_oplus(m) == min(
