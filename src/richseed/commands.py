@@ -326,7 +326,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     if number_of_positive_roots(c) < 2:
         raise ValueError(f"verify needs at least 2 positive roots; {c.family}{c.rank} has 1")
+    # each suite once, in the order of its first mention
     names = list(CHECKS) if args.checks == "all" else [n.strip() for n in args.checks.split(",")]
+    names = list(dict.fromkeys(names))
     unknown = [name for name in names if name not in CHECKS]
     if unknown:
         raise ValueError(f"unknown --checks name {unknown[0]!r}; valid: {', '.join(CHECKS)}")

@@ -39,7 +39,7 @@ does.  The configuration labels it keeps are plain strings (see
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from itertools import compress
 from operator import is_not
 from types import MappingProxyType
@@ -317,7 +317,9 @@ def step_hat(state: AlgState) -> AlgState:
         evicted = not chosen.bits & lead
         checker.after(k, old, chosen, evicted)
         packed = (acc_out if branch == "in" else acc_in, old.bits, chosen.bits)
-        state.trace.append(MutationRecord(m, k, branch, evicted, packed, n, configs))
+        # every field given, so tuple.__new__ skips the named tuple's own __new__
+        fields = (m, k, branch, evicted, packed, n, configs)
+        state.trace.append(tuple.__new__(MutationRecord, fields))
     state.step = m
     checker.finish(batch)
     return state
@@ -330,18 +332,22 @@ class BatchChecker:
     moves (no other color moves, and k only after ``before(k)``), the
     adjacent colors with a member and the previous mutation's labels,
     and reads what the hooks compare (G and the lead mask of the line
-    formula, the colors, the quiver) once per batch."""
+    formula, the colors, the quiver) once per batch, at its first
+    mutation: an empty batch reads none of them."""
 
     def __init__(self, state: AlgState):
-        word, self.state = state.word, state
-        self.line_color = line = state.col[state.embedding.positions[state.step]]
-        # the cut before this batch is the last check's view; a mutation moves only its vertex
-        self.cut = state.cut
-        self.line = list(self.cut.lines.get(line, ()))
-        self.other_colors = [oc for oc in word.cartan.neighbors(line) if oc in self.cut.lines]
-        self.labels: dict[int, str] = {}
+        self.state, self.labels = state, {}
         # whether the last mutated vertex, and whether any, left the cut
         self.evicted = self.evicted_during = False
+        self.line: Optional[list[int]] = None  # set at the first mutation
+
+    def _start(self) -> None:
+        state = self.state
+        word, self.line_color = state.word, state.col[state.embedding.positions[state.step]]
+        # the cut before this batch is the last check's view; a mutation moves only its vertex
+        self.cut = cut = state.cut
+        self.line = list(cut.lines.get(self.line_color, ()))
+        self.other_colors = [oc for oc in word.cartan.neighbors(self.line_color) if oc in cut.lines]
         self.col, self.quiver, self.deltas = state.col, state.quiver, state.deltas
         self.succ, self.pred = word.succ, word.pred
         self.g, self.lead = offset(state.lv), prefix_mask(state.lv)
@@ -349,6 +355,8 @@ class BatchChecker:
     def before(self, k: int) -> dict[int, str]:
         """Check k's color and configurations, all from one walk of row k;
         return its labels."""
+        if self.line is None:
+            self._start()
         prev, colors = self.labels, self.other_colors
         if self.col[k] != self.line_color:
             raise InvariantViolation(
@@ -504,30 +512,33 @@ def check_induction(state: AlgState) -> None:
     stale pairs and the next lines' are visited: every other report is
     kept, valid as it was when stored.  A report reads the quiver's rows
     over a member line; an expected support is a difference of two
-    entries of the prefix table ``state.support``.  The first check, or
-    one without a view of the previous step or without a journal, starts
-    from an empty view: every vector counts as replaced and every matrix
-    entry as written.  At step 0 these are the checks of the initial seed,
-    and the support check covers every summand, not only the members: its
-    truncation must be the packed form of ``delta_tilde_from_combo``.
+    entries of the prefix table ``state.support``, found for a whole line
+    in one pass.  The first check, or one without a view of the previous
+    step or without a journal, starts from an empty view and walks no
+    journal: every vector counts as replaced, so every member enters, and
+    the rows of the entered members hold every entry between two members.
+    At step 0 these are the checks of the initial seed, and the support
+    check covers every summand, not only the members: its truncation must
+    be the packed form of ``delta_tilde_from_combo``.
     """
     word, q, col, deltas = state.word, state.quiver, state.col, state.deltas
     nbrs = word.cartan.neighbors
     m, lv = state.step, state.lv
     prev, journal = state.cut, q.journal
     if prev is None or prev.step != m - 1 or journal is None:
-        prev = CutSeedView(set(), set(), frozenset())
-        journal = [(s, t) for s, row in q.b.items() for t in row if s < t]
+        # every member enters: the entered rows cover every entry
+        prev, journal = CutSeedView(set(), set(), frozenset()), ()
     seen = tuple(deltas.values())
     if len(prev.verified) == len(seen):
         replaced = compress(deltas, map(is_not, seen, prev.verified))
     else:
         replaced = deltas
     deleted = state.combo.deleted(m)
-    members, evicted = set(prev.members), set(prev.evicted)
-    changed = {k for k in deleted.difference(prev.deleted) if k in members or k in evicted}
-    members -= changed
-    evicted -= changed
+    changed = set()
+    for k in deleted.difference(prev.deleted):
+        if k in prev.members or k in prev.evicted:
+            changed.add(k)
+    members, evicted = prev.members - changed, prev.evicted - changed
     # only a replaced vector can move its vertex into or out of the cut
     entered, lead, recheck = set(), prefix_mask(lv), []
     for k in replaced:
@@ -556,16 +567,22 @@ def check_induction(state: AlgState) -> None:
         recheck, who = members.intersection(line).union(recheck), "member"
     else:
         recheck, who = deltas.keys(), "summand"
-    cleared, combo, support = prefix_mask(m), state.combo, state.support
+    supports, cleared = {}, prefix_mask(m)
+    if m:
+        for color in set(map(col.__getitem__, recheck)):
+            supports.update(_expected_supports(state, color, m))
+    else:  # alpha is 0: each color's v-indices at positions up to k, in one pass
+        count, vs = dict.fromkeys(state.support, 0), set(state.embedding.positions)
+        for k in range(1, len(col)):
+            count[col[k]] += k in vs
+            supports[k] = state.support[col[k]][count[col[k]]]
     for k in sorted(recheck):
         bits = deltas[k].bits
         if bits & cleared:
             raise InvariantViolation(
                 f"member {k} keeps a nonzero coordinate among the first {m}"
             )
-        lo, hi = combo.support_slice(k, m)
-        table = support[col[k]]
-        expected = table[hi] - table[lo]
+        expected = supports[k]
         if bits & lead != expected:
             got, want = (
                 [j for j, a in enumerate(decode(t, lv), start=1) if a]
@@ -582,7 +599,7 @@ def check_induction(state: AlgState) -> None:
     # members of one color, or of two colors that are not adjacent, is
     # scanned, as is every arrow between an entered vertex and a member
     succ, rows, adjacency = word.succ, q.b, word.cartan.adjacency
-    line_ends = {word.pred(x) for x in entered} | entered
+    line_ends = set(map(word.pred, entered)).union(entered)
     scan: set[tuple[int, int]] = set()
     moved: set[tuple[int, int]] = set()
     for s, t in journal:
@@ -605,7 +622,9 @@ def check_induction(state: AlgState) -> None:
             raise InvariantViolation(f"line arrow {k}->{kp} has multiplicity {n} at step {m}")
 
     for x in entered:
-        scan.update((x, t) if e > 0 else (t, x) for t, e in rows[x].items() if t in members)
+        for t, e in rows[x].items():
+            if t in members:
+                scan.add((x, t) if e > 0 else (t, x))
     for s, t in sorted(scan):
         cs, ct = col[s], col[t]
         if cs == ct:
@@ -618,7 +637,7 @@ def check_induction(state: AlgState) -> None:
 
     # along every line, the evicted summands precede all members; the
     # member lines of the colors whose cut changed are read again
-    dirty = {col[k] for k in changed}
+    dirty = set(map(col.__getitem__, changed))
     lines = view.lines = dict(prev.lines)
     for color in sorted(dirty):
         line = []
@@ -643,12 +662,18 @@ def check_induction(state: AlgState) -> None:
     # enter, leave or change, and they are visited in the order of the pairs
     stale: set[tuple[int, int]] = set()
     for a, b in moved:
-        stale.update(((a, b), (b, a)) if a != b else ((a, c) for c in nbrs(a)))
+        if a != b:
+            stale.update(((a, b), (b, a)))
+        else:
+            for c in nbrs(a):
+                stale.add((a, c))
     for a in dirty:
-        stale.update(pair for c in nbrs(a) for pair in ((a, c), (c, a)))
+        for c in nbrs(a):
+            stale.update(((a, c), (c, a)))
     visit = set(stale)
     for p in state.embedding.positions[max(m - 1, 0) : m + 1]:  # p_m and p_{m+1}
-        visit.update((col[p], c) for c in nbrs(col[p]))
+        for c in nbrs(col[p]):
+            visit.add((col[p], c))
     next_color = col[state.embedding.positions[m]] if m < lv else None
     reports, classified = dict(prev.reports), 0
     view.reports = reports
@@ -679,6 +704,22 @@ def check_induction(state: AlgState) -> None:
     stats["reports_reused"] = stats.get("reports_reused", 0) + len(reports) - classified
     q.journal = set()
     state.cut = view
+
+
+def _expected_supports(state: AlgState, color: int, m: int) -> dict[int, int]:
+    """Summand k of ``color`` -> its expected truncation after step m,
+    packed: the color's v-indices js[a:b], with a = alpha(k, m) for every
+    k and b >= a the count of js at positions up to k advanced a times
+    along the line (all of js past its end); b only grows: one pass."""
+    js, line = state.combo.v_indices[color], state.word.positions_of_color(color)
+    table, positions = state.support[color], state.embedding.positions
+    a, b, n = bisect_right(js, m), 0, len(js)
+    low, out, beyond = table[a], {}, len(state.col)  # past every position: L + 1
+    for k, end in zip(line, (*line[a:], *(beyond,) * a)):
+        while b < n and positions[js[b] - 1] <= end:
+            b += 1
+        out[k] = table[b if b > a else a] - low
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ names them, and :data:`CONFIG_TRANSITIONS` is keyed by (label, eviction).
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice, zip_longest
 from typing import Collection, Iterable, KeysView, NamedTuple, Optional
 
 from .errors import FrozenVertex, Unclassifiable
@@ -227,6 +226,11 @@ class SawTeethReport(NamedTuple):
         return self.initial_barb is None
 
 
+# the valid reports and their teeth are built with every field given, by
+# tuple.__new__, without the Python-level __new__ of a named tuple
+_new = tuple.__new__
+
+
 def classify_sawteeth(
     q: Quiver, c1: int, c2: int, lines: Optional[dict[int, list[int]]] = None
 ) -> SawTeethReport:
@@ -250,6 +254,8 @@ def classify_sawteeth(
         line, jline = q.ids_of_color(c1), q.ids_of_color(c2)
     else:
         line, jline = lines.get(c1, []), lines.get(c2, [])
+    if not jline and len(line) < 2:  # no summit and no line arrow: nothing to walk
+        return _new(SawTeethReport, (c1, c2, True, None, None, (), None, frozenset()))
 
     # in a line's row, an arrow of the subquiver is a positive entry toward
     # the line or an entry of either sign toward a summit.  A vertex of
@@ -261,7 +267,7 @@ def classify_sawteeth(
     pred_of: dict[int, int] = {}  # target -> source of its cross arrow
     crossed = []  # the line vertices with a cross arrow, ascending
     n = h = 0  # cross arrows, and line arrows to the next line vertex
-    for s, s_next in zip_longest(line, islice(line, 1, None)):
+    for s, s_next in zip(line, [*line[1:], None]):
         seen = n
         for t, m in rows[s].items():
             if t in summits:
@@ -285,7 +291,7 @@ def classify_sawteeth(
 
     isolated = summits.difference(succ_of, pred_of)
     if not crossed:
-        return SawTeethReport(c1, c2, True, isolated=isolated)
+        return _new(SawTeethReport, (c1, c2, True, None, None, (), None, isolated))
 
     n, anchor, teeth, final_barb = 0, crossed[0], [], None
     initial_barb = (anchor, succ_of[anchor]) if anchor in succ_of else None
@@ -303,7 +309,7 @@ def classify_sawteeth(
             dirty = [x for x in crossed[n:] if x < closer]
             msg = f"cross arrows {dirty} inside the tooth {anchor}..{closer}"
             return SawTeethReport(c1, c2, False, msg)
-        teeth.append(Tooth(anchor, y, closer))
+        teeth.append(_new(Tooth, (anchor, y, closer)))
         anchor = closer
 
     # every cross arrow must have been used by the structure: none may sit
@@ -315,7 +321,8 @@ def classify_sawteeth(
     if initial_barb and final_barb and final_barb[0] <= initial_barb[1]:
         msg = "final barb does not start beyond the initial barb target"
         return SawTeethReport(c1, c2, False, msg)
-    return SawTeethReport(c1, c2, True, None, initial_barb, tuple(teeth), final_barb, isolated)
+    fields = (c1, c2, True, None, initial_barb, tuple(teeth), final_barb, isolated)
+    return _new(SawTeethReport, fields)
 
 
 def _first_violation(rows: dict[int, dict[int, int]], line: list[int], jline: list[int]) -> str:

@@ -124,17 +124,6 @@ class Word:
         """Predecessor k- (sentinel 0), for -1 <= k <= L+2."""
         return self._pred[k]
 
-    def succ_iter(self, k: int, t: int) -> int:
-        """t-fold successor; the sentinel L+1 is absorbing."""
-        L = len(self.letters)
-        if t <= 0:
-            return k
-        if not 1 <= k <= L:
-            return L + 1
-        line = self._by_color[self.letters[k - 1]]
-        j = bisect_left(line, k) + t
-        return line[j] if j < len(line) else L + 1
-
     def pred_iter(self, k: int, t: int) -> int:
         """t-fold predecessor; the sentinel 0 is absorbing."""
         if t <= 0:
@@ -340,14 +329,6 @@ class ComboNumbers:
 
     def alpha(self, k: int, m: int) -> int:
         return bisect_right(self._js(k), m)
-
-    def support_slice(self, k: int, m: int) -> tuple[int, int]:
-        """(a, b) such that the v-indices js[a:b] of color i_k are those in
-        [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)]:
-        the predicted support of summand k after step m."""
-        js = self._js(k)
-        a = bisect_right(js, m)  # alpha(k, m)
-        return a, max(a, bisect_right(js, self.f(self.word.succ_iter(k, a))))
 
     def gamma(self, m: int) -> int:
         return self.alpha(self.emb.positions[m - 1], m)

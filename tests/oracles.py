@@ -4,10 +4,13 @@ of the weight walks in ``richseed.rootsys``, ``richseed.words`` and
 the lane walk up a completed word of w0, frozen as it was before it read w
 alone; a bicolor copy, and frozen copies of the saw-teeth and
 configuration classifiers as they were before they read only the line's
-rows and k's row once, as oracles of those two; and the map xi of a
-rightmost embedding, which only the tests read."""
+rows and k's row once, as oracles of those two; the map xi and the
+support slices of a rightmost embedding and the t-fold successor of a
+w-index, which only the tests read; and the rank over Q of a final
+seed's extended exchange matrix."""
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Collection, NamedTuple, Optional
@@ -16,7 +19,7 @@ from richseed.deltavec import LANE_BIAS, W, DeltaVector
 from richseed.errors import NegativeCoordinate, NotLessOrEqual, Unclassifiable
 from richseed.quiver import ConfigLabel, Quiver, SawTeethReport, Tooth
 from richseed.rootsys import CartanData, Vec, element_of_word, number_of_positive_roots
-from richseed.words import ComboNumbers, SubwordEmbedding, leftmost_subword
+from richseed.words import ComboNumbers, SubwordEmbedding, Word, leftmost_subword
 
 # ---------------------------------------------------------------------------
 # root and weight arithmetic through the Cartan matrix
@@ -87,6 +90,28 @@ def xi(combo: ComboNumbers, k: int, m: int) -> int:
     js = combo.v_indices[combo.word.color(k)]
     a = bisect_right(js, m)
     return combo.emb.positions[js[a] - 1] if a < len(js) else len(combo.word) + 1
+
+
+def succ_iter(word: Word, k: int, t: int) -> int:
+    """t-fold successor of a w-index; the sentinel L+1 is absorbing."""
+    L = len(word)
+    if t <= 0:
+        return k
+    if not 1 <= k <= L:
+        return L + 1
+    line = word.positions_of_color(word.color(k))
+    j = bisect_left(line, k) + t
+    return line[j] if j < len(line) else L + 1
+
+
+def support_slice(combo: ComboNumbers, k: int, m: int) -> tuple[int, int]:
+    """(a, b) such that the v-indices js[a:b] of color i_k are those in
+    [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)]:
+    the predicted support of summand k after step m, one summand at a
+    time, as the support check read it before its one pass per line."""
+    js = combo.v_indices[combo.word.color(k)]
+    a = bisect_right(js, m)  # alpha(k, m)
+    return a, max(a, bisect_right(js, combo.f(succ_iter(combo.word, k, a))))
 
 
 # ---------------------------------------------------------------------------
@@ -520,3 +545,33 @@ def classify_config(
     if up:
         return ConfigLabel.BETA2
     return ConfigLabel.BETA1
+
+
+# ---------------------------------------------------------------------------
+# the rank of a final seed's exchange matrix
+
+
+def rational_rank(rows):
+    """Rank over Q of a list of integer rows, by Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / top[col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def extended_exchange_matrix(seed):
+    """B~ of a final seed: one row per survivor, one column per mutable survivor."""
+    q = seed.quiver
+    ids = sorted(q.vertices)
+    cols = [j for j in ids if j not in q.frozen]
+    return [[q.b[i].get(j, 0) for j in cols] for i in ids]

@@ -4,7 +4,9 @@ For each w of the Weyl group, ``check_type`` takes the reduced word
 ``peel_left(c, w.inv_rho)`` and runs it, checked, against every v with
 l(v) <= l(w).  The pairs with v not below w exit with
 :class:`NotLessOrEqual`; every other pair gives a seed with
-l(w) - l(v) vertices, the dimension of the open Richardson variety.
+l(w) - l(v) vertices, the dimension of the open Richardson variety,
+and an extended exchange matrix B~ of full column rank (mutation keeps
+the rank of B~, and the initial seed's has full rank).
 One sha256 runs over the ``compute`` JSON of those seeds, in the order
 of ``all_elements`` for w and then for v.
 
@@ -16,6 +18,7 @@ A3 and A4 run here; D4 (9 817 pairs, about 10 s) runs in CI as
 import hashlib
 
 import pytest
+from oracles import extended_exchange_matrix, rational_rank
 
 from richseed.cli import document_json, seed_document
 from richseed.errors import NotLessOrEqual
@@ -48,6 +51,8 @@ def check_type(name: str) -> None:
             except NotLessOrEqual:
                 continue
             assert len(seed.quiver.vertices) == len(word) - lv, (word.letters, v)
+            b = extended_exchange_matrix(seed)
+            assert rational_rank(b) == (len(b[0]) if b else 0), (word.letters, v)
             digest.update(document_json(seed_document(seed)).encode())
             count += 1
     assert (count, digest.hexdigest()) == PAIR_DIGESTS[name]

@@ -294,6 +294,30 @@ def test_an_empty_output_path_is_refused(tmp_path, monkeypatch, capsys, extra):
     assert list(tmp_path.iterdir()) == [cwd] and not list(cwd.iterdir())
 
 
+@pytest.mark.parametrize("out", [["--out", "s.txt"], ["--out", "./s.txt"], ["--out", "link.txt"],
+                                 ["--out=./s.txt"]])
+def test_one_file_named_by_both_outputs_is_refused_before_the_run(tmp_path, monkeypatch,
+                                                                  capsys, out):
+    # --dot and --out whose real paths agree would leave only the JSON in
+    # the file: the plain, the ./ and the symlinked spelling exit 2 before
+    # the run and write nothing; the canonical reader takes the first
+    # three, argparse the --out= form
+    monkeypatch.chdir(tmp_path)
+    os.symlink("s.txt", "link.txt")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("richseed.cli.run", no_run)
+    argv = ["compute", "--type", "A3", "--w", "2,1,2,3,2,1", "--v", "1", "--dot", "s.txt", *out]
+    assert (read_compute(argv) is None) == (len(out) == 1)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --dot and --out name the same file: {tmp_path.resolve() / 's.txt'}\n"
+    assert os.listdir() == ["link.txt"]
+
+
 def test_existing_outputs_are_written_through(tmp_path):
     # an output that exists keeps its kind: a pipe is written into, not
     # replaced by a file, a link stays a link and the file it points to
@@ -513,6 +537,14 @@ def test_verify_rejects_an_unknown_check_before_running_any(capsys):
         "sawteeth, induction, equivalence, delta-oracle, green\n"
     )
     assert captured.out == ""
+
+
+def test_verify_runs_a_suite_named_twice_once(capsys):
+    # each named suite runs once, in the order of its first mention
+    argv = ["verify", "--type", "A2", "--checks", "induction,green,induction", "--samples", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()] == ["induction", "green"]
 
 
 def test_verify_rejects_samples_above_the_limit_at_once():

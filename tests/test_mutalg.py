@@ -1,8 +1,14 @@
 import random
-from fractions import Fraction
 
 import pytest
-from oracles import bicolor, xi
+from oracles import (
+    bicolor,
+    extended_exchange_matrix,
+    rational_rank,
+    succ_iter,
+    support_slice,
+    xi,
+)
 from oracles import classify_config as frozen_config
 from oracles import classify_sawteeth as frozen_sawteeth
 
@@ -16,6 +22,7 @@ from richseed.deltavec import (
 from richseed.errors import FrozenVertex, InvariantViolation, StructuralFailure, Unclassifiable
 from richseed.mutalg import (
     MutationRecord,
+    _expected_supports,
     check_induction,
     cut_view,
     framed_quiver,
@@ -455,7 +462,7 @@ def test_eviction_matches_first_letter_distance():
                     continue
                 a = state.combo.alpha(k, m)
                 evicted = not any(state.deltas[k].truncated(state.lv))
-                assert evicted == (w.succ_iter(k, a) < xi(state.combo, k, m))
+                assert evicted == (succ_iter(w, k, a) < xi(state.combo, k, m))
                 checked += 1
         done += 1
     assert checked > 200
@@ -709,32 +716,6 @@ def test_a_side_past_the_multiplicity_bound_is_refused():
         mutate_delta(state, k)
 
 
-def _rank(rows):
-    """Rank over Q of a list of integer rows, by Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / top[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
-        rank += 1
-    return rank
-
-
-def _extended_exchange_matrix(seed):
-    """B~ of a final seed: one row per survivor, one column per mutable survivor."""
-    q = seed.quiver
-    ids = sorted(q.vertices)
-    cols = [j for j in ids if j not in q.frozen]
-    return [[q.b[i].get(j, 0) for j in cols] for i in ids]
-
-
 def _sampled_pairs(specs, draws, seed):
     """w of length 2..12 and v spelled by a random subset of w's letters,
     as `richseed verify` samples them."""
@@ -760,15 +741,15 @@ def test_final_exchange_matrix_has_full_column_rank(a5_seed):
     seeds += [run(c, w, v, check=False) for c, w, v in _sampled_pairs(sampled, 40, 2024)]
     checked = planted = 0
     for seed in seeds:
-        b = _extended_exchange_matrix(seed)
+        b = extended_exchange_matrix(seed)
         n = len(b[0]) if b else 0
         if not n:
             continue
-        assert _rank(b) == n, (seed.word.display, seed.embedding.positions)
+        assert rational_rank(b) == n, (seed.word.display, seed.embedding.positions)
         checked += 1
         if n >= 2:
             copied = [row[:1] + row[:1] + row[2:] for row in b]
-            assert _rank(copied) == n - 1
+            assert rational_rank(copied) == n - 1
             planted += 1
     assert checked >= 100 and planted
 
@@ -1375,6 +1356,43 @@ def test_report_counts_sum_to_the_pairs_examined():
         assert [seed.stats["reports_classified"], seed.stats["reports_reused"]] == counts
 
 
+def test_short_run_reports_agree_with_the_frozen_classifier():
+    # runs shaped like sweep_small: after step 0 and after every batch,
+    # empty batches included, every report the view keeps equals the
+    # frozen classifier's on the view's member lines.  Among them are
+    # reports of a line of at most one member against a color without
+    # members, which classify_sawteeth returns without a walk
+    empty = unwalked = 0
+    for c, w, v in _sampled_pairs(("A4", "D5", "E6"), 60, 29):
+        state = initial_state(c, w, v, check=True)
+        while True:
+            cut = state.cut
+            for (c1, c2), rep in cut.reports.items():
+                assert rep == frozen_sawteeth(state.quiver, c1, c2, cut.lines), (
+                    w.letters, v, state.step, c1, c2)
+                unwalked += len(cut.lines.get(c1, ())) < 2 and c2 not in cut.lines
+            if state.step == state.lv:
+                break
+            state = step_hat(state)
+            empty += not state.batches[-1]
+    assert empty and unwalked
+
+
+def test_expected_supports_agree_with_one_slice_per_summand():
+    # the one pass per line gives each summand of the color, at each step,
+    # the difference of the prefix table at the ends of its support slice
+    pairs = [*_sampled_pairs(("A4", "D5", "E6"), 30, 31), *_w0_pairs("E6", 17)]
+    for c, w, v in pairs:
+        state = initial_state(c, w, v, check=False)
+        for m in range(state.lv + 1):
+            for color in w.colors_used():
+                table, want = state.support[color], {}
+                for k in w.positions_of_color(color):
+                    lo, hi = support_slice(state.combo, k, m)
+                    want[k] = table[hi] - table[lo]
+                assert _expected_supports(state, color, m) == want, (w.letters, v, m, color)
+
+
 def _outcome(state):
     try:
         step_hat(state)
@@ -1600,6 +1618,69 @@ def test_an_arrow_between_non_adjacent_colors_is_caught():
             step_hat(broken)
         caught += 1
     assert caught
+
+
+def test_a_check_without_a_journal_reads_a_planted_arrow_off_the_rows():
+    # with no journal the check starts from an empty view and walks no
+    # journal: every member enters, and the rows of the entered members
+    # must show an arrow planted between two of them, at step 0 and after
+    # a batch, whichever rule it breaks
+    def planted(state, ks, m):
+        w, found = state.word, []
+        same = [(s, t) for s in ks for t in ks if s < t and w.color(s) == w.color(t)
+                and w.succ(s) != t and t not in state.quiver.b[s]]
+        if same:
+            s, t = same[0]
+            found.append((s, t, rf"^stray same-color arrow {s}->{t} at step {m}$"))
+        if (pair := _stray_pair(state, ks)) is not None:
+            s, t = pair
+            cs, ct = w.color(s), w.color(t)
+            found.append((s, t, rf"^arrow {s}->{t} joins non-adjacent colors {cs},{ct} at step {m}$"))
+        return found
+
+    caught = 0
+    for c, w, v in _pinned_pairs():
+        state = initial_state(c, w, v, check=False)
+        for s, t, match in planted(state, sorted(cut_view(state).members), 0):
+            broken = state.clone()
+            broken.quiver._add(s, t, 1)
+            with pytest.raises(InvariantViolation, match=match):
+                check_induction(broken)
+            caught += 1
+    for state, quiet in _states_with_quiet_members():
+        for s, t, match in planted(state, quiet, state.step + 1):
+            broken = state.clone()
+            broken.quiver.journal = None
+            broken.quiver._add(s, t, 1)
+            with pytest.raises(InvariantViolation, match=match):
+                step_hat(broken)
+            caught += 1
+    assert caught >= 4
+
+
+def test_a_deleted_index_leaves_the_evicted_set():
+    # the index that the next step deletes, marked evicted in the last
+    # view: once deleted it is neither a member nor evicted, as in a check
+    # without a journal
+    tried = 0
+    for c, w, v in _w0_pairs("D5", 17):
+        state = initial_state(c, w, v, check=True)
+        for _ in range(state.lv):
+            m = state.step + 1
+            (d,) = state.combo.deleted(m) - state.combo.deleted(m - 1)
+            if d in state.cut.members:
+                moved = state.clone()
+                moved.cut.members.discard(d)
+                moved.cut.evicted.add(d)
+                step_hat(moved)
+                fresh = moved.clone()
+                fresh.quiver.journal = None
+                check_induction(fresh)
+                assert d not in moved.cut.evicted
+                assert (moved.cut.members, moved.cut.evicted) == (fresh.cut.members, fresh.cut.evicted)
+                tried += 1
+            state = step_hat(state)
+    assert tried
 
 
 def test_an_evicted_summand_above_a_member_is_caught():

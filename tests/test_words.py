@@ -2,7 +2,14 @@ import itertools
 import random
 
 import pytest
-from oracles import matrix_betas, matrix_of_word, matrix_rightmost_subword, xi
+from oracles import (
+    matrix_betas,
+    matrix_of_word,
+    matrix_rightmost_subword,
+    succ_iter,
+    support_slice,
+    xi,
+)
 
 from richseed.errors import NotLessOrEqual, NotReduced
 from richseed.rootsys import (
@@ -538,10 +545,10 @@ def test_support_slices_against_their_definition():
             same = [m for m in range(1, lv + 1) if w.color(p[m]) == w.color(k)]
             for m in range(lv + 1):
                 a = sum(1 for j in same if j <= m)
-                kp = w.succ_iter(k, a)
+                kp = succ_iter(w, k, a)
                 top = lv if kp > L else max((j for j in same if p[j] <= kp), default=0)
                 support = [j for j in same[a:] if j <= top]
-                lo, hi = combo.support_slice(k, m)
+                lo, hi = support_slice(combo, k, m)
                 assert (lo, same[lo:hi]) == (a, support), (w.letters, emb.positions, k, m)
 
 
@@ -555,5 +562,5 @@ def test_t_fold_successors_repeat_the_successor():
         for k in range(L + 2):
             s = q = k
             for t in range(L + 2):
-                assert (w.succ_iter(k, t), w.pred_iter(k, t)) == (s, q)
+                assert (succ_iter(w, k, t), w.pred_iter(k, t)) == (s, q)
                 s, q = w.succ(s), w.pred(q)
