@@ -141,9 +141,11 @@ def document_json(doc: dict) -> str:
 
 
 def cmd_compute(args) -> int:
-    # one file for both outputs would keep only the last one written
-    if args.dot and args.out and os.path.realpath(args.dot) == os.path.realpath(args.out):
-        raise ValueError(f"--dot and --out name the same file: {os.path.realpath(args.out)}")
+    # one regular file for both outputs would keep only the last one
+    # written; a device such as /dev/null or a pipe takes both
+    if args.dot and args.out and (same := os.path.realpath(args.dot)) == os.path.realpath(args.out):
+        if os.path.isfile(same) or not os.path.exists(same):
+            raise ValueError(f"--dot and --out name the same file: {same}")
     c = parse_type(args.type)
     word = make_word(c, _parse_letters(args.w, "--w"), order=args.order)
     v_letters = _parse_letters(args.v, "--v")

@@ -317,9 +317,7 @@ def step_hat(state: AlgState) -> AlgState:
         evicted = not chosen.bits & lead
         checker.after(k, old, chosen, evicted)
         packed = (acc_out if branch == "in" else acc_in, old.bits, chosen.bits)
-        # every field given, so tuple.__new__ skips the named tuple's own __new__
-        fields = (m, k, branch, evicted, packed, n, configs)
-        state.trace.append(tuple.__new__(MutationRecord, fields))
+        state.trace.append(MutationRecord(m, k, branch, evicted, packed, n, configs))
     state.step = m
     checker.finish(batch)
     return state
@@ -568,14 +566,8 @@ def check_induction(state: AlgState) -> None:
     else:
         recheck, who = deltas.keys(), "summand"
     supports, cleared = {}, prefix_mask(m)
-    if m:
-        for color in set(map(col.__getitem__, recheck)):
-            supports.update(_expected_supports(state, color, m))
-    else:  # alpha is 0: each color's v-indices at positions up to k, in one pass
-        count, vs = dict.fromkeys(state.support, 0), set(state.embedding.positions)
-        for k in range(1, len(col)):
-            count[col[k]] += k in vs
-            supports[k] = state.support[col[k]][count[col[k]]]
+    for color in set(map(col.__getitem__, recheck)):
+        supports.update(_expected_supports(state, color, m))
     for k in sorted(recheck):
         bits = deltas[k].bits
         if bits & cleared:

@@ -226,11 +226,6 @@ class SawTeethReport(NamedTuple):
         return self.initial_barb is None
 
 
-# the valid reports and their teeth are built with every field given, by
-# tuple.__new__, without the Python-level __new__ of a named tuple
-_new = tuple.__new__
-
-
 def classify_sawteeth(
     q: Quiver, c1: int, c2: int, lines: Optional[dict[int, list[int]]] = None
 ) -> SawTeethReport:
@@ -255,7 +250,7 @@ def classify_sawteeth(
     else:
         line, jline = lines.get(c1, []), lines.get(c2, [])
     if not jline and len(line) < 2:  # no summit and no line arrow: nothing to walk
-        return _new(SawTeethReport, (c1, c2, True, None, None, (), None, frozenset()))
+        return SawTeethReport(c1, c2, True, isolated=frozenset())
 
     # in a line's row, an arrow of the subquiver is a positive entry toward
     # the line or an entry of either sign toward a summit.  A vertex of
@@ -291,7 +286,7 @@ def classify_sawteeth(
 
     isolated = summits.difference(succ_of, pred_of)
     if not crossed:
-        return _new(SawTeethReport, (c1, c2, True, None, None, (), None, isolated))
+        return SawTeethReport(c1, c2, True, isolated=isolated)
 
     n, anchor, teeth, final_barb = 0, crossed[0], [], None
     initial_barb = (anchor, succ_of[anchor]) if anchor in succ_of else None
@@ -309,7 +304,7 @@ def classify_sawteeth(
             dirty = [x for x in crossed[n:] if x < closer]
             msg = f"cross arrows {dirty} inside the tooth {anchor}..{closer}"
             return SawTeethReport(c1, c2, False, msg)
-        teeth.append(_new(Tooth, (anchor, y, closer)))
+        teeth.append(Tooth(anchor, y, closer))
         anchor = closer
 
     # every cross arrow must have been used by the structure: none may sit
@@ -321,8 +316,7 @@ def classify_sawteeth(
     if initial_barb and final_barb and final_barb[0] <= initial_barb[1]:
         msg = "final barb does not start beyond the initial barb target"
         return SawTeethReport(c1, c2, False, msg)
-    fields = (c1, c2, True, None, initial_barb, tuple(teeth), final_barb, isolated)
-    return _new(SawTeethReport, fields)
+    return SawTeethReport(c1, c2, True, None, initial_barb, tuple(teeth), final_barb, isolated)
 
 
 def _first_violation(rows: dict[int, dict[int, int]], line: list[int], jline: list[int]) -> str:

@@ -318,6 +318,14 @@ def test_one_file_named_by_both_outputs_is_refused_before_the_run(tmp_path, monk
     assert os.listdir() == ["link.txt"]
 
 
+def test_one_device_named_by_both_outputs_takes_both(capsys):
+    # a device keeps nothing, so naming it twice loses no output
+    argv = ["compute", "--type", "A3", "--w", "2,1,2,3,2,1", "--v", "1",
+            "--dot", os.devnull, "--out", os.devnull]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_existing_outputs_are_written_through(tmp_path):
     # an output that exists keeps its kind: a pipe is written into, not
     # replaced by a file, a link stays a link and the file it points to
