@@ -22,8 +22,9 @@ checked runs), the vertices whose vector it replaced, which with the
 newly deleted index are the only ones that can enter or leave the cut,
 and the members of the batch's color.  Each color's members are kept as
 one ascending line; a saw-teeth report reads the quiver's rows over two
-such lines, and only the pairs of colors that the batch touched are
-classified again, the others' reports are kept.  Green labels
+such lines, one report per pair of adjacent colors that both have
+members, and only the pairs that the batch touched are classified
+again, the others' reports are kept.  Green labels
 and the arrows each mutation makes appear and vanish come from one
 replay of the run's mutations: :func:`green_report`.
 
@@ -63,6 +64,7 @@ from .errors import AmbiguousBranch, InvariantViolation, NoValidBranch
 from .quiver import (
     CONFIG_TRANSITIONS,
     Quiver,
+    SawTeethReport,
     build_gamma,
     classify_configs,
     classify_sawteeth,
@@ -290,12 +292,10 @@ def _exchange(state: AlgState, k: int, g: int) -> tuple[int, int]:
 
 def index_set_A(state: AlgState, m: int) -> list[int]:
     """Vertices to mutate in batch m: nonzero m-th coordinate, index
-    at most (p_m line maximum) pulled back gamma_m times."""
-    pm = state.embedding.positions[m - 1]
-    color = state.word.color(pm)
-    b_m = state.word.pred_iter(state.word.k_max(color), state.combo.gamma(m))
+    below the one step m deletes on p_m's line, (k_max)^{gamma_m -}."""
+    b_m = state.word.pred(state.combo.deleted_at[m - 1])
     field_m, deltas = coordinate_mask(m), state.deltas
-    return [i for i in range(1, min(b_m, state.lw) + 1) if deltas[i].bits & field_m]
+    return [i for i in range(1, b_m + 1) if deltas[i].bits & field_m]
 
 
 def step_hat(state: AlgState) -> AlgState:
@@ -446,8 +446,11 @@ def _check_teeth_shift(
 ) -> None:
     """After an eviction-free pass over a pure line, each tooth must move
     one notch from the cut ``before`` toward the start, in the cut
-    ``state.cut``, with the two boundary exceptions."""
-    word, after, stats = state.word, state.cut, state.stats
+    ``state.cut``, with the two boundary exceptions.  A color without
+    members before the pass has no summit, so no teeth or barbs to move;
+    a pair that is no longer bicolor after it holds no report, and reads
+    as a report with neither."""
+    after = state.cut
     members_before = before.lines.get(line_color, [])
     if not members_before or not batch:
         return
@@ -455,12 +458,11 @@ def _check_teeth_shift(
     prev = dict(zip(members_before[1:], members_before)).get
     newlast = batch[-1]
     first = members_before[0]
-    for oc in word.cartan.neighbors(line_color):
+    for oc in state.word.cartan.neighbors(line_color):
+        if oc not in before.lines:
+            continue
         rep_before = before.reports[(line_color, oc)]
-        rep_after = after.reports.get((line_color, oc))
-        if rep_after is None:  # one of the two colors had no members at the last check
-            rep_after = classify_sawteeth(state.quiver, line_color, oc, after.lines)
-            stats["shift_reports_classified"] = stats.get("shift_reports_classified", 0) + 1
+        rep_after = after.reports.get((line_color, oc)) or SawTeethReport(line_color, oc, True)
         if not rep_before.valid or not rep_before.pure:
             raise InvariantViolation(
                 f"line {line_color} was not pure before its pass (color {oc})"
@@ -497,18 +499,19 @@ def _check_teeth_shift(
 
 def check_induction(state: AlgState) -> None:
     """The six structural checkpoints of the cut seed after each batch; the
-    view goes to ``state.cut`` with its saw-teeth reports, the next line's
-    included, which the next batch's tooth shift reads as its "before".
+    view goes to ``state.cut`` with a saw-teeth report for each bicolor
+    pair (two adjacent colors that both have members), which the next
+    batch's tooth shift reads as its "before".
 
     The view is carried forward from the last one.  Members and evicted
     change only at the newly deleted index and at the vertices whose
     vector was replaced, found by one identity comparison of every vector
     with the tuple the last view saw.  One walk of the quiver's journal,
     the matrix entries written since then, gives the entries between two
-    members to examine again; with the members of p_m's color and the
-    lines that changed, they make the pairs of colors stale.  Only the
-    stale pairs and the next lines' are visited: every other report is
-    kept, valid as it was when stored.  A report reads the quiver's rows
+    members to examine again; with the lines that changed, those joining
+    two adjacent colors make the pairs of colors stale.  Only the stale
+    pairs are visited: every other report is kept, valid as it was when
+    stored.  A report reads the quiver's rows
     over a member line; an expected support is a difference of two
     entries of the prefix table ``state.support``, found for a whole line
     in one pass.  The first check, or one without a view of the previous
@@ -585,24 +588,25 @@ def check_induction(state: AlgState) -> None:
             )
 
     # one walk of the entries (s < t) written since the last view: those
-    # between two members give the pairs of colors moved and the line
-    # arrows to read again (a line arrow k -> k+ has k < k+; the line
-    # check reads its multiplicity and sign).  Any other arrow between two
-    # members of one color, or of two colors that are not adjacent, is
-    # scanned, as is every arrow between an entered vertex and a member
+    # between two members of adjacent colors make both orders of the pair
+    # stale, those of a line give the line arrows to read again (a line
+    # arrow k -> k+ has k < k+; the line check reads its multiplicity and
+    # sign).  Any other arrow between two members of one color, or of two
+    # colors that are not adjacent, is scanned, as is every arrow between
+    # an entered vertex and a member
     succ, rows, adjacency = word.succ, q.b, word.cartan.adjacency
     line_ends = set(map(word.pred, entered)).union(entered)
     scan: set[tuple[int, int]] = set()
-    moved: set[tuple[int, int]] = set()
+    stale: set[tuple[int, int]] = set()
     for s, t in journal:
         if s in members and t in members:
             cs, ct = col[s], col[t]
-            moved.add((cs, ct))
             if cs == ct and succ(s) == t:
                 line_ends.add(s)
-            elif cs == ct or ((cs, ct) if cs < ct else (ct, cs)) not in adjacency:
-                if e := rows[s].get(t):
-                    scan.add((s, t) if e > 0 else (t, s))
+            elif ((cs, ct) if cs < ct else (ct, cs)) in adjacency:  # an edge, so cs != ct
+                stale.update(((cs, ct), (ct, cs)))
+            elif e := rows[s].get(t):
+                scan.add((s, t) if e > 0 else (t, s))
     for k in sorted(line_ends):
         kp = succ(k)
         if k not in members or kp not in members:
@@ -646,45 +650,33 @@ def check_induction(state: AlgState) -> None:
         else:
             lines.pop(color, None)
 
-    # a (c1, c2) report reads the members of both colors, the c1-c1 arrows
-    # and the arrows joining c1 and c2; one that none of these moved is kept.
-    # The view holds a report for each adjacent pair of colors with members
-    # and for the next line against each adjacent color; only the stale
-    # pairs and the next lines' pairs, the last view's and this one's, can
-    # enter, leave or change, and they are visited in the order of the pairs
-    stale: set[tuple[int, int]] = set()
-    for a, b in moved:
-        if a != b:
-            stale.update(((a, b), (b, a)))
-        else:
-            for c in nbrs(a):
-                stale.add((a, c))
+    # the view holds a report for each bicolor pair, two adjacent colors
+    # that both have members.  A (c1, c2) report reads the members of both
+    # colors, the c1-c1 arrows and the arrows joining c1 and c2; past the
+    # line and row scans, the only c1-c1 arrows between members are the
+    # line arrows every report expects, so a report goes stale only when
+    # a color's members change or an entry joins members of both colors.
+    # Stale pairs are classified again in the order of the pairs, or
+    # dropped when they are no longer bicolor; every other report is kept
     for a in dirty:
         for c in nbrs(a):
             stale.update(((a, c), (c, a)))
-    visit = set(stale)
-    for p in state.embedding.positions[max(m - 1, 0) : m + 1]:  # p_m and p_{m+1}
-        for c in nbrs(col[p]):
-            visit.add((col[p], c))
-    next_color = col[state.embedding.positions[m]] if m < lv else None
-    reports, classified = dict(prev.reports), 0
-    view.reports = reports
-    for c1, c2 in sorted(visit):
-        bicolor = c1 in lines and c2 in lines
-        if c2 not in nbrs(c1) or not (bicolor or c1 == next_color):
+    reports = view.reports = dict(prev.reports)
+    classified = 0
+    for c1, c2 in sorted(stale):
+        if c1 not in lines or c2 not in lines:
             reports.pop((c1, c2), None)
             continue
-        rep = reports.get((c1, c2))
-        if rep is None or (c1, c2) in stale:
-            rep = reports[(c1, c2)] = classify_sawteeth(q, c1, c2, lines)
-            classified += 1
-        if bicolor and not rep.valid:
+        rep = reports[(c1, c2)] = classify_sawteeth(q, c1, c2, lines)
+        classified += 1
+        if not rep.valid:
             raise InvariantViolation(f"bicolor ({c1},{c2}) broken at step {m}: {rep.violation}")
 
-    if next_color is not None:
+    next_color = col[state.embedding.positions[m]] if m < lv else None
+    if next_color in lines:
         for oc in nbrs(next_color):
-            rep = reports[(next_color, oc)]
-            if oc in lines and (not rep.valid or not rep.pure):
+            rep = reports.get((next_color, oc))  # held exactly when oc has members
+            if rep is not None and not (rep.valid and rep.pure):
                 raise InvariantViolation(
                     f"next line {next_color} is not pure against {oc} at step {m}"
                 )
@@ -797,9 +789,11 @@ def run(
                 f"surviving summand {k} keeps nonzero leading coordinates"
             )
 
-    trimmed = state.quiver.restricted(set(survivors))
-    final_quiver = Quiver(trimmed.vertices, trimmed.arrows,
-                          frozen_vertices_from(state, deleted, trimmed))
+    rows, col = state.quiver.b, state.col
+    arrows = {(s, t): x for s in survivors for t, x in rows[s].items()
+              if x > 0 and t not in deleted}
+    final_quiver = Quiver({k: col[k] for k in survivors}, arrows,
+                          frozen_vertices_from(state, deleted, survivors))
 
     return FinalSeed(
         cartan=cartan,
@@ -816,21 +810,22 @@ def run(
     )
 
 
-def frozen_vertices_from(state: AlgState, deleted: frozenset[int], trimmed: Quiver) -> set[int]:
+def frozen_vertices_from(
+    state: AlgState, deleted: frozenset[int], survivors: list[int]
+) -> set[int]:
     """Non-mutable survivors.
 
     Three sources: neighbors of a deleted vertex (in the pre-deletion
     quiver), survivors isolated after deletion, and the surviving line
-    tails (the original coefficients of untouched colors).
+    tails (the original coefficients of untouched colors).  A survivor
+    with no deleted neighbor keeps all of its neighbors, so it is
+    isolated after deletion exactly when it has none at all.
     """
-    word = state.word
+    word, q, col = state.word, state.quiver, state.col
     frozen = set()
-    for k, color in trimmed.vertices.items():
-        if any(n in deleted for n in state.quiver.neighbors(k)):
-            frozen.add(k)
-        elif not trimmed.neighbors(k):
-            frozen.add(k)
-        elif k == word.k_max(color):
+    for k in survivors:
+        near = q.neighbors(k)
+        if not near or any(n in deleted for n in near) or k == word.k_max(col[k]):
             frozen.add(k)
     return frozen
 

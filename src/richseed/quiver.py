@@ -249,8 +249,6 @@ def classify_sawteeth(
         line, jline = q.ids_of_color(c1), q.ids_of_color(c2)
     else:
         line, jline = lines.get(c1, []), lines.get(c2, [])
-    if not jline and len(line) < 2:  # no summit and no line arrow: nothing to walk
-        return SawTeethReport(c1, c2, True, isolated=frozenset())
 
     # in a line's row, an arrow of the subquiver is a positive entry toward
     # the line or an entry of either sign toward a summit.  A vertex of

@@ -124,16 +124,6 @@ class Word:
         """Predecessor k- (sentinel 0), for -1 <= k <= L+2."""
         return self._pred[k]
 
-    def pred_iter(self, k: int, t: int) -> int:
-        """t-fold predecessor; the sentinel 0 is absorbing."""
-        if t <= 0:
-            return k
-        if not 1 <= k <= len(self.letters):
-            return 0
-        line = self._by_color[self.letters[k - 1]]
-        j = bisect_left(line, k) - t
-        return line[j] if j >= 0 else 0
-
     def colors_used(self) -> tuple[int, ...]:
         return tuple(sorted(self._by_color))
 
@@ -288,12 +278,14 @@ class ComboNumbers:
     * ``gamma(m)``   alpha(p_m, m),
     * ``beta(m)``    letters of color i_{p_m} right of p_m not used by v-bar.
 
-    Only ``v_indices`` is stored: for each color of the word, its
-    v-indices in ascending order.  As p_1 < ... < p_{l(v)}, each map is a
-    position in one such list or in the color's line of w-indices
+    ``v_indices`` holds, for each color of the word, its v-indices in
+    ascending order.  As p_1 < ... < p_{l(v)}, each map is a position in
+    one such list or in the color's line of w-indices
     (``Word.positions_of_color``), read with a bisect or an offset: alpha
     is the number of entries up to m, beta the index of p_m in its line
-    less the gamma_m - 1 v-bar letters before it.
+    less the gamma_m - 1 v-bar letters before it.  ``deleted_at[m - 1]``
+    is the index that step m deletes, the gamma_m-th from the end of
+    p_m's line, found in the same pass.
     """
 
     def __init__(self, word: Word, emb: SubwordEmbedding):
@@ -302,8 +294,12 @@ class ComboNumbers:
         self.word = word
         self.emb = emb
         self.v_indices: dict[int, list[int]] = {i: [] for i in word.colors_used()}
+        deleted_at = []
         for m, q in enumerate(emb.positions, start=1):
-            self.v_indices[word.color(q)].append(m)
+            js = self.v_indices[i := word.color(q)]
+            js.append(m)
+            deleted_at.append(word.positions_of_color(i)[-len(js)])
+        self.deleted_at: tuple[int, ...] = tuple(deleted_at)
         self._deleted: list[frozenset[int]] = [frozenset()]
 
     def _js(self, k: int) -> list[int]:
@@ -348,13 +344,10 @@ class ComboNumbers:
     def deleted(self, m: int) -> frozenset[int]:
         """The indices k beyond (k_max)^{alpha(k,m)-}: the last alpha(., m)
         indices of every color line, for m in 0..l(v).  Step m adds one
-        index, the gamma(m)-th from the end of p_m's line; each step's set
-        is built once."""
+        index, ``deleted_at[m - 1]``; each step's set is built once."""
         sets = self._deleted
         while len(sets) <= m:
-            pm = self.emb.positions[len(sets) - 1]
-            line = self.word.positions_of_color(self.word.color(pm))
-            sets.append(sets[-1] | {line[-self.gamma(len(sets))]})
+            sets.append(sets[-1] | {self.deleted_at[len(sets) - 1]})
         return sets[m]
 
     def table_row(self, k: int) -> dict:

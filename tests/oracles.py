@@ -104,6 +104,17 @@ def succ_iter(word: Word, k: int, t: int) -> int:
     return line[j] if j < len(line) else L + 1
 
 
+def pred_iter(word: Word, k: int, t: int) -> int:
+    """t-fold predecessor of a w-index; the sentinel 0 is absorbing."""
+    if t <= 0:
+        return k
+    if not 1 <= k <= len(word):
+        return 0
+    line = word.positions_of_color(word.color(k))
+    j = bisect_left(line, k) - t
+    return line[j] if j >= 0 else 0
+
+
 def support_slice(combo: ComboNumbers, k: int, m: int) -> tuple[int, int]:
     """(a, b) such that the v-indices js[a:b] of color i_k are those in
     [f_min(k) advanced alpha(k,m) times, f(k advanced alpha(k,m) times)]:

@@ -6,6 +6,7 @@ from oracles import (
     matrix_betas,
     matrix_of_word,
     matrix_rightmost_subword,
+    pred_iter,
     succ_iter,
     support_slice,
     xi,
@@ -456,7 +457,7 @@ def test_deleted_indices_lie_beyond_the_pulled_back_line_maximum():
             combo = combo_numbers(w, rightmost_subword(element_of_word(c, [w.color(p) for p in pos]), w))
             for m in range(len(combo.emb.positions) + 1):
                 bounds = {
-                    k: w.pred_iter(w.k_max(w.color(k)), combo.alpha(k, m)) for k in range(1, len(w) + 1)
+                    k: pred_iter(w, w.k_max(w.color(k)), combo.alpha(k, m)) for k in range(1, len(w) + 1)
                 }
                 assert combo.deleted(m) == {k for k, b in bounds.items() if k > b}
 
@@ -562,5 +563,5 @@ def test_t_fold_successors_repeat_the_successor():
         for k in range(L + 2):
             s = q = k
             for t in range(L + 2):
-                assert (succ_iter(w, k, t), w.pred_iter(k, t)) == (s, q)
+                assert (succ_iter(w, k, t), pred_iter(w, k, t)) == (s, q)
                 s, q = w.succ(s), w.pred(q)
