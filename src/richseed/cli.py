@@ -143,9 +143,8 @@ def document_json(doc: dict) -> str:
 def cmd_compute(args) -> int:
     # one regular file for both outputs would keep only the last one
     # written; a device such as /dev/null or a pipe takes both
-    if args.dot and args.out and (same := os.path.realpath(args.dot)) == os.path.realpath(args.out):
-        if os.path.isfile(same) or not os.path.exists(same):
-            raise ValueError(f"--dot and --out name the same file: {same}")
+    if args.dot and args.out and _one_file(args.dot, args.out):
+        raise ValueError(f"--dot and --out name the same file: {os.path.realpath(args.dot)}")
     c = parse_type(args.type)
     word = make_word(c, _parse_letters(args.w, "--w"), order=args.order)
     v_letters = _parse_letters(args.v, "--v")
@@ -168,6 +167,16 @@ def cmd_compute(args) -> int:
     if args.out is None:
         print(payload)
     return 0
+
+
+def _one_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one regular file (through links,
+    symbolic or hard) or one path that does not exist yet."""
+    try:
+        sa, sb = os.stat(a), os.stat(b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+    return stat.S_ISREG(sa.st_mode) and os.path.samestat(sa, sb)
 
 
 def write_all(files: dict[str, str]) -> None:

@@ -44,8 +44,8 @@ otherwise, as when a side is past its bound, the run raises
 is a coordinate of a weight in the orbit of a fundamental weight, at
 most 6 in absolute value, so it always fits its field.  A vector built
 from a tuple with a coordinate outside [0, 2^8) raises ``ValueError``.
-``coords`` decodes the fields into a tuple once, on first read, for
-output, error messages and tests.
+``coords`` decodes the fields into a tuple at each read, for output,
+error messages and tests.
 
 The walk turns the same layout to run across summands.  For each weight
 coordinate c, one int Y[c] holds u_k(rho)_c + 2^14 in its lane q, and
@@ -129,14 +129,14 @@ class DeltaVector:
     """Multiplicity vector of a summand relative to a reference word.
 
     ``bits`` holds the coordinates packed as the module docstring lays
-    out, each in [0, STORED_BOUND); ``coords`` is the decoded tuple, built
-    on first read.  ``DeltaVector(reference, coords)`` packs a tuple and
+    out, each in [0, STORED_BOUND); ``coords`` decodes them into a tuple
+    at each read.  ``DeltaVector(reference, coords)`` packs a tuple and
     raises ``ValueError`` on a coordinate out of range;
     ``DeltaVector.packed`` takes an int and raises
     :class:`InvariantViolation` on a field past the bound.
     """
 
-    __slots__ = ("reference", "bits", "_coords")
+    __slots__ = ("reference", "bits")
 
     def __init__(self, reference: Word, coords: tuple[int, ...]):
         n = len(reference)
@@ -149,7 +149,7 @@ class DeltaVector:
             raise ValueError(
                 f"coordinates must lie in [0, {STORED_BOUND}): {tuple(coords)}"
             ) from None
-        self.reference, self.bits, self._coords = reference, int.from_bytes(fields, "little"), None
+        self.reference, self.bits = reference, int.from_bytes(fields, "little")
 
     @classmethod
     def packed(cls, reference: Word, bits: int) -> "DeltaVector":
@@ -159,14 +159,12 @@ class DeltaVector:
                 f"{[bits >> (W * i) & ((1 << W) - 1) for i in range(len(reference))]}"
             )
         d = cls.__new__(cls)
-        d.reference, d.bits, d._coords = reference, bits, None
+        d.reference, d.bits = reference, bits
         return d
 
     @property
     def coords(self) -> tuple[int, ...]:
-        if self._coords is None:
-            self._coords = decode(self.bits, len(self.reference))
-        return self._coords
+        return decode(self.bits, len(self.reference))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeltaVector):

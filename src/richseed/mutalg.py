@@ -20,11 +20,12 @@ carries the cut view of the last one forward and re-examines only what a
 batch changed: the matrix entries in the quiver's journal (kept only in
 checked runs), the vertices whose vector it replaced, which with the
 newly deleted index are the only ones that can enter or leave the cut,
-and the members of the batch's color.  Each color's members are kept as
-one ascending line; a saw-teeth report reads the quiver's rows over two
-such lines, one report per pair of adjacent colors that both have
-members, and only the pairs that the batch touched are classified
-again, the others' reports are kept.  Green labels
+and the members of the batch's color.  A view keeps the members and the
+deleted indices; every other summand is evicted.  Each color's members
+are kept as one ascending line; a saw-teeth report reads the quiver's
+rows over two such lines, one report per pair of adjacent colors that
+both have members, and only the pairs that the batch touched are
+classified again, the others' reports are kept.  Green labels
 and the arrows each mutation makes appear and vanish come from one
 replay of the run's mutations: :func:`green_report`.
 
@@ -40,7 +41,7 @@ does.  The configuration labels it keeps are plain strings (see
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from itertools import compress
 from operator import is_not
 from types import MappingProxyType
@@ -193,23 +194,23 @@ class AlgState:
 
 
 class CutSeedView:
-    """The cut seed after a step.  ``check_induction`` fills in each color's
-    members in ascending order (colors with members only), the reports per
-    ordered pair and ``verified``, the tuple of the vectors it saw in the
-    order of ``state.deltas``.  Compared by identity."""
+    """The cut seed after a step: its ``members`` and the ``deleted``
+    indices; every other summand is evicted.  ``check_induction`` fills in
+    each color's members in ascending order (colors with members only), the
+    reports per ordered pair and ``verified``, the tuple of the vectors it
+    saw in the order of ``state.deltas``.  Compared by identity."""
 
-    __slots__ = ("members", "evicted", "deleted", "step", "lines", "reports", "verified")
+    __slots__ = ("members", "deleted", "step", "lines", "reports", "verified")
 
-    def __init__(self, members: set[int], evicted: set[int], deleted: frozenset[int],
-                 step: int = 0):
-        self.members, self.evicted, self.deleted, self.step = members, evicted, deleted, step
+    def __init__(self, members: set[int], deleted: frozenset[int], step: int = 0):
+        self.members, self.deleted, self.step = members, deleted, step
         self.lines, self.reports = {}, {}
         self.verified: tuple[DeltaVector, ...] = ()
 
     def copy(self) -> "CutSeedView":
         """A view with its own sets, lines and reports, so that a change to
         either view leaves the other as it was."""
-        view = CutSeedView(set(self.members), set(self.evicted), self.deleted, self.step)
+        view = CutSeedView(set(self.members), self.deleted, self.step)
         view.lines = {color: list(line) for color, line in self.lines.items()}
         view.reports, view.verified = dict(self.reports), self.verified
         return view
@@ -237,12 +238,11 @@ class FinalSeed:
 
 
 def cut_view(state: AlgState) -> CutSeedView:
-    """Members, evicted (vanishing truncation), deleted (index bound),
-    read off every vector; the checks follow the replaced vectors instead."""
+    """Members (a nonvanishing truncation) and deleted (index bound), read
+    off every vector; the checks follow the replaced vectors instead."""
     deleted, lead = state.combo.deleted(state.step), prefix_mask(state.lv)
     members = {k for k, d in state.deltas.items() if k not in deleted and d.bits & lead}
-    evicted = state.deltas.keys() - deleted - members
-    return CutSeedView(members, evicted, deleted, state.step)
+    return CutSeedView(members, deleted, state.step)
 
 
 def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, int, int, str]:
@@ -306,7 +306,7 @@ def step_hat(state: AlgState) -> AlgState:
     m = state.step + 1
     batch = index_set_A(state, m)
     state.batches.append(batch)
-    checker = state.checker(state)
+    checker = state.checker(state, batch)
     lead, n = prefix_mask(state.lv), len(state.reference)
     for k in batch:
         configs = checker.before(k)
@@ -326,21 +326,20 @@ def step_hat(state: AlgState) -> AlgState:
 class BatchChecker:
     """The structural checks of one batch: ``before(k)`` and ``after``
     see the mutation at k, ``finish`` the cut seed the batch leaves.  It
-    holds the cut before the batch, the batch's line of members as it
-    moves (no other color moves, and k only after ``before(k)``), the
-    adjacent colors with a member and the previous mutation's labels,
-    and reads what the hooks compare (G and the lead mask of the line
-    formula, the colors, the quiver) once per batch, at its first
-    mutation: an empty batch reads none of them."""
+    holds the cut before the batch, the batch's line of members, the
+    adjacent colors with a member and the previous mutation's labels.
+    Only the labels read the line, and only when some adjacent color has
+    a member; ``before(k)`` then requires k on it, so the line only
+    shrinks, by each evicted vertex.  A non-empty batch reads what the hooks compare (G and the
+    lead mask of the line formula, the colors, the quiver) here, once;
+    an empty one reads none of them."""
 
-    def __init__(self, state: AlgState):
+    def __init__(self, state: AlgState, batch: list[int]):
         self.state, self.labels = state, {}
         # whether the last mutated vertex, and whether any, left the cut
         self.evicted = self.evicted_during = False
-        self.line: Optional[list[int]] = None  # set at the first mutation
-
-    def _start(self) -> None:
-        state = self.state
+        if not batch:
+            return
         word, self.line_color = state.word, state.col[state.embedding.positions[state.step]]
         # the cut before this batch is the last check's view; a mutation moves only its vertex
         self.cut = cut = state.cut
@@ -353,8 +352,6 @@ class BatchChecker:
     def before(self, k: int) -> dict[int, str]:
         """Check k's color and configurations, all from one walk of row k;
         return its labels."""
-        if self.line is None:
-            self._start()
         prev, colors = self.labels, self.other_colors
         if self.col[k] != self.line_color:
             raise InvariantViolation(
@@ -393,12 +390,8 @@ class BatchChecker:
         self.evicted = evicted
         if evicted:
             self.evicted_during = True
-        if k in self.cut.deleted or (k in self.line) != evicted:
-            return
-        if evicted:
-            self.line.remove(k)
-        else:
-            insort(self.line, k)
+            if self.other_colors:
+                self.line.remove(k)
 
     def finish(self, batch: list[int]) -> None:
         state = self.state
@@ -411,7 +404,7 @@ class BatchChecker:
 class NoChecks:
     """The checker of an unchecked run: its calls do nothing."""
 
-    def __init__(self, state: AlgState):
+    def __init__(self, state: AlgState, batch: list[int]):
         pass
 
     def before(self, k: int) -> dict[int, str]:
@@ -503,10 +496,10 @@ def check_induction(state: AlgState) -> None:
     pair (two adjacent colors that both have members), which the next
     batch's tooth shift reads as its "before".
 
-    The view is carried forward from the last one.  Members and evicted
-    change only at the newly deleted index and at the vertices whose
-    vector was replaced, found by one identity comparison of every vector
-    with the tuple the last view saw.  One walk of the quiver's journal,
+    The view is carried forward from the last one.  The members change
+    only at the newly deleted index and at the vertices whose vector was
+    replaced, found by one identity comparison of every vector with the
+    tuple the last view saw.  One walk of the quiver's journal,
     the matrix entries written since then, gives the entries between two
     members to examine again; with the lines that changed, those joining
     two adjacent colors make the pairs of colors stale.  Only the stale
@@ -515,7 +508,8 @@ def check_induction(state: AlgState) -> None:
     over a member line; an expected support is a difference of two
     entries of the prefix table ``state.support``, found for a whole line
     in one pass.  The first check, or one without a view of the previous
-    step or without a journal, starts from an empty view and walks no
+    step or without a journal, starts from a view with no members and
+    this step's deleted set, so no index is newly deleted, and walks no
     journal: every vector counts as replaced, so every member enters, and
     the rows of the entered members hold every entry between two members.
     At step 0 these are the checks of the initial seed, and the support
@@ -525,21 +519,19 @@ def check_induction(state: AlgState) -> None:
     word, q, col, deltas = state.word, state.quiver, state.col, state.deltas
     nbrs = word.cartan.neighbors
     m, lv = state.step, state.lv
-    prev, journal = state.cut, q.journal
+    prev, journal, deleted = state.cut, q.journal, state.combo.deleted(m)
     if prev is None or prev.step != m - 1 or journal is None:
         # every member enters: the entered rows cover every entry
-        prev, journal = CutSeedView(set(), set(), frozenset()), ()
+        prev, journal = CutSeedView(set(), deleted), ()
     seen = tuple(deltas.values())
     if len(prev.verified) == len(seen):
         replaced = compress(deltas, map(is_not, seen, prev.verified))
     else:
         replaced = deltas
-    deleted = state.combo.deleted(m)
-    changed = set()
-    for k in deleted.difference(prev.deleted):
-        if k in prev.members or k in prev.evicted:
-            changed.add(k)
-    members, evicted = prev.members - changed, prev.evicted - changed
+    # a newly deleted index leaves the cut, member or evicted; an empty
+    # view has none
+    changed = set(deleted - prev.deleted)
+    members = prev.members - changed
     # only a replaced vector can move its vertex into or out of the cut
     entered, lead, recheck = set(), prefix_mask(lv), []
     for k in replaced:
@@ -549,14 +541,12 @@ def check_induction(state: AlgState) -> None:
             recheck.append(k)
             if k not in members:
                 members.add(k)
-                evicted.discard(k)
                 changed.add(k)
                 entered.add(k)
-        elif k not in evicted:
-            evicted.add(k)
-            members.discard(k)
+        elif k in members:
+            members.remove(k)
             changed.add(k)
-    view = CutSeedView(members, evicted, deleted, m)
+    view = CutSeedView(members, deleted, m)
     view.verified = seen
 
     # a member keeps the support it was last verified with unless its
@@ -640,7 +630,7 @@ def check_induction(state: AlgState) -> None:
         for k in word.positions_of_color(color):
             if k in members:
                 line.append(k)
-            elif k in evicted and line:
+            elif k not in deleted and line:
                 raise InvariantViolation(
                     f"evicted summand {k} sits above a member on line {color} "
                     f"at step {m}"

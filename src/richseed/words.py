@@ -300,7 +300,6 @@ class ComboNumbers:
             js.append(m)
             deleted_at.append(word.positions_of_color(i)[-len(js)])
         self.deleted_at: tuple[int, ...] = tuple(deleted_at)
-        self._deleted: list[frozenset[int]] = [frozenset()]
 
     def _js(self, k: int) -> list[int]:
         """The v-indices of color i_k."""
@@ -343,12 +342,9 @@ class ComboNumbers:
 
     def deleted(self, m: int) -> frozenset[int]:
         """The indices k beyond (k_max)^{alpha(k,m)-}: the last alpha(., m)
-        indices of every color line, for m in 0..l(v).  Step m adds one
-        index, ``deleted_at[m - 1]``; each step's set is built once."""
-        sets = self._deleted
-        while len(sets) <= m:
-            sets.append(sets[-1] | {self.deleted_at[len(sets) - 1]})
-        return sets[m]
+        indices of every color line, for m in 0..l(v): the first m
+        entries of ``deleted_at``."""
+        return frozenset(self.deleted_at[:m])
 
     def table_row(self, k: int) -> dict:
         """One row of the notations table (None for the grayed cells)."""

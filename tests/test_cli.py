@@ -152,6 +152,16 @@ def test_an_empty_completion_is_refused(capsys, vdot):
     assert captured.out == ""
 
 
+def test_a_completion_that_does_not_end_with_the_subword_for_v_is_refused(capsys):
+    # 3,2,1,3,2,3 is a reduced word of w0 in A3, but it ends with 3, and
+    # the subword for v is 1
+    argv = ["compute", "--type", "A3", "--w", "2,1,2,3,2,1", "--v", "1", "--vdot", "3,2,1,3,2,3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: completion does not end with the subword for v\n"
+    assert captured.out == ""
+
+
 def test_exit_code_not_reduced():
     proc = _cli("compute", "--type", "A3", "--w", "1,1", "--v", "")
     assert proc.returncode == 2
@@ -316,6 +326,32 @@ def test_one_file_named_by_both_outputs_is_refused_before_the_run(tmp_path, monk
     assert captured.out == ""
     assert captured.err == f"error: --dot and --out name the same file: {tmp_path.resolve() / 's.txt'}\n"
     assert os.listdir() == ["link.txt"]
+
+
+def test_two_hard_links_to_one_file_are_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    # two names of one file have different real paths, yet writing both
+    # outputs to them would keep only the JSON: exit 2, and the file keeps
+    # its text under both names
+    monkeypatch.chdir(tmp_path)
+    with open("a", "w") as fh:
+        fh.write("old\n")
+    os.link("a", "b")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("richseed.cli.run", no_run)
+    assert main(["compute", "--type", "A2", "--w", "1,2", "--v", "1",
+                 "--dot", "a", "--out", "b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    path = tmp_path.resolve() / "a"
+    assert captured.err == f"error: --dot and --out name the same file: {path}\n"
+    assert sorted(os.listdir()) == ["a", "b"]
+    for name in ("a", "b"):
+        with open(name) as fh:
+            assert fh.read() == "old\n"
+    assert os.path.samefile("a", "b")
 
 
 def test_one_device_named_by_both_outputs_takes_both(capsys):

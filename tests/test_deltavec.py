@@ -187,6 +187,12 @@ def test_delta_vector_refuses_coordinates_outside_the_packed_field(bad):
         DeltaVector(WDOT, (0, 1, 0, bad, 0, 1))
 
 
+@pytest.mark.parametrize("n", [5, 7])
+def test_delta_vector_refuses_a_tuple_of_another_length(n):
+    with pytest.raises(ValueError, match="^coordinate length does not match the reference word$"):
+        DeltaVector(WDOT, (0,) * n)
+
+
 def _left_parts(wdot, ks):
     """(u_k(rho), u_k(omega_{i_k})) for k in ks, decoded from the lanes."""
     ys, es = _left_part_lanes(wdot, ks)

@@ -222,6 +222,16 @@ def test_run_v_equals_w_a3():
     assert len(seed.summands) == 0 and len(seed.deleted) == 6
 
 
+def test_a_batch_after_the_last_one_is_refused():
+    state = initial_state(A5, WORD, V, completion=VDOT)
+    for _ in range(state.lv):
+        step_hat(state)
+    trace = list(state.trace)
+    with pytest.raises(InvariantViolation, match="^all batches have already been applied$"):
+        step_hat(state)
+    assert state.step == state.lv == len(state.batches) and state.trace == trace
+
+
 def test_run_refuses_an_element_of_another_type():
     a2, a3 = cartan("A", 2), cartan("A", 3)
     with pytest.raises(ValueError, match="different types"):
@@ -252,10 +262,16 @@ def test_run_refuses_a_completion_of_another_type(spec, other):
             delta_vectors(module_word, target, range(1, 4))
 
 
+def _evicted(state, cut):
+    """The summands of ``state`` that ``cut`` evicts: neither deleted nor
+    members."""
+    return set(state.deltas) - cut.deleted - cut.members
+
+
 def test_cut_view_initial_eviction(a5_seed):
     state = initial_state(A5, WORD, V, completion=VDOT)
     view = cut_view(state)
-    assert view.evicted == {5}
+    assert _evicted(state, view) == {5}
     assert not view.deleted
     assert view.members == set(range(1, 14)) - {5}
 
@@ -276,7 +292,7 @@ def test_cut_view_identity_v():
     w = make_word(c, [2, 1, 2, 3, 2, 1])
     state = initial_state(c, w, identity_element(c))
     view = cut_view(state)
-    assert view.evicted == set(range(1, 7))
+    assert _evicted(state, view) == set(range(1, 7))
     assert not view.members and not view.deleted
 
 
@@ -977,7 +993,7 @@ def test_the_cut_from_replaced_vectors_agrees_with_a_cut_from_scratch(spec):
         for _ in range(lv):
             cut = state.cut
             targets = {
-                "evicted": sorted(cut.evicted),
+                "evicted": sorted(_evicted(state, cut)),
                 "member": sorted(cut.members),
                 "deleted": sorted(state.combo.deleted(state.step + 1)),
             }
@@ -1000,7 +1016,7 @@ def test_the_cut_from_replaced_vectors_agrees_with_a_cut_from_scratch(spec):
                         if journal and outcomes[0] is None:
                             scratch = cut_view(broken)
                             assert broken.cut.members == scratch.members
-                            assert broken.cut.evicted == scratch.evicted
+                            assert _evicted(broken, broken.cut) == _evicted(broken, scratch)
                     assert outcomes[0] == outcomes[1], (kind, k)
                     tried[kind] += 1
             state = step_hat(state)
@@ -1306,17 +1322,19 @@ def test_the_carried_view_equals_a_recheck_without_a_journal(spec):
         fresh = state.clone()
         fresh.quiver.journal = None
         check_induction(fresh)
-        for name in ("members", "evicted", "deleted", "lines", "reports"):
+        for name in ("members", "deleted", "lines", "reports"):
             assert getattr(fresh.cut, name) == getattr(state.cut, name), (state.step, name)
+        assert _evicted(fresh, fresh.cut) == _evicted(state, state.cut), state.step
         if state.step == state.lv:
             break
         state = step_hat(state)
 
 
 def test_a_vertex_that_enters_the_cut_again_leaves_the_evicted_set():
-    # a quiet member off the batch's line, marked evicted in the last view
-    # and given an equal but new vector, enters the cut again at the next
-    # check; the carried sets must equal those of a check without a journal
+    # a quiet member off the batch's line, left out of the last view's
+    # members (so evicted) and given an equal but new vector, enters the
+    # cut again at the next check; the carried sets must equal those of a
+    # check without a journal
     c, w, v = list(_w0_pairs("D5", 17))[1]
     state = initial_state(c, w, v, check=True)
     tried = 0
@@ -1327,14 +1345,14 @@ def test_a_vertex_that_enters_the_cut_again_leaves_the_evicted_set():
                 continue
             moved = state.clone()
             moved.cut.members.discard(k)
-            moved.cut.evicted.add(k)
             moved.deltas[k] = DeltaVector(state.reference, state.deltas[k].coords)
             step_hat(moved)
             fresh = moved.clone()
             fresh.quiver.journal = None
             check_induction(fresh)
-            assert k in moved.cut.members and k not in moved.cut.evicted
-            assert (moved.cut.members, moved.cut.evicted) == (fresh.cut.members, fresh.cut.evicted)
+            assert k in moved.cut.members and k not in _evicted(moved, moved.cut)
+            assert (moved.cut.members, _evicted(moved, moved.cut)) == (
+                fresh.cut.members, _evicted(fresh, fresh.cut))
             tried += 1
         state = step_hat(state)
     assert tried
@@ -1656,9 +1674,9 @@ def test_a_check_without_a_journal_reads_a_planted_arrow_off_the_rows():
 
 
 def test_a_deleted_index_leaves_the_evicted_set():
-    # the index that the next step deletes, marked evicted in the last
-    # view: once deleted it is neither a member nor evicted, as in a check
-    # without a journal
+    # the index that the next step deletes, left out of the last view's
+    # members (so evicted): once deleted it is neither a member nor
+    # evicted, as in a check without a journal
     tried = 0
     for c, w, v in _w0_pairs("D5", 17):
         state = initial_state(c, w, v, check=True)
@@ -1668,13 +1686,13 @@ def test_a_deleted_index_leaves_the_evicted_set():
             if d in state.cut.members:
                 moved = state.clone()
                 moved.cut.members.discard(d)
-                moved.cut.evicted.add(d)
                 step_hat(moved)
                 fresh = moved.clone()
                 fresh.quiver.journal = None
                 check_induction(fresh)
-                assert d not in moved.cut.evicted
-                assert (moved.cut.members, moved.cut.evicted) == (fresh.cut.members, fresh.cut.evicted)
+                assert d not in _evicted(moved, moved.cut)
+                assert (moved.cut.members, _evicted(moved, moved.cut)) == (
+                    fresh.cut.members, _evicted(fresh, fresh.cut))
                 tried += 1
             state = step_hat(state)
     assert tried

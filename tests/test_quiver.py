@@ -189,6 +189,11 @@ def test_mutate_leaves_the_original_unchanged():
     assert m == before.mutate(2)
 
 
+def test_a_loop_arrow_is_refused():
+    with pytest.raises(ValueError, match="^loops are not allowed$"):
+        Quiver({1: 1, 2: 2}, {(1, 2): 1, (2, 2): 1})
+
+
 def test_mutate_frozen_raises():
     q = Quiver({1: 1, 2: 2}, {(1, 2): 1}, frozen={1})
     with pytest.raises(FrozenVertex):

@@ -35,6 +35,14 @@ from richseed.rootsys import (
 from richseed.words import Word, all_elements, random_reduced_word, reduced_words
 
 
+def test_a_product_across_two_types_is_refused():
+    a2, a3 = cartan("A", 2), cartan("A", 3)
+    for x, y in ((element_of_word(a2, [1]), element_of_word(a3, [1])),
+                 (element_of_word(a3, [1]), identity_element(a2))):
+        with pytest.raises(ValueError, match="^elements of different Weyl groups$"):
+            x * y
+
+
 def test_cartan_a3():
     c = cartan("A", 3)
     assert c.a(1, 2) == c.a(2, 3) == -1

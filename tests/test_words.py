@@ -22,6 +22,7 @@ from richseed.rootsys import (
     number_of_positive_roots,
 )
 from richseed.words import (
+    ComboNumbers,
     Word,
     all_elements,
     bruhat_le,
@@ -35,6 +36,20 @@ from richseed.words import (
 )
 
 A5 = cartan("A", 5)
+
+
+def test_an_unknown_letter_order_is_refused():
+    with pytest.raises(ValueError, match="^unknown letter order 'x'$"):
+        make_word(A5, [1, 2], order="x")
+
+
+def test_combo_numbers_refuse_an_embedding_of_another_word():
+    w, other = make_word(A5, [1, 2, 1]), make_word(A5, [2, 1, 2])
+    emb = rightmost_subword(element_of_word(A5, [1]), other)
+    with pytest.raises(ValueError, match="^embedding does not belong to this word$"):
+        ComboNumbers(w, emb)
+
+
 SUC_WORD = make_word(A5, [2, 1, 3, 4, 2, 1, 3, 5, 2, 4, 3, 2, 1])
 APP_WORD = make_word(A5, [1, 3, 2, 4, 3, 2, 4, 5, 4, 3, 2, 1, 2])
 
