@@ -296,9 +296,8 @@ def delta_vectors(module_word: Word, target: Word, ks: range) -> list[DeltaVecto
     g = _lanes(LANE_BIAS, n)  # bit 14 of every lane
     full = (1 << (W * n)) - 1
     nbrs = c.nbrs
-    # row q, the vector of summand ks[q], is units q*r .. q*r + r - 1
-    rows = bytearray(2 * n * r)
-    units = memoryview(rows).cast("H")
+    # cols[i - 1] holds column i, coordinate i of summand ks[q] in lane q
+    cols = [0] * r
     for i, j in zip(range(r, 0, -1), reversed(target.letters)):
         j -= 1
         y, eta = ys[j], es[j]
@@ -323,11 +322,11 @@ def delta_vectors(module_word: Word, target: Word, ks: range) -> list[DeltaVecto
                 f"coefficient {coefficient} at position {i} (module index {ks[lane]}); "
                 "the reference data is inconsistent"
             )
-        units[i - 1 :: r] = memoryview(((eta & keep) - bias).to_bytes(2 * n, "little")).cast("H")
-    return [
-        DeltaVector.packed(target, int.from_bytes(rows[2 * r * q : 2 * r * (q + 1)], "little"))
-        for q in range(n)
-    ]
+        cols[i - 1] = (eta & keep) - bias
+    # transposed once: in the columns laid end to end, the vector of summand
+    # ks[q] is every n-th field from field q
+    units = memoryview(b"".join([col.to_bytes(2 * n, "little") for col in cols])).cast("H")
+    return [DeltaVector.packed(target, int.from_bytes(units[q::n], "little")) for q in range(n)]
 
 
 def delta_via_xi(module_word: Word, k: int, target: Word) -> DeltaVector:

@@ -69,6 +69,7 @@ from .quiver import (
     build_gamma,
     classify_configs,
     classify_sawteeth,
+    cross_arrows,
 )
 from .rootsys import CartanData, WeylElement, number_of_positive_roots
 from .words import (
@@ -504,8 +505,10 @@ def check_induction(state: AlgState) -> None:
     members to examine again; with the lines that changed, those joining
     two adjacent colors make the pairs of colors stale.  Only the stale
     pairs are visited: every other report is kept, valid as it was when
-    stored.  A report reads the quiver's rows
-    over a member line; an expected support is a difference of two
+    stored.  The cross arrows of a stale pair of colors are read once, off
+    the rows of its shorter member line, and each stale order is
+    classified from them; the line arrows, which the line and row scans
+    verified, are not read again.  An expected support is a difference of two
     entries of the prefix table ``state.support``, found for a whole line
     in one pass.  The first check, or one without a view of the previous
     step or without a journal, starts from a view with no members and
@@ -647,17 +650,22 @@ def check_induction(state: AlgState) -> None:
     # line arrows every report expects, so a report goes stale only when
     # a color's members change or an entry joins members of both colors.
     # Stale pairs are classified again in the order of the pairs, or
-    # dropped when they are no longer bicolor; every other report is kept
+    # dropped when they are no longer bicolor; every other report is kept.
+    # For the same reason a report needs only the cross arrows, gathered
+    # once per pair of colors for both orders
     for a in dirty:
         for c in nbrs(a):
             stale.update(((a, c), (c, a)))
     reports = view.reports = dict(prev.reports)
-    classified = 0
+    classified, gathered = 0, {}
     for c1, c2 in sorted(stale):
         if c1 not in lines or c2 not in lines:
             reports.pop((c1, c2), None)
             continue
-        rep = reports[(c1, c2)] = classify_sawteeth(q, c1, c2, lines)
+        pair = (c1, c2) if c1 < c2 else (c2, c1)
+        if pair not in gathered:
+            gathered[pair] = cross_arrows(q, lines[c1], lines[c2])
+        rep = reports[(c1, c2)] = classify_sawteeth(q, c1, c2, lines, cross=gathered[pair])
         classified += 1
         if not rep.valid:
             raise InvariantViolation(f"bicolor ({c1},{c2}) broken at step {m}: {rep.violation}")

@@ -227,7 +227,8 @@ class SawTeethReport(NamedTuple):
 
 
 def classify_sawteeth(
-    q: Quiver, c1: int, c2: int, lines: Optional[dict[int, list[int]]] = None
+    q: Quiver, c1: int, c2: int, lines: Optional[dict[int, list[int]]] = None, *,
+    cross: Optional[tuple[dict[int, int], dict[int, int]]] = None,
 ) -> SawTeethReport:
     """Decompose the (c1, c2)-bicolor subquiver of ``q``, or report the
     first violation.
@@ -235,35 +236,59 @@ def classify_sawteeth(
     The subquiver has the vertices of colors c1 (the line) and c2 (the
     summits), the arrows between two c1-vertices and the arrows joining
     the two colors in either direction, but not the arrows between two
-    c2-vertices; so it is not symmetric in c1 and c2.  Each of its arrows
-    has an end on the line, so it is read off the rows of the line's
-    vertices alone, without a copy, and the teeth in one ascending pass
-    over the line vertices with a cross arrow.  The first violation is the
-    one met in the order (source id, entry of its row); only to find it
-    are the summits' rows read.  ``lines``, when given, holds the
-    ascending vertex list of each color (e.g. a cut's members) and
-    replaces every vertex of that color.  Violations are data, not
-    errors: the report comes back with ``valid=False`` and a description.
+    c2-vertices; so it is not symmetric in c1 and c2.  It is read off the
+    rows, without a copy: the line arrows off the line's, the cross arrows
+    off the shorter list's (:func:`cross_arrows`), and the teeth come from
+    one ascending pass over the line vertices with a cross arrow.  The
+    first violation is the one met in the order (source id, entry of its
+    row).  ``lines``, when given, holds the ascending vertex list of each
+    color (e.g. a cut's members) and replaces every vertex of that color.
+    Violations are data, not errors: the report comes back with
+    ``valid=False`` and a description.
+
+    ``cross``, when given, is what :func:`cross_arrows` gathered for the
+    two lists, and the caller vouches for the line arrows: one of
+    multiplicity 1 from each line vertex to the next and no other.  No
+    row is read then, unless the teeth come out invalid: the walk over
+    the rows is done again, so that the violation is the one reported
+    without ``cross``.
     """
     if lines is None:
         line, jline = q.ids_of_color(c1), q.ids_of_color(c2)
     else:
         line, jline = lines.get(c1, []), lines.get(c2, [])
+    summits = frozenset(jline)
+    if cross is not None and (rep := _teeth(c1, c2, line, cross, summits)).valid:
+        return rep
 
-    # in a line's row, an arrow of the subquiver is a positive entry toward
-    # the line or an entry of either sign toward a summit.  A vertex of
-    # either color may have one outgoing and one incoming cross arrow; a
-    # multiplicity other than 1, or a line arrow to another vertex than the
-    # next, ends the pass, and the violation is then found by a pass of its own
-    on_line, summits, rows = set(line), frozenset(jline), q.b
-    succ_of: dict[int, int] = {}  # source -> target of its cross arrow
-    pred_of: dict[int, int] = {}  # target -> source of its cross arrow
-    crossed = []  # the line vertices with a cross arrow, ascending
-    n = h = 0  # cross arrows, and line arrows to the next line vertex
-    for s, s_next in zip(line, [*line[1:], None]):
-        seen = n
+    # the line arrows, the positive entries of a line's row toward the
+    # line, must be those from each line vertex to the next, each of
+    # multiplicity 1
+    rows, on_line = q.b, set(line)
+    line_arrows = [(s, t, m) for s in line for t, m in rows[s].items() if m > 0 and t in on_line]
+    if (line_arrows != [(s, t, 1) for s, t in zip(line, line[1:])]
+            or (cross := cross_arrows(q, line, jline)) is None):
+        return SawTeethReport(c1, c2, False, _first_violation(rows, line, jline))
+    return _teeth(c1, c2, line, cross, summits)
+
+
+def cross_arrows(
+    q: Quiver, line: list[int], other: list[int]
+) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+    """The arrows joining two vertex lists, as (source -> target, target ->
+    source) for the ``cross`` of :func:`classify_sawteeth` in either
+    order, read off the rows of the shorter list; None when one has a
+    multiplicity other than 1 or a vertex has two on one side, which only
+    the walk over the rows reports."""
+    if len(other) < len(line):
+        line, other = other, line
+    ends, rows = set(other), q.b
+    succ_of: dict[int, int] = {}
+    pred_of: dict[int, int] = {}
+    n = 0
+    for s in line:
         for t, m in rows[s].items():
-            if t in summits:
+            if t in ends:
                 if m == 1:
                     succ_of[s] = t
                     pred_of[t] = s
@@ -271,18 +296,21 @@ def classify_sawteeth(
                     succ_of[t] = s
                     pred_of[s] = t
                 else:
-                    return SawTeethReport(c1, c2, False, _first_violation(rows, line, jline))
+                    return None
                 n += 1
-            elif m > 0 and t in on_line:
-                if m != 1 or t != s_next:
-                    return SawTeethReport(c1, c2, False, _first_violation(rows, line, jline))
-                h += 1
-        if n != seen:
-            crossed.append(s)
-    if len(succ_of) != n or len(pred_of) != n or h < len(line) - 1:
-        return SawTeethReport(c1, c2, False, _first_violation(rows, line, jline))
+    if len(succ_of) != n or len(pred_of) != n:
+        return None
+    return succ_of, pred_of
 
+
+def _teeth(c1: int, c2: int, line: list[int], cross: tuple[dict[int, int], dict[int, int]],
+           summits: frozenset[int]) -> SawTeethReport:
+    """The teeth walk of :func:`classify_sawteeth` over the cross arrows
+    (source -> target, target -> source) between the line and the
+    summits."""
+    succ_of, pred_of = cross
     isolated = summits.difference(succ_of, pred_of)
+    crossed = [s for s in line if s in succ_of or s in pred_of]
     if not crossed:
         return SawTeethReport(c1, c2, True, isolated=isolated)
 

@@ -826,7 +826,7 @@ def _agreement_pairs(spec):
     return pairs[-1:] if spec == "E7" else pairs
 
 
-@pytest.mark.parametrize("spec", ["A4", "D5", "E6", "E7"])
+@pytest.mark.parametrize("spec", ["A4", "D5", "E6", "E7", "E8"])
 def test_checks_agree_with_restricted_copies(spec):
     # the checks read the quiver through the cut's members; build the cut
     # quiver as a copy, as the checks once did, and compare with the
@@ -1039,9 +1039,9 @@ def test_every_saw_teeth_classification_is_counted(monkeypatch):
 
     calls = []
 
-    def counted(*args):
+    def counted(*args, cross=None):
         calls.append(args[1:3])
-        return classify_sawteeth(*args)
+        return classify_sawteeth(*args, cross=cross)
 
     monkeypatch.setattr(mutalg, "classify_sawteeth", counted)
     cases = [(A5, WORD, V, VDOT)] + [(*pair, None) for pair in _w0_pairs("E6", 17)]
@@ -1738,8 +1738,8 @@ def test_an_impure_next_line_is_caught(monkeypatch):
         if not others:
             continue
 
-        def impure(q, c1, c2, lines=None, nxt=nxt):
-            rep = classify_sawteeth(q, c1, c2, lines)
+        def impure(q, c1, c2, lines=None, *, cross=None, nxt=nxt):
+            rep = classify_sawteeth(q, c1, c2, lines, cross=cross)
             return rep._replace(initial_barb=(0, 0)) if c1 == nxt else rep
 
         with monkeypatch.context() as mp:
