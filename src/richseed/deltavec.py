@@ -84,21 +84,14 @@ LANE_BIAS = 1 << 14  # a lane of the walk holds LANE_BIAS + its value
 
 
 @lru_cache(maxsize=128)
-def offset(n: int) -> int:
-    """G(n): 2^(W-1) in each of n fields."""
-    return int.from_bytes(b"\x00\x80" * n, "little")
-
-
-@lru_cache(maxsize=128)
-def _stored_mask(n: int) -> int:
-    """The bits a stored vector of n coordinates may set."""
-    return int.from_bytes(b"\xff\x00" * n, "little")
-
-
-@lru_cache(maxsize=128)
 def _lanes(value: int, n: int) -> int:
     """``value`` in each of n fields."""
     return int.from_bytes(value.to_bytes(2, "little") * n, "little")
+
+
+def offset(n: int) -> int:
+    """G(n): 2^(W-1) in each of n fields."""
+    return _lanes(1 << (W - 1), n)
 
 
 def prefix_mask(n: int) -> int:
@@ -153,7 +146,7 @@ class DeltaVector:
 
     @classmethod
     def packed(cls, reference: Word, bits: int) -> "DeltaVector":
-        if bits & ~_stored_mask(len(reference)):
+        if bits & ~_lanes(STORED_BOUND - 1, len(reference)):
             raise InvariantViolation(
                 f"a coordinate leaves [0, {STORED_BOUND}): "
                 f"{[bits >> (W * i) & ((1 << W) - 1) for i in range(len(reference))]}"

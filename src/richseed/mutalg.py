@@ -199,19 +199,21 @@ class CutSeedView:
     indices; every other summand is evicted.  ``check_induction`` fills in
     each color's members in ascending order (colors with members only), the
     reports per ordered pair and ``verified``, the tuple of the vectors it
-    saw in the order of ``state.deltas``.  Compared by identity."""
+    saw in the order of ``state.deltas``.  Steps 1..m delete m distinct
+    indices, so a view is of step m exactly when it holds m deleted
+    indices.  Compared by identity."""
 
-    __slots__ = ("members", "deleted", "step", "lines", "reports", "verified")
+    __slots__ = ("members", "deleted", "lines", "reports", "verified")
 
-    def __init__(self, members: set[int], deleted: frozenset[int], step: int = 0):
-        self.members, self.deleted, self.step = members, deleted, step
+    def __init__(self, members: set[int], deleted: frozenset[int]):
+        self.members, self.deleted = members, deleted
         self.lines, self.reports = {}, {}
         self.verified: tuple[DeltaVector, ...] = ()
 
     def copy(self) -> "CutSeedView":
         """A view with its own sets, lines and reports, so that a change to
         either view leaves the other as it was."""
-        view = CutSeedView(set(self.members), self.deleted, self.step)
+        view = CutSeedView(set(self.members), self.deleted)
         view.lines = {color: list(line) for color, line in self.lines.items()}
         view.reports, view.verified = dict(self.reports), self.verified
         return view
@@ -243,7 +245,7 @@ def cut_view(state: AlgState) -> CutSeedView:
     off every vector; the checks follow the replaced vectors instead."""
     deleted, lead = state.combo.deleted(state.step), prefix_mask(state.lv)
     members = {k for k, d in state.deltas.items() if k not in deleted and d.bits & lead}
-    return CutSeedView(members, deleted, state.step)
+    return CutSeedView(members, deleted)
 
 
 def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, int, int, str]:
@@ -329,11 +331,12 @@ class BatchChecker:
     see the mutation at k, ``finish`` the cut seed the batch leaves.  It
     holds the cut before the batch, the batch's line of members, the
     adjacent colors with a member and the previous mutation's labels.
-    Only the labels read the line, and only when some adjacent color has
-    a member; ``before(k)`` then requires k on it, so the line only
-    shrinks, by each evicted vertex.  A non-empty batch reads what the hooks compare (G and the
-    lead mask of the line formula, the colors, the quiver) here, once;
-    an empty one reads none of them."""
+    ``before(k)`` first requires k to be a member of that cut, of the
+    batch's color, so k is on the line.  Only the labels read the line,
+    and only when some adjacent color has a member; it only shrinks, by
+    each evicted vertex.  A non-empty batch reads what the
+    hooks compare (G and the lead mask of the line formula, the colors,
+    the quiver, the cut) here, once; an empty one reads none of them."""
 
     def __init__(self, state: AlgState, batch: list[int]):
         self.state, self.labels = state, {}
@@ -351,13 +354,13 @@ class BatchChecker:
         self.g, self.lead = offset(state.lv), prefix_mask(state.lv)
 
     def before(self, k: int) -> dict[int, str]:
-        """Check k's color and configurations, all from one walk of row k;
-        return its labels."""
+        """Check that k is a member of the batch's line, then its
+        configurations, all from one walk of row k; return its labels."""
         prev, colors = self.labels, self.other_colors
-        if self.col[k] != self.line_color:
+        if self.col[k] != self.line_color or k not in self.cut.members:
             raise InvariantViolation(
-                f"batch {self.state.step + 1} touches vertex {k} of color {self.col[k]}, "
-                f"expected color {self.line_color}"
+                f"batch {self.state.step + 1} touches vertex {k}, "
+                f"which is not a member of line {self.line_color}"
             )
         if not colors:
             return {}
@@ -520,10 +523,12 @@ def check_induction(state: AlgState) -> None:
     be the packed form of ``delta_tilde_from_combo``.
     """
     word, q, col, deltas = state.word, state.quiver, state.col, state.deltas
-    nbrs = word.cartan.neighbors
+    nbrs = word.cartan.nbrs
     m, lv = state.step, state.lv
     prev, journal, deleted = state.cut, q.journal, state.combo.deleted(m)
-    if prev is None or prev.step != m - 1 or journal is None:
+    # steps 1..m - 1 delete m - 1 distinct indices: a view of step m - 1
+    # holds exactly that many
+    if prev is None or len(prev.deleted) != m - 1 or journal is None:
         # every member enters: the entered rows cover every entry
         prev, journal = CutSeedView(set(), deleted), ()
     seen = tuple(deltas.values())
@@ -549,7 +554,7 @@ def check_induction(state: AlgState) -> None:
         elif k in members:
             members.remove(k)
             changed.add(k)
-    view = CutSeedView(members, deleted, m)
+    view = CutSeedView(members, deleted)
     view.verified = seen
 
     # a member keeps the support it was last verified with unless its
@@ -587,7 +592,7 @@ def check_induction(state: AlgState) -> None:
     # sign).  Any other arrow between two members of one color, or of two
     # colors that are not adjacent, is scanned, as is every arrow between
     # an entered vertex and a member
-    succ, rows, adjacency = word.succ, q.b, word.cartan.adjacency
+    succ, rows = word.succ, q.b
     line_ends = set(map(word.pred, entered)).union(entered)
     scan: set[tuple[int, int]] = set()
     stale: set[tuple[int, int]] = set()
@@ -596,7 +601,7 @@ def check_induction(state: AlgState) -> None:
             cs, ct = col[s], col[t]
             if cs == ct and succ(s) == t:
                 line_ends.add(s)
-            elif ((cs, ct) if cs < ct else (ct, cs)) in adjacency:  # an edge, so cs != ct
+            elif ct in nbrs[cs - 1]:  # an edge, so cs != ct
                 stale.update(((cs, ct), (ct, cs)))
             elif e := rows[s].get(t):
                 scan.add((s, t) if e > 0 else (t, s))
@@ -619,7 +624,7 @@ def check_induction(state: AlgState) -> None:
         if cs == ct:
             if succ(s) != t:
                 raise InvariantViolation(f"stray same-color arrow {s}->{t} at step {m}")
-        elif ((cs, ct) if cs < ct else (ct, cs)) not in adjacency:
+        elif ct not in nbrs[cs - 1]:
             raise InvariantViolation(
                 f"arrow {s}->{t} joins non-adjacent colors {cs},{ct} at step {m}"
             )
@@ -654,7 +659,7 @@ def check_induction(state: AlgState) -> None:
     # For the same reason a report needs only the cross arrows, gathered
     # once per pair of colors for both orders
     for a in dirty:
-        for c in nbrs(a):
+        for c in nbrs[a - 1]:
             stale.update(((a, c), (c, a)))
     reports = view.reports = dict(prev.reports)
     classified, gathered = 0, {}
@@ -672,7 +677,7 @@ def check_induction(state: AlgState) -> None:
 
     next_color = col[state.embedding.positions[m]] if m < lv else None
     if next_color in lines:
-        for oc in nbrs(next_color):
+        for oc in nbrs[next_color - 1]:
             rep = reports.get((next_color, oc))  # held exactly when oc has members
             if rep is not None and not (rep.valid and rep.pure):
                 raise InvariantViolation(

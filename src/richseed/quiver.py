@@ -249,17 +249,16 @@ def classify_sawteeth(
     ``cross``, when given, is what :func:`cross_arrows` gathered for the
     two lists, and the caller vouches for the line arrows: one of
     multiplicity 1 from each line vertex to the next and no other.  No
-    row is read then, unless the teeth come out invalid: the walk over
-    the rows is done again, so that the violation is the one reported
-    without ``cross``.
+    row is read then, and the teeth walk's report is final: with the
+    line arrows so, it is the report of the walk over the rows.
     """
     if lines is None:
         line, jline = q.ids_of_color(c1), q.ids_of_color(c2)
     else:
         line, jline = lines.get(c1, []), lines.get(c2, [])
     summits = frozenset(jline)
-    if cross is not None and (rep := _teeth(c1, c2, line, cross, summits)).valid:
-        return rep
+    if cross is not None:
+        return _teeth(c1, c2, line, cross, summits)
 
     # the line arrows, the positive entries of a line's row toward the
     # line, must be those from each line vertex to the next, each of
@@ -429,14 +428,14 @@ def classify_configs(
     """The label of k against each of ``colors``, as :func:`classify_config`
     gives it: one walk of row k sorts k's neighbours in ``within`` by
     color, and ``line``, k's line within ``within``, ascending, gives the
-    line vertices before and after k.  The first color in order that does
-    not classify raises."""
+    line vertices before and after k.  A k that is not a vertex raises
+    :class:`KeyError`; the callers pass a k on ``line``, which is not
+    checked again.  The first color in order that does not classify
+    raises."""
     vs, b = q.vertices, q.b
-    if k not in vs or k not in within:
+    if k not in vs:
         raise KeyError(f"no vertex {k}")
     i = bisect_left(line, k)
-    if i == len(line) or line[i] != k:
-        raise ValueError(f"vertex {k} is not on its line {line}")
     near: dict[int, list[tuple[int, int]]] = {}
     for j, x in b[k].items():
         if j in within and (oc := vs[j]) in colors:

@@ -41,7 +41,6 @@ class CartanData(NamedTuple):
     family: str
     rank: int
     matrix: tuple[tuple[int, ...], ...]
-    adjacency: frozenset[tuple[int, int]]
     nbrs: tuple[tuple[int, ...], ...]
 
     def a(self, i: int, j: int) -> int:
@@ -49,7 +48,7 @@ class CartanData(NamedTuple):
         return self.matrix[i - 1][j - 1]
 
     def adjacent(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.adjacency
+        return j in self.nbrs[i - 1]
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.nbrs[i - 1]
@@ -100,12 +99,12 @@ def cartan(family: str, rank: int) -> CartanData:
             f"{family}{rank} has {count} positive roots, above the limit of "
             f"{MAX_POSITIVE_ROOTS} (the number of E8)"
         )
-    adj = frozenset((min(i, j), max(i, j)) for i, j in _edges(family, rank))
+    edges = set(_edges(family, rank))
     vertices = range(1, rank + 1)
-    nbrs = tuple(tuple(j for j in vertices if (min(i, j), max(i, j)) in adj) for i in vertices)
+    nbrs = tuple(tuple(j for j in vertices if (min(i, j), max(i, j)) in edges) for i in vertices)
     matrix = tuple(tuple(2 if i == j else -1 if j in nbrs[i - 1] else 0 for j in vertices)
                    for i in vertices)
-    return CartanData(family, rank, matrix, adj, nbrs)
+    return CartanData(family, rank, matrix, nbrs)
 
 
 def parse_type(spec: str) -> CartanData:

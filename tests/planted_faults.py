@@ -54,16 +54,17 @@ def patched(fault: dict) -> str:
     return text.replace(fault["old"], fault["new"])
 
 
-def plant(fault: dict) -> tuple[bool, str]:
-    """(caught, the last line of pytest's report) for one fault."""
+def run_patched(file: str, text: str, args: list[str]) -> tuple[bool, str]:
+    """(some test failed, the last line of pytest's report) for one pytest
+    process that runs ``args`` against a copy of ``src/`` in which
+    ``file``, a path from the repository root, reads ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(ROOT / "src", Path(tmp) / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        (Path(tmp) / fault["file"]).write_text(patched(fault))
+        (Path(tmp) / file).write_text(text)
         src = str(Path(tmp) / "src")
-        tests = [str(ROOT / t) for t in fault["tests"]]
         proc = subprocess.run(
-            [sys.executable, "-c", _PYTEST, src, "-q", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-c", _PYTEST, src, "-q", "-p", "no:cacheprovider", *args],
             cwd=tmp, env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
             capture_output=True, text=True,
         )
@@ -71,6 +72,11 @@ def plant(fault: dict) -> tuple[bool, str]:
     # pytest exits 1 when a test failed; 0 is a missed fault, and any other
     # code (a test not found, an error before the run) is no catch either
     return proc.returncode == 1 and bool(re.search(r"\d+ failed", lines[-1])), lines[-1]
+
+
+def plant(fault: dict) -> tuple[bool, str]:
+    """(caught, the last line of pytest's report) for one fault."""
+    return run_patched(fault["file"], patched(fault), [str(ROOT / t) for t in fault["tests"]])
 
 
 def main() -> int:

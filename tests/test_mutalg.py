@@ -19,7 +19,14 @@ from richseed.deltavec import (
     delta_tilde_from_combo,
     delta_vectors,
 )
-from richseed.errors import FrozenVertex, InvariantViolation, StructuralFailure, Unclassifiable
+from richseed.errors import (
+    AmbiguousBranch,
+    FrozenVertex,
+    InvariantViolation,
+    NoValidBranch,
+    StructuralFailure,
+    Unclassifiable,
+)
 from richseed.mutalg import (
     MutationRecord,
     _expected_supports,
@@ -394,6 +401,24 @@ def test_corrupted_state_raises_invariant_violation():
     state.deltas[3] = DeltaVector(state.reference, tuple(coords))
     with pytest.raises(InvariantViolation):
         step_hat(state)
+
+
+def test_an_exchange_with_two_or_no_nonnegative_candidates_raises():
+    # vertex 3 with its arrows cleared: one arrow in from 1 and one out to
+    # 2 make both candidates of a zero vector nonnegative and distinct; no
+    # arrow at all leaves both candidates of a nonzero vector negative
+    state = initial_state(A5, WORD, V, completion=VDOT, check=False)
+    q, k, zero = state.quiver, 3, DeltaVector(state.reference, (0,) * len(state.reference))
+    assert state.deltas[1] != state.deltas[2] and state.deltas[k] != zero
+    for j in list(q.b[k]):
+        q._set(k, j, 0)
+    with pytest.raises(NoValidBranch, match=f"^no nonnegative exchange vector at vertex {k}$"):
+        mutate_delta(state, k)
+    q._set(1, k, 1)
+    q._set(k, 2, 1)
+    state.deltas[k] = zero
+    with pytest.raises(AmbiguousBranch, match=f"^both exchange vectors are valid at vertex {k}$"):
+        mutate_delta(state, k)
 
 
 def test_step_hat_changes_its_state_and_clone_keeps_a_copy():
@@ -933,6 +958,41 @@ def test_faults_injected_between_batches_are_caught():
     assert all(caught.values()), caught
 
 
+def test_every_batch_vertex_is_a_member_of_the_batch_line():
+    # between two batches one vector gets coordinate m set to 1, which puts
+    # its vertex into batch m: (a) the first evicted summand of p_m's color
+    # below the index that step m deletes, (b) the first member of another
+    # color before the batch's first vertex.  The batch refuses either one
+    # before it mutates anything
+    tried = {"evicted": 0, "other color": 0}
+    for spec in ("D5", "E6"):
+        for c, w, v in _w0_pairs(spec, 17):
+            state = initial_state(c, w, v, check=True)
+            for _ in range(state.lv):
+                m, cut = state.step + 1, state.cut
+                color = w.color(state.embedding.positions[m - 1])
+                bound, batch = w.pred(state.combo.deleted_at[m - 1]), index_set_A(state, m)
+                targets = {
+                    "evicted": [k for k in sorted(_evicted(state, cut))
+                                if w.color(k) == color and k <= bound][:1],
+                    "other color": [k for k in sorted(cut.members)
+                                    if w.color(k) != color and batch and k < batch[0]][:1],
+                }
+                for kind, ks in targets.items():
+                    for k in ks:
+                        coords = list(state.deltas[k].coords)
+                        coords[m - 1] = 1
+                        broken = state.clone()
+                        broken.deltas[k] = DeltaVector(state.reference, tuple(coords))
+                        with pytest.raises(InvariantViolation) as exc:
+                            step_hat(broken)
+                        assert str(exc.value) == (
+                            f"batch {m} touches vertex {k}, which is not a member of line {color}"
+                        ), (kind, w.letters, v, m)
+                        tried[kind] += 1
+                state = step_hat(state)
+    assert all(tried.values()), tried
+
 
 def _pairs_agree(state):
     """Classify every ordered pair of adjacent colors off the quiver's
@@ -1193,6 +1253,47 @@ def test_a_forbidden_configuration_transition_is_caught(monkeypatch):
     with pytest.raises(InvariantViolation) as exc:
         run(c, w, v)
     assert str(exc.value) == message
+
+
+def test_a_first_label_that_is_not_initial_is_caught(monkeypatch):
+    # a classifier that labels every vertex beta0: the first vertex of a
+    # batch that some adjacent color's members see must be in an initial
+    # configuration
+    from richseed import mutalg
+    from richseed.quiver import ConfigLabel
+
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    rec = next(r for r in run(c, w, v).trace if r.configs)
+    oc = next(iter(rec.configs))
+    monkeypatch.setattr(mutalg, "classify_configs",
+                        lambda q, k, colors, *_: dict.fromkeys(colors, ConfigLabel.BETA0))
+    message = (f"first mutated vertex {rec.vertex} is not in an initial configuration "
+               f"for color {oc} (got beta0)")
+    with pytest.raises(InvariantViolation) as exc:
+        run(c, w, v)
+    assert str(exc.value) == message
+
+
+def test_an_unchecked_run_refuses_a_survivor_with_a_leading_coordinate(monkeypatch):
+    # an unchecked run has no end-of-batch checks, but run itself reads
+    # every survivor's leading coordinates after the last batch
+    from richseed import mutalg
+
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    step, leaked = mutalg.step_hat, []
+
+    def leaky(state):
+        state = step(state)
+        if state.step == state.lv:
+            k = min(set(state.deltas) - state.combo.deleted(state.lv))
+            state.deltas[k] = DeltaVector.packed(state.reference, state.deltas[k].bits | 1)
+            leaked.append(k)
+        return state
+
+    monkeypatch.setattr(mutalg, "step_hat", leaky)
+    with pytest.raises(InvariantViolation) as exc:
+        run(c, w, v, check=False)
+    assert str(exc.value) == f"surviving summand {leaked[0]} keeps nonzero leading coordinates"
 
 
 def _states_before_a_tooth_shift(c, w, v):
