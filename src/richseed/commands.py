@@ -15,7 +15,7 @@ import argparse
 import os
 import random
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .deltavec import delta_tilde_from_combo, delta_via_xi, initial_delta_same
 from .errors import StructuralFailure
@@ -214,52 +214,40 @@ def _draw_pair(c: CartanData, cap: int, rng) -> tuple[Word, list[int]]:
     return word, [word.color(p) for p in pos]
 
 
+def _words(c: CartanData, samples: int, max_len: int, rng,
+           limit: int) -> tuple[bool, Iterator[tuple[Word, Optional[list[int]]]]]:
+    """(exhaustive, pairs): when c has at most ``limit`` positive roots,
+    every reduced word of each w with 1 <= l(w) <= ``max_len``, as
+    (word, None); above it, the sampled (word, letters of v) pairs."""
+    if number_of_positive_roots(c) > limit:
+        return False, _sample_pairs(c, samples, max_len, rng)
+    return True, ((Word(c, rw), None) for w in all_elements(c) if 1 <= w.length <= max_len
+                  for rw in reduced_words(w))
+
+
 def check_sawteeth(c: CartanData, samples: int, max_len: int, rng) -> tuple[bool, str]:
-    r = number_of_positive_roots(c)
-    exhaustive = r <= 12
+    exhaustive, words = _words(c, samples, max_len, rng, 12)
     n = 0
-    if exhaustive:
-        for el in all_elements(c):
-            if el.length == 0 or el.length > max_len:
-                continue
-            for rw in reduced_words(el):
-                if not quiver_has_sawteeth(build_gamma(Word(c, rw)), c):
-                    return False, f"word {tuple(reversed(rw))}"
-                n += 1
-        return True, f"{n} words (exhaustive)"
-    for word, _ in _sample_pairs(c, samples, max_len, rng):
+    for word, _ in words:
         if not quiver_has_sawteeth(build_gamma(word), c):
-            return False, f"word {tuple(word.display)}"
+            return False, f"word {word.display}"
         n += 1
-    return True, f"{n} words (sampled)"
+    return True, f"{n} words ({'exhaustive' if exhaustive else 'sampled'})"
 
 
 def check_equivalence(c: CartanData, samples: int, max_len: int, rng) -> tuple[bool, str]:
-    r = number_of_positive_roots(c)
+    exhaustive, words = _words(c, samples, max_len, rng, 6)
     n = 0
-    if r <= 6:
-        for el in all_elements(c):
-            if el.is_identity() or el.length > max_len:
+    for word, v_letters in words:
+        vs = all_elements(c) if v_letters is None else (element_of_word(c, v_letters),)
+        for v_el in vs:
+            if v_el.is_identity() or not bruhat_le(v_el, word):
                 continue
-            for rw in reduced_words(el):
-                word = Word(c, rw)
-                for v_el in all_elements(c):
-                    if v_el.is_identity() or not bruhat_le(v_el, word):
-                        continue
-                    ok, rep = verify_equivalence(word, rightmost_subword(v_el, word))
-                    if not ok:
-                        return False, f"word {tuple(word.display)}: {rep}"
-                    n += 1
-        return True, f"{n} pairs (exhaustive)"
-    for word, v_letters in _sample_pairs(c, samples, max_len, rng):
-        v_el = element_of_word(c, v_letters)
-        if v_el.is_identity():
-            continue
-        ok, rep = verify_equivalence(word, rightmost_subword(v_el, word))
-        if not ok:
-            return False, f"word {tuple(word.display)}: {rep}"
-        n += 1
-    return True, f"{n} pairs (sampled)"
+            ok, rep = verify_equivalence(word, rightmost_subword(v_el, word))
+            if not ok:
+                return False, f"word {word.display}: {rep}"
+            n += 1
+    return True, f"{n} pairs ({'exhaustive' if exhaustive else 'sampled'})"
 
 
 def check_induction(c: CartanData, samples: int, max_len: int, rng) -> tuple[bool, str]:
@@ -382,7 +370,6 @@ def build_parser(compute) -> argparse.ArgumentParser:
     p.add_argument("--type", required=True)
     p.add_argument("--max-len", type=integer, default=12)
     p.add_argument("--samples", type=integer, default=50)
-    p.add_argument("--checks", default="all",
-                   help="comma list among sawteeth,induction,equivalence,delta-oracle,green")
+    p.add_argument("--checks", default="all", help=f"comma list among {','.join(CHECKS)}")
     p.set_defaults(func=cmd_verify)
     return parser

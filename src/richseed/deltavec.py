@@ -47,25 +47,26 @@ from a tuple with a coordinate outside [0, 2^8) raises ``ValueError``.
 ``coords`` decodes the fields into a tuple at each read, for output,
 error messages and tests.
 
-The walk turns the same layout to run across summands.  For each weight
-coordinate c, one int Y[c] holds u_k(rho)_c + 2^14 in its lane q, and
-one int E[c] holds u_k(omega_{i_k})_c + 2^14, where k = ks[q]; let G'
-hold 2^14 in every lane.  Reflecting the lanes of a mask m by s_j takes
-their coordinate j as P = (Y[j] & m) - (G' & m), subtracts 2P from Y[j]
-and adds P to the coordinate of each neighbor of j, and the same for E.
-Every lane value is a coordinate of a weight in the Weyl-group orbit of
-rho or of a fundamental weight.  Coordinate j of x(rho) is the height of
-the root x^{-1}(alpha_j), at most 29 in absolute value under
-MAX_POSITIVE_ROOTS (29 is E8's), and never 0; a coordinate of
-x(omega_i) is an alpha_i-coefficient of a root, at most 6 in absolute
-value.  So each lane holds 2^14 plus at most 29 before and after an
+The walk turns the same layout to run across summands, with the same
+bias.  For each weight coordinate c, one int Y[c] holds u_k(rho)_c +
+2^15 in its lane q, and one int E[c] holds u_k(omega_{i_k})_c + 2^15,
+where k = ks[q]; G holds 2^15 in every lane.  Reflecting the lanes of a
+mask m by s_j takes their coordinate j as P = (Y[j] & m) - (G & m),
+subtracts 2P from Y[j] and adds P to the coordinate of each neighbor of
+j, and the same for E.  Every lane value is a coordinate of a weight in
+the Weyl-group orbit of rho or of a fundamental weight.  Coordinate j of
+x(rho) is the height of the root x^{-1}(alpha_j), at most 29 in absolute
+value under MAX_POSITIVE_ROOTS (29 is E8's), and never 0; a coordinate
+of x(omega_i) is an alpha_i-coefficient of a root, at most 6 in absolute
+value.  So each lane holds 2^15 plus at most 29 before and after an
 update, and the update moves it by at most 2 * 29: every lane stays
-within 2^14 +- 2 * 29, inside [0, 2^15), also after the negation by *,
-which takes 2^14 + x to 2^14 - x.  Python ints are exact, so the
-int after an update is the one whose base-2^16 digits are the new lane
-values: the borrows of a negative P cancel.  A lane's value is negative
-exactly when its bit 14 is clear, so ``G' & ~Y[j]`` marks the lanes to
-reflect, and ``G' & ~E[j]`` the negative coefficients.
+within 2^15 +- 2 * 29, inside [0, 2^16), also after the negation by *,
+which takes 2^15 + x to 2^15 - x.  Python ints are exact, so the int
+after an update is the one whose base-2^16 digits are the new lane
+values: the borrows of a negative P cancel.  As in the exchange, a
+lane's value is negative exactly when its bit W-1 is clear, so
+``G & ~Y[j]`` marks the lanes to reflect, and ``G & ~E[j]`` the
+negative coefficients.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from .words import ComboNumbers, Word
 W = 16  # bits per coordinate field: two bytes, little-endian
 STORED_BOUND = 1 << 8
 SIDE_BOUND = 1 << 7
-LANE_BIAS = 1 << 14  # a lane of the walk holds LANE_BIAS + its value
 
 
 @lru_cache(maxsize=128)
@@ -199,8 +199,8 @@ def initial_delta_same(word: Word, k: int) -> DeltaVector:
 
 def _left_part_lanes(word: Word, ks: range) -> tuple[list[int], list[int]]:
     """(Y, E): for each weight coordinate c, Y[c - 1] holds u_k(rho)_c and
-    E[c - 1] holds u_k(omega_{i_k})_c in lane q, biased by LANE_BIAS, with
-    k = ks[q].
+    E[c - 1] holds u_k(omega_{i_k})_c in lane q, biased by 2^(W-1) as
+    G(n) has it, with k = ks[q].
 
     u_k = s_{i_N} ... s_{i_{k+1}} is the left part beyond index k of any
     reduced word of w0 whose first letters are the word's.  It equals
@@ -210,13 +210,12 @@ def _left_part_lanes(word: Word, ks: range) -> tuple[list[int], list[int]]:
     and no completion of the word is built.  The walk runs p from max(ks)
     down to 1 and reflects by s_{i_p} the lanes with k >= p, the high
     lanes of the mask m; then each list is negated and permuted by *: a
-    lane holding LANE_BIAS + x becomes LANE_BIAS - x, which is
-    2 * LANE_BIAS - (LANE_BIAS + x) and never borrows.  No matrix is
-    built.
+    lane holding 2^(W-1) + x becomes 2^(W-1) - x, which is 2^W -
+    (2^(W-1) + x) and never borrows.  No matrix is built.
     """
     c = word.cartan
     n = len(ks)
-    g = _lanes(LANE_BIAS, n)
+    g = offset(n)
     full = (1 << (W * n)) - 1
     ys = [g + _lanes(1, n)] * c.rank
     es = [g] * c.rank
@@ -267,7 +266,7 @@ def delta_vectors(module_word: Word, target: Word, ks: range) -> list[DeltaVecto
 
     Every summand walks the same letters, so all of them walk at once, one
     lane each (see the module docstring): at position i, the lanes whose
-    coordinate j_i of y has bit 14 clear are reflected, and every other
+    coordinate j_i of y has bit W-1 clear are reflected, and every other
     lane writes coordinate j_i of eta to column i.  A negative coefficient
     raises :class:`NegativeCoordinate` naming its k and position.
     """
@@ -286,7 +285,7 @@ def delta_vectors(module_word: Word, target: Word, ks: range) -> list[DeltaVecto
 
     n = len(ks)
     ys, es = _left_part_lanes(module_word, ks)
-    g = _lanes(LANE_BIAS, n)  # bit 14 of every lane
+    g = offset(n)  # bit W-1 of every lane
     full = (1 << (W * n)) - 1
     nbrs = c.nbrs
     # cols[i - 1] holds column i, coordinate i of summand ks[q] in lane q
@@ -294,10 +293,10 @@ def delta_vectors(module_word: Word, target: Word, ks: range) -> list[DeltaVecto
     for i, j in zip(range(r, 0, -1), reversed(target.letters)):
         j -= 1
         y, eta = ys[j], es[j]
-        in_q = g & ~y  # bit 14 of each lane whose position i is in Q
+        in_q = g & ~y  # bit W-1 of each lane whose position i is in Q
         keep = full
         if in_q:
-            fm = (in_q << 2) - (in_q >> 14)  # those lanes, all 16 bits
+            fm = (in_q << 1) - (in_q >> (W - 1))  # those lanes, all W bits
             keep ^= fm
             minus_y = in_q - (y & fm)
             eta_j = (eta & fm) - in_q
@@ -309,8 +308,9 @@ def delta_vectors(module_word: Word, target: Word, ks: range) -> list[DeltaVecto
         bias = g & keep
         negative = bias & ~eta
         if negative:
-            lane = (negative & -negative).bit_length() // W
-            coefficient = (eta >> (W * lane) & 0xFFFF) - LANE_BIAS
+            # the lowest set bit is bit W-1 of the lane
+            lane = ((negative & -negative).bit_length() - 1) // W
+            coefficient = (eta >> (W * lane) & 0xFFFF) - (1 << (W - 1))
             raise NegativeCoordinate(
                 f"coefficient {coefficient} at position {i} (module index {ks[lane]}); "
                 "the reference data is inconsistent"

@@ -382,11 +382,11 @@ class BatchChecker:
 
     def after(self, k: int, old: DeltaVector, chosen: DeltaVector, evicted: bool) -> None:
         # the line formula, packed: G + succ + pred - old - chosen must read
-        # G over the first l(v) fields (see _check_branch_formula)
+        # G over the first l(v) fields (see _check_branch_formula); k is on
+        # p_m's line at or below word.pred(deleted_at[m - 1]), so its
+        # successor is at most deleted_at[m - 1], a vertex
         deltas, kp, km = self.deltas, self.succ(k), self.pred(k)
-        expected = self.g - old.bits
-        if kp in deltas:
-            expected += deltas[kp].bits
+        expected = self.g - old.bits + deltas[kp].bits
         if km in deltas:
             expected += deltas[km].bits
         if (expected - chosen.bits) & self.lead != self.g:

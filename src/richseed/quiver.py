@@ -157,7 +157,7 @@ class Quiver:
                     journal.add((s, t) if s < t else (t, s))
                 if x := rs.get(t, 0) - m1 * m2:
                     rs[t], rt[s] = x, -x
-                elif t in rs:
+                else:  # the entry held m1 * m2, which is not 0
                     del rs[t], rt[s]
         if journal is not None:
             journal.update([(k, j) if k < j else (j, k) for j in row])
@@ -169,7 +169,8 @@ def build_gamma(word: Word) -> Quiver:
     Vertex k = 1..l(w) has color i_k.  Horizontal arrows run k -> k+
     inside every color line.  An ordinary arrow j -> k (with j > k of a
     different color) exists when the colors are adjacent and
-    j+ >= k+ > j > k, with multiplicity -a_{i_j, i_k}.
+    j+ >= k+ > j > k, with multiplicity -a_{i_j, i_k}, which is 1: every
+    type is simply laced, so adjacent colors have Cartan entry -1.
 
     One pass over j keeps each color's last index so far: an earlier k
     of that color has k+ < j, so the last one is the only candidate per
@@ -188,7 +189,7 @@ def build_gamma(word: Word) -> Quiver:
         jp = word.succ(j)
         for k in sorted(last[i] for i in c.neighbors(ij)):
             if k and jp >= word.succ(k) > j:
-                q._add(j, k, -c.a(ij, word.color(k)))
+                q._add(j, k, 1)
         last[ij] = j
     return q
 

@@ -5,16 +5,17 @@ Conventions used everywhere in the package:
 * weights are integer vectors in the fundamental-weight basis,
 * vertices of the Dynkin diagram (colors) are numbered 1..rank.
 
-No root vector is built: the j-th simple root has weight coordinates
-equal to the j-th column (= row) of the Cartan matrix, so a simple
-reflection s_j subtracts lam_j times that column from a weight lam, and
-coordinate j of w^{-1}(rho) is the height of the root w(alpha_j).
+No root vector is built: the j-th simple root has weight coordinate 2
+at j and -1 at each neighbor of j, so a simple reflection s_j subtracts
+lam_j times that vector from a weight lam, and coordinate j of
+w^{-1}(rho) is the height of the root w(alpha_j).
 
-A type is a named tuple :class:`CartanData` and a Weyl group element w
-a named tuple (cartan, inv_rho) holding the single weight w^{-1}(rho),
-which determines w because rho is regular: plain values, equal,
-hashable and pickled as their fields; every operation on an element is
-a walk of simple reflections on weights.
+A type is its Dynkin diagram, a named tuple :class:`CartanData`: every
+type is simply laced, so no Cartan matrix is kept.  A Weyl group element
+w is a named tuple (cartan, inv_rho) holding the single weight
+w^{-1}(rho), which determines w because rho is regular: plain values,
+equal, hashable and pickled as their fields; every operation on an
+element is a walk of simple reflections on weights.
 """
 
 from __future__ import annotations
@@ -34,18 +35,13 @@ MAX_POSITIVE_ROOTS = 120
 
 
 class CartanData(NamedTuple):
-    """A simply-laced Dynkin type with its Cartan matrix and diagram;
-    ``nbrs`` holds vertex i's neighbors at [i-1].  A named tuple, so
-    immutable and equal by value; its hash is not cached."""
+    """A simply-laced Dynkin type as its diagram: ``nbrs`` holds vertex
+    i's neighbors at [i-1].  A named tuple, so immutable and equal by
+    value; its hash is not cached."""
 
     family: str
     rank: int
-    matrix: tuple[tuple[int, ...], ...]
     nbrs: tuple[tuple[int, ...], ...]
-
-    def a(self, i: int, j: int) -> int:
-        """Cartan entry a_{ij} for colors 1..rank."""
-        return self.matrix[i - 1][j - 1]
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.nbrs[i - 1]
@@ -86,7 +82,7 @@ def _edges(family: str, rank: int) -> list[tuple[int, int]]:
 
 
 def cartan(family: str, rank: int) -> CartanData:
-    """Cartan data for type ``family``+``rank``, vertices numbered 1..rank.
+    """The diagram of type ``family``+``rank``, vertices numbered 1..rank.
 
     A_n is the chain 1--2--...--n, D_n branches at n-2, and in E_n the
     vertex 2 hangs off vertex 4 of the chain 1--3--4--5--...--n.  Types
@@ -102,9 +98,7 @@ def cartan(family: str, rank: int) -> CartanData:
     edges = set(_edges(family, rank))
     vertices = range(1, rank + 1)
     nbrs = tuple(tuple(j for j in vertices if (min(i, j), max(i, j)) in edges) for i in vertices)
-    matrix = tuple(tuple(2 if i == j else -1 if j in nbrs[i - 1] else 0 for j in vertices)
-                   for i in vertices)
-    return CartanData(family, rank, matrix, nbrs)
+    return CartanData(family, rank, nbrs)
 
 
 def parse_type(spec: str) -> CartanData:

@@ -27,16 +27,19 @@ from .rootsys import (
 class Word:
     """A reduced word with successor/predecessor bookkeeping.
 
-    ``letters[k-1]`` is the color i_k.  Construction verifies
+    ``letters[k-1]`` is the color i_k.  Construction checks that every
+    letter is a color, then walks the letters once; the walk verifies
     reducedness on one weight vector: with x = s_{i_{k-1}} ... s_{i_1},
     the letter i_k is an ascent of x exactly when coordinate i_k of
     x(rho) is positive (it is the height of the root beta_k below, so
     never zero), and (s_{i_k} x)(rho) is x(rho) reflected by s_{i_k}:
     coordinate i_k, n, becomes -n and each neighbor of i_k gains n, in
     place in one list.  The first letter that is not an ascent raises
-    :class:`NotReduced` with its prefix length k.  The final weight w(rho)
-    is kept (``rho_image``); the represented element (``element``) is
-    built on each read, one walk of the letters.
+    :class:`NotReduced` with its prefix length k.  The same walk appends
+    k to its color's line and links k to the line's previous index, for
+    ``succ`` and ``pred``.  The final weight w(rho) is kept
+    (``rho_image``); the represented element (``element``) is built on
+    each read, one walk of the letters.
 
     No root sequence is stored: a walk that would pair a weight xi with
     beta_k = x(alpha_{i_k}), for x the prefix above, carries x^{-1}(xi)
@@ -53,31 +56,29 @@ class Word:
         self.cartan = cartan
         self.letters = letters
 
-        y = [1] * cartan.rank  # x(rho) for the prefix x read so far
-        nbrs = cartan.nbrs
-        for k, i in enumerate(letters, start=1):
-            i -= 1
-            n = y[i]
-            if n < 0:
-                raise NotReduced(k)
-            y[i] = -n
-            for j in nbrs[i]:
-                y[j - 1] += n
-        self._rho = tuple(y)
-
-        by_color: dict[int, list[int]] = {}
-        for k, i in enumerate(letters, start=1):
-            by_color.setdefault(i, []).append(k)
-        self._by_color = {i: tuple(ks) for i, ks in by_color.items()}
-
         # indexed 0..L+2: the sentinels L+1 and 0 sit at 0, L+1 and L+2, so
         # that k = -1 and k = L+2 read them too
         L = len(letters)
         succ = [L + 1] * (L + 3)
         pred = [0] * (L + 3)
-        for line in self._by_color.values():
-            for a, b in zip(line, line[1:]):
-                succ[a], pred[b] = b, a
+        by_color: dict[int, list[int]] = {}
+        y = [1] * cartan.rank  # x(rho) for the prefix x read so far
+        nbrs = cartan.nbrs
+        for k, i in enumerate(letters, start=1):
+            n = y[i - 1]
+            if n < 0:
+                raise NotReduced(k)
+            y[i - 1] = -n
+            for j in nbrs[i - 1]:
+                y[j - 1] += n
+            if line := by_color.get(i):
+                a = line[-1]
+                succ[a], pred[k] = k, a
+                line.append(k)
+            else:
+                by_color[i] = [k]
+        self._rho = tuple(y)
+        self._by_color = {i: tuple(ks) for i, ks in by_color.items()}
         self._succ = tuple(succ)
         self._pred = tuple(pred)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Collection, NamedTuple, Optional
 
-from richseed.deltavec import LANE_BIAS, W, DeltaVector
+from richseed.deltavec import W, DeltaVector, offset
 from richseed.errors import NegativeCoordinate, NotLessOrEqual, Unclassifiable
 from richseed.quiver import ConfigLabel, Quiver, SawTeethReport, Tooth
 from richseed.rootsys import CartanData, Vec, element_of_word, number_of_positive_roots
@@ -23,6 +23,15 @@ from richseed.words import ComboNumbers, SubwordEmbedding, Word, leftmost_subwor
 
 # ---------------------------------------------------------------------------
 # root and weight arithmetic through the Cartan matrix
+
+
+@lru_cache(maxsize=32)
+def cartan_matrix(c: CartanData) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix of a simply-laced type, read off its diagram:
+    2 on the diagonal, -1 between neighbors, 0 elsewhere."""
+    vertices = range(1, c.rank + 1)
+    return tuple(tuple(2 if i == j else -1 if j in c.nbrs[i - 1] else 0 for j in vertices)
+                 for i in vertices)
 
 
 def fundamental_weight(c: CartanData, i: int) -> Vec:
@@ -36,7 +45,7 @@ def root_pairing(c: CartanData, lam: Vec, beta: Vec) -> int:
 
 def root_to_weight(c: CartanData, beta: Vec) -> Vec:
     """Weight coordinates of a root vector (multiply by the Cartan matrix)."""
-    return tuple(sum(map(mul, row, beta)) for row in c.matrix)
+    return tuple(sum(map(mul, row, beta)) for row in cartan_matrix(c))
 
 
 def reflect_weight(c: CartanData, lam: Vec, beta: Vec) -> Vec:
@@ -60,7 +69,7 @@ def simple_root(c: CartanData, i: int) -> Vec:
 
 def reflect_root(c: CartanData, i: int, v: Vec) -> Vec:
     """s_i acting on root coordinates."""
-    pairing = sum(c.matrix[i - 1][j] * v[j] for j in range(c.rank))
+    pairing = sum(cartan_matrix(c)[i - 1][j] * v[j] for j in range(c.rank))
     out = list(v)
     out[i - 1] -= pairing
     return tuple(out)
@@ -309,13 +318,14 @@ def root_sequence_delta_via_xi(module_word, k, target):
 
 def completion_left_part_lanes(module_word, ks):
     """``richseed.deltavec._left_part_lanes`` as it walked a completed word,
-    frozen: ``module_word`` is a reduced word of w0 of length N, and lane k
+    frozen but for the lane bias, which is G(n)'s as there:
+    ``module_word`` is a reduced word of w0 of length N, and lane k
     holds rho and omega_{i_k} reflected by s_{i_{k+1}}, then s_{i_{k+2}},
     ..., s_{i_N}.  The walk runs p from ks.start + 1 to N and reflects by
     s_{i_p} the lanes with k < p, the low lanes of the mask m."""
     c = module_word.cartan
     n = len(ks)
-    g = int.from_bytes(LANE_BIAS.to_bytes(2, "little") * n, "little")
+    g = offset(n)
     ys = [g + int.from_bytes(b"\x01\x00" * n, "little")] * c.rank
     es = [g] * c.rank
     for q, k in enumerate(ks):
@@ -367,7 +377,7 @@ def all_pairs_gamma(word):
         for k in range(1, j):
             ij, ik = word.color(j), word.color(k)
             if ij != ik and c.adjacent(ij, ik) and word.succ(j) >= word.succ(k) > j:
-                q._add(j, k, -c.a(ij, ik))
+                q._add(j, k, -cartan_matrix(c)[ij - 1][ik - 1])
     return q
 
 

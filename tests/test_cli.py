@@ -191,6 +191,48 @@ def test_exhaustive_suites_honour_max_len(capsys):
     assert out == "equivalence: pass (21 pairs (exhaustive))\nsawteeth: pass (9 words (exhaustive))\n"
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["--type", "A3"],
+     "sawteeth: pass (65 words (exhaustive))\n"
+     "induction: pass (50 checked runs)\n"
+     "equivalence: pass (893 pairs (exhaustive))\n"
+     "delta-oracle: pass (50 words, all summands)\n"
+     "green: pass (57 mutations, 0 red (logged, not failed))\n"),
+    (["--type", "A4", "--checks", "sawteeth,equivalence", "--max-len", "5"],
+     "sawteeth: pass (246 words (exhaustive))\n"
+     "equivalence: pass (49 pairs (sampled))\n"),
+])
+def test_verify_output_is_pinned(monkeypatch, capsys, argv, out):
+    # A4 has 10 positive roots: its saw-teeth words are every reduced word
+    # of length 1 to 5, its equivalence pairs are sampled
+    monkeypatch.delenv("RSEED_SEED", raising=False)
+    assert main(["verify", *argv]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_verify_reports_each_failed_check_and_exits_1(monkeypatch, capsys):
+    import richseed.commands
+
+    monkeypatch.setattr(richseed.commands, "quiver_has_sawteeth", lambda q, c: False)
+    monkeypatch.setattr(richseed.commands, "verify_equivalence", lambda w, emb: (False, "planted"))
+    argv = ["verify", "--type", "A3", "--checks", "sawteeth,equivalence,induction", "--samples", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "sawteeth: FAIL (word (1,))\n"
+        "equivalence: FAIL (word (1,): planted)\n"
+        "induction: pass (2 checked runs)\n"
+    )
+
+
+def test_examples_report_a_failed_example_and_exit_1(monkeypatch, capsys):
+    monkeypatch.setitem(EXAMPLES, "a3-tables", lambda: ["one: got 1, expected 2", "two"])
+    assert main(["examples"]) == 1
+    assert capsys.readouterr().out == (
+        "a3-tables: FAIL\n  one: got 1, expected 2\n  two\n"
+        "a5-run: ok\nd5-quiver: ok\nd5-notations: ok\n"
+    )
+
+
 def test_verify_subcommand_passes():
     proc = _cli("verify", "--type", "A3", "--checks", "equivalence,sawteeth")
     assert proc.returncode == 0, proc.stdout + proc.stderr

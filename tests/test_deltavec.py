@@ -13,7 +13,6 @@ from oracles import (
 
 import richseed.deltavec
 from richseed.deltavec import (
-    LANE_BIAS,
     W,
     DeltaVector,
     _left_part_lanes,
@@ -198,7 +197,7 @@ def _left_parts(wdot, ks):
     ys, es = _left_part_lanes(wdot, ks)
 
     def lane(x, q):
-        return (x >> (W * q) & 0xFFFF) - LANE_BIAS
+        return (x >> (W * q) & 0xFFFF) - (1 << (W - 1))
 
     return [(tuple(lane(y, q) for y in ys), tuple(lane(e, q) for e in es)) for q in range(len(ks))]
 
@@ -401,7 +400,7 @@ def test_a_negative_lane_raises_naming_its_summand(monkeypatch, lane):
     def negated(module_word, ks):
         ys, es = _left_part_lanes(module_word, ks)
         field = W * lane
-        return ys, [e - (2 * ((e >> field & 0xFFFF) - LANE_BIAS) << field) for e in es]
+        return ys, [e - (2 * ((e >> field & 0xFFFF) - (1 << (W - 1))) << field) for e in es]
 
     monkeypatch.setattr(richseed.deltavec, "_left_part_lanes", negated)
     with pytest.raises(NegativeCoordinate, match=rf"\(module index {3 + lane}\)"):

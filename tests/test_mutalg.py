@@ -393,6 +393,13 @@ def test_green_report_refuses_an_unknown_vertex_as_the_rule_does(k):
         green_report(w, [k])
 
 
+@pytest.mark.parametrize("k", [0, 14])
+def test_mutate_delta_refuses_an_unknown_vertex(k):
+    state = initial_state(A5, WORD, V, completion=VDOT)
+    with pytest.raises(KeyError, match=f"^'no vertex {k}'$"):
+        mutate_delta(state, k)
+
+
 def test_corrupted_state_raises_invariant_violation():
     state = initial_state(A5, WORD, V, completion=VDOT)
     # sabotage one vector: the next batch must notice a broken exchange

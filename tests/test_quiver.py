@@ -13,6 +13,7 @@ from richseed.quiver import (
     Quiver,
     build_gamma,
     classify_config,
+    classify_configs,
     classify_sawteeth,
     quiver_has_sawteeth,
     to_dot,
@@ -226,6 +227,16 @@ def test_a_quiver_copies_its_colors_and_freezes_exactly_the_given_ids():
         Quiver({1: 1, 2: 2}, frozen={2, 12, 14})
     with pytest.raises(KeyError, match="arrow 1->3 uses an unknown vertex"):
         Quiver({1: 1, 2: 2}, {(1, 3): 1})
+
+
+@pytest.mark.parametrize("k", [0, 11])
+def test_mutation_and_labels_refuse_an_unknown_vertex(k):
+    q = build_gamma(A4_WORD)
+    with pytest.raises(KeyError, match=f"^'no vertex {k}'$"):
+        q.mutate_in_place(k)
+    with pytest.raises(KeyError, match=f"^'no vertex {k}'$"):
+        classify_configs(q, k, (1, 3), q.vertices, q.ids_of_color(2))
+    assert q == build_gamma(A4_WORD)
 
 
 def test_frozen_set_and_teeth_are_immutable():

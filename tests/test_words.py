@@ -75,6 +75,14 @@ def test_not_reduced_prefix_length():
     assert exc.value.prefix_len == 3
 
 
+def test_a_letter_out_of_range_wins_over_a_non_reduced_prefix():
+    # the range check reads every letter before the reducedness walk starts
+    c = cartan("A", 2)
+    for letters in ([1, 1, 3], [2, 1, 1, 2, 0]):
+        with pytest.raises(ValueError, match=r"^letter (3|0) out of range 1\.\.2$"):
+            Word(c, letters)
+
+
 def test_successor_structure_examples():
     assert SUC_WORD.succ(7) == 11 and SUC_WORD.pred(7) == 3
     assert SUC_WORD.succ(8) == 12 and SUC_WORD.pred(8) == 1
