@@ -17,17 +17,17 @@ The checks of the initial seed are the step-0 pass of
 :func:`check_induction`, which compares every summand's truncation with
 the combinatorial form of Leclerc's seeds.  After that, each check
 carries the cut view of the last one forward and re-examines only what a
-batch changed: the matrix entries in the quiver's journal (kept only in
-checked runs), the vertices whose vector it replaced, which with the
-newly deleted index are the only ones that can enter or leave the cut,
-and the members of the batch's color.  A view keeps the members and the
-deleted indices; every other summand is evicted.  Each color's members
-are kept as one ascending line; a saw-teeth report reads the quiver's
-rows over two such lines, one report per pair of adjacent colors that
-both have members, and only the pairs that the batch touched are
-classified again, the others' reports are kept.  Green labels
-and the arrows each mutation makes appear and vanish come from one
-replay of the run's mutations: :func:`green_report`.
+batch changed: the matrix entries that the quiver's journal names (in
+checked runs only; a record per mutation, the split of its row), the
+vertices whose vector it replaced, which with the newly deleted index are
+the only ones that can enter or leave the cut, and the members of the
+batch's color.  A view keeps the members and the deleted indices; every
+other summand is evicted.  Each color's members are kept as one ascending
+line; a saw-teeth report reads the quiver's rows over two such lines, one
+report per pair of adjacent colors that both have members, and only the
+pairs that the batch touched are classified again, the others' reports
+are kept.  Green labels and the arrows each mutation makes appear and
+vanish come from one replay of the run's mutations: :func:`green_report`.
 
 The vectors are packed integers (see :mod:`richseed.deltavec`): the
 exchange is a few big-integer adds and its sign one mask, and every read
@@ -66,6 +66,7 @@ from .quiver import (
     CONFIG_TRANSITIONS,
     Quiver,
     SawTeethReport,
+    Split,
     build_gamma,
     classify_configs,
     classify_sawteeth,
@@ -248,19 +249,33 @@ def cut_view(state: AlgState) -> CutSeedView:
     return CutSeedView(members, deleted)
 
 
-def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, int, int, str]:
-    """The two exchange computations at k; exactly one must be valid.
+def mutate_delta(state: AlgState, k: int, split: Split) -> tuple[DeltaVector, int, int, str]:
+    """The two exchange computations at k, off ``split``, row k as
+    ``Quiver.split`` gives it; exactly one must be valid.
 
     Returns (chosen, in-candidate, out-candidate, branch name), each
     candidate packed as G + its vector (see :mod:`richseed.deltavec`),
     whose coordinates may be negative; ``decode_offset`` reads them.  The
-    in-candidate replaces the vector by the sum over arrows into k minus
-    itself, the out-candidate uses the arrows out of k.
+    in-candidate is G - d_k + the sum of m * d_s over the m arrows s -> k,
+    the out-candidate the same over the arrows out of k.  Each side's
+    multiplicities must sum below SIDE_BOUND, so that no field carries.
     """
     if k not in state.deltas:
         raise KeyError(f"no vertex {k}")
-    g = offset(len(state.reference))
-    acc_in, acc_out = _exchange(state, k, g)
+    deltas, (ins, outs), g = state.deltas, split, offset(len(state.reference))
+    acc_in = acc_out = g - deltas[k].bits
+    n_in = n_out = 0
+    for s, m in ins:
+        acc_in += m * deltas[s].bits
+        n_in += m
+    for t, m in outs:
+        acc_out += m * deltas[t].bits
+        n_out += m
+    if n_in >= SIDE_BOUND or n_out >= SIDE_BOUND:
+        raise InvariantViolation(
+            f"{max(n_in, n_out)} arrows on one side of vertex {k}, "
+            f"at most {SIDE_BOUND - 1} fit the packed exchange"
+        )
     ok_in, ok_out = acc_in & g == g, acc_out & g == g
     if ok_in and ok_out and acc_in != acc_out:
         raise AmbiguousBranch(f"both exchange vectors are valid at vertex {k}")
@@ -268,29 +283,6 @@ def mutate_delta(state: AlgState, k: int) -> tuple[DeltaVector, int, int, str]:
         raise NoValidBranch(f"no nonnegative exchange vector at vertex {k}")
     chosen = DeltaVector.packed(state.reference, (acc_in if ok_in else acc_out) - g)
     return chosen, acc_in, acc_out, "in" if ok_in else "out"
-
-
-def _exchange(state: AlgState, k: int, g: int) -> tuple[int, int]:
-    """G - d_k + the sum of m * d_s over the arrows into k (m arrows
-    s -> k), and the same over the arrows out of k, in one walk of row k.
-    Each side's multiplicities must sum below SIDE_BOUND, so that no field
-    carries (see :mod:`richseed.deltavec`)."""
-    deltas = state.deltas
-    acc_in = acc_out = g - deltas[k].bits
-    n_in = n_out = 0
-    for s, e in state.quiver.b[k].items():
-        if e > 0:
-            acc_out += e * deltas[s].bits
-            n_out += e
-        else:
-            acc_in -= e * deltas[s].bits
-            n_in -= e
-    if n_in >= SIDE_BOUND or n_out >= SIDE_BOUND:
-        raise InvariantViolation(
-            f"{max(n_in, n_out)} arrows on one side of vertex {k}, "
-            f"at most {SIDE_BOUND - 1} fit the packed exchange"
-        )
-    return acc_in, acc_out
 
 
 def index_set_A(state: AlgState, m: int) -> list[int]:
@@ -312,10 +304,11 @@ def step_hat(state: AlgState) -> AlgState:
     checker = state.checker(state, batch)
     lead, n = prefix_mask(state.lv), len(state.reference)
     for k in batch:
-        configs = checker.before(k)
-        chosen, acc_in, acc_out, branch = mutate_delta(state, k)
+        split = state.quiver.split(k)  # the labels, exchange, update and journal read it
+        configs = checker.before(k, split)
+        chosen, acc_in, acc_out, branch = mutate_delta(state, k, split)
         old = state.deltas[k]
-        state.quiver.mutate_in_place(k)
+        state.quiver.mutate_in_place(k, split)
         state.deltas[k] = chosen
         evicted = not chosen.bits & lead
         checker.after(k, old, chosen, evicted)
@@ -353,9 +346,9 @@ class BatchChecker:
         self.succ, self.pred = word.succ, word.pred
         self.g, self.lead = offset(state.lv), prefix_mask(state.lv)
 
-    def before(self, k: int) -> dict[int, str]:
+    def before(self, k: int, split: Split) -> dict[int, str]:
         """Check that k is a member of the batch's line, then its
-        configurations, all from one walk of row k; return its labels."""
+        configurations, read off ``split``; return its labels."""
         prev, colors = self.labels, self.other_colors
         if self.col[k] != self.line_color or k not in self.cut.members:
             raise InvariantViolation(
@@ -364,7 +357,8 @@ class BatchChecker:
             )
         if not colors:
             return {}
-        self.labels = labels = classify_configs(self.quiver, k, colors, self.cut.members, self.line)
+        self.labels = labels = classify_configs(
+            self.quiver, k, colors, self.cut.members, self.line, split)
         for oc, label in labels.items():
             if oc in prev:
                 allowed = CONFIG_TRANSITIONS.get((prev[oc], self.evicted))
@@ -411,7 +405,7 @@ class NoChecks:
     def __init__(self, state: AlgState, batch: list[int]):
         pass
 
-    def before(self, k: int) -> dict[int, str]:
+    def before(self, k: int, split: Split) -> dict[int, str]:
         return {}
 
     def after(self, k: int, old: DeltaVector, chosen: DeltaVector, evicted: bool) -> None:
@@ -503,24 +497,25 @@ def check_induction(state: AlgState) -> None:
     The view is carried forward from the last one.  The members change
     only at the newly deleted index and at the vertices whose vector was
     replaced, found by one identity comparison of every vector with the
-    tuple the last view saw.  One walk of the quiver's journal,
-    the matrix entries written since then, gives the entries between two
-    members to examine again; with the lines that changed, those joining
-    two adjacent colors make the pairs of colors stale.  Only the stale
-    pairs are visited: every other report is kept, valid as it was when
-    stored.  The cross arrows of a stale pair of colors are read once, off
-    the rows of its shorter member line, and each stale order is
-    classified from them; the line arrows, which the line and row scans
-    verified, are not read again.  An expected support is a difference of two
-    entries of the prefix table ``state.support``, found for a whole line
-    in one pass.  The first check, or one without a view of the previous
-    step or without a journal, starts from a view with no members and
-    this step's deleted set, so no index is newly deleted, and walks no
-    journal: every vector counts as replaced, so every member enters, and
-    the rows of the entered members hold every entry between two members.
-    At step 0 these are the checks of the initial seed, and the support
-    check covers every summand, not only the members: its truncation must
-    be the packed form of ``delta_tilde_from_combo``.
+    tuple the last view saw.  One walk of the quiver's journal, a record
+    per write since then, each expanded over its member ends only, gives
+    the entries between two members to examine again; with the lines that
+    changed, those joining two adjacent colors make their pair of colors
+    stale, once per pair.  Only the stale pairs are visited: every other
+    report is kept, valid as it was when stored.  The cross arrows of a
+    stale pair of colors are read once, off the rows of its shorter member
+    line, and each stale order is classified from them; the line arrows,
+    which the line and row scans verified, are not read again.  An
+    expected support is a difference of two entries of the prefix table
+    ``state.support``, found for a whole line in one pass.  The first
+    check, or one without a view of the previous step or without a
+    journal, starts from a view with no members and this step's deleted
+    set, so no index is newly deleted, and walks no journal: every vector
+    counts as replaced, so every member enters, and the rows of the
+    entered members hold every entry between two members.  At step 0
+    these are the checks of the initial seed, and the support check covers
+    every summand, not only the members: its truncation must be the packed
+    form of ``delta_tilde_from_combo``.
     """
     word, q, col, deltas = state.word, state.quiver, state.col, state.deltas
     nbrs = word.cartan.nbrs
@@ -585,26 +580,39 @@ def check_induction(state: AlgState) -> None:
                 f"{who} {k} has truncated support {got}, expected {want} at step {m}"
             )
 
-    # one walk of the entries (s < t) written since the last view: those
-    # between two members of adjacent colors make both orders of the pair
-    # stale, those of a line give the line arrows to read again (a line
-    # arrow k -> k+ has k < k+; the line check reads its multiplicity and
-    # sign).  Any other arrow between two members of one color, or of two
-    # colors that are not adjacent, is scanned, as is every arrow between
-    # an entered vertex and a member
+    # one walk of the journal's records, each expanded over its member ends
+    # only, gives the entries between two members written since the last
+    # view: those of adjacent colors give their pair of colors, those of a
+    # line the line arrows to read again (the line check reads a line
+    # arrow's multiplicity and sign).  Any other arrow between two members
+    # of one color or of two colors that are not adjacent is scanned, as is
+    # every arrow between an entered vertex and a member
     succ, rows = word.succ, q.b
     line_ends = set(map(word.pred, entered)).union(entered)
-    scan: set[tuple[int, int]] = set()
-    stale: set[tuple[int, int]] = set()
-    for s, t in journal:
-        if s in members and t in members:
-            cs, ct = col[s], col[t]
-            if cs == ct and succ(s) == t:
-                line_ends.add(s)
-            elif ct in nbrs[cs - 1]:  # an edge, so cs != ct
-                stale.update(((cs, ct), (ct, cs)))
-            elif e := rows[s].get(t):
-                scan.add((s, t) if e > 0 else (t, s))
+    scan, crossed = set(), set()  # arrows (s, t); pairs of colors (of s, of t)
+    for k, ins, outs in journal:
+        heads, tails = [], []
+        for s, _ in ins:
+            if s in members:
+                heads.append(s)
+        for t, _ in outs:
+            if t in members:
+                tails.append(t)
+        # k on both sides makes its own entries paths too; no row holds (k, k)
+        if k in members:
+            heads.append(k)
+            tails.append(k)
+        for s in heads:
+            cs = col[s]
+            edges = nbrs[cs - 1]
+            for t in tails:
+                if (ct := col[t]) in edges:  # so cs != ct
+                    crossed.add((cs, ct))
+                elif s != t and (succ(s) == t or succ(t) == s):  # of one line
+                    line_ends.add(min(s, t))
+                elif e := rows[s].get(t):
+                    scan.add((s, t) if e > 0 else (t, s))
+    stale = {pair for cs, ct in crossed for pair in ((cs, ct), (ct, cs))}
     for k in sorted(line_ends):
         kp = succ(k)
         if k not in members or kp not in members:
@@ -689,7 +697,7 @@ def check_induction(state: AlgState) -> None:
     stats = state.stats
     stats["reports_classified"] = stats.get("reports_classified", 0) + classified
     stats["reports_reused"] = stats.get("reports_reused", 0) + len(reports) - classified
-    q.journal = set()
+    q.journal = []
     state.cut = view
 
 
@@ -878,12 +886,11 @@ def green_report(word: Word, mutations: list[int]) -> list[dict]:
         return {(s, t) for s in near for t, x in fq.b[s].items() if x > 0 and t in near}
 
     for n, k in enumerate(mutations, start=1):
-        if k not in fq.vertices:
-            raise KeyError(f"no vertex {k}")
-        near = {j for j in fq.b[k] if j > 0} | {k}
-        green = all(t > 0 for t, x in fq.b[k].items() if x > 0)
+        ins, outs = split = fq.split(k)
+        near = {j for j, _ in (*ins, *outs) if j > 0} | {k}
+        green = all(t > 0 for t, _ in outs)
         old = arrows_among(near)
-        fq.mutate_in_place(k)
+        fq.mutate_in_place(k, split)
         new = arrows_among(near)
         out.append({"n": n, "vertex": k, "green": green,
                     "arrows_added": sorted(new - old), "arrows_removed": sorted(old - new)})

@@ -5,8 +5,9 @@ ids, and its skew-symmetric exchange matrix: ``b[i][j]`` is
 #(i->j) - #(j->i), so ``b[j][i] == -b[i][j]``, a zero entry is absent,
 and a 2-cycle cannot be represented.  An entry joining two frozen
 vertices is never stored, since seeds are only defined up to such
-arrows.  ``mutate_in_place`` applies the Fomin-Zelevinsky matrix
-rule in O(deg_in * deg_out) and returns nothing: the arrows a mutation
+arrows.  ``split(k)`` sorts row k into the arrows into k and out of k,
+and ``mutate_in_place`` applies the Fomin-Zelevinsky matrix rule to that
+split in O(deg_in * deg_out) and returns nothing: the arrows a mutation
 makes appear or vanish are read off by ``mutalg.green_report``, the one
 replay that needs them.  Every other operation, ``mutate`` included,
 returns a new quiver.
@@ -28,6 +29,8 @@ from typing import Collection, Iterable, KeysView, NamedTuple, Optional
 from .errors import FrozenVertex, Unclassifiable
 from .words import Word
 
+Split = tuple[list[tuple[int, int]], list[tuple[int, int]]]  # (ins, outs): see Quiver.split
+
 
 class Quiver:
     """A finite quiver without loops or 2-cycles, as one signed row per vertex.
@@ -40,9 +43,10 @@ class Quiver:
     arrows into i.  Every row is the negated column of its vertex,
     and no entry joins two frozen vertices.  ``arrows`` is the view
     (source, target) -> multiplicity of the positive entries.
-    ``journal``, when it is a set, collects every matrix entry written,
-    once, as (smaller id, larger id); checked runs turn it on and drain
-    it after each batch.
+    ``journal``, when it is a list, gets one record per write: a mutation
+    at k records (k, ins, outs), its split, naming (k, j) for each j of ins
+    and outs and (s, t) for each s of ins and t of outs; a ``_set`` of
+    b[s][t] records (s, (), ((t, x),)).  Checked runs drain it per batch.
     """
 
     __slots__ = ("vertices", "frozen", "b", "journal")
@@ -54,7 +58,7 @@ class Quiver:
         if unknown := self.frozen.difference(self.vertices):
             raise KeyError(f"frozen vertex {min(unknown)} is not a vertex")
         self.b: dict[int, dict[int, int]] = {k: {} for k in self.vertices}
-        self.journal: Optional[set[tuple[int, int]]] = None
+        self.journal: Optional[list[tuple]] = None
         if arrows:
             for (s, t), m in arrows.items():
                 self._add(s, t, m)
@@ -76,7 +80,7 @@ class Quiver:
     def _set(self, s: int, t: int, x: int) -> None:
         """Set b[s][t] = x and b[t][s] = -x; x = 0 removes both entries."""
         if self.journal is not None:
-            self.journal.add((s, t) if s < t else (t, s))
+            self.journal.append((s, (), ((t, x),)))
         if x:
             self.b[s][t] = x
             self.b[t][s] = -x
@@ -87,7 +91,7 @@ class Quiver:
         """An independent copy; a journal is copied too."""
         q = self.restricted(self.vertices)
         if self.journal is not None:
-            q.journal = set(self.journal)
+            q.journal = list(self.journal)
         return q
 
     # -- queries ------------------------------------------------------------
@@ -129,38 +133,44 @@ class Quiver:
         q.mutate_in_place(k)
         return q
 
-    def mutate_in_place(self, k: int) -> None:
-        """Fomin-Zelevinsky mutation at a mutable vertex, in place: every
-        path s -> k -> t adds b[s][k] * b[k][t] arrows s -> t (none
-        between two frozen vertices), and row k is negated.  The entries
-        are written as ``_set`` writes them, journal included, without a
-        call per entry."""
+    def split(self, k: int) -> Split:
+        """Row k as (ins, outs): each vertex with arrows into k, and each
+        with arrows out of k, with their number, in the order of the row."""
         if k not in self.vertices:
             raise KeyError(f"no vertex {k}")
-        frozen, b, row, journal = self.frozen, self.b, self.b[k], self.journal
+        ins, outs = [], []
+        for j, m in self.b[k].items():
+            if m > 0:
+                outs.append((j, m))
+            else:
+                ins.append((j, -m))
+        return ins, outs
+
+    def mutate_in_place(self, k: int, split: Optional[Split] = None) -> None:
+        """Fomin-Zelevinsky mutation at a mutable vertex, in place, read off
+        ``split`` (``split(k)`` unless given), which the journal records:
+        every path s -> k -> t adds m1 * m2 arrows s -> t (none between two
+        frozen vertices), and row k is negated, as ``_set`` would write."""
+        if k not in self.vertices:
+            raise KeyError(f"no vertex {k}")
+        frozen, b, row = self.frozen, self.b, self.b[k]
         if k in frozen:
             raise FrozenVertex(f"vertex {k} is frozen")
-        # row k is negated in the pass that sorts its entries into the arrows
-        # out of k and into k, each as (vertex, entry before, its row): a
-        # negation changes no row's keys, and the paths read no entry at k
-        outs, ins = [], []
+        ins, outs = self.split(k) if split is None else split
+        # a negation changes no row's keys, and the paths read no entry at k
         for j, m in row.items():
-            rj = b[j]
-            row[j], rj[k] = -m, m
-            (outs if m > 0 else ins).append((j, m, rj))
-        for s, m1, rs in ins:
-            both = s in frozen
-            for t, m2, rt in outs:
+            row[j], b[j][k] = -m, m
+        for s, m1 in ins:
+            rs, both = b[s], s in frozen
+            for t, m2 in outs:
                 if both and t in frozen:
                     continue
-                if journal is not None:
-                    journal.add((s, t) if s < t else (t, s))
-                if x := rs.get(t, 0) - m1 * m2:
-                    rs[t], rt[s] = x, -x
-                else:  # the entry held m1 * m2, which is not 0
-                    del rs[t], rt[s]
-        if journal is not None:
-            journal.update([(k, j) if k < j else (j, k) for j in row])
+                if x := rs.get(t, 0) + m1 * m2:
+                    rs[t], b[t][s] = x, -x
+                else:  # the entry held -m1 * m2, which is not 0
+                    del rs[t], b[t][s]
+        if self.journal is not None:
+            self.journal.append((k, ins, outs))
 
 
 def build_gamma(word: Word) -> Quiver:
@@ -416,46 +426,49 @@ def classify_config(q: Quiver, k: int, other_color: int) -> str:
 
     The quiver is expected to be a cut view in which the line of k obeys
     the structure theory; anything else raises :class:`Unclassifiable`.
-    :func:`classify_configs` labels k against several colors in one walk
-    of its row, inside a cut's members.
+    :func:`classify_configs` labels k against several colors from one
+    split of its row, inside a cut's members.
     """
     line = q.ids_of_color(q.vertices[k]) if k in q.vertices else []
-    return classify_configs(q, k, (other_color,), q.vertices, line)[other_color]
+    return classify_configs(q, k, (other_color,), q.vertices, line, q.split(k))[other_color]
 
 
 def classify_configs(
-    q: Quiver, k: int, colors: Collection[int], within: Collection[int], line: list[int]
+    q: Quiver, k: int, colors: Collection[int], within: Collection[int], line: list[int],
+    split: Split,
 ) -> dict[int, str]:
     """The label of k against each of ``colors``, as :func:`classify_config`
-    gives it: one walk of row k sorts k's neighbours in ``within`` by
-    color, and ``line``, k's line within ``within``, ascending, gives the
+    gives it, off ``split``, row k as ``q.split(k)`` gives it, within
+    ``within``; ``line``, k's line within ``within``, ascending, gives the
     line vertices before and after k.  A k that is not a vertex raises
-    :class:`KeyError`; the callers pass a k on ``line``, which is not
-    checked again.  The first color in order that does not classify
-    raises."""
+    :class:`KeyError`; a k on ``line`` is not checked again.  The first
+    color in order that does not classify raises."""
     vs, b = q.vertices, q.b
     if k not in vs:
         raise KeyError(f"no vertex {k}")
     i = bisect_left(line, k)
-    near: dict[int, list[tuple[int, int]]] = {}
-    for j, x in b[k].items():
+    ins, outs = split
+    near, away = {}, {}  # color -> k's in-neighbours of it in within; out-neighbours
+    for j, _ in ins:
         if j in within and (oc := vs[j]) in colors:
-            near.setdefault(oc, []).append((j, x))
+            near.setdefault(oc, []).append(j)
+    for j, _ in outs:
+        if j in within and (oc := vs[j]) in colors:
+            away.setdefault(oc, []).append(j)
     k_prev = line[i - 1] if i else None
     k_next = line[i + 1] if i + 1 < len(line) else None
 
     labels = {}
     for oc in colors:
-        js = near.get(oc, [])
-        if len(js) > 1 or js and js[0][1] > 0:
-            if outs := [j for j, x in js if x > 0]:
-                raise Unclassifiable(f"vertex {k} has an outgoing ordinary arrow toward {outs}")
-            ins = [j for j, _ in js]
-            raise Unclassifiable(f"vertex {k} has several incoming ordinary arrows {ins}")
+        if oc in away:
+            raise Unclassifiable(f"vertex {k} has an outgoing ordinary arrow toward {away[oc]}")
+        js = near.get(oc, ())
+        if len(js) > 1:
+            raise Unclassifiable(f"vertex {k} has several incoming ordinary arrows {js}")
         if not js:
             labels[oc] = ConfigLabel.ALPHA0 if k_prev is None else ConfigLabel.BETA0
             continue
-        j = js[0][0]
+        j = js[0]
         up = k_next is not None and b[k_next].get(j, 0) > 0
         if k_prev is None:
             labels[oc] = ConfigLabel.ALPHA2 if up else ConfigLabel.ALPHA1

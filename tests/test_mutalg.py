@@ -108,7 +108,7 @@ def test_schedule_with_zero_beta_starts_at_line_minimum():
 
 def test_first_batch_exchange_values():
     state = initial_state(A5, WORD, V, completion=VDOT)
-    chosen, acc_in, acc_out, branch = mutate_delta(state, 1)
+    chosen, acc_in, acc_out, branch = mutate_delta(state, 1, state.quiver.split(1))
     # one candidate is the valid f_11, the other is f_2 - f_1
     assert chosen.support() == (11,)
     assert branch == "out"
@@ -369,12 +369,12 @@ def test_c_vectors_of_the_green_replay_are_sign_coherent(monkeypatch):
     seeds += [run(c, w, v, check=False) for spec in specs for c, w, v in _w0_pairs(spec, 43)]
     mutate_in_place, checked = Quiver.mutate_in_place, []
 
-    def coherent_then_mutate(fq, k):
+    def coherent_then_mutate(fq, k, split):
         signs = {x > 0 for j, x in fq.b[k].items() if j < 0}
         assert len(signs) == 1, (k, fq.b[k])
         assert not [(i, j) for i, row in fq.b.items() if i < 0 for j in row if j < 0], k
         checked.append(k)
-        mutate_in_place(fq, k)
+        mutate_in_place(fq, k, split)
 
     monkeypatch.setattr(Quiver, "mutate_in_place", coherent_then_mutate)
     for seed in seeds:
@@ -397,7 +397,7 @@ def test_green_report_refuses_an_unknown_vertex_as_the_rule_does(k):
 def test_mutate_delta_refuses_an_unknown_vertex(k):
     state = initial_state(A5, WORD, V, completion=VDOT)
     with pytest.raises(KeyError, match=f"^'no vertex {k}'$"):
-        mutate_delta(state, k)
+        mutate_delta(state, k, ([], []))
 
 
 def test_corrupted_state_raises_invariant_violation():
@@ -410,6 +410,19 @@ def test_corrupted_state_raises_invariant_violation():
         step_hat(state)
 
 
+def _plant_exchange_rows(state, k, ambiguous):
+    """Vertex k with its arrows cleared, so that neither candidate of its
+    nonzero vector is nonnegative; when ``ambiguous``, then one arrow in
+    from 1, one out to 2 and a zero vector, so that both are and differ."""
+    q = state.quiver
+    for j in list(q.b[k]):
+        q._set(k, j, 0)
+    if ambiguous:
+        q._set(1, k, 1)
+        q._set(k, 2, 1)
+        state.deltas[k] = DeltaVector(state.reference, (0,) * len(state.reference))
+
+
 def test_an_exchange_with_two_or_no_nonnegative_candidates_raises():
     # vertex 3 with its arrows cleared: one arrow in from 1 and one out to
     # 2 make both candidates of a zero vector nonnegative and distinct; no
@@ -417,15 +430,13 @@ def test_an_exchange_with_two_or_no_nonnegative_candidates_raises():
     state = initial_state(A5, WORD, V, completion=VDOT, check=False)
     q, k, zero = state.quiver, 3, DeltaVector(state.reference, (0,) * len(state.reference))
     assert state.deltas[1] != state.deltas[2] and state.deltas[k] != zero
-    for j in list(q.b[k]):
-        q._set(k, j, 0)
+    _plant_exchange_rows(state, k, ambiguous=False)
     with pytest.raises(NoValidBranch, match=f"^no nonnegative exchange vector at vertex {k}$"):
-        mutate_delta(state, k)
-    q._set(1, k, 1)
-    q._set(k, 2, 1)
-    state.deltas[k] = zero
+        mutate_delta(state, k, q.split(k))
+    _plant_exchange_rows(state, k, ambiguous=True)
+    assert state.deltas[k] == zero
     with pytest.raises(AmbiguousBranch, match=f"^both exchange vectors are valid at vertex {k}$"):
-        mutate_delta(state, k)
+        mutate_delta(state, k, q.split(k))
 
 
 def test_step_hat_changes_its_state_and_clone_keeps_a_copy():
@@ -736,7 +747,7 @@ def test_a_record_decodes_the_candidate_of_either_branch(side):
     # the runs of the tests above choose "out" only; a record keeps the
     # rejected candidate and reads the chosen one off the vector after
     state, k = _planted_exchange(2, 3, side)
-    chosen, acc_in, acc_out, branch = mutate_delta(state, k)
+    chosen, acc_in, acc_out, branch = mutate_delta(state, k, state.quiver.split(k))
     rejected = acc_out if branch == "in" else acc_in
     n = len(state.reference)
     rec = MutationRecord(1, k, branch, False, (rejected, state.deltas[k].bits, chosen.bits), n)
@@ -748,20 +759,20 @@ def test_a_record_decodes_the_candidate_of_either_branch(side):
 
 def test_a_stored_coordinate_at_the_packed_bound_is_refused():
     state, k = _planted_exchange(2, 127)
-    chosen, _, _, branch = mutate_delta(state, k)
+    chosen, _, _, branch = mutate_delta(state, k, state.quiver.split(k))
     assert branch == "out" and chosen.coords[:3] == (1, 254, 0)
     state, k = _planted_exchange(2, 128)  # 256 in coordinate 2
     with pytest.raises(InvariantViolation, match=r"leaves \[0, 256\)"):
-        mutate_delta(state, k)
+        mutate_delta(state, k, state.quiver.split(k))
 
 
 def test_a_side_past_the_multiplicity_bound_is_refused():
     state, k = _planted_exchange(127, 0)
-    chosen, _, _, branch = mutate_delta(state, k)
+    chosen, _, _, branch = mutate_delta(state, k, state.quiver.split(k))
     assert branch == "out" and chosen.coords[:2] == (126, 0)
     state, k = _planted_exchange(128, 0)  # 128 arrows out of k
     with pytest.raises(InvariantViolation, match="128 arrows on one side"):
-        mutate_delta(state, k)
+        mutate_delta(state, k, state.quiver.split(k))
 
 
 def _sampled_pairs(specs, draws, seed):
@@ -1347,11 +1358,118 @@ def test_a_broken_saw_teeth_report_around_a_tooth_shift_is_caught(monkeypatch):
     assert caught >= 5, caught
 
 
+def _named_entries(journal):
+    """Every entry the journal's records name, each as the set of its two
+    ends: a record (k, ins, outs) names (k, j) for each j of ins and outs
+    and (s, t) for each s of ins and t of outs."""
+    named = set()
+    for k, ins, outs in journal:
+        named.update(frozenset((k, j)) for j, _ in (*ins, *outs))
+        named.update(frozenset((s, t)) for s, _ in ins for t, _ in outs)
+    return named
+
+
+def _changed_entries(before, after):
+    return {frozenset((i, j)) for i, row in after.b.items() for j in row.keys() | before.b[i].keys()
+            if row.get(j, 0) != before.b[i].get(j, 0)}
+
+
+def test_the_journal_names_every_entry_a_batch_or_a_fault_changed(monkeypatch):
+    # checked runs on A4, D5 and E6 pairs, full-length half the time, and
+    # one E8 pair: after each batch, every matrix entry that differs from
+    # the quiver before it is named by the records the check reads.  Half
+    # of the batches follow a fault planted through _set or _add, whose
+    # record must name it too
+    from richseed import mutalg
+
+    check, journals = mutalg.check_induction, []
+
+    def recording(state):
+        journals.append(list(state.quiver.journal or ()))  # none at step 0
+        check(state)
+
+    monkeypatch.setattr(mutalg, "check_induction", recording)
+    pairs = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        c = parse_type(("A4", "D5", "E6")[seed % 3])
+        r = number_of_positive_roots(c)
+        w = Word(c, random_reduced_word(c, r if rng.random() < 0.5 else rng.randint(4, r), rng))
+        pairs.append((c, w, element_of_word(c, [i for i in w.letters if rng.random() < 0.5])))
+    pairs.append(list(_w0_pairs("E8", 17))[1])
+    batches = faults = 0
+    for c, w, v in pairs:
+        rng = random.Random(len(w))
+        state = initial_state(c, w, v, check=True)
+        while state.step < state.lv:
+            before, journals[:] = state.quiver.copy(), []
+            if rng.random() < 0.5:
+                broken = state.clone()
+                s, t = rng.sample(sorted(state.deltas), 2)
+                if rng.random() < 0.5:
+                    broken.quiver._set(s, t, rng.choice([-1, 0, 1, 2]))
+                else:
+                    broken.quiver._add(s, t, rng.choice([-1, 1]))
+                try:
+                    step_hat(broken)
+                except StructuralFailure:
+                    pass
+                if journals:  # the batch reached its check
+                    assert _changed_entries(before, broken.quiver) <= _named_entries(journals[0])
+                    faults += 1
+                journals[:] = []
+            step_hat(state)
+            assert _changed_entries(before, state.quiver) <= _named_entries(journals[0])
+            batches += 1
+    assert batches > 100 and faults > 20, (batches, faults)
+
+
+@pytest.mark.parametrize("error", [NoValidBranch, AmbiguousBranch])
+def test_a_failed_exchange_leaves_the_row_the_vector_and_the_journal(monkeypatch, error):
+    # the planted rows of the test above at the step_hat level, in a batch
+    # of vertex 3 alone, with the journal on as in a checked run: the
+    # exchange raises before the mutation writes anything
+    from richseed import mutalg
+
+    state = initial_state(A5, WORD, V, completion=VDOT, check=False)
+    q, k = state.quiver, 3
+    q.journal = []
+    _plant_exchange_rows(state, k, ambiguous=error is AmbiguousBranch)
+    row, vector, journal, quiver = dict(q.b[k]), state.deltas[k], list(q.journal), q.copy()
+    monkeypatch.setattr(mutalg, "index_set_A", lambda state, m: [k])
+    with pytest.raises(error, match=f"at vertex {k}$"):
+        step_hat(state)
+    assert q.b[k] == row and state.deltas[k] is vector and q.journal == journal
+    assert q == quiver and not state.trace
+
+
+def test_a_batch_vertex_outside_the_cut_raises_before_its_labels_and_exchange(monkeypatch):
+    # the same planted rows in a checked batch of vertex 3 alone: its
+    # labels and its exchange would both raise, but a vertex that is not a
+    # member of the batch line is refused first; as a member, its labels
+    # raise before its exchange
+    from richseed import mutalg
+
+    monkeypatch.setattr(mutalg, "index_set_A", lambda state, m: [3])
+    state = initial_state(A5, WORD, V, completion=VDOT, check=True)
+    _plant_exchange_rows(state, 3, ambiguous=False)
+    quiver, journal = state.quiver.copy(), list(state.quiver.journal)
+    outside = state.clone()
+    outside.cut.members.discard(3)
+    with pytest.raises(InvariantViolation,
+                       match=f"^batch 1 touches vertex 3, which is not a member of line {state.col[3]}$"):
+        step_hat(outside)
+    with pytest.raises(InvariantViolation, match="^first mutated vertex 3 is not in an initial"):
+        step_hat(state)
+    for broken in (outside, state):
+        assert broken.quiver == quiver and broken.quiver.journal == journal and not broken.trace
+
+
 def test_a_fault_is_journalled_across_a_clone():
     c, w, v = list(_w0_pairs("D5", 17))[1]
     state = step_hat(initial_state(c, w, v, check=True))
     inject = _double_cross_arrow(state, _quiet_members(state))
-    assert state.quiver.journal == set()  # drained by the last check
+    assert state.quiver.journal == []  # drained by the last check
     # into the clone's quiver, and into the original before it is cloned
     broken = state.clone()
     inject(broken.quiver)
@@ -1652,8 +1770,8 @@ def test_an_exchange_off_the_line_formula_is_caught(monkeypatch):
     first, lv = seed.trace[0], len(seed.embedding)
     exchange = mutalg.mutate_delta
 
-    def bumped(state, k):
-        chosen, acc_in, acc_out, branch = exchange(state, k)
+    def bumped(state, k, split):
+        chosen, acc_in, acc_out, branch = exchange(state, k, split)
         coords = list(chosen.coords)
         coords[state.lv - 1] += 1
         return DeltaVector(state.reference, tuple(coords)), acc_in, acc_out, branch

@@ -235,7 +235,9 @@ def test_mutation_and_labels_refuse_an_unknown_vertex(k):
     with pytest.raises(KeyError, match=f"^'no vertex {k}'$"):
         q.mutate_in_place(k)
     with pytest.raises(KeyError, match=f"^'no vertex {k}'$"):
-        classify_configs(q, k, (1, 3), q.vertices, q.ids_of_color(2))
+        classify_configs(q, k, (1, 3), q.vertices, q.ids_of_color(2), ([], []))
+    with pytest.raises(KeyError, match=f"^'no vertex {k}'$"):
+        q.split(k)
     assert q == build_gamma(A4_WORD)
 
 
