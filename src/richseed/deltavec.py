@@ -216,7 +216,7 @@ def _left_part_lanes(word: Word, ks: range) -> tuple[list[int], list[int]]:
     c = word.cartan
     n = len(ks)
     g = offset(n)
-    full = (1 << (W * n)) - 1
+    full = prefix_mask(n)
     ys = [g + _lanes(1, n)] * c.rank
     es = [g] * c.rank
     letters = word.letters
@@ -286,7 +286,7 @@ def delta_vectors(module_word: Word, target: Word, ks: range) -> list[DeltaVecto
     n = len(ks)
     ys, es = _left_part_lanes(module_word, ks)
     g = offset(n)  # bit W-1 of every lane
-    full = (1 << (W * n)) - 1
+    full = prefix_mask(n)
     nbrs = c.nbrs
     # cols[i - 1] holds column i, coordinate i of summand ks[q] in lane q
     cols = [0] * r

@@ -8,10 +8,11 @@ seed of the smaller category: l(w) - l(v) summands whose leading l(v)
 coordinates all vanish, on a quiver that keeps each survivor's color and
 the set of frozen survivors, with no entry between two of them.
 
-A batch changes only the vectors and the run's one quiver.  The
-structural checks that the method guarantees (cut-seed properties,
-branch consistency, tooth shifts, configuration transitions) observe it
-through a :class:`BatchChecker`; violations raise
+A batch changes only the vectors and the run's one quiver and hands each
+mutation's record to the run's one observer.  :class:`NoChecks` keeps
+it; :class:`BatchChecker` first runs the structural checks that the
+method guarantees (cut-seed properties, branch consistency, tooth
+shifts, configuration transitions), which raise
 :class:`InvariantViolation` since they falsify the run, not the input.
 The checks of the initial seed are the step-0 pass of
 :func:`check_induction`, which compares every summand's truncation with
@@ -31,12 +32,10 @@ vanish come from one replay of the run's mutations: :func:`green_report`.
 
 The vectors are packed integers (see :mod:`richseed.deltavec`): the
 exchange is a few big-integer adds and its sign one mask, and every read
-of a vector in the run loop and the checks is a mask or a shift.  A
-:class:`MutationRecord` is a named tuple that keeps its mutation's packed
-ints (the rejected candidate, the vectors before and after); its
-coordinate tuples are decoded when they are read, which only the output
-does.  The configuration labels it keeps are plain strings (see
-:class:`~richseed.quiver.ConfigLabel`).
+of a vector in the run loop and the checks is a mask or a shift; a
+:class:`MutationRecord` keeps its mutation's packed ints and decodes them
+only when the output reads them.  Its configuration labels are plain
+strings (see :class:`~richseed.quiver.ConfigLabel`).
 """
 
 from __future__ import annotations
@@ -106,12 +105,15 @@ def schedule_tilde(word: Word, emb: SubwordEmbedding) -> list[list[int]]:
 # run state
 
 
+NO_LABELS: Mapping[int, str] = MappingProxyType({})  # read-only, so records may share it
+
+
 class MutationRecord(NamedTuple):
     """One mutation.  ``packed`` holds the rejected candidate as G + vector
     (see :mod:`richseed.deltavec`) and the vectors before and after, each
     over ``length`` coordinates; the chosen candidate is the vector after.
     ``chosen`` is "in" or "out"; ``configs`` maps each adjacent color to
-    the label of the vertex before its mutation (empty when unchecked).
+    the label of the vertex before its mutation (the observer's ``labels``).
     ``candidate_in``, ``candidate_out``, ``before`` and ``after`` decode
     them at each read.  A named tuple, so equal when the seven fields are;
     unhashable, since ``configs`` is a mapping."""
@@ -122,7 +124,7 @@ class MutationRecord(NamedTuple):
     evicted: bool
     packed: tuple[int, int, int]
     length: int
-    configs: Mapping[int, str] = MappingProxyType({})
+    configs: Mapping[int, str] = NO_LABELS
 
     @property
     def candidate_in(self) -> tuple[int, ...]:
@@ -162,10 +164,10 @@ class MutationRecord(NamedTuple):
 class AlgState:
     """A run's state: ``reference`` completes the rightmost subword, ``quiver``
     is mutated in place, ``checker`` (BatchChecker or NoChecks) is made once
-    per batch, ``cut`` is the last checked view, ``support`` the prefix
-    table that the support check reads and ``col[k]`` the color of vertex
-    k.  A new state is at step 0, with no trace, batches, stats or view.
-    Compared by identity."""
+    per batch and keeps the records in ``trace``, ``cut`` is the last
+    checked view, ``support`` the prefix table that the support check reads
+    and ``col[k]`` the color of vertex k.  A new state is at step 0, with
+    no trace, batches, stats or view.  Compared by identity."""
 
     __slots__ = ("word", "embedding", "combo", "reference", "deltas", "quiver", "checker",
                  "step", "trace", "batches", "stats", "cut", "support", "col")
@@ -249,14 +251,15 @@ def cut_view(state: AlgState) -> CutSeedView:
     return CutSeedView(members, deleted)
 
 
-def mutate_delta(state: AlgState, k: int, split: Split) -> tuple[DeltaVector, int, int, str]:
+def mutate_delta(state: AlgState, k: int, split: Split) -> tuple[DeltaVector, int, str]:
     """The two exchange computations at k, off ``split``, row k as
     ``Quiver.split`` gives it; exactly one must be valid.
 
-    Returns (chosen, in-candidate, out-candidate, branch name), each
-    candidate packed as G + its vector (see :mod:`richseed.deltavec`),
-    whose coordinates may be negative; ``decode_offset`` reads them.  The
-    in-candidate is G - d_k + the sum of m * d_s over the m arrows s -> k,
+    Returns (chosen, rejected, branch name): the valid candidate as a
+    vector and the other packed as G + its vector (see
+    :mod:`richseed.deltavec`), whose coordinates may be negative;
+    ``decode_offset`` reads it.  The in-candidate is G - d_k + the sum of
+    m * d_s over the m arrows s -> k,
     the out-candidate the same over the arrows out of k.  Each side's
     multiplicities must sum below SIDE_BOUND, so that no field carries.
     """
@@ -281,8 +284,8 @@ def mutate_delta(state: AlgState, k: int, split: Split) -> tuple[DeltaVector, in
         raise AmbiguousBranch(f"both exchange vectors are valid at vertex {k}")
     if not ok_in and not ok_out:
         raise NoValidBranch(f"no nonnegative exchange vector at vertex {k}")
-    chosen = DeltaVector.packed(state.reference, (acc_in if ok_in else acc_out) - g)
-    return chosen, acc_in, acc_out, "in" if ok_in else "out"
+    chosen, rejected, branch = (acc_in, acc_out, "in") if ok_in else (acc_out, acc_in, "out")
+    return DeltaVector.packed(state.reference, chosen - g), rejected, branch
 
 
 def index_set_A(state: AlgState, m: int) -> list[int]:
@@ -294,8 +297,8 @@ def index_set_A(state: AlgState, m: int) -> list[int]:
 
 
 def step_hat(state: AlgState) -> AlgState:
-    """Apply one batch of the vector-driven schedule to the state, in
-    place, advance the step and return the state."""
+    """Apply the next batch of the vector-driven schedule to the state, in
+    place, handing each record to its observer; return the advanced state."""
     if state.step >= state.lv:
         raise InvariantViolation("all batches have already been applied")
     m = state.step + 1
@@ -305,34 +308,31 @@ def step_hat(state: AlgState) -> AlgState:
     lead, n = prefix_mask(state.lv), len(state.reference)
     for k in batch:
         split = state.quiver.split(k)  # the labels, exchange, update and journal read it
-        configs = checker.before(k, split)
-        chosen, acc_in, acc_out, branch = mutate_delta(state, k, split)
-        old = state.deltas[k]
+        checker.before(k, split)
+        chosen, rejected, branch = mutate_delta(state, k, split)
         state.quiver.mutate_in_place(k, split)
+        packed = (rejected, state.deltas[k].bits, chosen.bits)
         state.deltas[k] = chosen
-        evicted = not chosen.bits & lead
-        checker.after(k, old, chosen, evicted)
-        packed = (acc_out if branch == "in" else acc_in, old.bits, chosen.bits)
-        state.trace.append(MutationRecord(m, k, branch, evicted, packed, n, configs))
+        checker.after(MutationRecord(m, k, branch, not chosen.bits & lead, packed, n, checker.labels))
     state.step = m
     checker.finish(batch)
     return state
 
 
 class BatchChecker:
-    """The structural checks of one batch: ``before(k)`` and ``after``
-    see the mutation at k, ``finish`` the cut seed the batch leaves.  It
-    holds the cut before the batch, the batch's line of members, the
-    adjacent colors with a member and the previous mutation's labels.
-    ``before(k)`` first requires k to be a member of that cut, of the
-    batch's color, so k is on the line.  Only the labels read the line,
-    and only when some adjacent color has a member; it only shrinks, by
-    each evicted vertex.  A non-empty batch reads what the
-    hooks compare (G and the lead mask of the line formula, the colors,
-    the quiver, the cut) here, once; an empty one reads none of them."""
+    """The structural checks of one batch: ``before(k)`` sees the mutation
+    at k and sets ``labels``, ``after`` its record, which it keeps once the
+    checks pass, and ``finish`` the cut seed the batch leaves.  It holds
+    the cut before the batch, the batch's line of members, the adjacent
+    colors with a member and the last mutation's labels.  ``before(k)``
+    first requires k to be a member of that cut, of the batch's color, so
+    k is on the line.  Only the labels read the line, and only when some
+    adjacent color has a member; it only shrinks, by each evicted vertex.
+    A non-empty batch reads what the hooks compare (G and the lead mask of
+    the line formula, the colors, the quiver, the cut) here, once."""
 
     def __init__(self, state: AlgState, batch: list[int]):
-        self.state, self.labels = state, {}
+        self.state, self.labels = state, NO_LABELS
         # whether the last mutated vertex, and whether any, left the cut
         self.evicted = self.evicted_during = False
         if not batch:
@@ -346,9 +346,9 @@ class BatchChecker:
         self.succ, self.pred = word.succ, word.pred
         self.g, self.lead = offset(state.lv), prefix_mask(state.lv)
 
-    def before(self, k: int, split: Split) -> dict[int, str]:
+    def before(self, k: int, split: Split) -> None:
         """Check that k is a member of the batch's line, then its
-        configurations, read off ``split``; return its labels."""
+        configurations, read off ``split``, which become ``labels``."""
         prev, colors = self.labels, self.other_colors
         if self.col[k] != self.line_color or k not in self.cut.members:
             raise InvariantViolation(
@@ -356,7 +356,7 @@ class BatchChecker:
                 f"which is not a member of line {self.line_color}"
             )
         if not colors:
-            return {}
+            return
         self.labels = labels = classify_configs(
             self.quiver, k, colors, self.cut.members, self.line, split)
         for oc, label in labels.items():
@@ -372,24 +372,25 @@ class BatchChecker:
                     f"first mutated vertex {k} is not in an initial configuration "
                     f"for color {oc} (got {label})"
                 )
-        return labels
 
-    def after(self, k: int, old: DeltaVector, chosen: DeltaVector, evicted: bool) -> None:
+    def after(self, rec: MutationRecord) -> None:
         # the line formula, packed: G + succ + pred - old - chosen must read
         # G over the first l(v) fields (see _check_branch_formula); k is on
         # p_m's line at or below word.pred(deleted_at[m - 1]), so its
         # successor is at most deleted_at[m - 1], a vertex
+        k, (_, old, chosen) = rec.vertex, rec.packed
         deltas, kp, km = self.deltas, self.succ(k), self.pred(k)
-        expected = self.g - old.bits + deltas[kp].bits
+        expected = self.g - old + deltas[kp].bits
         if km in deltas:
             expected += deltas[km].bits
-        if (expected - chosen.bits) & self.lead != self.g:
-            _check_branch_formula(k, chosen, expected & self.lead, self.state.lv)
-        self.evicted = evicted
-        if evicted:
+        if (expected - chosen) & self.lead != self.g:
+            _check_branch_formula(rec, expected & self.lead, self.state.lv)
+        self.evicted = rec.evicted
+        if rec.evicted:
             self.evicted_during = True
             if self.other_colors:
                 self.line.remove(k)
+        self.state.trace.append(rec)
 
     def finish(self, batch: list[int]) -> None:
         state = self.state
@@ -400,23 +401,22 @@ class BatchChecker:
 
 
 class NoChecks:
-    """The checker of an unchecked run: its calls do nothing."""
+    """The observer of an unchecked run: it keeps each record as it comes."""
+
+    labels = NO_LABELS
 
     def __init__(self, state: AlgState, batch: list[int]):
-        pass
+        self.after = state.trace.append
 
-    def before(self, k: int, split: Split) -> dict[int, str]:
-        return {}
-
-    def after(self, k: int, old: DeltaVector, chosen: DeltaVector, evicted: bool) -> None:
+    def before(self, k: int, split: Split) -> None:
         pass
 
     def finish(self, batch: list[int]) -> None:
         pass
 
 
-def _check_branch_formula(k: int, chosen: DeltaVector, expected: int, lv: int) -> None:
-    """Raise for a chosen vector whose truncation is not (successor) +
+def _check_branch_formula(rec: MutationRecord, expected: int, lv: int) -> None:
+    """Raise for a record whose chosen truncation is not (successor) +
     (predecessor, zero when absent) - (old) inside the cut view;
     ``BatchChecker.after`` compares and calls this only on a mismatch.
 
@@ -427,8 +427,8 @@ def _check_branch_formula(k: int, chosen: DeltaVector, expected: int, lv: int) -
     the next; borrows run only upward, so the fields past l(v) do not
     matter."""
     raise InvariantViolation(
-        f"exchange at {k} does not match the line formula: "
-        f"{chosen.truncated(lv)} != {decode_offset(expected, lv)}"
+        f"exchange at {rec.vertex} does not match the line formula: "
+        f"{rec.after[:lv]} != {decode_offset(expected, lv)}"
     )
 
 

@@ -108,11 +108,11 @@ def test_schedule_with_zero_beta_starts_at_line_minimum():
 
 def test_first_batch_exchange_values():
     state = initial_state(A5, WORD, V, completion=VDOT)
-    chosen, acc_in, acc_out, branch = mutate_delta(state, 1, state.quiver.split(1))
+    chosen, rejected, branch = mutate_delta(state, 1, state.quiver.split(1))
     # one candidate is the valid f_11, the other is f_2 - f_1
     assert chosen.support() == (11,)
     assert branch == "out"
-    invalid = decode_offset(acc_in if branch == "out" else acc_out, len(state.reference))
+    invalid = decode_offset(rejected, len(state.reference))
     assert invalid[0] == -1 and invalid[1] == 1
 
 
@@ -313,6 +313,20 @@ def test_verify_equivalence_identity():
     emb = rightmost_subword(identity_element(A5), WORD)
     ok, report = verify_equivalence(WORD, emb)
     assert ok and report == []
+
+
+def test_verify_equivalence_reports_the_batch_that_differs(monkeypatch):
+    # the appendix schedule with its third batch, [4, 9], cut to [4]: the
+    # report names that batch alone, with both of its index lists
+    from richseed import mutalg
+
+    emb = rightmost_subword(V, WORD)
+    tilde = schedule_tilde(WORD, emb)
+    forced = [list(b) for b in tilde]
+    forced[2] = forced[2][:1]
+    monkeypatch.setattr(mutalg, "schedule_tilde", lambda word, emb: forced)
+    ok, report = verify_equivalence(WORD, emb)
+    assert not ok and report == [{"m": 3, "tilde": [4], "hat": [4, 9]}]
 
 
 def test_green_report_trivial_and_a5(a5_seed):
@@ -747,19 +761,19 @@ def test_a_record_decodes_the_candidate_of_either_branch(side):
     # the runs of the tests above choose "out" only; a record keeps the
     # rejected candidate and reads the chosen one off the vector after
     state, k = _planted_exchange(2, 3, side)
-    chosen, acc_in, acc_out, branch = mutate_delta(state, k, state.quiver.split(k))
-    rejected = acc_out if branch == "in" else acc_in
+    chosen, rejected, branch = mutate_delta(state, k, state.quiver.split(k))
     n = len(state.reference)
     rec = MutationRecord(1, k, branch, False, (rejected, state.deltas[k].bits, chosen.bits), n)
     valid, invalid = (1, 6) + (0,) * (n - 2), (-1,) + (0,) * (n - 1)
     assert branch == side and rec.after == chosen.coords == valid
-    assert (rec.candidate_in, rec.candidate_out) == (decode_offset(acc_in, n), decode_offset(acc_out, n))
-    assert {rec.candidate_in, rec.candidate_out} == {valid, invalid}
+    assert decode_offset(rejected, n) == invalid
+    want = (valid, invalid) if side == "in" else (invalid, valid)
+    assert (rec.candidate_in, rec.candidate_out) == want
 
 
 def test_a_stored_coordinate_at_the_packed_bound_is_refused():
     state, k = _planted_exchange(2, 127)
-    chosen, _, _, branch = mutate_delta(state, k, state.quiver.split(k))
+    chosen, _, branch = mutate_delta(state, k, state.quiver.split(k))
     assert branch == "out" and chosen.coords[:3] == (1, 254, 0)
     state, k = _planted_exchange(2, 128)  # 256 in coordinate 2
     with pytest.raises(InvariantViolation, match=r"leaves \[0, 256\)"):
@@ -768,7 +782,7 @@ def test_a_stored_coordinate_at_the_packed_bound_is_refused():
 
 def test_a_side_past_the_multiplicity_bound_is_refused():
     state, k = _planted_exchange(127, 0)
-    chosen, _, _, branch = mutate_delta(state, k, state.quiver.split(k))
+    chosen, _, branch = mutate_delta(state, k, state.quiver.split(k))
     assert branch == "out" and chosen.coords[:2] == (126, 0)
     state, k = _planted_exchange(128, 0)  # 128 arrows out of k
     with pytest.raises(InvariantViolation, match="128 arrows on one side"):
@@ -815,23 +829,21 @@ def test_final_exchange_matrix_has_full_column_rank(a5_seed):
 
 def test_checks_only_observe_the_run():
     # a checked and an unchecked run reach the same seed by the same
-    # mutations; only the checked records carry configuration labels
+    # mutations, and each run's observer keeps one record per mutation in
+    # the order of the schedule; only the checked records carry
+    # configuration labels
     cases = [(A5, WORD, V, VDOT)]
     for spec in ("A4", "D5", "E6"):
         cases += [(c, w, v, None) for c, w, v in _w0_pairs(spec, 17)]
     sampled = ("A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8")
     cases += [(c, w, v, None) for c, w, v in _sampled_pairs(sampled, 8, 31)]
-    fields = ("step", "vertex", "chosen", "evicted", "packed", "length")
-
-    def rows(trace):
-        return [tuple(getattr(rec, f) for f in fields) for rec in trace]
-
     labelled = 0
     for c, w, v, vdot in cases:
         checked, plain = (run(c, w, v, completion=vdot, check=ch) for ch in (True, False))
         for name in ("summands", "quiver", "frozen", "deleted", "schedule"):
             assert getattr(checked, name) == getattr(plain, name), name
-        assert rows(checked.trace) == rows(plain.trace)
+        assert [rec._replace(configs={}) for rec in checked.trace] == plain.trace
+        assert [rec.vertex for rec in plain.trace] == [k for b in plain.schedule for k in b]
         assert not any(rec.configs for rec in plain.trace)
         labelled += sum(bool(rec.configs) for rec in checked.trace)
     assert labelled
@@ -1771,10 +1783,10 @@ def test_an_exchange_off_the_line_formula_is_caught(monkeypatch):
     exchange = mutalg.mutate_delta
 
     def bumped(state, k, split):
-        chosen, acc_in, acc_out, branch = exchange(state, k, split)
+        chosen, rejected, branch = exchange(state, k, split)
         coords = list(chosen.coords)
         coords[state.lv - 1] += 1
-        return DeltaVector(state.reference, tuple(coords)), acc_in, acc_out, branch
+        return DeltaVector(state.reference, tuple(coords)), rejected, branch
 
     want = first.after[:lv]
     got = (*want[:-1], want[-1] + 1)
@@ -1782,6 +1794,35 @@ def test_an_exchange_off_the_line_formula_is_caught(monkeypatch):
     text = f"exchange at {first.vertex} does not match the line formula: {got} != {want}"
     with pytest.raises(InvariantViolation, match=f"^{re.escape(text)}$"):
         run(c, w, v)
+
+
+def test_a_mutation_that_fails_its_checks_leaves_no_record(monkeypatch):
+    # the exchange of the test above, bumped at a mutation of a later batch
+    # that is not the first of its batch: the trace holds exactly the
+    # records of the earlier mutations, of that batch too
+    from richseed import mutalg
+
+    c, w, v = list(_w0_pairs("D5", 17))[1]
+    kept = run(c, w, v).trace
+    at = next(i for i in range(1, len(kept)) if kept[i].step == kept[i - 1].step > 1)
+    exchange, calls = mutalg.mutate_delta, []
+
+    def bumped(state, k, split):
+        chosen, rejected, branch = exchange(state, k, split)
+        calls.append(k)
+        if len(calls) <= at:
+            return chosen, rejected, branch
+        coords = list(chosen.coords)
+        coords[state.lv - 1] += 1
+        return DeltaVector(state.reference, tuple(coords)), rejected, branch
+
+    monkeypatch.setattr(mutalg, "mutate_delta", bumped)
+    state = initial_state(c, w, v)
+    with pytest.raises(InvariantViolation, match=f"^exchange at {kept[at].vertex} does not"):
+        for _ in range(state.lv):
+            step_hat(state)
+    assert calls == [rec.vertex for rec in kept[: at + 1]]
+    assert state.trace == kept[:at]
 
 
 def test_a_member_keeping_a_cleared_coordinate_is_caught():
