@@ -10,6 +10,10 @@ other two and the ``argparse`` parser:
 * ``verify``    run the structural check suites (exhaustive at small
   rank, sampled otherwise).
 
+``compute`` writes :func:`seed_json`, read straight off the run's packed
+values, in the bytes of ``json.dumps(seed_document(seed), indent=2)``;
+:func:`seed_document` stays as that schema, a dict, for tests and callers.
+
 Exit codes: 0 success, 1 diff/check failure, 2 invalid input (type
 unknown or above the size limit, word not reduced, malformed letters),
 3 v not below w, 4 a structural guarantee failed mid-run, 5 output
@@ -19,12 +23,13 @@ could not be written (quietly when the reader closed stdout early).
 from __future__ import annotations
 
 import errno
-import json
+import json  # noqa: F401  not called here: perfbench/tracer.py spans cli.json.dumps
 import os
 import stat
 import sys
 from types import SimpleNamespace
 
+from .deltavec import decode_offset, offset
 from .errors import NotLessOrEqual, StructuralFailure
 from .mutalg import FinalSeed, green_report, run
 from .quiver import to_dot
@@ -107,6 +112,23 @@ _VERTEX = """{
       "frozen": %s
     }"""
 _ARROW = '{\n      "src": %d,\n      "dst": %d,\n      "mult": %d\n    }'
+_RECORD = """{
+      "step": %d,
+      "vertex": %d,
+      "candidate_in": %s,
+      "candidate_out": %s,
+      "chosen": "%s",
+      "before": %s,
+      "after": %s,
+      "evicted": %s,
+      "green": %s,
+      "configs": %s,
+      "arrows_added": %s,
+      "arrows_removed": %s
+    }"""
+_PAIR = "[\n          %d,\n          %d\n        ]"
+_BOOL = ("false", "true")
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _list(items, pad: str) -> str:
@@ -116,24 +138,47 @@ def _list(items, pad: str) -> str:
     return "[\n" + pad + (",\n" + pad).join(map(str, items)) + "\n" + pad[:-2] + "]"
 
 
-def document_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)`` of a ``seed_document``, byte for byte."""
-    meta, p4, p6, p8 = doc["metadata"], " " * 4, " " * 6, " " * 8
-    vertices = [
-        _VERTEX % (v["id"], v["color"], v["line"], v["column"], _list(v["delta"], p8),
-                   "true" if v["frozen"] else "false")
-        for v in doc["vertices"]
-    ]
-    arrows = [_ARROW % (a["src"], a["dst"], a["mult"]) for a in doc["arrows"]]
+def _vector(bits: int, n: int) -> str:
+    """The list of a stored vector's n coordinates, one byte each."""
+    fields = bits.to_bytes(2 * n, "little")[::2]
+    # one digit per coordinate: the digits are one translated string
+    items = fields.translate(_DIGITS).decode() if max(fields) < 10 else map(str, fields)
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
+def seed_json(seed: FinalSeed, with_trace: bool = False) -> str:
+    """``json.dumps(seed_document(seed, with_trace), indent=2)``, byte for
+    byte, read straight off the run's packed vectors and records."""
+    word, emb, n = seed.word, seed.embedding, len(seed.reference)
+    p4, p6, p8 = " " * 4, " " * 6, " " * 8
+    vertices = [_VERTEX % (k, word.color(k), word.color(k), k, _vector(d.bits, n),
+                           _BOOL[k in seed.frozen]) for k, d in sorted(seed.summands.items())]
+    arrows = [_ARROW % (s, t, m) for (s, t), m in sorted(seed.quiver.arrows.items())]
     text = _META % (
-        doc["schema"], meta["type"], _list(meta["w"], p6), _list(meta["v"], p6),
-        _list(meta["positions"], p6), _list(meta["completion"], p6), meta["l_w"], meta["l_v"],
-        _list(meta["deleted"], p6), _list([_list(b, p8) for b in meta["schedule"]], p6),
-        _list(vertices, p4), _list(arrows, p4),
+        SCHEMA_VERSION, f"{seed.cartan.family}{seed.cartan.rank}", _list(word.display, p6),
+        _list(emb.letters[::-1], p6), _list(emb.positions, p6),
+        _list(seed.reference.display, p6), len(word), len(emb), _list(sorted(seed.deleted), p6),
+        _list([_list(b, p8) for b in seed.schedule], p6), _list(vertices, p4), _list(arrows, p4),
     )
-    if "trace" in doc:
-        text += ',\n  "trace": ' + json.dumps(doc["trace"], indent=2).replace("\n", "\n  ")
-    return text + "\n}"
+    if not with_trace:
+        return text + "\n}"
+    records = []
+    for rec, replay in zip(seed.trace, green_report(word, [rec.vertex for rec in seed.trace])):
+        rejected, before, after = rec.packed
+        chosen, bits = _vector(after, n), rejected ^ offset(n)  # two's complement fields
+        if any(bits.to_bytes(2 * n, "little")[1::2]):  # a coordinate below 0 or past a byte
+            other = _list(decode_offset(rejected, n), p8)
+        else:
+            other = _vector(bits, n)
+        # a mapping has a list's layout, in braces
+        configs = "{%s}" % _list(['"%d": "%s"' % c for c in rec.configs.items()], p8)[1:-1]
+        records.append(_RECORD % (
+            rec.step, rec.vertex, *((chosen, other) if rec.chosen == "in" else (other, chosen)),
+            rec.chosen, _vector(before, n), chosen, _BOOL[rec.evicted], _BOOL[replay["green"]],
+            configs, _list([_PAIR % a for a in replay["arrows_added"]], p8),
+            _list([_PAIR % a for a in replay["arrows_removed"]], p8),
+        ))
+    return text + ',\n  "trace": ' + _list(records, p4) + "\n}"
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +200,7 @@ def cmd_compute(args) -> int:
     if args.vdot is not None:
         completion = make_word(c, _parse_letters(args.vdot, "--vdot"), order=args.order)
     seed = run(c, word, v, completion=completion, check=not args.no_check)
-    payload = document_json(seed_document(seed, with_trace=args.trace))
+    payload = seed_json(seed, with_trace=args.trace)
     # the files first and stdout last: an output that cannot be written
     # leaves nothing behind, on stdout or in a file
     files = {}

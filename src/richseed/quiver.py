@@ -184,22 +184,24 @@ def build_gamma(word: Word) -> Quiver:
 
     One pass over j keeps each color's last index so far: an earlier k
     of that color has k+ < j, so the last one is the only candidate per
-    adjacent color.  Arrows are added in the same order as an all-pairs
+    adjacent color.  Each arrow is one pair of row writes (none is a loop,
+    touches a frozen vertex or meets another), in the order of an all-pairs
     scan of (j, k), so every row lists its entries in that order too.
     """
     c = word.cartan
     L = len(word)
     q = Quiver(dict(enumerate(word.letters, start=1)))
+    b = q.b
     for k in range(1, L + 1):
         kp = word.succ(k)
         if kp <= L:
-            q._add(k, kp, 1)
+            b[k][kp], b[kp][k] = 1, -1
     last = [0] * (c.rank + 1)  # last[i]: the last index of color i before j, 0 if none
     for j, ij in enumerate(word.letters, start=1):
         jp = word.succ(j)
         for k in sorted(last[i] for i in c.neighbors(ij)):
             if k and jp >= word.succ(k) > j:
-                q._add(j, k, 1)
+                b[j][k], b[k][j] = 1, -1
         last[ij] = j
     return q
 

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richseed.cli import document_json, main, read_compute, seed_document, write_all
+from richseed.cli import main, read_compute, seed_document, seed_json, write_all
 from richseed.commands import EXAMPLES
-from richseed.mutalg import run
+from richseed.deltavec import W, DeltaVector, offset
+from richseed.mutalg import FinalSeed, run
 from richseed.rootsys import cartan, element_of_word, number_of_positive_roots, parse_type
 from richseed.words import Word, make_word, random_reduced_word
 
@@ -91,7 +92,7 @@ def test_compute_without_arrows_and_out_equal_to_stdout(tmp_path, capsys):
         assert (tmp_path / "seed.json").read_text() == out
 
 
-def test_document_json_equals_json_dumps_with_indent():
+def test_seed_json_equals_json_dumps_with_indent():
     # drawn A/D/E pairs, full-length w among them, with and without the
     # trace; the mismatches are listed, since a diff of two E8 documents
     # takes pytest minutes
@@ -104,10 +105,48 @@ def test_document_json_equals_json_dumps_with_indent():
         v = element_of_word(c, [w.color(p) for p in range(1, len(w) + 1) if rng.random() < 0.4])
         result = run(c, w, v, check=False)
         for with_trace in (False, True):
-            doc = seed_document(result, with_trace)
-            if document_json(doc) != json.dumps(doc, indent=2):
+            if seed_json(result, with_trace) != json.dumps(seed_document(result, with_trace), indent=2):
                 mismatches.append((seed, with_trace))
     assert mismatches == []
+
+
+def _edge_seeds():
+    """Seeds of the edge shapes: l(v) = 0 (no batch, no record), v = w (no
+    survivor, empty batches), and the A5 golden seed with its vectors and
+    records replaced by hand: coordinates 9, 10 and 255, and rejected
+    candidates that hold -1, -10 and -255 or fit a byte (300 does not), on
+    both sides of each fast path of the writer."""
+    c = parse_type("A3")
+    w = make_word(c, [2, 1, 2, 3, 2, 1])
+    yield run(c, w, element_of_word(c, []))
+    yield run(c, make_word(c, [1, 2, 1]), element_of_word(c, [1, 2, 1]))
+    a5 = parse_type("A5")
+    real = run(a5, make_word(a5, [1, 3, 2, 4, 3, 2, 4, 5, 4, 3, 2, 1, 2], order="paper"),
+               element_of_word(a5, [2, 1, 3, 5, 4, 2]))
+    n = len(real.reference)
+    stored = [(9, 0, 1, 2, 3, 4), (10, 0, 0, 0, 0, 1), (255, 9, 10, 0, 0, 0)]
+    rejected = [(-1, 0, 1, 0, 0, 9), (-10, 2, 0, 0, 0, 0), (0, -255, 0, 0, 0, 255),
+                (9, 0, 0, 0, 1, 0), (10, 0, 0, 0, 0, 0), (255, 1, 0, 0, 0, 0), (300, 0, 0, 0, 0, 0)]
+
+    def bits(coords):  # the last n - 6 coordinates are 0
+        return sum(x << (W * i) for i, x in enumerate(coords))
+
+    summands = {k: DeltaVector.packed(real.reference, bits(stored[i % 3]))
+                for i, k in enumerate(real.summands)}
+    trace = [
+        rec._replace(packed=(offset(n) + bits(rejected[i % 7]), bits(stored[i % 3]),
+                             bits(stored[(i + 1) % 3])))
+        for i, rec in enumerate(real.trace)
+    ]
+    assert len(trace) >= 7 and len(summands) >= 3
+    yield FinalSeed(real.cartan, real.word, real.embedding, real.reference, summands,
+                    real.deleted, real.frozen, real.quiver, real.schedule, trace, real.stats)
+
+
+def test_seed_json_on_edge_shapes_and_coordinates():
+    for seed in _edge_seeds():
+        for with_trace in (False, True):
+            assert seed_json(seed, with_trace) == json.dumps(seed_document(seed, with_trace), indent=2)
 
 
 @pytest.mark.parametrize("w,v,token", [
