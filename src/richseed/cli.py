@@ -29,7 +29,7 @@ import stat
 import sys
 from types import SimpleNamespace
 
-from .deltavec import decode_offset, offset
+from .deltavec import decode_offset
 from .errors import NotLessOrEqual, StructuralFailure
 from .mutalg import FinalSeed, green_report, run
 from .quiver import to_dot
@@ -165,11 +165,7 @@ def seed_json(seed: FinalSeed, with_trace: bool = False) -> str:
     records = []
     for rec, replay in zip(seed.trace, green_report(word, [rec.vertex for rec in seed.trace])):
         rejected, before, after = rec.packed
-        chosen, bits = _vector(after, n), rejected ^ offset(n)  # two's complement fields
-        if any(bits.to_bytes(2 * n, "little")[1::2]):  # a coordinate below 0 or past a byte
-            other = _list(decode_offset(rejected, n), p8)
-        else:
-            other = _vector(bits, n)
+        chosen, other = _vector(after, n), _list(decode_offset(rejected, n), p8)
         # a mapping has a list's layout, in braces
         configs = "{%s}" % _list(['"%d": "%s"' % c for c in rec.configs.items()], p8)[1:-1]
         records.append(_RECORD % (
