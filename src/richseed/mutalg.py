@@ -48,6 +48,8 @@ from typing import Mapping, NamedTuple, Optional
 
 from .deltavec import (
     SIDE_BOUND,
+    STORED_BOUND,
+    W,
     DeltaVector,
     coordinate_mask,
     decode,
@@ -166,26 +168,25 @@ class AlgState:
     is mutated in place, ``checker`` (BatchChecker or NoChecks) is made once
     per batch and keeps the records in ``trace``, ``cut`` is the last
     checked view, ``support`` the prefix table that the support check reads
-    and ``col[k]`` the color of vertex k.  A new state is at step 0, with
-    no trace, batches, stats or view.  Compared by identity."""
+    and ``col[k]`` the color of vertex k.  The run's constants ``lv``,
+    ``lw``, ``g`` = G(n) and ``high``, the bits that no stored coordinate
+    sets, for n the reference's length, are read once.  A new state is at
+    step 0, with no trace, batches or view and every count of ``stats`` 0.
+    Compared by identity."""
 
     __slots__ = ("word", "embedding", "combo", "reference", "deltas", "quiver", "checker",
-                 "step", "trace", "batches", "stats", "cut", "support", "col")
+                 "step", "trace", "batches", "stats", "cut", "support", "col",
+                 "lv", "lw", "g", "high")
 
     def __init__(self, word: Word, embedding: SubwordEmbedding, combo: ComboNumbers,
                  reference: Word, deltas: dict[int, DeltaVector], quiver: Quiver, checker: type):
         self.word, self.embedding, self.combo, self.reference = word, embedding, combo, reference
         self.deltas, self.quiver, self.checker, self.step = deltas, quiver, checker, 0
-        self.trace, self.batches, self.stats, self.cut = [], [], {}, None
+        self.trace, self.batches, self.cut = [], [], None
+        self.stats = dict.fromkeys(("mutations", "batches", "evictions"), 0)
         self.support, self.col = support_prefixes(combo), (0, *word.letters)
-
-    @property
-    def lv(self) -> int:
-        return len(self.embedding)
-
-    @property
-    def lw(self) -> int:
-        return len(self.word)
+        self.lv, self.lw, self.g = len(embedding), len(word), offset(len(reference))
+        self.high = ~((self.g >> (W - 1)) * (STORED_BOUND - 1))
 
     def clone(self) -> "AlgState":
         """An independent copy: ``step_hat`` changes the state it is given."""
@@ -265,7 +266,7 @@ def mutate_delta(state: AlgState, k: int, split: Split) -> tuple[DeltaVector, in
     """
     if k not in state.deltas:
         raise KeyError(f"no vertex {k}")
-    deltas, (ins, outs), g = state.deltas, split, offset(len(state.reference))
+    deltas, (ins, outs), g = state.deltas, split, state.g
     acc_in = acc_out = g - deltas[k].bits
     n_in = n_out = 0
     for s, m in ins:
@@ -285,7 +286,11 @@ def mutate_delta(state: AlgState, k: int, split: Split) -> tuple[DeltaVector, in
     if not ok_in and not ok_out:
         raise NoValidBranch(f"no nonnegative exchange vector at vertex {k}")
     chosen, rejected, branch = (acc_in, acc_out, "in") if ok_in else (acc_out, acc_in, "out")
-    return DeltaVector.packed(state.reference, chosen - g), rejected, branch
+    if (bits := chosen - g) & state.high:
+        DeltaVector.packed(state.reference, bits)  # raises, naming every field
+    vector = DeltaVector.__new__(DeltaVector)
+    vector.reference, vector.bits = state.reference, bits
+    return vector, rejected, branch
 
 
 def index_set_A(state: AlgState, m: int) -> list[int]:
@@ -305,16 +310,22 @@ def step_hat(state: AlgState) -> AlgState:
     batch = index_set_A(state, m)
     state.batches.append(batch)
     checker = state.checker(state, batch)
-    lead, n = prefix_mask(state.lv), len(state.reference)
+    q, deltas, lead, n = state.quiver, state.deltas, prefix_mask(state.lv), len(state.reference)
+    evictions = 0
     for k in batch:
-        split = state.quiver.split(k)  # the labels, exchange, update and journal read it
+        split = q.split(k)  # the labels, exchange, update and journal read it
         checker.before(k, split)
         chosen, rejected, branch = mutate_delta(state, k, split)
-        state.quiver.mutate_in_place(k, split)
-        packed = (rejected, state.deltas[k].bits, chosen.bits)
-        state.deltas[k] = chosen
-        checker.after(MutationRecord(m, k, branch, not chosen.bits & lead, packed, n, checker.labels))
-    state.step = m
+        q.mutate_in_place(k, split)
+        evicted = not chosen.bits & lead
+        evictions += evicted
+        rec = (m, k, branch, evicted, (rejected, deltas[k].bits, chosen.bits), n, checker.labels)
+        deltas[k] = chosen
+        checker.after(tuple.__new__(MutationRecord, rec))  # past its Python-level __new__
+    state.step, stats = m, state.stats
+    stats["mutations"] += len(batch)
+    stats["batches"] += 1
+    stats["evictions"] += evictions
     checker.finish(batch)
     return state
 
@@ -343,7 +354,7 @@ class BatchChecker:
         self.line = list(cut.lines.get(self.line_color, ()))
         self.other_colors = [oc for oc in word.cartan.neighbors(self.line_color) if oc in cut.lines]
         self.col, self.quiver, self.deltas = state.col, state.quiver, state.deltas
-        self.succ, self.pred = word.succ, word.pred
+        self.succ, self.pred = word._succ, word._pred  # what Word.succ and Word.pred index
         self.g, self.lead = offset(state.lv), prefix_mask(state.lv)
 
     def before(self, k: int, split: Split) -> None:
@@ -379,7 +390,7 @@ class BatchChecker:
         # p_m's line at or below word.pred(deleted_at[m - 1]), so its
         # successor is at most deleted_at[m - 1], a vertex
         k, (_, old, chosen) = rec.vertex, rec.packed
-        deltas, kp, km = self.deltas, self.succ(k), self.pred(k)
+        deltas, kp, km = self.deltas, self.succ[k], self.pred[k]
         expected = self.g - old + deltas[kp].bits
         if km in deltas:
             expected += deltas[km].bits
@@ -465,13 +476,11 @@ def _check_teeth_shift(
             )
         expected_teeth: list[tuple[int, int, int]] = []
         expected_barb: Optional[tuple[int, int]] = None
-        for tooth in rep_before.teeth:
-            if tooth.right_end == first:
-                expected_barb = (prev(tooth.left_end), tooth.summit)
+        for right, summit, left in rep_before.teeth:
+            if right == first:
+                expected_barb = (prev(left), summit)
             else:
-                expected_teeth.append(
-                    (prev(tooth.right_end), tooth.summit, prev(tooth.left_end))
-                )
+                expected_teeth.append((prev(right), summit, prev(left)))
         if rep_before.final_barb is not None:
             y, target = rep_before.final_barb
             if target != members_before[-1]:
@@ -479,8 +488,8 @@ def _check_teeth_shift(
                     expected_barb = (newlast, y)
                 else:
                     expected_teeth.append((prev(target), y, newlast))
-        got_teeth = [(t.right_end, t.summit, t.left_end) for t in rep_after.teeth]
-        if got_teeth != expected_teeth or rep_after.initial_barb != expected_barb:
+        if rep_after.teeth != tuple(expected_teeth) or rep_after.initial_barb != expected_barb:
+            got_teeth = list(map(tuple, rep_after.teeth))
             raise InvariantViolation(
                 f"tooth shift failed on line {line_color} vs color {oc}: "
                 f"teeth {got_teeth} != {expected_teeth} or barb "
@@ -587,34 +596,34 @@ def check_induction(state: AlgState) -> None:
     # arrow's multiplicity and sign).  Any other arrow between two members
     # of one color or of two colors that are not adjacent is scanned, as is
     # every arrow between an entered vertex and a member
-    succ, rows = word.succ, q.b
+    succ, rows = word._succ, q.b  # what Word.succ indexes
     line_ends = set(map(word.pred, entered)).union(entered)
     scan, crossed = set(), set()  # arrows (s, t); pairs of colors (of s, of t)
     for k, ins, outs in journal:
-        heads, tails = [], []
+        # k's own entries are paths too: a member k walks first and then
+        # joins the tails, for (k, t) and (s, k); no row holds (k, k)
+        heads, tails = [k] if k in members else [], []
         for s, _ in ins:
             if s in members:
                 heads.append(s)
         for t, _ in outs:
             if t in members:
                 tails.append(t)
-        # k on both sides makes its own entries paths too; no row holds (k, k)
-        if k in members:
-            heads.append(k)
-            tails.append(k)
         for s in heads:
             cs = col[s]
             edges = nbrs[cs - 1]
             for t in tails:
                 if (ct := col[t]) in edges:  # so cs != ct
                     crossed.add((cs, ct))
-                elif s != t and (succ(s) == t or succ(t) == s):  # of one line
+                elif succ[s] == t or succ[t] == s:  # of one line
                     line_ends.add(min(s, t))
                 elif e := rows[s].get(t):
                     scan.add((s, t) if e > 0 else (t, s))
+            if s == k:
+                tails.append(k)
     stale = {pair for cs, ct in crossed for pair in ((cs, ct), (ct, cs))}
     for k in sorted(line_ends):
-        kp = succ(k)
+        kp = succ[k]
         if k not in members or kp not in members:
             continue
         n = rows[k].get(kp, 0)
@@ -630,7 +639,7 @@ def check_induction(state: AlgState) -> None:
     for s, t in sorted(scan):
         cs, ct = col[s], col[t]
         if cs == ct:
-            if succ(s) != t:
+            if succ[s] != t:
                 raise InvariantViolation(f"stray same-color arrow {s}->{t} at step {m}")
         elif ct not in nbrs[cs - 1]:
             raise InvariantViolation(

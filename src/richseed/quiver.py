@@ -323,8 +323,9 @@ def _teeth(c1: int, c2: int, line: list[int], cross: tuple[dict[int, int], dict[
     succ_of, pred_of = cross
     isolated = summits.difference(succ_of, pred_of)
     crossed = [s for s in line if s in succ_of or s in pred_of]
+    # a valid report and its teeth skip the named tuples' Python-level __new__
     if not crossed:
-        return SawTeethReport(c1, c2, True, isolated=isolated)
+        return tuple.__new__(SawTeethReport, (c1, c2, True, None, None, (), None, isolated))
 
     n, anchor, teeth, final_barb = 0, crossed[0], [], None
     initial_barb = (anchor, succ_of[anchor]) if anchor in succ_of else None
@@ -342,7 +343,7 @@ def _teeth(c1: int, c2: int, line: list[int], cross: tuple[dict[int, int], dict[
             dirty = [x for x in crossed[n:] if x < closer]
             msg = f"cross arrows {dirty} inside the tooth {anchor}..{closer}"
             return SawTeethReport(c1, c2, False, msg)
-        teeth.append(Tooth(anchor, y, closer))
+        teeth.append(tuple.__new__(Tooth, (anchor, y, closer)))
         anchor = closer
 
     # every cross arrow must have been used by the structure: none may sit
@@ -354,7 +355,8 @@ def _teeth(c1: int, c2: int, line: list[int], cross: tuple[dict[int, int], dict[
     if initial_barb and final_barb and final_barb[0] <= initial_barb[1]:
         msg = "final barb does not start beyond the initial barb target"
         return SawTeethReport(c1, c2, False, msg)
-    return SawTeethReport(c1, c2, True, None, initial_barb, tuple(teeth), final_barb, isolated)
+    return tuple.__new__(
+        SawTeethReport, (c1, c2, True, None, initial_barb, tuple(teeth), final_barb, isolated))
 
 
 def _first_violation(rows: dict[int, dict[int, int]], line: list[int], jline: list[int]) -> str:
@@ -450,27 +452,29 @@ def classify_configs(
         raise KeyError(f"no vertex {k}")
     i = bisect_left(line, k)
     ins, outs = split
-    near, away = {}, {}  # color -> k's in-neighbours of it in within; out-neighbours
+    # one pass over the split: each color's in-neighbour of k in within, and
+    # the colors that do not classify, with an out-neighbour or a second one
+    near, bad = {}, set()
     for j, _ in ins:
-        if j in within and (oc := vs[j]) in colors:
-            near.setdefault(oc, []).append(j)
+        if j in within and (oc := vs[j]) in colors and near.setdefault(oc, j) != j:
+            bad.add(oc)
     for j, _ in outs:
         if j in within and (oc := vs[j]) in colors:
-            away.setdefault(oc, []).append(j)
+            bad.add(oc)
     k_prev = line[i - 1] if i else None
     k_next = line[i + 1] if i + 1 < len(line) else None
 
     labels = {}
     for oc in colors:
-        if oc in away:
-            raise Unclassifiable(f"vertex {k} has an outgoing ordinary arrow toward {away[oc]}")
-        js = near.get(oc, ())
-        if len(js) > 1:
+        if oc in bad:
+            if away := [j for j, _ in outs if j in within and vs[j] == oc]:
+                raise Unclassifiable(f"vertex {k} has an outgoing ordinary arrow toward {away}")
+            js = [j for j, _ in ins if j in within and vs[j] == oc]
             raise Unclassifiable(f"vertex {k} has several incoming ordinary arrows {js}")
-        if not js:
+        j = near.get(oc)
+        if j is None:
             labels[oc] = ConfigLabel.ALPHA0 if k_prev is None else ConfigLabel.BETA0
             continue
-        j = js[0]
         up = k_next is not None and b[k_next].get(j, 0) > 0
         if k_prev is None:
             labels[oc] = ConfigLabel.ALPHA2 if up else ConfigLabel.ALPHA1

@@ -881,7 +881,7 @@ def _agreement_pairs(spec):
     return pairs[-1:] if spec == "E7" else pairs
 
 
-@pytest.mark.parametrize("spec", ["A4", "D5", "E6", "E7", "E8"])
+@pytest.mark.parametrize("spec", ["A4", "D5", "E6", "E7", "E8", "A15", "D11"])
 def test_checks_agree_with_restricted_copies(spec):
     # the checks read the quiver through the cut's members; build the cut
     # quiver as a copy, as the checks once did, and compare with the
@@ -1116,10 +1116,26 @@ def test_the_cut_from_replaced_vectors_agrees_with_a_cut_from_scratch(spec):
 def test_report_and_shift_counts_are_pinned():
     # the counts of the A5 golden run and of the E6 runs above, where only
     # pairs of adjacent colors that both have members are classified
-    keys = ("reports_classified", "reports_reused", "teeth_shift_checks")
+    keys = ("reports_classified", "reports_reused", "teeth_shift_checks",
+            "mutations", "batches", "evictions")
     seeds = [run(A5, WORD, V, completion=VDOT)] + [run(c, w, v) for c, w, v in _w0_pairs("E6", 17)]
     counts = [[seed.stats.get(key, 0) for key in keys] for seed in seeds]
-    assert counts == [[12, 12, 0], [24, 24, 3], [52, 76, 12], [92, 148, 16]]
+    assert counts == [[12, 12, 0, 8, 6, 6], [24, 24, 3, 43, 9, 21], [52, 76, 12, 64, 18, 15],
+                      [92, 148, 16, 77, 27, 8]]
+
+
+def test_a_run_counts_its_mutations_batches_and_evictions():
+    # checked or not, a run counts one mutation per record, one batch per
+    # entry of its schedule and one eviction per record that left the cut
+    cases = [(A5, WORD, V, VDOT)] + [(*pair, None) for pair in _w0_pairs("E6", 17)]
+    cases += [(c, w, v, None) for c, w, v in _sampled_pairs(("A4", "D5", "E6"), 8, 53)]
+    for c, w, v, vdot in cases:
+        for check in (True, False):
+            seed = run(c, w, v, completion=vdot, check=check)
+            counts = [seed.stats[key] for key in ("mutations", "batches", "evictions")]
+            evicted = [rec for rec in seed.trace if rec.evicted]
+            assert counts == [len(seed.trace), len(seed.schedule), len(evicted)]
+            assert all(not any(rec.after[:len(seed.embedding)]) for rec in evicted)
 
 
 def test_every_saw_teeth_classification_is_counted(monkeypatch):

@@ -502,6 +502,19 @@ def test_classify_config_rejects_outgoing_ordinary_arrow():
         classify_config(q, 1, 2)
 
 
+def test_labels_raise_for_the_first_color_that_does_not_classify():
+    # vertex 1 of color 2 has two in-arrows from color 1 and, first in its
+    # row, an out-arrow toward color 3: the error names the first failing
+    # color of the order given, not the first offending entry of the row
+    q = Quiver({1: 2, 2: 1, 3: 1, 4: 3, 5: 2}, {(1, 4): 1, (2, 1): 1, (3, 1): 1, (1, 5): 1})
+    assert list(q.b[1]) == [4, 2, 3, 5]
+    cases = [((1, 3), r"several incoming ordinary arrows \[2, 3\]"),
+             ((3, 1), r"an outgoing ordinary arrow toward \[4\]")]
+    for colors, text in cases:
+        with pytest.raises(Unclassifiable, match=rf"^vertex 1 has {text}$"):
+            classify_configs(q, 1, colors, q.vertices, [1, 5], q.split(1))
+
+
 # -- DOT ----------------------------------------------------------------------
 
 
