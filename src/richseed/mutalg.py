@@ -168,10 +168,10 @@ class AlgState:
     is mutated in place, ``checker`` (BatchChecker or NoChecks) is made once
     per batch and keeps the records in ``trace``, ``cut`` is the last
     checked view, ``support`` the prefix table that the support check reads
-    and ``col[k]`` the color of vertex k.  The run's constants ``lv``,
-    ``lw``, ``g`` = G(n) and ``high``, the bits that no stored coordinate
-    sets, for n the reference's length, are read once.  A new state is at
-    step 0, with no trace, batches or view and every count of ``stats`` 0.
+    and ``col[k]`` the color of vertex k.  The run's constants are read
+    once: ``lv`` = l(v), ``lw`` = l(w), ``g`` = G(n) and ``high``, the bits
+    that no stored vector of n fields sets, n the reference's length.  A
+    new state is at step 0, with no trace, batches or view, and 0 counts.
     Compared by identity."""
 
     __slots__ = ("word", "embedding", "combo", "reference", "deltas", "quiver", "checker",
